@@ -11,14 +11,18 @@ Run directly (no arguments) or via ctest; stdlib only.
 """
 
 import contextlib
+import glob
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import unittest
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS_DIR = os.path.dirname(os.path.abspath(__file__))
+REPO_ROOT = os.path.dirname(SCRIPTS_DIR)
+sys.path.insert(0, SCRIPTS_DIR)
 import check_bench_regression as cbr
 
 
@@ -346,6 +350,57 @@ class TestSublinearity(CheckerHarness):
         fresh = bench_doc([scale(40, 100, 1000), scale(640, 1600, 16000)])
         base = fresh
         self.assert_fails_naming(base, fresh, "sublinearity lost")
+
+
+def ci_checker_pairs(workflow_text):
+    """Returns, for each check_bench_regression.py step of a CI
+    workflow, the BENCH files it gates: the consecutive
+    '<name> build/<name>' argument lines after the invocation."""
+    steps = []
+    for m in re.finditer(r"python3 scripts/check_bench_regression\.py.*\n",
+                         workflow_text):
+        gated = []
+        for line in workflow_text[m.end():].splitlines():
+            pair = re.fullmatch(r"\s*(BENCH_\w+\.json) build/(BENCH_\w+\.json)",
+                                line)
+            if not pair or pair.group(1) != pair.group(2):
+                break
+            gated.append(pair.group(1))
+        steps.append(gated)
+    return steps
+
+
+def ungated_bench_files(workflow_text, bench_files):
+    """Names every (step, file) where a root BENCH file is missing from
+    a checker step; an empty list means CI gates them all."""
+    return ["step %d: %s" % (k, name)
+            for k, gated in enumerate(ci_checker_pairs(workflow_text))
+            for name in bench_files if name not in gated]
+
+
+class TestCiGatesEveryBenchFile(unittest.TestCase):
+    WORKFLOW = os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")
+
+    def test_every_root_bench_file_is_in_both_checker_steps(self):
+        bench_files = sorted(os.path.basename(p) for p in
+                             glob.glob(os.path.join(REPO_ROOT,
+                                                    "BENCH_*.json")))
+        self.assertTrue(bench_files)
+        with open(self.WORKFLOW) as f:
+            text = f.read()
+        self.assertEqual(len(ci_checker_pairs(text)), 2)
+        self.assertEqual(ungated_bench_files(text, bench_files), [])
+
+    def test_a_dropped_file_is_named(self):
+        step = ("        run: >\n"
+                "          python3 scripts/check_bench_regression.py\n"
+                "          BENCH_a.json build/BENCH_a.json\n"
+                "          BENCH_b.json build/BENCH_b.json\n")
+        text = step + step.replace(
+            "          BENCH_b.json build/BENCH_b.json\n", "")
+        self.assertEqual(
+            ungated_bench_files(text, ["BENCH_a.json", "BENCH_b.json"]),
+            ["step 1: BENCH_b.json"])
 
 
 if __name__ == "__main__":

@@ -45,7 +45,8 @@ public:
     return Matrix.test(triIndex(A, B));
   }
 
-  /// Merges \p Dead into \p Rep in place: Rep's neighborhood becomes the
+  /// Merges \p Dead into \p Rep in place — the vertex merge after
+  /// coalescing a move (Section 3.5): Rep's neighborhood becomes the
   /// union of both, Dead's row empties, and every third node's adjacency
   /// list is patched. O(deg(Rep) + deg(Dead)) — the new Rep row is one
   /// merge-join of two sorted lists, and each of Dead's neighbors gets a
@@ -54,11 +55,6 @@ public:
   /// order-sensitive clients see the same deterministic iteration they
   /// would after a rebuild.
   void mergeNodes(RegId Rep, RegId Dead);
-
-  /// Merges \p B into \p A: A acquires all of B's edges. Used after
-  /// coalescing a move (a simple vertex-merge, as Section 3.5 notes).
-  /// Synonym for mergeNodes, kept for the historical call sites.
-  void mergeInto(RegId A, RegId B) { mergeNodes(A, B); }
 
   /// Removes the edge {A, B}. The incremental coalescer uses this when
   /// its round-boundary repair scan proves a unioned edge is not present

@@ -220,7 +220,7 @@ coalesceRebuildingEveryRound(Function &F,
 /// confinement lemmas), so removing each dirty row's unconfirmed edges
 /// restores the whole graph to exactness.
 void repairDirtyRows(const Function &F, const Liveness &LV,
-                     InterferenceGraph &IG, const BitVector &DirtyMask,
+                     InterferenceGraph &IG,
                      const std::vector<RegId> &DirtyList,
                      CoalescerStats &Stats) {
   ++Stats.NumRepairScans;
@@ -487,7 +487,7 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
     LV.recomputeValues(Survivors);
 
     // Restore G = exact graph of the rewritten program (dirty rows only).
-    repairDirtyRows(F, LV, IG, DirtyMask, DirtyList, Stats);
+    repairDirtyRows(F, LV, IG, DirtyList, Stats);
 
     // Re-enqueue exactly the deferred moves whose operands alias a node
     // merged this round and whose pair no longer interferes; clean pairs

@@ -89,8 +89,8 @@ private:
 
 } // namespace
 
-OptimalGainResult lao::optimalPhiGain(Function &F, PinningContext &Ctx,
-                                      const CFG &Cfg, unsigned MaxEdges) {
+OptimalGainResult lao::optimalPhiGain(PinningContext &Ctx, const CFG &Cfg,
+                                      unsigned MaxEdges) {
   OptimalGainResult Result;
   for (BasicBlock *BB : Cfg.rpo()) {
     if (BB->empty() || !BB->front().isPhi())

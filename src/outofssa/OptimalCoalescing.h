@@ -36,14 +36,15 @@ struct OptimalGainResult {
   unsigned NumBlocks = 0; ///< Confluence blocks evaluated.
 };
 
-/// Computes the per-block optimal phi-coalescing gain for \p F under the
-/// interference relation of \p Ctx, *without* mutating any pinning.
+/// Computes the per-block optimal phi-coalescing gain for the function
+/// of \p Cfg under the interference relation of \p Ctx, *without*
+/// mutating any pinning.
 /// Blocks are evaluated against the initial classes, i.e. this bounds
 /// what a single block-local decision could achieve — the quantity the
 /// paper's heuristic approximates per block. \p MaxEdges caps the
 /// exhaustive search per block.
-OptimalGainResult optimalPhiGain(Function &F, PinningContext &Ctx,
-                                 const CFG &Cfg, unsigned MaxEdges = 18);
+OptimalGainResult optimalPhiGain(PinningContext &Ctx, const CFG &Cfg,
+                                 unsigned MaxEdges = 18);
 
 } // namespace lao
 

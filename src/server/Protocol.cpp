@@ -52,9 +52,10 @@ bool skipBody(std::istream &In, size_t N) {
 }
 
 /// Reads and parses a "LAO1 <kind> <id> <bytes>" header line, skipping
-/// blank lines before it. \p KindA / \p KindB are the kinds acceptable
-/// at this point of the stream (request side: REQ/BAT; response side:
-/// RSP/RSB); \p KindOut reports which matched. Returns Eof/Malformed/Ok.
+/// blank lines before it. \p KindA / \p KindB are the single and batch
+/// kinds acceptable at this point of the stream (request side: REQ/BAT;
+/// response side: RSP/RSB); \p KindOut reports which matched. Returns
+/// Eof/Malformed/Ok.
 FrameStatus readHeaderOf(std::istream &In, const char *KindA,
                          const char *KindB, FrameKind &KindOut, uint64_t &Id,
                          uint64_t &Bytes, std::string &ErrorOut) {
@@ -67,10 +68,9 @@ FrameStatus readHeaderOf(std::istream &In, const char *KindA,
   }
   std::vector<std::string> Parts = splitString(Line, ' ');
   if (Parts.size() == 4 && Parts[0] == "LAO1" &&
-      (Parts[1] == KindA || (KindB && Parts[1] == KindB)) &&
+      (Parts[1] == KindA || Parts[1] == KindB) &&
       parseU64(Parts[2], Id) && parseU64(Parts[3], Bytes)) {
-    KindOut = (KindB && Parts[1] == KindB) ? FrameKind::Batch
-                                           : FrameKind::Single;
+    KindOut = Parts[1] == KindB ? FrameKind::Batch : FrameKind::Single;
     return FrameStatus::Ok;
   }
   ErrorOut = formatStr("bad %s frame header: '%s'", KindA, Line.c_str());
@@ -93,14 +93,12 @@ bool splitBody(const std::string &Body, std::string &Headers,
   return true;
 }
 
-/// Parses the "key: value" option block shared by REQ and BAT bodies.
-/// "count" is only legal when \p CountOut is non-null (batch frames);
-/// \p SawCount reports whether it appeared. Returns false with
-/// \p ErrorOut set on the first bad line — a body-level error.
-bool parseOptions(const std::string &Headers, std::string &Pipeline,
-                  bool &BuildSSA, uint64_t &DeadlineMs, uint64_t &SleepMs,
-                  std::string &RegAlloc, uint64_t &RegAllocRegs,
-                  std::string &Exec, std::vector<uint64_t> &ExecArgs,
+/// Parses the "key: value" option block shared by REQ and BAT bodies
+/// into \p Opts. "count" is only legal when \p CountOut is non-null
+/// (batch frames); \p SawCount reports whether it appeared. Returns
+/// false with \p ErrorOut set on the first bad line — a body-level
+/// error.
+bool parseOptions(const std::string &Headers, RequestOptions &Opts,
                   uint64_t *CountOut, bool *SawCount, std::string &ErrorOut) {
   for (const std::string &Line : splitString(Headers, '\n')) {
     size_t Colon = Line.find(':');
@@ -111,16 +109,16 @@ bool parseOptions(const std::string &Headers, std::string &Pipeline,
     std::string Key = trimString(Line.substr(0, Colon));
     std::string Value = trimString(Line.substr(Colon + 1));
     if (Key == "pipeline") {
-      Pipeline = Value;
+      Opts.Pipeline = Value;
     } else if (Key == "regalloc") {
       // Preset validity is a semantic (server-side) concern, like
       // pipeline's: parsing only records the string.
-      RegAlloc = Value;
+      Opts.RegAlloc = Value;
     } else if (Key == "exec") {
       // Engine-name validity is semantic too; parsing records the string.
-      Exec = Value;
+      Opts.Exec = Value;
     } else if (Key == "exec_args") {
-      ExecArgs.clear();
+      Opts.ExecArgs.clear();
       if (!Value.empty())
         for (const std::string &Tok : splitString(Value, ',')) {
           uint64_t V = 0;
@@ -130,10 +128,10 @@ bool parseOptions(const std::string &Headers, std::string &Pipeline,
                                  Tok.c_str());
             return false;
           }
-          ExecArgs.push_back(V);
+          Opts.ExecArgs.push_back(V);
         }
     } else if (Key == "ssa") {
-      BuildSSA = Value == "1" || Value == "true";
+      Opts.BuildSSA = Value == "1" || Value == "true";
     } else if (Key == "deadline_ms" || Key == "sleep_ms" ||
                Key == "regalloc_regs" || (CountOut && Key == "count")) {
       uint64_t V = 0;
@@ -143,11 +141,11 @@ bool parseOptions(const std::string &Headers, std::string &Pipeline,
         return false;
       }
       if (Key == "deadline_ms")
-        DeadlineMs = V;
+        Opts.DeadlineMs = V;
       else if (Key == "sleep_ms")
-        SleepMs = V;
+        Opts.SleepMs = V;
       else if (Key == "regalloc_regs")
-        RegAllocRegs = V;
+        Opts.RegAllocRegs = V;
       else {
         *CountOut = V;
         *SawCount = true;
@@ -197,33 +195,29 @@ bool parseItems(const std::string &Payload, std::vector<std::string> &Items,
 }
 
 /// Renders the shared option block of a request frame body.
-std::string encodeOptions(const std::string &Pipeline, bool BuildSSA,
-                          uint64_t DeadlineMs, uint64_t SleepMs,
-                          const std::string &RegAlloc, uint64_t RegAllocRegs,
-                          const std::string &Exec,
-                          const std::vector<uint64_t> &ExecArgs) {
+std::string encodeOptions(const RequestOptions &Opts) {
   std::string Body;
-  Body += "pipeline: " + Pipeline + "\n";
-  if (BuildSSA)
+  Body += "pipeline: " + Opts.Pipeline + "\n";
+  if (Opts.BuildSSA)
     Body += "ssa: 1\n";
-  if (DeadlineMs)
+  if (Opts.DeadlineMs)
     Body += formatStr("deadline_ms: %llu\n",
-                      static_cast<unsigned long long>(DeadlineMs));
-  if (SleepMs)
+                      static_cast<unsigned long long>(Opts.DeadlineMs));
+  if (Opts.SleepMs)
     Body += formatStr("sleep_ms: %llu\n",
-                      static_cast<unsigned long long>(SleepMs));
-  if (!RegAlloc.empty())
-    Body += "regalloc: " + RegAlloc + "\n";
-  if (RegAllocRegs)
+                      static_cast<unsigned long long>(Opts.SleepMs));
+  if (!Opts.RegAlloc.empty())
+    Body += "regalloc: " + Opts.RegAlloc + "\n";
+  if (Opts.RegAllocRegs)
     Body += formatStr("regalloc_regs: %llu\n",
-                      static_cast<unsigned long long>(RegAllocRegs));
-  if (!Exec.empty())
-    Body += "exec: " + Exec + "\n";
-  if (!ExecArgs.empty()) {
+                      static_cast<unsigned long long>(Opts.RegAllocRegs));
+  if (!Opts.Exec.empty())
+    Body += "exec: " + Opts.Exec + "\n";
+  if (!Opts.ExecArgs.empty()) {
     Body += "exec_args: ";
-    for (size_t K = 0; K < ExecArgs.size(); ++K)
+    for (size_t K = 0; K < Opts.ExecArgs.size(); ++K)
       Body += formatStr(K ? ",%llu" : "%llu",
-                        static_cast<unsigned long long>(ExecArgs[K]));
+                        static_cast<unsigned long long>(Opts.ExecArgs[K]));
     Body += "\n";
   }
   return Body;
@@ -281,9 +275,7 @@ bool parseResponseBody(const std::string &Body, Response &Out,
 } // namespace
 
 std::string lao::encodeRequest(const Request &R) {
-  std::string Body =
-      encodeOptions(R.Pipeline, R.BuildSSA, R.DeadlineMs, R.SleepMs,
-                    R.RegAlloc, R.RegAllocRegs, R.Exec, R.ExecArgs);
+  std::string Body = encodeOptions(R);
   Body += "\n";
   Body += R.Text;
   return frame("REQ", R.Id, Body);
@@ -294,9 +286,7 @@ std::string lao::encodeResponse(const Response &R) {
 }
 
 std::string lao::encodeBatchRequest(const BatchRequest &R) {
-  std::string Body =
-      encodeOptions(R.Pipeline, R.BuildSSA, R.DeadlineMs, R.SleepMs,
-                    R.RegAlloc, R.RegAllocRegs, R.Exec, R.ExecArgs);
+  std::string Body = encodeOptions(R);
   Body += formatStr("count: %zu\n", R.Texts.size());
   Body += "\n";
   for (const std::string &Text : R.Texts) {
@@ -319,34 +309,6 @@ std::string lao::encodeBatchResponse(const BatchResponse &R) {
   return frame("RSB", R.Id, Body);
 }
 
-FrameStatus lao::readRequest(std::istream &In, const FrameLimits &Limits,
-                             Request &Out, std::string &ErrorOut) {
-  ErrorOut.clear();
-  Out = Request();
-  uint64_t Bytes = 0;
-  FrameKind Kind;
-  FrameStatus S =
-      readHeaderOf(In, "REQ", nullptr, Kind, Out.Id, Bytes, ErrorOut);
-  if (S != FrameStatus::Ok)
-    return S;
-  std::string Body;
-  S = readFramedBody(In, Limits, Bytes, "request", Body, ErrorOut);
-  if (S != FrameStatus::Ok)
-    return S;
-
-  std::string Headers, Payload;
-  if (!splitBody(Body, Headers, Payload)) {
-    ErrorOut = "request body has no blank line separating options from "
-               "the function text";
-    return FrameStatus::Ok;
-  }
-  Out.Text = std::move(Payload);
-  parseOptions(Headers, Out.Pipeline, Out.BuildSSA, Out.DeadlineMs,
-               Out.SleepMs, Out.RegAlloc, Out.RegAllocRegs, Out.Exec,
-               Out.ExecArgs, nullptr, nullptr, ErrorOut);
-  return FrameStatus::Ok;
-}
-
 FrameStatus lao::readRequestFrame(std::istream &In, const FrameLimits &Limits,
                                   FrameKind &KindOut, Request &ReqOut,
                                   BatchRequest &BatchOut,
@@ -359,10 +321,10 @@ FrameStatus lao::readRequestFrame(std::istream &In, const FrameLimits &Limits,
   FrameStatus S = readHeaderOf(In, "REQ", "BAT", KindOut, Id, Bytes, ErrorOut);
   if (S != FrameStatus::Ok)
     return S;
-  (KindOut == FrameKind::Batch ? BatchOut.Id : ReqOut.Id) = Id;
+  bool Batch = KindOut == FrameKind::Batch;
+  (Batch ? BatchOut.Id : ReqOut.Id) = Id;
   std::string Body;
-  S = readFramedBody(In, Limits, Bytes,
-                     KindOut == FrameKind::Batch ? "batch request" : "request",
+  S = readFramedBody(In, Limits, Bytes, Batch ? "batch request" : "request",
                      Body, ErrorOut);
   if (S != FrameStatus::Ok)
     return S;
@@ -373,20 +335,17 @@ FrameStatus lao::readRequestFrame(std::istream &In, const FrameLimits &Limits,
                "the function text";
     return FrameStatus::Ok;
   }
-  if (KindOut == FrameKind::Single) {
-    ReqOut.Text = std::move(Payload);
-    parseOptions(Headers, ReqOut.Pipeline, ReqOut.BuildSSA, ReqOut.DeadlineMs,
-                 ReqOut.SleepMs, ReqOut.RegAlloc, ReqOut.RegAllocRegs,
-                 ReqOut.Exec, ReqOut.ExecArgs, nullptr, nullptr, ErrorOut);
-    return FrameStatus::Ok;
-  }
+  RequestOptions &Opts =
+      Batch ? static_cast<RequestOptions &>(BatchOut) : ReqOut;
   uint64_t Count = 0;
   bool SawCount = false;
-  if (!parseOptions(Headers, BatchOut.Pipeline, BatchOut.BuildSSA,
-                    BatchOut.DeadlineMs, BatchOut.SleepMs, BatchOut.RegAlloc,
-                    BatchOut.RegAllocRegs, BatchOut.Exec, BatchOut.ExecArgs,
-                    &Count, &SawCount, ErrorOut))
+  if (!parseOptions(Headers, Opts, Batch ? &Count : nullptr, &SawCount,
+                    ErrorOut))
     return FrameStatus::Ok;
+  if (!Batch) {
+    ReqOut.Text = std::move(Payload);
+    return FrameStatus::Ok;
+  }
   if (!SawCount) {
     ErrorOut = "batch body is missing the required count option";
     return FrameStatus::Ok;
@@ -401,25 +360,6 @@ FrameStatus lao::readRequestFrame(std::istream &In, const FrameLimits &Limits,
                          BatchOut.Texts.size());
     BatchOut.Texts.clear();
   }
-  return FrameStatus::Ok;
-}
-
-FrameStatus lao::readResponse(std::istream &In, const FrameLimits &Limits,
-                              Response &Out, std::string &ErrorOut) {
-  ErrorOut.clear();
-  Out = Response();
-  uint64_t Bytes = 0;
-  FrameKind Kind;
-  FrameStatus S =
-      readHeaderOf(In, "RSP", nullptr, Kind, Out.Id, Bytes, ErrorOut);
-  if (S != FrameStatus::Ok)
-    return S;
-  std::string Body;
-  S = readFramedBody(In, Limits, Bytes, "response", Body, ErrorOut);
-  if (S != FrameStatus::Ok)
-    return S;
-  if (!parseResponseBody(Body, Out, ErrorOut))
-    return FrameStatus::Malformed;
   return FrameStatus::Ok;
 }
 

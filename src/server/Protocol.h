@@ -25,7 +25,9 @@
 ///   func @f { ... }
 ///
 /// Recognized keys: pipeline (a Table 1 preset name), ssa (run
-/// normalizeToOptimizedSSA first; 0/1), deadline_ms (cooperative
+/// normalizeToOptimizedSSA first; 0/1; the text must then be non-SSA —
+/// a phi, or a use not defined on every path from the entry, is
+/// answered as a parse error), deadline_ms (cooperative
 /// deadline from frame arrival; 0 = none), sleep_ms (diagnostic: the
 /// worker idles this long before compiling, in deadline-checked slices —
 /// used by the timeout tests and load drills), regalloc (an allocator
@@ -45,14 +47,14 @@
 /// for the full schema and the failure taxonomy.
 ///
 /// Batching amortizes the per-frame cost for many-tiny-functions
-/// workloads: a "LAO1 BAT <id> <body-bytes>" frame carries one shared
-/// option block (which must include "count: N") and N length-prefixed
-/// function texts; the server fans the items across its workers and
-/// answers a single "LAO1 RSB <id> <body-bytes>" frame holding a batch
-/// summary record plus N length-prefixed per-item bodies (each shaped
-/// like a RSP body: record, blank line, IR). Items are answered in
-/// submission order inside the frame. The exact wire layout is spelled
-/// out in docs/SERVER.md.
+/// workloads: a "LAO1 BAT <id> <body-bytes>" frame carries the same
+/// option block as a REQ (RequestOptions, plus the required "count: N")
+/// and N length-prefixed function texts; the server fans the items
+/// across its workers and answers a single "LAO1 RSB <id> <body-bytes>"
+/// frame holding a batch summary record plus N length-prefixed per-item
+/// bodies (each shaped like a RSP body: record, blank line, IR). Items
+/// are answered in submission order inside the frame. The exact wire
+/// layout is spelled out in docs/SERVER.md.
 ///
 /// Error recovery is by construction: the only unrecoverable condition is
 /// a header line that does not parse (or a body shorter than its declared
@@ -83,12 +85,14 @@ struct FrameLimits {
   size_t MaxBodyBytes = 4u << 20;
 };
 
-/// One compile request, as parsed from a request frame.
-struct Request {
-  uint64_t Id = 0;
+/// The option block every request frame carries, REQ and BAT alike. A
+/// BAT shares one block among all its items, so a batch item compiles
+/// exactly like a REQ with the same options.
+struct RequestOptions {
   std::string Pipeline = "Lphi,ABI+C";
   bool BuildSSA = false;
-  uint64_t DeadlineMs = 0; ///< 0 = none (the server default may apply).
+  uint64_t DeadlineMs = 0; ///< 0 = none (the server default may apply);
+                           ///< measured from frame arrival.
   uint64_t SleepMs = 0;    ///< Diagnostic pre-compile idle (see above).
   std::string RegAlloc;    ///< Allocator preset; empty = server default
                            ///< (which is usually "no allocation").
@@ -96,6 +100,11 @@ struct Request {
   std::string Exec;        ///< Execution engine ("interp"/"vm"/"both");
                            ///< empty = do not execute.
   std::vector<uint64_t> ExecArgs; ///< Arguments for the entry `input`.
+};
+
+/// One compile request, as parsed from a REQ frame.
+struct Request : RequestOptions {
+  uint64_t Id = 0;
   std::string Text;        ///< The mini-LAI function.
 };
 
@@ -108,16 +117,8 @@ struct Response {
 };
 
 /// One batch request: shared options, N function texts.
-struct BatchRequest {
+struct BatchRequest : RequestOptions {
   uint64_t Id = 0;
-  std::string Pipeline = "Lphi,ABI+C";
-  bool BuildSSA = false;
-  uint64_t DeadlineMs = 0; ///< Shared by every item, from frame arrival.
-  uint64_t SleepMs = 0;
-  std::string RegAlloc;    ///< Shared allocator preset (see Request).
-  uint64_t RegAllocRegs = 0;
-  std::string Exec;        ///< Shared execution engine (see Request).
-  std::vector<uint64_t> ExecArgs; ///< Shared arguments, every item.
   std::vector<std::string> Texts; ///< The mini-LAI functions, in order.
 };
 
@@ -153,20 +154,6 @@ std::string encodeRequest(const Request &R);
 /// RecordJson + "\n\n" + IR.
 std::string encodeResponse(const Response &R);
 
-/// Reads one request frame. On Ok, \p Out holds the parsed request; a
-/// non-empty \p ErrorOut reports a body-level problem (unknown key, bad
-/// number, missing blank line) that the caller should answer as an error
-/// record for Out.Id. On Oversized, Out.Id is valid and the body was
-/// skipped. On Malformed, \p ErrorOut describes the framing failure and
-/// the stream must be abandoned.
-FrameStatus readRequest(std::istream &In, const FrameLimits &Limits,
-                        Request &Out, std::string &ErrorOut);
-
-/// Reads one response frame (the client side). Same contract as
-/// readRequest; a body without the record/IR separator is Malformed.
-FrameStatus readResponse(std::istream &In, const FrameLimits &Limits,
-                         Response &Out, std::string &ErrorOut);
-
 /// Renders \p R as a batch request frame: the shared option block
 /// (always including "count: N"), a blank line, then each function text
 /// as "<bytes>\n<text>\n".
@@ -177,18 +164,20 @@ std::string encodeBatchRequest(const BatchRequest &R);
 std::string encodeBatchResponse(const BatchResponse &R);
 
 /// Reads one request frame of either kind; \p KindOut says which of
-/// \p ReqOut / \p BatchOut was filled. Contract matches readRequest: on
-/// Ok a non-empty \p ErrorOut is a body-level problem (unknown key, bad
-/// count, malformed item sub-framing) the server answers as an error
-/// record for the frame's id; Oversized leaves the id (and kind) valid
-/// with the body skipped; Malformed means the stream is unframeable.
+/// \p ReqOut / \p BatchOut was filled. On Ok a non-empty \p ErrorOut
+/// is a body-level problem (unknown key, bad number, missing blank line,
+/// bad count, malformed item sub-framing) the server answers as an error
+/// record for the frame's id. Oversized leaves the id (and kind) valid
+/// with the body skipped. On Malformed, \p ErrorOut describes the
+/// framing failure and the stream must be abandoned.
 FrameStatus readRequestFrame(std::istream &In, const FrameLimits &Limits,
                              FrameKind &KindOut, Request &ReqOut,
                              BatchRequest &BatchOut, std::string &ErrorOut);
 
-/// Reads one response frame of either kind (the client side). Malformed
-/// sub-framing inside a RSB body is Malformed, like a RSP body without
-/// its record/IR separator.
+/// Reads one response frame of either kind (the client side). Same
+/// contract as readRequestFrame, except that a RSP body without its
+/// record/IR separator, or malformed sub-framing inside a RSB body, is
+/// Malformed.
 FrameStatus readResponseFrame(std::istream &In, const FrameLimits &Limits,
                               FrameKind &KindOut, Response &RspOut,
                               BatchResponse &BatchOut, std::string &ErrorOut);

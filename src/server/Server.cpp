@@ -55,7 +55,7 @@ std::string lao::requestRecordJson(const RequestRecord &Rec) {
   JsonWriter W;
   W.beginObject();
   W.key("id").value(Rec.Id);
-  // "ok" must directly follow "id": readResponse probes for the
+  // "ok" must directly follow "id": readResponseFrame probes for the
   // substring "\"ok\":true" instead of parsing JSON.
   W.key("ok").value(Rec.ok());
   W.key("outcome").value(outcomeName(Rec.Outcome));
@@ -137,6 +137,16 @@ const char *execStatusName(const ExecResult &R) {
 void flushRecyclerStats(WorkerContext &Ctx) {
   if (uint64_t B = Ctx.Recycler.takeReuseBytes())
     LAO_STAT(server, arena_reuse_bytes) += B;
+}
+
+/// Renders \p Rec as a RSP-shaped body. The IR moves out of the record
+/// unless \p KeepIR (records() still wants it).
+Response responseOf(RequestRecord &Rec, bool KeepIR) {
+  Response Rsp;
+  Rsp.Id = Rec.Id;
+  Rsp.RecordJson = requestRecordJson(Rec);
+  Rsp.IR = KeepIR ? Rec.IR : std::move(Rec.IR);
+  return Rsp;
 }
 
 } // namespace
@@ -251,8 +261,11 @@ RequestRecord Server::compileRequest(const Request &Req, WorkerContext &Ctx,
     Ctx.AM = std::make_unique<AnalysisManager>(*Ctx.F);
 
   try {
-    if (Req.BuildSSA)
-      normalizeToOptimizedSSA(*Ctx.F);
+    if (Req.BuildSSA && !normalizeToOptimizedSSA(*Ctx.F, &ParseError)) {
+      ++LAO_STAT(server, parse_errors);
+      return Finish(),
+             Fail(RequestOutcome::ParseError, "parse error: " + ParseError);
+    }
     PipelineResult R = runPipeline(*Ctx.F, *Config, *Ctx.AM);
     if (R.Cancelled) {
       ++LAO_STAT(server, timeouts);
@@ -363,10 +376,37 @@ void Server::releaseSlot(unsigned Slot) {
   FreeSlots.push_back(Slot);
 }
 
-/// Accounts \p Recs in the shared report and hands \p Frame to the
-/// connection's writer under its sequence number.
-void Server::complete(Connection &C, uint64_t Seq, std::string Frame,
-                      std::vector<RequestRecord> Recs) {
+/// Renders the answer to one frame from its records, accounts them in
+/// the shared report and hands the frame to the connection's writer
+/// under its sequence number. A REQ is answered by a RSP carrying its
+/// one record. A BAT is answered by a RSB: a summary, then one body per
+/// item; a BAT refused as a whole has a single record without an item
+/// position, and only the summary reports it.
+void Server::complete(Connection &C, uint64_t Seq, FrameKind Kind,
+                      uint64_t Id, std::vector<RequestRecord> Recs,
+                      Clock::time_point Arrival) {
+  std::string Encoded;
+  if (Kind == FrameKind::Single) {
+    Encoded = encodeResponse(responseOf(Recs.front(), Opts.CollectRecords));
+  } else {
+    BatchResponse Rsp;
+    Rsp.Id = Id;
+    if (Recs.size() == 1 && Recs[0].Item < 0) {
+      Rsp.SummaryJson =
+          batchSummaryJson(Id, Recs[0].Outcome, Recs[0].Error, 0, 0, 0.0);
+    } else {
+      double Seconds =
+          std::chrono::duration<double>(Clock::now() - Arrival).count();
+      size_t OkCount = 0;
+      for (RequestRecord &Rec : Recs) {
+        OkCount += Rec.ok();
+        Rsp.Items.push_back(responseOf(Rec, Opts.CollectRecords));
+      }
+      Rsp.SummaryJson = batchSummaryJson(Id, RequestOutcome::Ok, "",
+                                         Recs.size(), OkCount, Seconds);
+    }
+    Encoded = encodeBatchResponse(Rsp);
+  }
   {
     std::lock_guard<std::mutex> G(ReportM);
     for (const RequestRecord &Rec : Recs) {
@@ -402,120 +442,77 @@ void Server::complete(Connection &C, uint64_t Seq, std::string Frame,
   std::lock_guard<std::mutex> G(C.M);
   if (Opts.CollectRecords)
     C.Collected[Seq] = std::move(Recs);
-  C.PendingOut[Seq] = std::move(Frame);
+  C.PendingOut[Seq] = std::move(Encoded);
   C.Cv.notify_all();
 }
 
-void Server::dispatchSingle(Connection &C, Request Req,
-                            Clock::time_point Arrival, uint64_t Seq) {
-  Pool->async([this, &C, Seq, Arrival, Req = std::move(Req)] {
-    unsigned Slot = acquireSlot();
-    WorkerContext &Ctx = Contexts[Slot];
-    RequestRecord Rec;
-    try {
-      ArenaRecycler::Bind Bind(Ctx.Recycler);
-      Rec = compileRequest(Req, Ctx, Arrival, Opts);
-    } catch (...) {
-      // compileRequest catches compile-path exceptions itself; this is
-      // the belt-and-braces backstop that keeps the connection's
-      // sequence space gap-free even on a server plumbing bug.
-      Rec = RequestRecord();
-      Rec.Id = Req.Id;
-      Rec.Pipeline = Req.Pipeline;
-      Rec.Outcome = RequestOutcome::PipelineError;
-      Rec.Error = "pipeline error: exception escaped the worker";
-    }
-    flushRecyclerStats(Ctx);
-    releaseSlot(Slot);
-    Response Rsp;
-    Rsp.Id = Rec.Id;
-    Rsp.RecordJson = requestRecordJson(Rec);
-    Rsp.IR = Opts.CollectRecords ? Rec.IR : std::move(Rec.IR);
-    std::vector<RequestRecord> Recs;
-    Recs.push_back(std::move(Rec));
-    complete(C, Seq, encodeResponse(Rsp), std::move(Recs));
-  });
-}
-
-void Server::dispatchBatch(Connection &C, BatchRequest Bat,
-                           Clock::time_point Arrival, uint64_t Seq) {
-  struct BatchState {
+void Server::dispatch(Connection &C, FrameKind Kind, BatchRequest Frame,
+                      Clock::time_point Arrival, uint64_t Seq) {
+  struct FrameState {
+    FrameKind Kind = FrameKind::Single;
     BatchRequest Req;
     Clock::time_point Arrival;
     uint64_t Seq = 0;
     std::vector<RequestRecord> Items;
     std::atomic<size_t> Remaining{0};
   };
-  auto St = std::make_shared<BatchState>();
-  St->Req = std::move(Bat);
+  auto St = std::make_shared<FrameState>();
+  St->Kind = Kind;
+  St->Req = std::move(Frame);
   St->Arrival = Arrival;
   St->Seq = Seq;
   size_t N = St->Req.Texts.size();
   St->Items.resize(N);
   St->Remaining.store(N, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> G(ReportM);
-    ++Report.NumBatches;
-  }
-  ++LAO_STAT(server, batches);
-  LAO_STAT(server, batch_items) += N;
-
-  auto Assemble = [this, &C, St] {
-    BatchResponse Rsp;
-    Rsp.Id = St->Req.Id;
-    size_t OkCount = 0;
-    for (RequestRecord &Rec : St->Items) {
-      OkCount += Rec.ok();
-      Response Item;
-      Item.Id = Rec.Id;
-      Item.RecordJson = requestRecordJson(Rec);
-      Item.IR = Opts.CollectRecords ? Rec.IR : std::move(Rec.IR);
-      Rsp.Items.push_back(std::move(Item));
+  if (Kind == FrameKind::Batch) {
+    {
+      std::lock_guard<std::mutex> G(ReportM);
+      ++Report.NumBatches;
     }
-    double Seconds =
-        std::chrono::duration<double>(Clock::now() - St->Arrival).count();
-    Rsp.SummaryJson = batchSummaryJson(St->Req.Id, RequestOutcome::Ok, "",
-                                       St->Items.size(), OkCount, Seconds);
-    complete(C, St->Seq, encodeBatchResponse(Rsp), std::move(St->Items));
+    ++LAO_STAT(server, batches);
+    LAO_STAT(server, batch_items) += N;
+  }
+
+  auto Finish = [this, &C, St] {
+    complete(C, St->Seq, St->Kind, St->Req.Id, std::move(St->Items),
+             St->Arrival);
   };
   if (N == 0)
-    return Assemble();
+    return Finish();
 
   for (size_t K = 0; K < N; ++K)
-    Pool->async([this, St, K, Assemble] {
+    Pool->async([this, St, K, Finish] {
+      bool Batch = St->Kind == FrameKind::Batch;
+      // Each item's text is read exactly once, so it moves out.
+      Request R{St->Req, St->Req.Id, std::move(St->Req.Texts[K])};
       unsigned Slot = acquireSlot();
       WorkerContext &Ctx = Contexts[Slot];
-      Request R;
-      R.Id = St->Req.Id;
-      R.Pipeline = St->Req.Pipeline;
-      R.BuildSSA = St->Req.BuildSSA;
-      R.DeadlineMs = St->Req.DeadlineMs;
-      R.SleepMs = St->Req.SleepMs;
-      R.RegAlloc = St->Req.RegAlloc;
-      R.RegAllocRegs = St->Req.RegAllocRegs;
-      R.Exec = St->Req.Exec;
-      R.ExecArgs = St->Req.ExecArgs;
-      R.Text = std::move(St->Req.Texts[K]); // Each item read exactly once.
       RequestRecord Rec;
       try {
         ArenaRecycler::Bind Bind(Ctx.Recycler);
+        // Batch items take the lean path: no StatsScope, so their
+        // records carry an empty counters object.
         Rec = compileRequest(R, Ctx, St->Arrival, Opts,
-                             /*PerRequestCounters=*/false);
+                             /*PerRequestCounters=*/!Batch);
       } catch (...) {
+        // compileRequest catches compile-path exceptions itself; this is
+        // the belt-and-braces backstop that keeps the connection's
+        // sequence space gap-free even on a server plumbing bug.
         Rec = RequestRecord();
         Rec.Id = R.Id;
         Rec.Pipeline = R.Pipeline;
         Rec.Outcome = RequestOutcome::PipelineError;
         Rec.Error = "pipeline error: exception escaped the worker";
       }
-      Rec.Item = static_cast<int64_t>(K);
+      if (Batch)
+        Rec.Item = static_cast<int64_t>(K);
       flushRecyclerStats(Ctx);
       releaseSlot(Slot);
       St->Items[K] = std::move(Rec);
-      // Last finisher assembles the single response frame: one write
-      // wakeup per batch, not per function.
+      // Last finisher renders the frame's answer: one write wakeup per
+      // frame, not per function.
       if (St->Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        Assemble();
+        Finish();
     });
 }
 
@@ -569,9 +566,9 @@ int Server::serve(std::istream &In, std::ostream &Out) {
 
     FrameKind Kind;
     Request Req;
-    BatchRequest Bat;
+    BatchRequest Frame;
     std::string Error;
-    FrameStatus S = readRequestFrame(In, Opts.Limits, Kind, Req, Bat, Error);
+    FrameStatus S = readRequestFrame(In, Opts.Limits, Kind, Req, Frame, Error);
     if (S == FrameStatus::Eof)
       break;
     Clock::time_point Arrival = Clock::now();
@@ -588,21 +585,24 @@ int Server::serve(std::istream &In, std::ostream &Out) {
       RequestRecord Rec;
       Rec.Outcome = RequestOutcome::Protocol;
       Rec.Error = "protocol error: " + Error;
-      Response Rsp;
-      Rsp.RecordJson = requestRecordJson(Rec);
-      std::vector<RequestRecord> Recs;
-      Recs.push_back(std::move(Rec));
-      complete(C, Seq++, encodeResponse(Rsp), std::move(Recs));
+      complete(C, Seq++, FrameKind::Single, 0, {Rec}, Arrival);
       Rc = 1;
       break;
     }
     ++LAO_STAT(server, frames);
+    // A REQ is served as a frame of one item; only the shape of the
+    // answer (RSP or RSB) remembers the difference.
+    if (Kind == FrameKind::Single) {
+      Frame.Id = Req.Id;
+      Frame.Texts.push_back(std::move(Req.Text));
+      static_cast<RequestOptions &>(Frame) = std::move(Req);
+    }
     if (S == FrameStatus::Oversized || !Error.empty()) {
       // Body-level failure: answer an error record in the frame's own
-      // shape (RSP or RSB) and keep serving.
+      // shape and keep serving.
       RequestRecord Rec;
-      Rec.Id = Kind == FrameKind::Batch ? Bat.Id : Req.Id;
-      Rec.Pipeline = Kind == FrameKind::Batch ? Bat.Pipeline : Req.Pipeline;
+      Rec.Id = Frame.Id;
+      Rec.Pipeline = Frame.Pipeline;
       if (S == FrameStatus::Oversized) {
         Rec.Outcome = RequestOutcome::Oversized;
         ++LAO_STAT(server, oversized);
@@ -615,28 +615,10 @@ int Server::serve(std::istream &In, std::ostream &Out) {
       }
       Rec.Error = Error;
       ++LAO_STAT(server, requests);
-      std::string Frame;
-      if (Kind == FrameKind::Batch) {
-        BatchResponse Rsp;
-        Rsp.Id = Rec.Id;
-        Rsp.SummaryJson =
-            batchSummaryJson(Rec.Id, Rec.Outcome, Rec.Error, 0, 0, 0.0);
-        Frame = encodeBatchResponse(Rsp);
-      } else {
-        Response Rsp;
-        Rsp.Id = Rec.Id;
-        Rsp.RecordJson = requestRecordJson(Rec);
-        Frame = encodeResponse(Rsp);
-      }
-      std::vector<RequestRecord> Recs;
-      Recs.push_back(std::move(Rec));
-      complete(C, Seq++, std::move(Frame), std::move(Recs));
+      complete(C, Seq++, Kind, Frame.Id, {Rec}, Arrival);
       continue;
     }
-    if (Kind == FrameKind::Batch)
-      dispatchBatch(C, std::move(Bat), Arrival, Seq++);
-    else
-      dispatchSingle(C, std::move(Req), Arrival, Seq++);
+    dispatch(C, Kind, std::move(Frame), Arrival, Seq++);
   }
 
   // Drain: every dispatched frame still completes and flushes in order;

@@ -7,7 +7,11 @@
 /// \file
 /// The lao compile service: a persistent process that reads framed
 /// requests (Protocol.h) from a byte stream, shards them across a
-/// ThreadPool, and writes responses back **in arrival order**. Per the
+/// ThreadPool, and writes responses back **in arrival order**. There is
+/// one request path: a REQ is served as a frame of one item, a BAT as a
+/// frame of N, and every item runs the same task (compileRequest on a
+/// pooled WorkerContext). Only the rendering of the answer depends on
+/// the frame kind — a RSP for a REQ, a RSB for a BAT. Per the
 /// "millions of users" architecture step in ROADMAP.md, every piece of
 /// request-scoped state is explicit:
 ///
@@ -16,20 +20,21 @@
 ///    alive exactly as long as the manager is bound to it), and an
 ///    ArenaRecycler so the next request on the slot bump-allocates into
 ///    the chunks the previous one just released;
-///  * one StatsScope per single request, so the per-request counter
-///    deltas in the response record are exact no matter how many
-///    workers run concurrently (the process-global registry stays
-///    monotonic). Batch items skip the scope — the lean path — and
-///    their records carry no counters object entries;
+///  * one StatsScope per REQ, so the per-request counter deltas in the
+///    response record are exact no matter how many workers run
+///    concurrently (the process-global registry stays monotonic). BAT
+///    items skip the scope — the lean path — and their records carry an
+///    empty counters object plus their "item" position;
 ///  * cooperative deadlines: measured from frame arrival, enforced
 ///    before compilation, during diagnostic sleeps, and between pipeline
 ///    phases via PipelineConfig::CancelCheck;
-///  * graceful degradation: a request that fails to parse, names an
-///    unknown preset, oversteps the frame limit, times out, carries
-///    malformed batch sub-framing, or throws yields a structured error
-///    record — the daemon keeps serving. The only fatal condition is an
-///    unframeable input stream, answered with a final id-0 protocol
-///    error record.
+///  * graceful degradation: a request that fails to parse (including
+///    "ssa: 1" on text that is already SSA or reads an undefined
+///    variable), names an unknown preset, oversteps the frame limit,
+///    times out, carries malformed batch sub-framing, or throws yields a
+///    structured error record — the daemon keeps serving. The only
+///    fatal condition is an unframeable input stream, answered with a
+///    final id-0 protocol error record.
 ///
 /// The worker pool is constructed once per Server and **shared by every
 /// serve() call**: serve() may run concurrently on N threads (the
@@ -150,7 +155,7 @@ std::string requestRecordJson(const RequestRecord &Rec);
 
 /// Service-lifetime aggregate, merged from the per-request records.
 struct ServerReport {
-  uint64_t NumRequests = 0; ///< Single requests + batch items.
+  uint64_t NumRequests = 0; ///< REQ frames + BAT items.
   uint64_t NumOk = 0;
   uint64_t NumErrors = 0;   ///< Every non-Ok outcome, timeouts included.
   uint64_t NumTimeouts = 0;
@@ -179,10 +184,10 @@ public:
   ~Server();
 
   /// Compiles one request through \p Ctx's reused manager. \p Arrival
-  /// anchors the deadline. This is the whole per-request path — serve()
-  /// calls it from pool workers, tests call it directly. With
-  /// \p PerRequestCounters off (the lean batch-item path) no StatsScope
-  /// is opened and the record's Counters stay empty.
+  /// anchors the deadline. This is the whole per-item path — serve()
+  /// calls it from pool workers for REQ and BAT items alike, tests call
+  /// it directly. With \p PerRequestCounters off (the lean batch-item
+  /// path) no StatsScope is opened and the record's Counters stay empty.
   static RequestRecord compileRequest(const Request &Req, WorkerContext &Ctx,
                                       std::chrono::steady_clock::time_point
                                           Arrival,
@@ -217,14 +222,13 @@ public:
 
 private:
   struct Connection;
-  void complete(Connection &C, uint64_t Seq, std::string Frame,
-                std::vector<RequestRecord> Recs);
-  void dispatchSingle(Connection &C, Request Req,
-                      std::chrono::steady_clock::time_point Arrival,
-                      uint64_t Seq);
-  void dispatchBatch(Connection &C, BatchRequest Req,
-                     std::chrono::steady_clock::time_point Arrival,
-                     uint64_t Seq);
+  void complete(Connection &C, uint64_t Seq, FrameKind Kind, uint64_t Id,
+                std::vector<RequestRecord> Recs,
+                std::chrono::steady_clock::time_point Arrival);
+  /// Fans the items of one well-formed frame across the pool. A REQ
+  /// arrives here as a frame of one item.
+  void dispatch(Connection &C, FrameKind Kind, BatchRequest Frame,
+                std::chrono::steady_clock::time_point Arrival, uint64_t Seq);
   unsigned acquireSlot();
   void releaseSlot(unsigned Slot);
 

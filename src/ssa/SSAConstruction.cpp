@@ -9,6 +9,7 @@
 #include "analysis/Dominators.h"
 #include "analysis/Liveness.h"
 #include "ir/CFG.h"
+#include "support/StringUtils.h"
 
 #include <cassert>
 #include <map>
@@ -107,8 +108,13 @@ private:
 
 } // namespace
 
-SSAStats lao::buildSSA(Function &F) {
+SSAStats lao::buildSSA(Function &F, std::string *Error) {
   SSAStats Stats;
+  auto Reject = [&](std::string Why) {
+    if (Error)
+      *Error = std::move(Why);
+    return Stats;
+  };
   CFG Cfg(F);
   DominatorTree DT(Cfg);
   DominanceFrontier DF(Cfg, DT);
@@ -118,10 +124,22 @@ SSAStats lao::buildSSA(Function &F) {
   size_t NumOrigValues = F.numValues();
   std::vector<std::set<BasicBlock *>> DefBlocks(NumOrigValues);
   for (const auto &BB : F.blocks())
-    for (const Instruction &I : BB->instructions())
+    for (const Instruction &I : BB->instructions()) {
+      if (I.isPhi())
+        return Reject(formatStr("block '%s' already has a phi; SSA "
+                                "construction wants a non-SSA function",
+                                BB->name().c_str()));
       for (RegId D : I.defs())
         if (!F.isPhysical(D))
           DefBlocks[D].insert(BB.get());
+    }
+  // A variable live into the entry block is read on some path before
+  // any definition: renaming would find no reaching name for it.
+  for (RegId V = Target::NumPhysRegs; V < NumOrigValues; ++V)
+    if (LV.isLiveIn(V, &F.entry()))
+      return Reject(formatStr("%%%s is used before it is defined on some "
+                              "path from the entry",
+                              F.valueName(V).c_str()));
 
   // Place phis at the iterated dominance frontier, pruned by liveness.
   // Remember each phi's original variable for argument filling.

@@ -18,6 +18,8 @@
 
 #include "ir/Function.h"
 
+#include <string>
+
 namespace lao {
 
 /// Statistics returned by buildSSA.
@@ -28,9 +30,11 @@ struct SSAStats {
 
 /// Converts \p F (non-SSA, virtual registers possibly multiply defined,
 /// no phis) into pruned SSA form, in place. Every use must have a
-/// definition on every path from the entry (the workload generators and
-/// parser-based tests guarantee this).
-SSAStats buildSSA(Function &F);
+/// definition on every path from the entry. An input that breaks either
+/// rule — it already has a phi, or some variable is live into the entry
+/// block — is rejected: \p F is left unchanged, the returned stats are
+/// zero and \p Error (when given) says why.
+SSAStats buildSSA(Function &F, std::string *Error = nullptr);
 
 } // namespace lao
 

@@ -15,12 +15,19 @@
 
 using namespace lao;
 
-void lao::normalizeToOptimizedSSA(Function &F) {
-  buildSSA(F);
+bool lao::normalizeToOptimizedSSA(Function &F, std::string *Error) {
+  std::string Rejected;
+  buildSSA(F, &Rejected);
+  if (!Rejected.empty()) {
+    if (Error)
+      *Error = std::move(Rejected);
+    return false;
+  }
   propagateCopies(F);
   valueNumber(F);
   propagateCopies(F);
   eliminateDeadCode(F);
+  return true;
 }
 
 namespace {

@@ -61,8 +61,11 @@ const std::vector<SuiteSpec> &allSuites();
 
 /// Converts a freshly generated non-SSA function into the optimized SSA
 /// form the suites ship (buildSSA + copy propagation + value numbering +
-/// DCE). Exposed for tests.
-void normalizeToOptimizedSSA(Function &F);
+/// DCE). Returns false, with \p F unchanged and \p Error (when given)
+/// set, when \p F is not a valid buildSSA input — lao-opt --ssa and the
+/// server's "ssa: 1" rely on this to refuse such text instead of
+/// asserting.
+bool normalizeToOptimizedSSA(Function &F, std::string *Error = nullptr);
 
 } // namespace lao
 

@@ -78,7 +78,7 @@ entry:
   RegId A = F->findValue("a"), B = F->findValue("b");
   RegId U = F->findValue("u");
   EXPECT_FALSE(IG.interfere(U, B));
-  IG.mergeInto(U, A); // u absorbs a; a interfered with b.
+  IG.mergeNodes(U, A); // u absorbs a; a interfered with b.
   EXPECT_TRUE(IG.interfere(U, B));
   EXPECT_TRUE(IG.neighbors(A).empty());
 }
@@ -206,8 +206,9 @@ entry:
   // p merged into R0: the call operand must still be R0.
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions())
-      if (I.op() == Opcode::Call)
+      if (I.op() == Opcode::Call) {
         EXPECT_EQ(I.use(0), static_cast<RegId>(Target::R0));
+      }
   expectEquivalent(*Before, *F, {3});
 }
 
@@ -443,7 +444,7 @@ TEST(InterferenceGraph, NeighborsSortedAndMatrixConsistent) {
     for (RegId A = 0; A < F->numValues() && Merged < 4; ++A)
       for (RegId B = A + 1; B < F->numValues() && Merged < 4; ++B)
         if (!IG.interfere(A, B) && !F->isPhysical(B)) {
-          IG.mergeInto(A, B);
+          IG.mergeNodes(A, B);
           ++Merged;
           break;
         }
@@ -492,8 +493,9 @@ entry:
   sequentializeParallelCopies(*F);
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions())
-      if (I.op() == Opcode::More)
+      if (I.op() == Opcode::More) {
         EXPECT_EQ(I.def(0), I.use(0));
+      }
   expectEquivalent(*Before, *F, {5});
 }
 

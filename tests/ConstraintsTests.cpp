@@ -29,8 +29,9 @@ entry:
   EXPECT_EQ(Pinned, 3u);
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions())
-      if (I.op() == Opcode::SpAdjust)
+      if (I.op() == Opcode::SpAdjust) {
         EXPECT_EQ(I.defPin(0), static_cast<RegId>(Target::SP));
+      }
   EXPECT_TRUE(verifyPinning(*F).empty());
 }
 
@@ -70,8 +71,9 @@ entry:
           EXPECT_EQ(I.usePin(K), Target::argReg(K));
         EXPECT_EQ(I.usePin(4), InvalidReg);
       }
-      if (I.op() == Opcode::Ret)
+      if (I.op() == Opcode::Ret) {
         EXPECT_EQ(I.usePin(0), static_cast<RegId>(Target::R0));
+      }
     }
   EXPECT_TRUE(verifyPinning(*F).empty());
 }
@@ -89,9 +91,10 @@ entry:
   collectABIConstraints(*F);
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions())
-      if (I.isTwoOperand() && I.op() != Opcode::SpAdjust)
+      if (I.isTwoOperand() && I.op() != Opcode::SpAdjust) {
         EXPECT_EQ(I.usePin(0), I.def(0))
             << "2-operand source pinned to its destination's resource";
+      }
 }
 
 TEST(Constraints, PsiElseOperandTied) {
@@ -138,7 +141,8 @@ entry:
   collectABIConstraints(*F);
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions())
-      if (I.op() == Opcode::Call)
+      if (I.op() == Opcode::Call) {
         EXPECT_EQ(I.usePin(0), InvalidReg)
             << "an operand already naming R0 is not pinned again";
+      }
 }

@@ -31,8 +31,9 @@ struct SweepPoint {
   const char *Preset;
 };
 
-void printTo(std::ostream &OS, const SweepPoint &P) {
-  OS << "seed" << P.Seed << "_" << P.Preset;
+/// Names a failing sweep point in gtest's messages.
+void PrintTo(const SweepPoint &P, std::ostream *OS) {
+  *OS << "seed" << P.Seed << "_" << P.Preset;
 }
 
 std::string sweepName(const testing::TestParamInfo<SweepPoint> &Info) {

@@ -49,7 +49,7 @@ GainPair measure(Function &F) {
     DominatorTree DT(Cfg);
     LivenessQuery LV(Cfg, DT);
     PinningContext Ctx(F, Cfg, DT, LV);
-    OptimalGainResult Opt = optimalPhiGain(F, Ctx, Cfg);
+    OptimalGainResult Opt = optimalPhiGain(Ctx, Cfg);
     Result.Optimal = Opt.TotalGain;
     Result.Exact = Opt.Exact;
   }

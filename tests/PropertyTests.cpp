@@ -123,8 +123,9 @@ TEST_P(PropertySweep, LivenessIsConsistentAcrossEdges) {
         if (!I.isPhi())
           break;
         for (unsigned K = 0; K < I.numUses(); ++K)
-          if (I.incomingBlock(K) == B.get())
+          if (I.incomingBlock(K) == B.get()) {
             EXPECT_TRUE(LV.isLiveOut(I.use(K), B.get()));
+          }
       }
     }
   }

@@ -125,6 +125,55 @@ done:
   EXPECT_TRUE(Before.sameObservable(After));
 }
 
+TEST(SSAConstruction, RejectsInvalidInputUnchanged) {
+  // Input that is already SSA, and input that reads a variable before
+  // any definition on some path, is refused with F left as it was —
+  // the contract lao-opt --ssa and the server's "ssa: 1" rely on.
+  const char *HasPhi = R"(
+func @f {
+entry:
+  input %a
+  branch %a, l, r
+l:
+  jump join
+r:
+  jump join
+join:
+  %z = phi [%a, l], [%a, r]
+  ret %z
+}
+)";
+  const char *UndefinedOnOnePath = R"(
+func @f {
+entry:
+  input %a
+  branch %a, def, join
+def:
+  %x = addi %a, 1
+  jump join
+join:
+  ret %x
+}
+)";
+  for (const char *Text : {HasPhi, UndefinedOnOnePath}) {
+    auto F = parse(Text);
+    std::string Before = printFunction(*F);
+    std::string Error;
+    SSAStats Stats = buildSSA(*F, &Error);
+    EXPECT_FALSE(Error.empty()) << Before;
+    EXPECT_EQ(Stats.NumPhisInserted, 0u);
+    EXPECT_EQ(printFunction(*F), Before);
+  }
+  std::string Error;
+  auto F = parse(HasPhi);
+  buildSSA(*F, &Error);
+  EXPECT_NE(Error.find("'join' already has a phi"), std::string::npos)
+      << Error;
+  F = parse(UndefinedOnOnePath);
+  buildSSA(*F, &Error);
+  EXPECT_NE(Error.find("%x is used before"), std::string::npos) << Error;
+}
+
 TEST(SSAConstruction, GeneratedProgramsVerify) {
   for (uint64_t Seed = 100; Seed < 112; ++Seed) {
     GeneratorParams P;

@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <regex>
 #include <sstream>
 #include <thread>
 
@@ -57,8 +58,32 @@ join:
 }
 )";
 
+/// Reads every response frame (RSP and RSB) from \p Bytes.
+struct AnyResponse {
+  FrameKind Kind = FrameKind::Single;
+  Response Single;
+  BatchResponse Batch;
+};
+std::vector<AnyResponse> readAllResponses(const std::string &Bytes) {
+  std::vector<AnyResponse> Out;
+  std::istringstream In(Bytes);
+  for (;;) {
+    AnyResponse A;
+    std::string Error;
+    FrameStatus St = readResponseFrame(In, FrameLimits(), A.Kind, A.Single,
+                                       A.Batch, Error);
+    if (St == FrameStatus::Eof)
+      break;
+    EXPECT_EQ(St, FrameStatus::Ok) << Error;
+    if (St != FrameStatus::Ok)
+      break;
+    Out.push_back(std::move(A));
+  }
+  return Out;
+}
+
 /// Drives a fresh server over the concatenated request frames and
-/// returns (exit code, responses in stream order).
+/// returns (exit code, RSP responses in stream order).
 int serveFrames(const ServerOptions &Opts, const std::string &Frames,
                 std::vector<Response> &Responses, Server *Out = nullptr) {
   Server Local(Opts);
@@ -66,19 +91,11 @@ int serveFrames(const ServerOptions &Opts, const std::string &Frames,
   std::istringstream In(Frames);
   std::ostringstream OutBytes;
   int Rc = S.serve(In, OutBytes);
-  std::istringstream Rsp(OutBytes.str());
   // Response frames are read with the default (generous) limits: the
   // request-side limit under test must not throttle the readback.
-  for (;;) {
-    Response R;
-    std::string Error;
-    FrameStatus St = readResponse(Rsp, FrameLimits(), R, Error);
-    if (St == FrameStatus::Eof)
-      break;
-    EXPECT_EQ(St, FrameStatus::Ok) << Error;
-    if (St != FrameStatus::Ok)
-      break;
-    Responses.push_back(std::move(R));
+  for (AnyResponse &A : readAllResponses(OutBytes.str())) {
+    EXPECT_EQ(A.Kind, FrameKind::Single);
+    Responses.push_back(std::move(A.Single));
   }
   return Rc;
 }
@@ -107,10 +124,14 @@ TEST(ServerProtocol, RequestRoundTrip) {
   R.SleepMs = 3;
   R.Text = "func @f {\nentry:\n  input %a\n  ret %a\n}\n";
   std::istringstream In(encodeRequest(R));
+  FrameKind Kind;
   Request Back;
+  BatchRequest Unused;
   std::string Error;
-  ASSERT_EQ(readRequest(In, FrameLimits(), Back, Error), FrameStatus::Ok);
+  ASSERT_EQ(readRequestFrame(In, FrameLimits(), Kind, Back, Unused, Error),
+            FrameStatus::Ok);
   EXPECT_TRUE(Error.empty()) << Error;
+  EXPECT_EQ(Kind, FrameKind::Single);
   EXPECT_EQ(Back.Id, R.Id);
   EXPECT_EQ(Back.Pipeline, R.Pipeline);
   EXPECT_EQ(Back.BuildSSA, R.BuildSSA);
@@ -118,7 +139,8 @@ TEST(ServerProtocol, RequestRoundTrip) {
   EXPECT_EQ(Back.SleepMs, R.SleepMs);
   EXPECT_EQ(Back.Text, R.Text);
   // The stream is fully consumed: a second read is a clean EOF.
-  EXPECT_EQ(readRequest(In, FrameLimits(), Back, Error), FrameStatus::Eof);
+  EXPECT_EQ(readRequestFrame(In, FrameLimits(), Kind, Back, Unused, Error),
+            FrameStatus::Eof);
 }
 
 TEST(ServerProtocol, ResponseRoundTrip) {
@@ -128,9 +150,13 @@ TEST(ServerProtocol, ResponseRoundTrip) {
   R.RecordJson = "{\"id\":7,\"ok\":true,\"outcome\":\"ok\"}";
   R.IR = "func @f {\nentry:\n  ret %R0\n}\n";
   std::istringstream In(encodeResponse(R));
+  FrameKind Kind;
   Response Back;
+  BatchResponse Unused;
   std::string Error;
-  ASSERT_EQ(readResponse(In, FrameLimits(), Back, Error), FrameStatus::Ok);
+  ASSERT_EQ(readResponseFrame(In, FrameLimits(), Kind, Back, Unused, Error),
+            FrameStatus::Ok);
+  EXPECT_EQ(Kind, FrameKind::Single);
   EXPECT_EQ(Back.Id, 7u);
   EXPECT_TRUE(Back.Ok);
   EXPECT_EQ(Back.RecordJson, R.RecordJson);
@@ -145,9 +171,13 @@ TEST(ServerProtocol, UnknownOptionKeyIsBodyLevelError) {
   std::ostringstream Frame;
   Frame << "LAO1 REQ 9 " << Body.size() << "\n" << Body << "\n";
   std::istringstream In(Frame.str());
+  FrameKind Kind;
   Request R;
+  BatchRequest Unused;
   std::string Error;
-  ASSERT_EQ(readRequest(In, FrameLimits(), R, Error), FrameStatus::Ok);
+  ASSERT_EQ(readRequestFrame(In, FrameLimits(), Kind, R, Unused, Error),
+            FrameStatus::Ok);
+  EXPECT_EQ(Kind, FrameKind::Single);
   EXPECT_EQ(R.Id, 9u);
   EXPECT_FALSE(Error.empty());
   EXPECT_NE(Error.find("frobnicate"), std::string::npos) << Error;
@@ -155,18 +185,22 @@ TEST(ServerProtocol, UnknownOptionKeyIsBodyLevelError) {
 
 TEST(ServerProtocol, BadHeaderIsMalformed) {
   std::istringstream In("HELLO WORLD\n");
+  FrameKind Kind;
   Request R;
+  BatchRequest Unused;
   std::string Error;
-  EXPECT_EQ(readRequest(In, FrameLimits(), R, Error),
+  EXPECT_EQ(readRequestFrame(In, FrameLimits(), Kind, R, Unused, Error),
             FrameStatus::Malformed);
   EXPECT_FALSE(Error.empty());
 }
 
 TEST(ServerProtocol, TruncatedBodyIsMalformed) {
   std::istringstream In("LAO1 REQ 1 9999\n\nfunc @f");
+  FrameKind Kind;
   Request R;
+  BatchRequest Unused;
   std::string Error;
-  EXPECT_EQ(readRequest(In, FrameLimits(), R, Error),
+  EXPECT_EQ(readRequestFrame(In, FrameLimits(), Kind, R, Unused, Error),
             FrameStatus::Malformed);
 }
 
@@ -183,12 +217,17 @@ TEST(ServerProtocol, OversizedBodyIsSkippedWithIdIntact) {
   Good.Text = "t";
   Frames << encodeRequest(Good);
   std::istringstream In(Frames.str());
+  FrameKind Kind;
   Request R;
+  BatchRequest Unused;
   std::string Error;
-  EXPECT_EQ(readRequest(In, Limits, R, Error), FrameStatus::Oversized);
+  EXPECT_EQ(readRequestFrame(In, Limits, Kind, R, Unused, Error),
+            FrameStatus::Oversized);
+  EXPECT_EQ(Kind, FrameKind::Single);
   EXPECT_EQ(R.Id, 5u);
   // The stream resynchronized: the next frame reads normally.
-  EXPECT_EQ(readRequest(In, Limits, R, Error), FrameStatus::Ok);
+  EXPECT_EQ(readRequestFrame(In, Limits, Kind, R, Unused, Error),
+            FrameStatus::Ok);
   EXPECT_EQ(R.Id, 6u);
   EXPECT_EQ(R.Text, "t");
 }
@@ -200,9 +239,12 @@ TEST(ServerProtocol, RegAllocOptionsRoundTrip) {
   R.RegAllocRegs = 8;
   R.Text = "func @f {\nentry:\n  input %a\n  ret %a\n}\n";
   std::istringstream In(encodeRequest(R));
+  FrameKind Kind;
   Request Back;
+  BatchRequest Unused;
   std::string Error;
-  ASSERT_EQ(readRequest(In, FrameLimits(), Back, Error), FrameStatus::Ok);
+  ASSERT_EQ(readRequestFrame(In, FrameLimits(), Kind, Back, Unused, Error),
+            FrameStatus::Ok);
   EXPECT_TRUE(Error.empty()) << Error;
   EXPECT_EQ(Back.RegAlloc, R.RegAlloc);
   EXPECT_EQ(Back.RegAllocRegs, 8u);
@@ -214,7 +256,8 @@ TEST(ServerProtocol, RegAllocOptionsRoundTrip) {
   std::string Encoded = encodeRequest(Plain);
   EXPECT_EQ(Encoded.find("regalloc"), std::string::npos) << Encoded;
   std::istringstream In2(Encoded);
-  ASSERT_EQ(readRequest(In2, FrameLimits(), Back, Error), FrameStatus::Ok);
+  ASSERT_EQ(readRequestFrame(In2, FrameLimits(), Kind, Back, Unused, Error),
+            FrameStatus::Ok);
   EXPECT_TRUE(Back.RegAlloc.empty());
   EXPECT_EQ(Back.RegAllocRegs, 0u);
 }
@@ -400,6 +443,39 @@ TEST(Server, ErrorRequestsDegradeGracefully) {
   EXPECT_EQ(S.report().NumOk, 1u);
   EXPECT_EQ(S.report().NumErrors, 3u);
   EXPECT_EQ(S.report().NumTimeouts, 1u);
+}
+
+TEST(Server, SsaOnSsaInputIsParseErrorAndServingContinues) {
+  // SimpleFunc already has a phi, so "ssa: 1" cannot rebuild SSA from
+  // it. That is the client's mistake: the request gets a parse_error
+  // record and the next frame still compiles.
+  Request Bad;
+  Bad.Id = 1;
+  Bad.BuildSSA = true;
+  Bad.Text = SimpleFunc;
+  Request Good;
+  Good.Id = 2;
+  Good.Text = SimpleFunc;
+  ServerOptions Opts;
+  Opts.NumWorkers = 2;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts, encodeRequest(Bad) + encodeRequest(Good),
+                        Responses, &S),
+            0);
+  ASSERT_EQ(Responses.size(), 2u);
+  EXPECT_FALSE(Responses[0].Ok);
+  EXPECT_NE(Responses[0].RecordJson.find("\"outcome\":\"parse_error\""),
+            std::string::npos)
+      << Responses[0].RecordJson;
+  EXPECT_NE(Responses[0].RecordJson.find("already has a phi"),
+            std::string::npos)
+      << Responses[0].RecordJson;
+  EXPECT_TRUE(Responses[0].IR.empty());
+  EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
+  EXPECT_EQ(Responses[1].IR, oneShot(SimpleFunc));
+  EXPECT_EQ(S.report().NumParseErrors, 1u);
 }
 
 TEST(Server, OversizedFrameThenGoodFrame) {
@@ -654,34 +730,6 @@ TEST(ServerProtocol, BatchCountMismatchIsBodyLevelError) {
   EXPECT_EQ(R.Id, 9u);
 }
 
-namespace {
-
-/// Reads every response frame (RSP and RSB) from \p Bytes.
-struct AnyResponse {
-  FrameKind Kind = FrameKind::Single;
-  Response Single;
-  BatchResponse Batch;
-};
-std::vector<AnyResponse> readAllResponses(const std::string &Bytes) {
-  std::vector<AnyResponse> Out;
-  std::istringstream In(Bytes);
-  for (;;) {
-    AnyResponse A;
-    std::string Error;
-    FrameStatus St = readResponseFrame(In, FrameLimits(), A.Kind, A.Single,
-                                       A.Batch, Error);
-    if (St == FrameStatus::Eof)
-      break;
-    EXPECT_EQ(St, FrameStatus::Ok) << Error;
-    if (St != FrameStatus::Ok)
-      break;
-    Out.push_back(std::move(A));
-  }
-  return Out;
-}
-
-} // namespace
-
 TEST(Server, BatchServedIRMatchesOneShot) {
   BatchRequest B;
   B.Id = 1;
@@ -712,6 +760,65 @@ TEST(Server, BatchServedIRMatchesOneShot) {
   ASSERT_EQ(S.records().size(), 3u);
   for (size_t K = 0; K < 3; ++K)
     EXPECT_EQ(S.records()[K].Item, static_cast<int64_t>(K));
+}
+
+TEST(Server, RequestMatchesBatchOfOne) {
+  // One request path: the same function sent as a REQ and as a BAT of
+  // one compiles identically. The records differ only where the frame
+  // kind says they must — "item" and "counters" (BAT items take the
+  // lean path) — and in the timing.
+  RequestOptions Shared;
+  Shared.RegAlloc = "chordal/load-store-opt";
+  Shared.RegAllocRegs = 8;
+  Shared.Exec = "vm";
+  Shared.ExecArgs = {3, 4};
+  Request R{Shared, 5, SimpleFunc};
+  BatchRequest B{Shared, 5, {SimpleFunc}};
+  ServerOptions Opts;
+  Opts.NumWorkers = 2;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::istringstream In(encodeRequest(R) + encodeBatchRequest(B));
+  std::ostringstream OutBytes;
+  EXPECT_EQ(S.serve(In, OutBytes), 0);
+
+  auto Responses = readAllResponses(OutBytes.str());
+  ASSERT_EQ(Responses.size(), 2u);
+  ASSERT_EQ(Responses[0].Kind, FrameKind::Single);
+  ASSERT_EQ(Responses[1].Kind, FrameKind::Batch);
+  const Response &Single = Responses[0].Single;
+  ASSERT_EQ(Responses[1].Batch.Items.size(), 1u);
+  const Response &Item = Responses[1].Batch.Items[0];
+  EXPECT_TRUE(Single.Ok) << Single.RecordJson;
+  EXPECT_TRUE(Item.Ok) << Item.RecordJson;
+  EXPECT_EQ(Single.IR, Item.IR);
+
+  // Blank out the fields the frame kind or the clock decide.
+  auto Normalize = [](std::string Json) {
+    Json = std::regex_replace(Json, std::regex("\"item\":[0-9]+,"), "");
+    Json = std::regex_replace(Json, std::regex("\"seconds\":[^,}]*"),
+                              "\"seconds\":0");
+    return std::regex_replace(Json, std::regex("\"counters\":\\{.*\\}\\}$"),
+                              "\"counters\":{}}");
+  };
+  EXPECT_NE(Item.RecordJson.find("\"item\":0,"), std::string::npos)
+      << Item.RecordJson;
+  EXPECT_EQ(Single.RecordJson.find("\"item\""), std::string::npos)
+      << Single.RecordJson;
+  EXPECT_EQ(Normalize(Single.RecordJson), Normalize(Item.RecordJson));
+
+  ASSERT_EQ(S.records().size(), 2u);
+  const RequestRecord &Req = S.records()[0], &Bat = S.records()[1];
+  EXPECT_EQ(Req.IR, Bat.IR);
+  EXPECT_EQ(Req.Moves, Bat.Moves);
+  EXPECT_EQ(Req.WeightedMoves, Bat.WeightedMoves);
+  EXPECT_EQ(Req.Item, -1);
+  EXPECT_EQ(Bat.Item, 0);
+  EXPECT_FALSE(Req.Counters.empty()) << "a REQ keeps its StatsScope";
+  EXPECT_TRUE(Bat.Counters.empty()) << "a BAT item takes the lean path";
+  EXPECT_EQ(S.report().NumBatches, 1u) << "only the BAT counts as a batch";
+  EXPECT_EQ(S.report().NumRequests, 2u);
+  EXPECT_EQ(S.report().NumOk, 2u);
 }
 
 TEST(Server, MalformedBatchDegradesAndKeepsServing) {
@@ -1046,9 +1153,12 @@ TEST(ServerProtocol, ExecOptionsRoundTrip) {
   R.ExecArgs = {3, 4, 997};
   R.Text = "func @f {\nentry:\n  input %a\n  ret %a\n}\n";
   std::istringstream In(encodeRequest(R));
+  FrameKind Kind;
   Request Back;
+  BatchRequest Unused;
   std::string Error;
-  ASSERT_EQ(readRequest(In, FrameLimits(), Back, Error), FrameStatus::Ok);
+  ASSERT_EQ(readRequestFrame(In, FrameLimits(), Kind, Back, Unused, Error),
+            FrameStatus::Ok);
   EXPECT_TRUE(Error.empty()) << Error;
   EXPECT_EQ(Back.Exec, "both");
   EXPECT_EQ(Back.ExecArgs, R.ExecArgs);
@@ -1060,7 +1170,8 @@ TEST(ServerProtocol, ExecOptionsRoundTrip) {
   std::string Encoded = encodeRequest(Plain);
   EXPECT_EQ(Encoded.find("exec"), std::string::npos) << Encoded;
   std::istringstream In2(Encoded);
-  ASSERT_EQ(readRequest(In2, FrameLimits(), Back, Error), FrameStatus::Ok);
+  ASSERT_EQ(readRequestFrame(In2, FrameLimits(), Kind, Back, Unused, Error),
+            FrameStatus::Ok);
   EXPECT_TRUE(Back.Exec.empty());
   EXPECT_TRUE(Back.ExecArgs.empty());
 }
@@ -1071,9 +1182,12 @@ TEST(ServerProtocol, BadExecArgsIsBodyLevelError) {
   std::string Frame =
       "LAO1 REQ 33 " + std::to_string(Body.size()) + "\n" + Body + "\n";
   std::istringstream In(Frame);
+  FrameKind Kind;
   Request Back;
+  BatchRequest Unused;
   std::string Error;
-  ASSERT_EQ(readRequest(In, FrameLimits(), Back, Error), FrameStatus::Ok);
+  ASSERT_EQ(readRequestFrame(In, FrameLimits(), Kind, Back, Unused, Error),
+            FrameStatus::Ok);
   EXPECT_EQ(Back.Id, 33u);
   EXPECT_NE(Error.find("exec_args"), std::string::npos) << Error;
 }

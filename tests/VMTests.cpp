@@ -120,8 +120,9 @@ entry:
     expectSameOutcome(*F, {P, 41});
     ExecResult V = executeVM(*F, {P, 41});
     ASSERT_TRUE(V.ok()) << V.Error;
-    if (P)
+    if (P) {
       EXPECT_EQ(V.RetValue, builtinCall("mix", {P, 41}));
+    }
   }
 }
 
@@ -248,8 +249,9 @@ entry:
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions()) {
       ASSERT_LT(BF.InstrPc[I.selfRef()], BF.Code.size());
-      if (I.op() == Opcode::Ret)
+      if (I.op() == Opcode::Ret) {
         EXPECT_EQ(BF.Code[BF.InstrPc[I.selfRef()]].Op, BcOp::Ret);
+      }
     }
   EXPECT_NE(printBytecode(BF).find("ret"), std::string::npos);
 }

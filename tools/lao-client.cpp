@@ -26,6 +26,8 @@
 //                         batched responses are large)
 //     --pipeline=<name>   preset for every request (default Lphi,ABI+C)
 //     --ssa               ask the server to build optimized SSA first
+//                         (not with --selftest: the suites already ship
+//                         in SSA, which "ssa: 1" refuses)
 //     --deadline-ms=N     per-request deadline
 //     --regalloc=<preset> ask the server to allocate registers after
 //                         the pipeline ("<allocator>[/<spill-model>]",
@@ -92,11 +94,7 @@ struct Options {
   std::string ConnectTcp;
   uint64_t Batch = 1;
   size_t MaxBodyBytes = 64u << 20;
-  std::string Pipeline = "Lphi,ABI+C";
-  bool BuildSSA = false;
-  uint64_t DeadlineMs = 0;
-  std::string RegAlloc;
-  uint64_t RegAllocRegs = 0;
+  RequestOptions Req; ///< Every frame's option block, REQ and BAT alike.
   bool PrintRecords = false;
   bool Quiet = false;
   bool Selftest = false;
@@ -239,13 +237,7 @@ bool loadFileJobs(const Options &Opts, std::vector<Job> &Jobs) {
     std::stringstream SS;
     SS << In.rdbuf();
     Job J;
-    J.Req.Id = NextId++;
-    J.Req.Pipeline = Opts.Pipeline;
-    J.Req.BuildSSA = Opts.BuildSSA;
-    J.Req.DeadlineMs = Opts.DeadlineMs;
-    J.Req.RegAlloc = Opts.RegAlloc;
-    J.Req.RegAllocRegs = Opts.RegAllocRegs;
-    J.Req.Text = SS.str();
+    J.Req = Request{Opts.Req, NextId++, SS.str()};
     J.Label = Path;
     Jobs.push_back(std::move(J));
   }
@@ -254,21 +246,16 @@ bool loadFileJobs(const Options &Opts, std::vector<Job> &Jobs) {
 
 void loadSelftestJobs(const Options &Opts, std::vector<Job> &Jobs) {
   uint64_t NextId = 1;
-  PipelineConfig Config = pipelinePreset(Opts.Pipeline);
-  if (!Opts.RegAlloc.empty()) {
-    Config.RegAlloc = regAllocPreset(Opts.RegAlloc);
-    if (Opts.RegAllocRegs)
-      Config.RegAlloc->NumRegs = static_cast<unsigned>(Opts.RegAllocRegs);
+  PipelineConfig Config = pipelinePreset(Opts.Req.Pipeline);
+  if (!Opts.Req.RegAlloc.empty()) {
+    Config.RegAlloc = regAllocPreset(Opts.Req.RegAlloc);
+    if (Opts.Req.RegAllocRegs)
+      Config.RegAlloc->NumRegs = static_cast<unsigned>(Opts.Req.RegAllocRegs);
   }
   for (const SuiteSpec &Spec : allSuites())
     for (Workload &W : Spec.Make()) {
       Job J;
-      J.Req.Id = NextId++;
-      J.Req.Pipeline = Opts.Pipeline;
-      J.Req.DeadlineMs = Opts.DeadlineMs;
-      J.Req.RegAlloc = Opts.RegAlloc;
-      J.Req.RegAllocRegs = Opts.RegAllocRegs;
-      J.Req.Text = printFunction(*W.F);
+      J.Req = Request{Opts.Req, NextId++, printFunction(*W.F)};
       J.Label = std::string(Spec.Name) + "/" + W.Name;
       // The reference result: the exact one-shot path lao-opt runs,
       // on the same *text* the server will see (parse of a print, so
@@ -287,8 +274,8 @@ void loadSelftestJobs(const Options &Opts, std::vector<Job> &Jobs) {
 }
 
 /// Packs jobs into wire frames: one REQ each, or BAT frames of up to
-/// Opts.Batch functions (every job shares the same option block by
-/// construction).
+/// Opts.Batch functions. Both kinds carry Opts.Req as their option
+/// block.
 std::vector<Frame> buildFrames(const Options &Opts,
                                const std::vector<Job> &Jobs) {
   std::vector<Frame> Frames;
@@ -304,13 +291,7 @@ std::vector<Frame> buildFrames(const Options &Opts,
   }
   uint64_t NextId = 1;
   for (size_t K = 0; K < Jobs.size();) {
-    BatchRequest B;
-    B.Id = NextId++;
-    B.Pipeline = Opts.Pipeline;
-    B.BuildSSA = Opts.BuildSSA;
-    B.DeadlineMs = Opts.DeadlineMs;
-    B.RegAlloc = Opts.RegAlloc;
-    B.RegAllocRegs = Opts.RegAllocRegs;
+    BatchRequest B{Opts.Req, NextId++, {}};
     Frame F;
     F.Id = B.Id;
     for (uint64_t N = 0; N < Opts.Batch && K < Jobs.size(); ++N, ++K) {
@@ -384,17 +365,17 @@ int main(int Argc, char **Argv) {
       Opts.MaxBodyBytes = static_cast<size_t>(std::strtoull(
           A.c_str() + std::strlen("--max-body-bytes="), nullptr, 10));
     } else if (A.rfind("--pipeline=", 0) == 0) {
-      Opts.Pipeline = A.substr(std::strlen("--pipeline="));
+      Opts.Req.Pipeline = A.substr(std::strlen("--pipeline="));
     } else if (A == "--ssa") {
-      Opts.BuildSSA = true;
+      Opts.Req.BuildSSA = true;
     } else if (A.rfind("--deadline-ms=", 0) == 0) {
-      Opts.DeadlineMs =
+      Opts.Req.DeadlineMs =
           std::strtoull(A.c_str() + std::strlen("--deadline-ms="), nullptr,
                         10);
     } else if (A.rfind("--regalloc=", 0) == 0) {
-      Opts.RegAlloc = A.substr(std::strlen("--regalloc="));
+      Opts.Req.RegAlloc = A.substr(std::strlen("--regalloc="));
     } else if (A.rfind("--regalloc-regs=", 0) == 0) {
-      Opts.RegAllocRegs = std::strtoull(
+      Opts.Req.RegAllocRegs = std::strtoull(
           A.c_str() + std::strlen("--regalloc-regs="), nullptr, 10);
     } else if (A == "--print-records") {
       Opts.PrintRecords = true;
@@ -417,15 +398,20 @@ int main(int Argc, char **Argv) {
   if ((Opts.ServerCmd.empty() && !UseSocket) ||
       (Opts.Files.empty() && !Opts.Selftest))
     return usage(Argv[0]);
-  if (Opts.Selftest &&
-      !pipelinePresetOpt(Opts.Pipeline)) {
+  if (Opts.Selftest && Opts.Req.BuildSSA) {
+    // The suites ship in SSA already, and "ssa: 1" refuses SSA input:
+    // such a selftest has no valid reference.
+    std::fprintf(stderr, "--selftest and --ssa are exclusive\n");
+    return usage(Argv[0]);
+  }
+  if (Opts.Selftest && !pipelinePresetOpt(Opts.Req.Pipeline)) {
     std::fprintf(stderr, "unknown pipeline preset '%s'\n",
-                 Opts.Pipeline.c_str());
+                 Opts.Req.Pipeline.c_str());
     return 2;
   }
-  if (!Opts.RegAlloc.empty() && !regAllocPresetOpt(Opts.RegAlloc)) {
+  if (!Opts.Req.RegAlloc.empty() && !regAllocPresetOpt(Opts.Req.RegAlloc)) {
     std::fprintf(stderr, "unknown regalloc preset '%s'\n",
-                 Opts.RegAlloc.c_str());
+                 Opts.Req.RegAlloc.c_str());
     return 2;
   }
 

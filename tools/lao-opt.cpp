@@ -10,7 +10,8 @@
 //
 //   lao-opt [options] <file.lai|->
 //     --ssa               build optimized pruned SSA first (for non-SSA
-//                         input)
+//                         input; a phi, or a use not defined on every
+//                         path from the entry, is an error: exit 1)
 //     --ifconvert         if-convert diamonds to psi (implies --ssa input)
 //     --pipeline=<name>   run an out-of-SSA preset (e.g. Lphi,ABI+C; see
 //                         Pipeline.h; default: none)
@@ -20,9 +21,6 @@
 //                         regalloc/RegAlloc.h), e.g. chordal or
 //                         chaitin-briggs/load-store-opt; no value means
 //                         the default chaitin-briggs/spill-everywhere.
-//                         An all-digits value is the deprecated
-//                         register-count spelling (--regalloc=N), kept
-//                         as an alias for --regalloc --regalloc-regs=N.
 //     --regalloc-regs=N   size of the allocatable pool (default 12)
 //     --run a,b,...       execute with the given integer arguments and
 //                         print the trace
@@ -122,26 +120,18 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (A.rfind("--regalloc=", 0) == 0) {
       Opts.RegAlloc = true;
       std::string Value = A.substr(std::strlen("--regalloc="));
-      if (!Value.empty() &&
-          Value.find_first_not_of("0123456789") == std::string::npos) {
-        // Deprecated register-count spelling, kept as an alias (same
-        // precedent as lao-server's --max-frame-bytes).
-        Opts.RegAllocOpts.NumRegs = static_cast<unsigned>(
-            std::strtoul(Value.c_str(), nullptr, 10));
-      } else {
-        std::optional<RegAllocOptions> RA = regAllocPresetOpt(Value);
-        if (!RA) {
-          std::fprintf(stderr,
-                       "unknown regalloc preset '%s' (want "
-                       "<allocator>[/<spill-model>], see "
-                       "regalloc/RegAlloc.h)\n",
-                       Value.c_str());
-          return false;
-        }
-        unsigned NumRegs = Opts.RegAllocOpts.NumRegs;
-        Opts.RegAllocOpts = *RA;
-        Opts.RegAllocOpts.NumRegs = NumRegs; // --regalloc-regs may precede.
+      std::optional<RegAllocOptions> RA = regAllocPresetOpt(Value);
+      if (!RA) {
+        std::fprintf(stderr,
+                     "unknown regalloc preset '%s' (want "
+                     "<allocator>[/<spill-model>], see "
+                     "regalloc/RegAlloc.h)\n",
+                     Value.c_str());
+        return false;
       }
+      unsigned NumRegs = Opts.RegAllocOpts.NumRegs;
+      Opts.RegAllocOpts = *RA;
+      Opts.RegAllocOpts.NumRegs = NumRegs; // --regalloc-regs may precede.
     } else if (A.rfind("--regalloc-regs=", 0) == 0) {
       Opts.RegAllocOpts.NumRegs = static_cast<unsigned>(std::strtoul(
           A.c_str() + std::strlen("--regalloc-regs="), nullptr, 10));
@@ -225,7 +215,10 @@ int main(int Argc, char **Argv) {
     Reference = cloneFunction(*F);
 
   if (Opts.BuildSSA) {
-    normalizeToOptimizedSSA(*F);
+    if (!normalizeToOptimizedSSA(*F, &Error)) {
+      std::fprintf(stderr, "ssa error: %s\n", Error.c_str());
+      return 1;
+    }
     if (Opts.Verify)
       for (const std::string &D : verifySSA(*F))
         std::fprintf(stderr, "ssa: %s\n", D.c_str());

@@ -13,8 +13,7 @@
 //
 //   lao-server [options]
 //     --workers=N             worker pool size (default 4)
-//     --max-body-bytes=N      frame body size limit (default 4 MiB;
-//                             --max-frame-bytes is a deprecated alias)
+//     --max-body-bytes=N      frame body size limit (default 4 MiB)
 //     --default-deadline-ms=N deadline for requests that carry none
 //                             (default 0 = unlimited)
 //     --max-inflight=N        per-connection backpressure window:
@@ -97,8 +96,7 @@ int main(int Argc, char **Argv) {
     uint64_t V = 0;
     if (parseUnsigned(A, "--workers=", V)) {
       Opts.NumWorkers = static_cast<unsigned>(V);
-    } else if (parseUnsigned(A, "--max-body-bytes=", V) ||
-               parseUnsigned(A, "--max-frame-bytes=", V)) {
+    } else if (parseUnsigned(A, "--max-body-bytes=", V)) {
       Opts.Limits.MaxBodyBytes = static_cast<size_t>(V);
     } else if (parseUnsigned(A, "--default-deadline-ms=", V)) {
       Opts.DefaultDeadlineMs = V;
