@@ -5,15 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-table bench binaries: suite caching, running
-/// a pipeline configuration over a suite (serially or on a thread pool),
-/// printing paper-style tables (first column absolute, remaining columns
-/// as +/- deltas, exactly like Tables 2, 3 and 5 of the paper), and the
-/// `--json=<file>` machine-readable output mode.
-///
-/// Every binary prints its table(s) on startup, optionally writes its
-/// BENCH_<table>.json, and then runs the registered google-benchmark
-/// timings.
+/// Helpers shared by the bench binaries: suite caching, running a
+/// pipeline configuration over a suite (serially or on a thread pool,
+/// every result checked against the interpreter), printing paper-style
+/// tables (first column absolute, remaining columns as +/- deltas,
+/// exactly like Tables 2, 3 and 5 of the paper), the JSON output and the
+/// one command-line option every binary takes.
 ///
 /// Determinism: the parallel runOnSuite only parallelizes the per-function
 /// pipeline executions; per-function results land in an index-addressed
@@ -33,13 +30,14 @@
 #include "support/Json.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
+#include "workloads/Generator.h"
 #include "workloads/Suites.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lao {
@@ -53,6 +51,44 @@ suites() {
     for (const SuiteSpec &Spec : allSuites())
       Cache.push_back({Spec.Name, Spec.Make()});
   return Cache;
+}
+
+/// One point of the generated scaling sweep bench_compiletime and
+/// bench_exec share: \p Count functions of \p NumStatements top-level
+/// statements each.
+struct ScaleSpec {
+  const char *Name;
+  unsigned NumStatements;
+  unsigned MaxNesting;
+  unsigned Count;
+};
+
+constexpr ScaleSpec ScaleSweep[] = {
+    {"scale_n40", 40, 2, 12},
+    {"scale_n120", 120, 3, 8},
+    {"scale_n320", 320, 3, 4},
+    {"scale_n640", 640, 4, 2},
+    {"scale_n1280", 1280, 4, 1},
+};
+
+/// Builds the suite for one sweep point: deterministic seeds, normalized
+/// to the same optimized pruned SSA the named suites ship. No interpreter
+/// inputs — callers that execute the sweep generate their own.
+inline std::vector<Workload> makeScaleSuite(const ScaleSpec &Spec) {
+  std::vector<Workload> Suite;
+  for (unsigned I = 0; I < Spec.Count; ++I) {
+    GeneratorParams P;
+    P.Seed = 0x5CA1E000 + 7919 * I + Spec.NumStatements;
+    P.NumStatements = Spec.NumStatements;
+    P.MaxNesting = Spec.MaxNesting;
+    P.CallPercent = 20; // ABI pressure grows the coalescer workload.
+    Workload W;
+    W.Name = std::string(Spec.Name) + "_f" + std::to_string(I);
+    W.F = generateProgram(P, W.Name);
+    normalizeToOptimizedSSA(*W.F);
+    Suite.push_back(std::move(W));
+  }
+  return Suite;
 }
 
 /// The pool the bench binaries share. Created on first use; sized to the
@@ -69,33 +105,30 @@ struct SuiteTotals {
   uint64_t MovesBeforeCoalesce = 0;
   uint64_t CoalescerMerges = 0;
   double Seconds = 0.0;
-  double CoalesceSeconds = 0.0;
   /// Per-phase seconds summed over the suite, pipeline phase order.
   TimerGroup PerPass;
   /// StatsRegistry movement during the run ("pass.name" -> delta).
   StatsSnapshot Counters;
 };
 
-/// Runs \p Config on a fresh clone of one workload; optionally verifies
-/// interpreter equivalence and aborts loudly on a miscompile (used to
-/// keep the bench numbers trustworthy).
+/// Runs \p Config on a fresh clone of one workload and checks the result
+/// against the interpreter on every recorded input, aborting loudly on a
+/// miscompile so no bench number comes from wrong code. Sreedhar-based
+/// configurations are exempt: the paper itself calls them an optimistic
+/// approximation (they are not dedicated-register safe).
 inline PipelineResult runOnWorkload(const Workload &W,
-                                    const PipelineConfig &Config,
-                                    bool Check) {
+                                    const PipelineConfig &Config) {
   auto F = cloneFunction(*W.F);
   PipelineResult R = runPipeline(*F, Config);
-  if (Check)
-    for (const auto &Args : W.Inputs) {
-      ExecResult Before = interpret(*W.F, Args);
-      ExecResult After = interpret(*F, Args);
-      if (!Before.sameObservable(After)) {
+  if (!Config.Sreedhar)
+    for (const auto &Args : W.Inputs)
+      if (!interpret(*W.F, Args).sameObservable(interpret(*F, Args))) {
         std::fprintf(stderr,
                      "MISCOMPILE: %s under %s (inputs differ in "
                      "observable trace)\n",
                      W.Name.c_str(), Config.Name.c_str());
         std::abort();
       }
-    }
   return R;
 }
 
@@ -106,17 +139,16 @@ inline PipelineResult runOnWorkload(const Workload &W,
 /// for the strictly serial path.
 inline SuiteTotals runOnSuite(const std::vector<Workload> &Suite,
                               const PipelineConfig &Config,
-                              bool Check = false,
                               ThreadPool *Pool = &sharedPool()) {
   StatsSnapshot Before = StatsRegistry::instance().snapshot();
   std::vector<PipelineResult> Results(Suite.size());
   if (Pool && Pool->numThreads() > 1)
     Pool->parallelFor(Suite.size(), [&](size_t I) {
-      Results[I] = runOnWorkload(Suite[I], Config, Check);
+      Results[I] = runOnWorkload(Suite[I], Config);
     });
   else
     for (size_t I = 0; I < Suite.size(); ++I)
-      Results[I] = runOnWorkload(Suite[I], Config, Check);
+      Results[I] = runOnWorkload(Suite[I], Config);
 
   SuiteTotals Totals;
   for (const PipelineResult &R : Results) {
@@ -125,7 +157,6 @@ inline SuiteTotals runOnSuite(const std::vector<Workload> &Suite,
     Totals.MovesBeforeCoalesce += R.MovesBeforeCoalesce;
     Totals.CoalescerMerges += R.Coalescer.NumMerges;
     Totals.Seconds += R.Seconds;
-    Totals.CoalesceSeconds += R.CoalesceSeconds;
     Totals.PerPass.addAll(R.Timings);
   }
   Totals.Counters =
@@ -133,11 +164,23 @@ inline SuiteTotals runOnSuite(const std::vector<Workload> &Suite,
   return Totals;
 }
 
+/// Writes \p Json and a newline to \p Path; exits 1 when the file cannot
+/// be written.
+inline void writeJsonFile(const std::string &Path, const std::string &Json) {
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
+  if (!Out) {
+    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
+    std::exit(1);
+  }
+  std::fprintf(Out, "%s\n", Json.c_str());
+  std::fclose(Out);
+}
+
 /// Collects every (suite, config) measurement a bench binary makes for
-/// its printed tables, so the `--json` output is written from the exact
-/// same numbers. Keyed by (suite name, config name): a second request
-/// returns the cached record instead of re-running, which also halves
-/// table startup time when two columns share a configuration.
+/// its printed tables, so the JSON output is written from the exact same
+/// numbers. Keyed by (suite name, config name): a second request returns
+/// the cached record instead of re-running, so columns of one table must
+/// carry distinct config names.
 class BenchReport {
 public:
   const SuiteTotals &totals(const std::string &SuiteName,
@@ -160,9 +203,11 @@ public:
   ///      "seconds": ..., "coalesce_seconds": ...,
   ///      "per_pass_seconds": {...}, "counters": {...}}, ...]}
   ///
-  /// All keys are always present; per_pass_seconds has one entry per
-  /// pipeline phase that ran, in phase order; counters is sorted by name.
-  /// With \p IncludeTimings false the wall-clock fields (seconds,
+  /// All keys are always present; coalesce_seconds is the "coalesce"
+  /// entry of per_pass_seconds (0 when the configuration does not
+  /// coalesce); per_pass_seconds has one entry per pipeline phase that
+  /// ran, in phase order; counters is sorted by name. With
+  /// \p IncludeTimings false the wall-clock fields (seconds,
   /// coalesce_seconds, per_pass_seconds) are omitted, leaving only the
   /// deterministic measurements — two runs of the same binary must then
   /// produce byte-identical strings (ObservabilityTests relies on this).
@@ -182,7 +227,7 @@ public:
       W.key("coalescer_merges").value(R.Totals.CoalescerMerges);
       if (IncludeTimings) {
         W.key("seconds").value(R.Totals.Seconds);
-        W.key("coalesce_seconds").value(R.Totals.CoalesceSeconds);
+        W.key("coalesce_seconds").value(R.Totals.PerPass.seconds("coalesce"));
         W.key("per_pass_seconds").beginObject();
         for (const auto &[Phase, S] : R.Totals.PerPass.entries())
           W.key(Phase).value(S);
@@ -201,13 +246,7 @@ public:
 
   /// Writes jsonString(BenchName) to \p Path.
   void writeJson(const std::string &Path, const std::string &BenchName) const {
-    std::FILE *Out = std::fopen(Path.c_str(), "w");
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-      std::exit(1);
-    }
-    std::fprintf(Out, "%s\n", jsonString(BenchName).c_str());
-    std::fclose(Out);
+    writeJsonFile(Path, jsonString(BenchName));
   }
 
 private:
@@ -220,59 +259,89 @@ private:
   std::map<std::string, size_t> Index;
 };
 
-/// Extracts a leading `--json=<file>` from the argument list (so the
-/// remaining arguments can go straight to benchmark::Initialize).
-/// Returns the file path, or "" when the flag is absent.
-inline std::string extractJsonPath(int &Argc, char **Argv) {
+/// Parses a bench command line. The only argument a bench binary takes
+/// is an optional `<Flag>=<path>` (Flag is `--json` or `--json-dir`);
+/// on success \p Path holds the path, or "" when the flag is absent.
+/// Returns false on anything else: an unknown or misspelled flag, a
+/// stray operand, an empty path or a second argument.
+inline bool parseBenchArgs(int Argc, const char *const *Argv,
+                           std::string_view Flag, std::string &Path) {
+  Path.clear();
+  if (Argc < 2)
+    return true;
+  std::string_view Arg = Argv[1];
+  if (Argc > 2 || Arg.size() <= Flag.size() + 1 ||
+      Arg.substr(0, Flag.size()) != Flag || Arg[Flag.size()] != '=')
+    return false;
+  Path = Arg.substr(Flag.size() + 1);
+  return true;
+}
+
+/// parseBenchArgs for main(): exits 2 with a usage line on a bad command
+/// line.
+inline std::string benchArgsOrExit(int Argc, char **Argv,
+                                   std::string_view Flag) {
   std::string Path;
-  int W = 1;
-  for (int K = 1; K < Argc; ++K) {
-    if (std::strncmp(Argv[K], "--json=", 7) == 0)
-      Path = Argv[K] + 7;
-    else
-      Argv[W++] = Argv[K];
+  if (!parseBenchArgs(Argc, Argv, Flag, Path)) {
+    std::fprintf(stderr, "usage: %s [%.*s=<path>]\n", Argv[0],
+                 static_cast<int>(Flag.size()), Flag.data());
+    std::exit(2);
   }
-  Argc = W;
   return Path;
 }
 
-/// One column of a paper-style table. Measure receives the suite's name
-/// and members; implementations route through a BenchReport so the JSON
-/// output matches the table exactly.
-struct Column {
+/// The quantity a paper-table column reports per suite.
+enum class Metric { Moves, WeightedMoves };
+
+/// One column of a paper-style table: the header printed above it, the
+/// pipeline configuration it measures and the metric it shows.
+struct TableColumn {
   std::string Header;
-  std::function<uint64_t(const std::string &, const std::vector<Workload> &)>
-      Measure;
+  PipelineConfig Config;
+  Metric Reports = Metric::Moves;
 };
 
-/// Prints a table in the paper's format: the first column absolute, the
-/// others as signed deltas against it.
-inline void printDeltaTable(const std::string &Title,
-                            const std::vector<Column> &Columns,
-                            const char *Footnote = nullptr) {
-  std::printf("\n%s\n", Title.c_str());
+/// One paper-style table: the bench name (its JSON file is
+/// BENCH_<Bench>.json), the title and optional footnote printed around
+/// it, and its columns, the first of which is the absolute baseline.
+struct PaperTable {
+  std::string Bench;
+  std::string Title;
+  std::string Footnote;
+  std::vector<TableColumn> Columns;
+};
+
+/// Prints \p Table in the paper's format — the first column absolute,
+/// the others as signed deltas against it — measuring each cell through
+/// \p Report, suite-major and then column by column.
+inline void printDeltaTable(const PaperTable &Table, BenchReport &Report) {
+  std::printf("\n%s\n", Table.Title.c_str());
   std::printf("%-14s", "benchmark");
-  for (const Column &C : Columns)
-    std::printf("%16s", C.Header.c_str());
+  std::vector<int> Widths;
+  for (const TableColumn &C : Table.Columns) {
+    Widths.push_back(std::max(16, static_cast<int>(C.Header.size()) + 2));
+    std::printf("%*s", Widths.back(), C.Header.c_str());
+  }
   std::printf("\n");
   for (const auto &[Name, Suite] : suites()) {
     std::printf("%-14s", Name.c_str());
     uint64_t Base = 0;
-    for (size_t K = 0; K < Columns.size(); ++K) {
-      uint64_t V = Columns[K].Measure(Name, Suite);
+    for (size_t K = 0; K < Table.Columns.size(); ++K) {
+      const TableColumn &C = Table.Columns[K];
+      const SuiteTotals &T = Report.totals(Name, Suite, C.Config);
+      uint64_t V = C.Reports == Metric::Moves ? T.Moves : T.WeightedMoves;
       if (K == 0) {
         Base = V;
-        std::printf("%16llu", static_cast<unsigned long long>(V));
+        std::printf("%*llu", Widths[K], static_cast<unsigned long long>(V));
       } else {
-        long long Delta = static_cast<long long>(V) -
-                          static_cast<long long>(Base);
-        std::printf("%+16lld", Delta);
+        std::printf("%+*lld", Widths[K],
+                    static_cast<long long>(V) - static_cast<long long>(Base));
       }
     }
     std::printf("\n");
   }
-  if (Footnote)
-    std::printf("%s\n", Footnote);
+  if (!Table.Footnote.empty())
+    std::printf("%s\n", Table.Footnote.c_str());
   std::fflush(stdout);
 }
 

@@ -24,8 +24,6 @@
 
 #include "regalloc/RegAlloc.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace lao;
 using namespace lao::bench;
 
@@ -76,7 +74,7 @@ const RegAllocOptions Combos[] = {
     {AllocatorKind::Chordal, SpillModelKind::LoadStoreOpt},
 };
 
-/// JSON records for --json: one per (combo, num_regs, suite, config)
+/// JSON records for --json=<file>: one per (combo, num_regs, suite, config)
 /// cell of the printed tables, same numbers (recorded while printing).
 struct PressureRecord {
   std::string Suite;
@@ -120,7 +118,7 @@ void printPressureTables() {
   std::fflush(stdout);
 }
 
-void writePressureJson(const std::string &Path) {
+std::string pressureJson() {
   JsonWriter W;
   W.beginObject();
   W.key("bench").value("regpressure");
@@ -139,49 +137,15 @@ void writePressureJson(const std::string &Path) {
   }
   W.endArray();
   W.endObject();
-  std::FILE *Out = std::fopen(Path.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(Out, "%s\n", W.str().c_str());
-  std::fclose(Out);
-}
-
-void registerBenchmarks() {
-  for (const auto &[Name, Suite] : suites()) {
-    (void)Suite;
-    for (const char *Preset : {"Lphi,ABI+C", "C,naiveABI+C"})
-      for (AllocatorKind A : {AllocatorKind::ChaitinBriggs,
-                              AllocatorKind::Chordal})
-        benchmark::RegisterBenchmark(
-            ("RegAlloc/" + Name + "/" + Preset + "/" + allocatorName(A))
-                .c_str(),
-            [Name = Name, Preset, A](benchmark::State &S) {
-              const std::vector<Workload> *Found = nullptr;
-              for (const auto &[N, Members] : suites())
-                if (N == Name)
-                  Found = &Members;
-              RegAllocOptions Opts;
-              Opts.Allocator = A;
-              Opts.NumRegs = 8;
-              for (auto _ : S) {
-                PressureTotals T = allocateSuite(*Found, Preset, Opts);
-                benchmark::DoNotOptimize(T.Spills);
-              }
-            });
-  }
+  return W.str();
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = extractJsonPath(argc, argv);
+  std::string JsonPath = benchArgsOrExit(argc, argv, "--json");
   printPressureTables();
   if (!JsonPath.empty())
-    writePressureJson(JsonPath);
-  registerBenchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+    writeJsonFile(JsonPath, pressureJson());
   return 0;
 }

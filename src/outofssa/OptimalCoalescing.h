@@ -17,7 +17,7 @@
 /// the paper's own conclusion — "affinity and interference graphs are
 /// usually quite simple" — means real blocks are almost always within
 /// reach, so the heuristic's optimality gap can be measured directly
-/// (see OptimalCoalescingTests and bench_ablation).
+/// (see OptimalCoalescingTests).
 ///
 //===----------------------------------------------------------------------===//
 

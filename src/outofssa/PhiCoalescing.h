@@ -52,14 +52,14 @@ struct PhiCoalescingOptions {
   /// *physical* register class (Figure 8 partial coalescing). 1 merges
   /// on any affinity; large values never merge with machine registers,
   /// leaving them to the post coalescer. Default 2: measured best (see
-  /// bench_ablation).
+  /// the ablation table of bench_tables).
   unsigned PhysMergeMinMult = 2;
   /// Also pin each variable to the resource of its pinned uses when that
   /// creates no interference — the pre-pass the paper sketches against
   /// Leung & George's limitation [LIM2]. Off by default: measured on the
   /// suites it trades pin copies for phi copies and repairs at a net
-  /// loss (see bench_ablation), which matches the paper leaving it as a
-  /// remark rather than implementing it.
+  /// loss (see the ablation table of bench_tables), which matches the
+  /// paper leaving it as a remark rather than implementing it.
   bool UsePinAffinity = false;
 };
 

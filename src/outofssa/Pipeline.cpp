@@ -175,7 +175,6 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
             AM.isCached(AnalysisKind::Interference)) &&
            "coalesceAggressively must leave its repaired graph cached");
   }
-  R.CoalesceSeconds = R.Timings.seconds("coalesce");
 
   R.NumMoves = countMoves(F);
   R.WeightedMoves = weightedMoveCount(F, AM);

@@ -99,7 +99,6 @@ struct PipelineResult {
   unsigned NumMoves = 0;        ///< Residual moves (Tables 2-4 metric).
   uint64_t WeightedMoves = 0;   ///< 5^depth-weighted (Table 5 metric).
   double Seconds = 0.0;         ///< Wall time of the whole pipeline.
-  double CoalesceSeconds = 0.0; ///< Wall time of aggressive coalescing.
   TimerGroup Timings;           ///< Per-phase wall time (see above).
   OutOfSSAStats Translate;
   PhiCoalescingStats Phi;

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 //
 // Unit tests for the support-layer observability pieces (stats registry,
-// timer groups, JSON writer, thread pool) and the guard the bench
+// timer groups, JSON writer, thread pool) and the guards the bench
 // machinery relies on: the parallel suite runner's measurement fields
-// are bit-identical to the serial path's.
+// are bit-identical to the serial path's, the paper-table list is well
+// formed, and the bench command line is parsed strictly.
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtil.h"
+#include "BenchTables.h"
 
 #include "support/Json.h"
 #include "support/Stats.h"
@@ -22,6 +23,7 @@
 
 #include <atomic>
 #include <limits>
+#include <set>
 #include <vector>
 
 using namespace lao;
@@ -228,8 +230,8 @@ TEST(SuiteRunner, ParallelTotalsBitIdenticalToSerial) {
   auto Suite = makeExamplesSuite();
   for (const char *Preset : {"Lphi,ABI+C", "C,naiveABI+C"}) {
     PipelineConfig Config = pipelinePreset(Preset);
-    SuiteTotals Serial = runOnSuite(Suite, Config, /*Check=*/false, nullptr);
-    SuiteTotals Parallel = runOnSuite(Suite, Config, /*Check=*/false, &Pool);
+    SuiteTotals Serial = runOnSuite(Suite, Config, nullptr);
+    SuiteTotals Parallel = runOnSuite(Suite, Config, &Pool);
     EXPECT_EQ(Serial.Moves, Parallel.Moves) << Preset;
     EXPECT_EQ(Serial.WeightedMoves, Parallel.WeightedMoves) << Preset;
     EXPECT_EQ(Serial.MovesBeforeCoalesce, Parallel.MovesBeforeCoalesce)
@@ -279,4 +281,48 @@ TEST(SuiteRunner, JsonReportMatchesTableNumbers) {
   const SuiteTotals &First = Report.totals("examples", Suite, Config);
   const SuiteTotals &Second = Report.totals("examples", Suite, Config);
   EXPECT_EQ(&First, &Second) << "second query must hit the cache";
+}
+
+//===----------------------------------------------------------------------===//
+// Paper-table list and bench command line
+//===----------------------------------------------------------------------===//
+
+TEST(BenchTables, FiveTablesWithDistinctConfigNamesPerTable) {
+  // BenchReport caches on (suite, config name): two columns of one table
+  // sharing a name would silently print and write one column's numbers
+  // under the other's header.
+  std::vector<std::string> Benches;
+  for (const PaperTable &Table : paperTables()) {
+    Benches.push_back(Table.Bench);
+    EXPECT_GE(Table.Columns.size(), 2u) << Table.Bench;
+    std::set<std::string> Names;
+    for (const TableColumn &C : Table.Columns)
+      EXPECT_TRUE(Names.insert(C.Config.Name).second)
+          << Table.Bench << " repeats config " << C.Config.Name;
+  }
+  EXPECT_EQ(Benches, (std::vector<std::string>{"table2", "table3", "table4",
+                                               "table5", "ablation"}));
+}
+
+TEST(BenchArgs, AcceptsOnlyTheBinarysOwnFlag) {
+  auto Parse = [](std::vector<const char *> Args, const char *Flag,
+                  std::string &Path) {
+    Args.insert(Args.begin(), "bench");
+    return parseBenchArgs(static_cast<int>(Args.size()), Args.data(), Flag,
+                          Path);
+  };
+  std::string Path = "stale";
+  EXPECT_TRUE(Parse({}, "--json", Path));
+  EXPECT_EQ(Path, "");
+  EXPECT_TRUE(Parse({"--json=out/x.json"}, "--json", Path));
+  EXPECT_EQ(Path, "out/x.json");
+  EXPECT_TRUE(Parse({"--json-dir=."}, "--json-dir", Path));
+  EXPECT_EQ(Path, ".");
+
+  for (std::vector<const char *> Bad :
+       {std::vector<const char *>{"--jsn=x.json"}, {"--json"}, {"--json="},
+        {"x.json"}, {"--benchmark_filter=NONE"}, {"--json-dir=."},
+        {"--json=a.json", "--json=b.json"}, {"--json=a.json", "stray"}})
+    EXPECT_FALSE(Parse(Bad, "--json", Path)) << Bad[0];
+  EXPECT_FALSE(Parse({"--json=x.json"}, "--json-dir", Path));
 }

@@ -96,8 +96,6 @@ TEST(Pipeline, TimingsCoverThePhasesThatRan) {
   // Sreedhar and naive-ABI are off in this preset.
   for (const auto &[Name, Seconds] : R.Timings.entries())
     EXPECT_TRUE(Name != "sreedhar" && Name != "naive-abi") << Name;
-  // The legacy CoalesceSeconds field is a view of the timer group.
-  EXPECT_EQ(R.CoalesceSeconds, R.Timings.seconds("coalesce"));
   EXPECT_GE(R.Timings.total(), R.Timings.seconds("coalesce"));
 }
 
