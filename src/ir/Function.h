@@ -270,6 +270,8 @@ public:
   }
 
 private:
+  friend class Function; // eraseBlocks renumbers Id.
+
   Function *Parent;
   unsigned Id;
   std::string Name;
@@ -322,6 +324,13 @@ public:
     return Blocks;
   }
   size_t numBlocks() const { return Blocks.size(); }
+
+  /// Erases every block whose id is set in \p Dead, with its
+  /// instructions, drops the survivors' phi incomings from erased blocks,
+  /// and renumbers the survivors densely in their current order. The
+  /// entry must survive, and no surviving terminator may target an erased
+  /// block.
+  void eraseBlocks(const std::vector<bool> &Dead);
 
   BasicBlock *blockByName(const std::string &BlockName) const {
     for (const auto &BB : Blocks)

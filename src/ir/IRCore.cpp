@@ -7,9 +7,9 @@
 /// \file
 /// Out-of-line pieces of the arena/SoA IR core: operand-slab growth and
 /// migration (heap while an instruction is detached, the owning
-/// Function's arena once interned), the chunked instruction table, and
-/// the process-wide callee-name interner that keeps Instruction records
-/// fixed-size.
+/// Function's arena once interned), the chunked instruction table, block
+/// erasure, and the process-wide callee-name interner that keeps
+/// Instruction records fixed-size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -211,4 +211,33 @@ InstrRef Function::internInstr(Instruction &&I) {
   }
   Rec->Flags = 0;
   return R;
+}
+
+void Function::eraseBlocks(const std::vector<bool> &Dead) {
+  assert(Dead.size() == Blocks.size() && "one flag per block");
+  assert(!Dead[0] && "the entry block cannot be erased");
+  // Phis first, while every block still has its original id.
+  for (const auto &BB : Blocks) {
+    if (Dead[BB->id()])
+      continue;
+    for (Instruction &I : BB->instructions()) {
+      if (!I.isPhi())
+        break;
+      for (unsigned K = I.numUses(); K-- > 0;)
+        if (Dead[I.incomingBlock(K)->id()])
+          I.removeIncoming(K);
+    }
+    for (const BasicBlock *S : BB->successors()) {
+      (void)S;
+      assert(!Dead[S->id()] && "a surviving block branches to an erased one");
+    }
+  }
+  unsigned NumLive = 0;
+  for (size_t Old = 0; Old < Blocks.size(); ++Old) {
+    if (Dead[Old])
+      continue;
+    Blocks[Old]->Id = NumLive;
+    std::swap(Blocks[NumLive++], Blocks[Old]);
+  }
+  Blocks.resize(NumLive);
 }

@@ -61,21 +61,10 @@ template <typename T> void mergeSorted(std::vector<T> &Dst, std::vector<T> &Src,
 }
 } // namespace
 
-ClassInterference::ClassInterference(const PinningContext &Ctx, const CFG &Cfg,
+ClassInterference::ClassInterference(const PinningContext &Ctx,
                                      const DominatorTree &DT,
                                      const LivenessQuery &LV)
-    : Ctx(Ctx), Cfg(Cfg), DT(DT), LV(LV) {
-  // Fact 1 of the header (liveness confined to the def's dominator
-  // subtree) needs every instruction-bearing block to be reachable:
-  // the pairwise Class 2 test has no dominance precondition, so values
-  // reaching into or out of unreachable code can interfere without any
-  // dominance relation.
-  for (const BasicBlock *BB : Cfg.rpo())
-    if (!Cfg.isReachable(BB) && !BB->instructions().empty()) {
-      Usable = false;
-      ++LAO_STAT(classinterf, fallback_functions);
-      return;
-    }
+    : Ctx(Ctx), DT(DT), LV(LV) {
   buildSummaries();
 }
 
@@ -102,7 +91,7 @@ void ClassInterference::buildSummaries() {
     ClassData &D = Data[Rep];
     uint32_t PreIn = DT.preorderNumber(DS.BB);
     uint32_t PreOut = DT.preorderLimit(DS.BB);
-    assert(PreIn != 0 && "def in unreachable block despite usable()");
+    assert(PreIn != 0 && "def in an unreachable block");
     uint32_t SubKey = DS.I->isPhi() ? 0 : DS.Order + 1;
     D.Items.push_back(DefItem{(uint64_t(PreIn) << 32) | SubKey, PreOut, V});
 
@@ -332,7 +321,6 @@ bool ClassInterference::computeUncached(RegId RA, RegId RB) {
 }
 
 bool ClassInterference::interfere(RegId RA, RegId RB) {
-  assert(Usable && "caller must fall back to the pairwise scan");
   assert(RA != RB && Ctx.resourceOf(RA) == RA && Ctx.resourceOf(RB) == RB &&
          "interfere() takes two distinct current representatives");
   uint64_t Key = pairKey(RA, RB);
@@ -370,8 +358,6 @@ void ClassInterference::evict(RegId R) {
 }
 
 void ClassInterference::onMerge(RegId OldA, RegId OldB) {
-  if (!Usable)
-    return;
   // Kills are only added to members of the merged class, and the merged
   // class's contents changed — every cached verdict touching either old
   // representative is stale; no other pair can have moved.

@@ -15,7 +15,9 @@
 ///
 ///  1. *Dominance of live ranges.* In strict SSA over reachable blocks, a
 ///     value is live at a point only if its definition dominates that
-///     point. Hence every class member that can be a Class 1 / Class 2
+///     point. Reachable blocks are the only non-empty ones there are:
+///     runPipeline erases the others at entry, and PinningContext asserts
+///     it. Hence every class member that can be a Class 1 / Class 2
 ///     kill victim of a definition (or phi-copy slot) at point p has its
 ///     own definition on the dominator-tree path from the entry to p —
 ///     i.e. on the sweep's dominating-def stack when the sweep reaches p.
@@ -51,9 +53,7 @@
 /// Verdicts are memoized per representative pair; a pinTogether merge
 /// evicts exactly the cached pairs touching either merged representative
 /// (kills are only ever added to the merged class, so third-party
-/// verdicts cannot change). Functions with non-empty unreachable blocks
-/// void fact 1 above; the engine reports !usable() and PinningContext
-/// falls back to the pairwise scan wholesale.
+/// verdicts cannot change).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +62,6 @@
 
 #include "analysis/Dominators.h"
 #include "analysis/LivenessQuery.h"
-#include "ir/CFG.h"
 #include "ir/Function.h"
 
 #include <cstdint>
@@ -78,14 +77,9 @@ class PinningContext;
 /// informed of class merges through onMerge.
 class ClassInterference {
 public:
-  ClassInterference(const PinningContext &Ctx, const CFG &Cfg,
-                    const DominatorTree &DT, const LivenessQuery &LV);
+  ClassInterference(const PinningContext &Ctx, const DominatorTree &DT,
+                    const LivenessQuery &LV);
   ~ClassInterference(); ///< Flushes the local counters into LAO_STATs.
-
-  /// False when the function has a non-empty unreachable block (liveness
-  /// is then not confined to dominator subtrees and the sweep would be
-  /// unsound); the caller must use the pairwise scan instead.
-  bool usable() const { return Usable; }
 
   /// Resource_interfere over two *distinct current representatives*, not
   /// both physical. Memoized; bit-equal to the pairwise scan.
@@ -187,10 +181,8 @@ private:
   }
 
   const PinningContext &Ctx;
-  const CFG &Cfg;
   const DominatorTree &DT;
   const LivenessQuery &LV;
-  bool Usable = true;
 
   std::vector<ClassData> Data; ///< Indexed by representative.
   std::unordered_map<uint64_t, bool> Cache;

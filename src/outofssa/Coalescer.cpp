@@ -146,73 +146,6 @@ bool anyCoalescableCopy(const Function &F, const Liveness &LV) {
   return Interfering.size() < Candidates.size();
 }
 
-/// The pre-optimization schedule, kept verbatim as the reference for the
-/// equivalence tests and the LAO_COALESCE_ORACLE cross-check: every
-/// iteration rebuilds CFG + liveness + graph and runs exactly one sweep.
-CoalescerStats
-coalesceRebuildingEveryRound(Function &F,
-                             std::vector<std::pair<RegId, RegId>> *TraceOut) {
-  CoalescerStats Stats;
-  for (;;) {
-    ++Stats.NumRebuilds;
-    CFG Cfg(F);
-    Liveness LV(Cfg);
-    InterferenceGraph IG(F, LV);
-
-    std::vector<RegId> RenameTo(F.numValues(), InvalidReg);
-    auto Resolve = [&](RegId V) {
-      while (RenameTo[V] != InvalidReg)
-        V = RenameTo[V];
-      return V;
-    };
-
-    bool MergedOnThisGraph = false;
-    ++Stats.NumRounds;
-    for (const auto &BB : F.blocks()) {
-      for (Instruction &I : BB->instructions()) {
-        if (!I.isCopy())
-          continue;
-        RegId D = Resolve(I.def(0));
-        RegId S = Resolve(I.use(0));
-        if (D == S)
-          continue;
-        if (F.isPhysical(D) && F.isPhysical(S))
-          continue;
-        if (IG.interfere(D, S))
-          continue;
-        RegId Survivor = F.isPhysical(S) ? S : D;
-        RegId Victim = Survivor == D ? S : D;
-        IG.mergeNodes(Survivor, Victim);
-        RenameTo[Victim] = Survivor;
-        if (TraceOut)
-          TraceOut->emplace_back(Survivor, Victim);
-        ++Stats.NumMerges;
-        MergedOnThisGraph = true;
-      }
-    }
-
-    if (!MergedOnThisGraph)
-      break;
-
-    for (const auto &BB : F.blocks()) {
-      auto &Insts = BB->instructions();
-      for (auto It = Insts.begin(); It != Insts.end();) {
-        for (unsigned K = 0; K < It->numDefs(); ++K)
-          It->setDef(K, Resolve(It->def(K)));
-        for (unsigned K = 0; K < It->numUses(); ++K)
-          It->setUse(K, Resolve(It->use(K)));
-        if (It->isCopy() && It->def(0) == It->use(0)) {
-          It = Insts.erase(It);
-          ++Stats.NumMovesRemoved;
-        } else {
-          ++It;
-        }
-      }
-    }
-  }
-  return Stats;
-}
-
 /// Round-boundary repair: recomputes the rows of the dirty nodes — the
 /// survivors (and since-victimized survivors) of this round's merges —
 /// exactly, from the already-maintained liveness of the rewritten
@@ -533,68 +466,126 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
 
 void lao::setCoalescerCrossCheckOracle(bool On) { CrossCheckOracle = On; }
 
+CoalescerStats lao::coalesceRebuildingEveryRound(
+    Function &F, std::vector<std::pair<RegId, RegId>> *TraceOut) {
+  CoalescerStats Stats;
+  for (;;) {
+    ++Stats.NumRebuilds;
+    CFG Cfg(F);
+    Liveness LV(Cfg);
+    InterferenceGraph IG(F, LV);
+
+    std::vector<RegId> RenameTo(F.numValues(), InvalidReg);
+    auto Resolve = [&](RegId V) {
+      while (RenameTo[V] != InvalidReg)
+        V = RenameTo[V];
+      return V;
+    };
+
+    bool MergedOnThisGraph = false;
+    ++Stats.NumRounds;
+    for (const auto &BB : F.blocks()) {
+      for (Instruction &I : BB->instructions()) {
+        if (!I.isCopy())
+          continue;
+        RegId D = Resolve(I.def(0));
+        RegId S = Resolve(I.use(0));
+        if (D == S)
+          continue;
+        if (F.isPhysical(D) && F.isPhysical(S))
+          continue;
+        if (IG.interfere(D, S))
+          continue;
+        RegId Survivor = F.isPhysical(S) ? S : D;
+        RegId Victim = Survivor == D ? S : D;
+        IG.mergeNodes(Survivor, Victim);
+        RenameTo[Victim] = Survivor;
+        if (TraceOut)
+          TraceOut->emplace_back(Survivor, Victim);
+        ++Stats.NumMerges;
+        MergedOnThisGraph = true;
+      }
+    }
+
+    if (!MergedOnThisGraph)
+      break;
+
+    for (const auto &BB : F.blocks()) {
+      auto &Insts = BB->instructions();
+      for (auto It = Insts.begin(); It != Insts.end();) {
+        for (unsigned K = 0; K < It->numDefs(); ++K)
+          It->setDef(K, Resolve(It->def(K)));
+        for (unsigned K = 0; K < It->numUses(); ++K)
+          It->setUse(K, Resolve(It->use(K)));
+        if (It->isCopy() && It->def(0) == It->use(0)) {
+          It = Insts.erase(It);
+          ++Stats.NumMovesRemoved;
+        } else {
+          ++It;
+        }
+      }
+    }
+  }
+  return Stats;
+}
+
 CoalescerStats lao::coalesceAggressively(Function &F,
                                          const CoalescerOptions &Opts,
                                          AnalysisManager *AM) {
   CoalescerStats Stats;
+  std::optional<AnalysisManager> LocalAM;
+  if (!AM) {
+    LocalAM.emplace(F);
+    AM = &*LocalAM;
+  }
 
-  if (Opts.RebuildEveryRound) {
-    Stats = coalesceRebuildingEveryRound(F, Opts.TraceOut);
-  } else {
-    std::optional<AnalysisManager> LocalAM;
-    if (!AM) {
-      LocalAM.emplace(F);
-      AM = &*LocalAM;
+  std::optional<std::vector<std::pair<RegId, RegId>>> RefTrace;
+  std::string RefPrinted;
+  unsigned RefMovesRemoved = 0;
+  if (CrossCheckOracle) {
+    // Run the reference schedule on a clone first; the worklist run
+    // below then replays against its trace in lockstep.
+    auto Ref = cloneFunction(F);
+    RefTrace.emplace();
+    CoalescerStats RefStats = coalesceRebuildingEveryRound(*Ref, &*RefTrace);
+    RefPrinted = printFunction(*Ref);
+    RefMovesRemoved = RefStats.NumMovesRemoved;
+  }
+
+  coalesceWithWorklist(F, *AM, Stats, Opts.TraceOut,
+                       RefTrace ? &*RefTrace : nullptr);
+
+  if (Stats.NumMerges > 0) {
+    // The maintained liveness is exact, and the repaired graph is the
+    // exact graph of the final program; only the SSA-position query
+    // engine is stale. With verify-on-invalidate enabled both survivors
+    // are cross-checked against fresh recomputation here.
+    AM->invalidate(PreservedAnalyses::cfgOnly()
+                       .preserve(AnalysisKind::Liveness)
+                       .preserve(AnalysisKind::Interference));
+  }
+
+  if (CrossCheckOracle) {
+    if (Stats.NumMovesRemoved != RefMovesRemoved) {
+      std::fprintf(stderr,
+                   "LAO_COALESCE_ORACLE: moves removed mismatch: "
+                   "worklist %u, rebuild-every-round %u\n",
+                   Stats.NumMovesRemoved, RefMovesRemoved);
+      std::abort();
     }
-
-    std::optional<std::vector<std::pair<RegId, RegId>>> RefTrace;
-    std::string RefPrinted;
-    unsigned RefMovesRemoved = 0;
-    if (CrossCheckOracle) {
-      // Run the reference schedule on a clone first; the worklist run
-      // below then replays against its trace in lockstep.
-      auto Ref = cloneFunction(F);
-      RefTrace.emplace();
-      CoalescerStats RefStats = coalesceRebuildingEveryRound(*Ref, &*RefTrace);
-      RefPrinted = printFunction(*Ref);
-      RefMovesRemoved = RefStats.NumMovesRemoved;
+    if (printFunction(F) != RefPrinted) {
+      std::fprintf(stderr,
+                   "LAO_COALESCE_ORACLE: final IR mismatch\n"
+                   "--- worklist ---\n%s--- rebuild-every-round ---\n%s",
+                   printFunction(F).c_str(), RefPrinted.c_str());
+      std::abort();
     }
-
-    coalesceWithWorklist(F, *AM, Stats, Opts.TraceOut,
-                         RefTrace ? &*RefTrace : nullptr);
-
-    if (Stats.NumMerges > 0) {
-      // The maintained liveness is exact, and the repaired graph is the
-      // exact graph of the final program; only the SSA-position query
-      // engine is stale. With verify-on-invalidate enabled both survivors
-      // are cross-checked against fresh recomputation here.
-      AM->invalidate(PreservedAnalyses::cfgOnly()
-                         .preserve(AnalysisKind::Liveness)
-                         .preserve(AnalysisKind::Interference));
-    }
-
-    if (CrossCheckOracle) {
-      if (Stats.NumMovesRemoved != RefMovesRemoved) {
-        std::fprintf(stderr,
-                     "LAO_COALESCE_ORACLE: moves removed mismatch: "
-                     "worklist %u, rebuild-every-round %u\n",
-                     Stats.NumMovesRemoved, RefMovesRemoved);
-        std::abort();
-      }
-      if (printFunction(F) != RefPrinted) {
-        std::fprintf(stderr,
-                     "LAO_COALESCE_ORACLE: final IR mismatch\n"
-                     "--- worklist ---\n%s--- rebuild-every-round ---\n%s",
-                     printFunction(F).c_str(), RefPrinted.c_str());
-        std::abort();
-      }
-      // A true fixpoint: no copy is mergeable under the exact liveness.
-      if (anyCoalescableCopy(F, AM->liveness())) {
-        std::fprintf(stderr,
-                     "LAO_COALESCE_ORACLE: worklist stopped before the "
-                     "fixpoint (a mergeable copy remains)\n");
-        std::abort();
-      }
+    // A true fixpoint: no copy is mergeable under the exact liveness.
+    if (anyCoalescableCopy(F, AM->liveness())) {
+      std::fprintf(stderr,
+                   "LAO_COALESCE_ORACLE: worklist stopped before the "
+                   "fixpoint (a mergeable copy remains)\n");
+      std::abort();
     }
   }
 

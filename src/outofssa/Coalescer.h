@@ -58,10 +58,11 @@
 /// sequence is identical to the rebuild-every-round reference.
 ///
 /// `LAO_COALESCE_ORACLE=1` (or setCoalescerCrossCheckOracle) checks that
-/// claim at runtime: every production run first executes the reference
-/// rebuild path on a clone, then replays the worklist schedule in
-/// lockstep against the recorded trace and aborts on the first divergent
-/// merge, on a final-IR mismatch, or on a residual mergeable copy.
+/// claim at runtime: every production run first executes the reference,
+/// coalesceRebuildingEveryRound, on a clone, then replays the worklist
+/// schedule in lockstep against the recorded trace and aborts on the
+/// first divergent merge, on a final-IR mismatch, or on a residual
+/// mergeable copy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,11 +79,6 @@ namespace lao {
 class AnalysisManager;
 
 struct CoalescerOptions {
-  /// Reference mode: rebuild the analyses after every merge sweep (the
-  /// original, quadratic-ish schedule). Kept as the oracle for the
-  /// equivalence tests and LAO_COALESCE_ORACLE, which pin the worklist
-  /// schedule to an identical merge trace.
-  bool RebuildEveryRound = false;
   /// When set, every merge appends its resolved (survivor, victim) pair —
   /// the exact trace the oracle compares across schedules.
   std::vector<std::pair<RegId, RegId>> *TraceOut = nullptr;
@@ -90,7 +86,7 @@ struct CoalescerOptions {
 
 struct CoalescerStats {
   unsigned NumMovesRemoved = 0;
-  /// Merge rounds (worklist passes, or sweeps in the reference mode).
+  /// Merge rounds (worklist passes, or sweeps of the reference).
   unsigned NumRounds = 0;
   /// Total interference-graph node merges (proportional to the cost the
   /// paper's compile-time discussion attributes to this phase).
@@ -131,6 +127,17 @@ struct CoalescerStats {
 CoalescerStats coalesceAggressively(Function &F,
                                     const CoalescerOptions &Opts = {},
                                     AnalysisManager *AM = nullptr);
+
+/// The reference schedule: rebuilds CFG, liveness and the interference
+/// graph before every sweep and stops after the first sweep that merges
+/// nothing. Quadratic-ish, so no pass uses it: it is the oracle the
+/// equivalence tests and LAO_COALESCE_ORACLE hold the worklist schedule
+/// to (same merges, in the same order, appended to \p TraceOut when set).
+/// Adds nothing to the coalesce.* counters.
+CoalescerStats
+coalesceRebuildingEveryRound(Function &F,
+                             std::vector<std::pair<RegId, RegId>> *TraceOut =
+                                 nullptr);
 
 /// Cross-check mode (also enabled by the LAO_COALESCE_ORACLE environment
 /// variable): every worklist-scheduled call first runs the

@@ -15,7 +15,6 @@
 
 using namespace lao;
 
-bool PinningContext::SweepEngine = true;
 bool PinningContext::CrossCheckOracle = [] {
   const char *E = std::getenv("LAO_CLASSINTERF_ORACLE");
   return E && E[0] != '\0' && E[0] != '0';
@@ -34,6 +33,12 @@ PinningContext::PinningContext(const Function &F, const CFG &Cfg,
 
   for (RegId V = 0; V < N; ++V)
     Members[V].push_back(V);
+
+  for (const auto &BB : F.blocks()) {
+    (void)BB;
+    assert((BB->empty() || Cfg.isReachable(BB.get())) &&
+           "PinningContext requires every non-empty block to be reachable");
+  }
 
   // Record use-pin copy sites (pin copies clobber the target resource).
   for (const auto &BB : F.blocks())
@@ -225,8 +230,12 @@ bool PinningContext::stronglyInterfere(RegId A, RegId B) const {
   return DA.I == DB.I;
 }
 
-bool PinningContext::pairwiseResourceInterfere(RegId RA, RegId RB) const {
-  ++NumPairwiseQueries;
+bool PinningContext::pairwiseResourceInterfere(RegId A, RegId B) const {
+  RegId RA = Classes.find(A), RB = Classes.find(B);
+  if (RA == RB)
+    return false;
+  if (F.isPhysical(RA) && F.isPhysical(RB))
+    return true;
   for (RegId X : Members[RA]) {
     if (!Defs[X].Valid)
       continue;
@@ -251,13 +260,8 @@ bool PinningContext::resourceInterfere(RegId A, RegId B) const {
   if (F.isPhysical(RA) && F.isPhysical(RB))
     return true;
 
-  if (!SweepEngine)
-    return pairwiseResourceInterfere(RA, RB);
   if (!Engine)
-    Engine = std::make_unique<ClassInterference>(*this, Cfg, DT, LV);
-  if (!Engine->usable())
-    return pairwiseResourceInterfere(RA, RB);
-
+    Engine = std::make_unique<ClassInterference>(*this, DT, LV);
   bool Verdict = Engine->interfere(RA, RB);
   if (CrossCheckOracle) {
     bool Reference = pairwiseResourceInterfere(RA, RB);
@@ -291,10 +295,8 @@ PinningContext::InterferenceReport PinningContext::interferenceReport() const {
                                    : 5u;
     ++R.SizeHist[Bucket];
   }
-  R.PairwiseQueries = NumPairwiseQueries;
-  if (Engine && Engine->usable()) {
+  if (Engine) {
     const ClassInterference::Counters &C = Engine->counters();
-    R.EngineUsed = true;
     R.Queries = C.Queries;
     R.CacheHits = C.CacheHits;
     R.CacheEvictions = C.CacheEvictions;

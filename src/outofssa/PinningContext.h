@@ -11,6 +11,13 @@
 /// procedures of Algorithm 2, and the optimistic / pessimistic kill
 /// variants of Algorithm 4 used in the Table 5 experiments.
 ///
+/// Resource_interfere has one production path, the dominance-ordered
+/// class-interference engine (outofssa/ClassInterference.h), which is
+/// exact only over reachable code: the context requires every non-empty
+/// block to be reachable, as runPipeline's entry step guarantees. The
+/// paper-literal pairwise scan stays as pairwiseResourceInterfere, the
+/// reference the engine is checked against.
+///
 /// Terminology (paper Section 3.2):
 ///  * "a kills b": pinning a and b to one resource clobbers b's value at
 ///    a's definition (Class 1) or at a phi-related parallel copy
@@ -58,9 +65,11 @@ struct DefSite {
 /// Resource classes over the variables of one SSA function, built from
 /// def-operand pins, with the paper's interference tests.
 ///
-/// The function must be in SSA form with critical edges split. The
-/// analyses passed in must be current; PinningContext never mutates the
-/// function (pin updates are applied separately by the caller).
+/// The function must be in SSA form with critical edges split, and every
+/// non-empty block must be reachable (runPipeline erases the unreachable
+/// ones at entry; the constructor asserts it). The analyses passed in
+/// must be current; PinningContext never mutates the function (pin
+/// updates are applied separately by the caller).
 class PinningContext {
 public:
   PinningContext(const Function &F, const CFG &Cfg, const DominatorTree &DT,
@@ -106,7 +115,14 @@ public:
 
   /// Paper: Resource_interfere(A, B) — true if merging the two classes
   /// would create a new simple interference or any strong interference.
+  /// Answered by the dominance-ordered sweep engine
+  /// (outofssa/ClassInterference.h).
   bool resourceInterfere(RegId A, RegId B) const;
+
+  /// The same verdict from the paper-literal O(|A|*|B|) member-pair scan
+  /// of Algorithm 2. Not used by any pass: it is the reference the
+  /// engine is checked against (tests and the cross-check oracle).
+  bool pairwiseResourceInterfere(RegId A, RegId B) const;
 
   /// Definition site of \p V (Valid == false for physical registers and
   /// never-defined values).
@@ -118,18 +134,12 @@ public:
 
   InterferenceMode mode() const { return Mode; }
 
-  /// Process-wide switch for the dominance-ordered sweep engine
-  /// (outofssa/ClassInterference.h) behind resourceInterfere. On by
-  /// default; off falls back to the paper-literal O(|A|*|B|) pairwise
-  /// scan. Set before any parallel pipeline runs (plain flag, same
-  /// pattern as AnalysisManager::setVerifyOnInvalidate).
-  static void setSweepEngineEnabled(bool On) { SweepEngine = On; }
-  static bool sweepEngineEnabled() { return SweepEngine; }
-
-  /// When on, every engine verdict is cross-checked against the pairwise
-  /// scan and a mismatch aborts the process — the debug oracle the CI
-  /// Debug job runs on all suites. Also enabled by setting the
-  /// LAO_CLASSINTERF_ORACLE environment variable to a non-zero value.
+  /// When on, every engine verdict is cross-checked against
+  /// pairwiseResourceInterfere and a mismatch aborts the process — the
+  /// debug oracle the CI Debug job runs on all suites. Also enabled by
+  /// setting the LAO_CLASSINTERF_ORACLE environment variable to a
+  /// non-zero value. Set before any parallel pipeline runs (plain flag,
+  /// same pattern as AnalysisManager::setVerifyOnInvalidate).
   static void setCrossCheckOracle(bool On) { CrossCheckOracle = On; }
   static bool crossCheckOracle() { return CrossCheckOracle; }
 
@@ -145,9 +155,6 @@ public:
     uint64_t CacheEvictions = 0;
     uint64_t Probes = 0;        ///< Sweep liveness probes.
     uint64_t PairCost = 0;      ///< Pairwise probe bound (sum |A|*|B|).
-    uint64_t PairwiseQueries = 0; ///< Queries the pairwise scan served
-                                  ///< (engine off or unusable).
-    bool EngineUsed = false;
   };
   InterferenceReport interferenceReport() const;
 
@@ -177,11 +184,9 @@ private:
 
   /// The dominance-ordered sweep engine, built lazily at the first
   /// resourceInterfere query (mutable: queries are const, memoization is
-  /// not). Null until then, and never built when the engine is disabled.
+  /// not). Null until then.
   mutable std::unique_ptr<ClassInterference> Engine;
-  mutable uint64_t NumPairwiseQueries = 0;
 
-  static bool SweepEngine;
   static bool CrossCheckOracle;
 
   bool defDominates(RegId A, RegId B) const;
@@ -189,11 +194,6 @@ private:
 
   /// True if the pin copy at \p S would clobber \p X's live value.
   bool pinSiteKills(const PinSite &S, RegId X) const;
-
-  /// The paper-literal O(|A|*|B|) member-pair scan over two distinct
-  /// representatives: the fallback for functions the engine cannot
-  /// handle, and the cross-check oracle for those it can.
-  bool pairwiseResourceInterfere(RegId RA, RegId RB) const;
 };
 
 } // namespace lao

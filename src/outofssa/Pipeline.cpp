@@ -12,7 +12,9 @@
 #include "outofssa/Constraints.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/NaiveABI.h"
+#include "support/BitVector.h"
 #include "support/Stats.h"
+#include "support/StringUtils.h"
 
 #include <cassert>
 #include <chrono>
@@ -20,6 +22,56 @@
 #include <cstdlib>
 
 using namespace lao;
+
+namespace {
+
+/// The pipeline's entry step: a DFS over successors() marks the reachable
+/// blocks, one pass over their instructions checks that no virtual
+/// register is defined twice (reported in \p Error), and then the
+/// unreachable blocks are erased. No analysis is built, so the analysis
+/// counters of a run do not change.
+bool prepareInput(Function &F, std::string &Error) {
+  if (F.numBlocks() == 0)
+    return true;
+  std::vector<bool> Dead(F.numBlocks(), true);
+  std::vector<BasicBlock *> Stack{&F.entry()};
+  Dead[0] = false;
+  size_t NumReachable = 1;
+  while (!Stack.empty()) {
+    BasicBlock *BB = Stack.back();
+    Stack.pop_back();
+    for (BasicBlock *S : BB->successors())
+      if (Dead[S->id()]) {
+        Dead[S->id()] = false;
+        ++NumReachable;
+        Stack.push_back(S);
+      }
+  }
+
+  BitVector Defined(F.numValues());
+  for (const auto &BB : F.blocks()) {
+    if (Dead[BB->id()])
+      continue;
+    for (const Instruction &I : BB->instructions())
+      for (RegId D : I.defs()) {
+        if (F.isPhysical(D))
+          continue;
+        if (Defined.test(D)) {
+          Error = formatStr("%%%s is defined more than once; the pipeline "
+                            "needs SSA input",
+                            F.valueName(D).c_str());
+          return false;
+        }
+        Defined.set(D);
+      }
+  }
+
+  if (NumReachable != F.numBlocks())
+    F.eraseBlocks(Dead);
+  return true;
+}
+
+} // namespace
 
 std::optional<PipelineConfig> lao::pipelinePresetOpt(const std::string &Name) {
   PipelineConfig C;
@@ -87,6 +139,10 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
 
   {
     ScopedTimer T(R.Timings, "split-critical-edges");
+    if (!prepareInput(F, R.InputError)) {
+      R.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
+      return R;
+    }
     splitCriticalEdges(F);
   }
 

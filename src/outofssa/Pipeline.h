@@ -96,6 +96,10 @@ PipelineConfig pipelinePreset(const std::string &Name);
 /// Outcome of one pipeline run over one function.
 struct PipelineResult {
   bool Cancelled = false;       ///< CancelCheck fired; all else invalid.
+  /// Set when the entry step rejected the input (a value of the reachable
+  /// code is defined twice, so it is not SSA); nothing ran and all else
+  /// is invalid.
+  std::string InputError;
   unsigned NumMoves = 0;        ///< Residual moves (Tables 2-4 metric).
   uint64_t WeightedMoves = 0;   ///< 5^depth-weighted (Table 5 metric).
   double Seconds = 0.0;         ///< Wall time of the whole pipeline.
@@ -116,6 +120,11 @@ struct PipelineResult {
 
 /// Runs the configured pipeline over \p F (mutating it from SSA to final
 /// non-SSA code) and returns the measurements.
+///
+/// The entry step, timed under split-critical-edges, checks that \p F is
+/// single-assignment (else InputError) and erases its unreachable blocks,
+/// so every later phase sees only reachable code: there, SSA live ranges
+/// are dominator subtrees, which the class-interference engine needs.
 PipelineResult runPipeline(Function &F, const PipelineConfig &Config);
 
 /// Same, but reusing the caller-owned \p AM instead of building a fresh

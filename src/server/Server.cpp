@@ -267,6 +267,11 @@ RequestRecord Server::compileRequest(const Request &Req, WorkerContext &Ctx,
              Fail(RequestOutcome::ParseError, "parse error: " + ParseError);
     }
     PipelineResult R = runPipeline(*Ctx.F, *Config, *Ctx.AM);
+    if (!R.InputError.empty()) {
+      ++LAO_STAT(server, parse_errors);
+      return Finish(),
+             Fail(RequestOutcome::ParseError, "parse error: " + R.InputError);
+    }
     if (R.Cancelled) {
       ++LAO_STAT(server, timeouts);
       return Finish(), Fail(RequestOutcome::Timeout,

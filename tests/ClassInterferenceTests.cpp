@@ -8,9 +8,9 @@
 // engine (outofssa/ClassInterference.h): on every workload suite and on
 // adversarial generator functions (large phi webs, physical-register
 // classes), the engine must return the exact verdicts of the paper-literal
-// pairwise scan — both per-query and as a whole coalescing run (identical
-// merge traces, pins, and killed masks). Also covers the verdict cache
-// (hits, post-merge eviction) and the unreachable-block fallback.
+// pairwise scan (PinningContext::pairwiseResourceInterfere) — both per
+// query and over whole coalescing runs with the cross-check oracle armed.
+// Also covers the verdict cache (hits, post-merge eviction).
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,15 +34,11 @@ using namespace lao::test;
 
 namespace {
 
-/// Saves and restores the process-wide engine/oracle flags, so a failing
-/// test cannot leak its flag state into the rest of the binary.
+/// Saves and restores the process-wide oracle flag, so a failing test
+/// cannot leak its flag state into the rest of the binary.
 struct FlagGuard {
-  bool Engine = PinningContext::sweepEngineEnabled();
   bool Oracle = PinningContext::crossCheckOracle();
-  ~FlagGuard() {
-    PinningContext::setSweepEngineEnabled(Engine);
-    PinningContext::setCrossCheckOracle(Oracle);
-  }
+  ~FlagGuard() { PinningContext::setCrossCheckOracle(Oracle); }
 };
 
 /// Analyses bundle for driving PinningContext / coalescePhis by hand.
@@ -85,19 +81,15 @@ std::vector<RegId> interestingReps(const PinningContext &Ctx,
   return Reps;
 }
 
-/// Queries (a strided sample of) all representative pairs through one
-/// engine-backed context and one pairwise-only context built over the same
-/// function, expecting identical verdicts.
+/// Queries (a strided sample of) all representative pairs through the
+/// engine and through the pairwise scan, expecting identical verdicts.
 void expectVerdictEquality(Function &F, InterferenceMode Mode,
                            size_t MaxPairs = 6000) {
   FlagGuard G;
   PinningContext::setCrossCheckOracle(false);
-  PinningContext::setSweepEngineEnabled(true);
-  Analyses On(F, Mode);
-  PinningContext::setSweepEngineEnabled(false);
-  Analyses Off(F, Mode);
+  Analyses S(F, Mode);
 
-  std::vector<RegId> Reps = interestingReps(Off.Ctx, F);
+  std::vector<RegId> Reps = interestingReps(S.Ctx, F);
   size_t NumPairs = Reps.empty() ? 0 : Reps.size() * (Reps.size() - 1) / 2;
   size_t Stride = NumPairs > MaxPairs ? NumPairs / MaxPairs + 1 : 1;
   size_t Index = 0;
@@ -105,60 +97,31 @@ void expectVerdictEquality(Function &F, InterferenceMode Mode,
     for (size_t J = I + 1; J < Reps.size(); ++J) {
       if (Index++ % Stride != 0)
         continue;
-      PinningContext::setSweepEngineEnabled(true);
-      bool Engine = On.Ctx.resourceInterfere(Reps[I], Reps[J]);
-      PinningContext::setSweepEngineEnabled(false);
-      bool Pairwise = Off.Ctx.resourceInterfere(Reps[I], Reps[J]);
+      bool Engine = S.Ctx.resourceInterfere(Reps[I], Reps[J]);
+      bool Pairwise = S.Ctx.pairwiseResourceInterfere(Reps[I], Reps[J]);
       ASSERT_EQ(Engine, Pairwise)
           << F.name() << ": verdict mismatch for classes "
           << F.valueName(Reps[I]) << " / " << F.valueName(Reps[J])
           << " in mode " << static_cast<int>(Mode);
     }
-  PinningContext::setSweepEngineEnabled(true);
-  EXPECT_TRUE(On.Ctx.interferenceReport().EngineUsed || Reps.size() < 2)
+  EXPECT_TRUE(S.Ctx.interferenceReport().Queries > 0 || Reps.size() < 2)
       << F.name();
 }
 
-/// Runs coalescePhis twice over clones of \p Orig — engine on and engine
-/// off — and expects bit-identical merge traces: same statistics, same
-/// resulting pins, same class partition, same killed mask.
+/// Runs coalescePhis over a clone of \p Orig with the cross-check oracle
+/// armed: every verdict of the run is compared against the pairwise scan
+/// (a mismatch aborts), so the merge trace — statistics, resulting pins,
+/// class partition and killed mask — is the pairwise scan's by
+/// construction.
 void expectMergeTraceEquality(const Function &Orig, InterferenceMode Mode,
                               bool PinABI = true) {
-  auto FOn = cloneFunction(Orig);
-  auto FOff = cloneFunction(Orig);
-  prepare(*FOn, PinABI);
-  prepare(*FOff, PinABI);
+  auto F = cloneFunction(Orig);
+  prepare(*F, PinABI);
 
   FlagGuard G;
-  PinningContext::setCrossCheckOracle(false);
-  PinningContext::setSweepEngineEnabled(true);
-  Analyses On(*FOn, Mode);
-  PhiCoalescingStats StOn = coalescePhis(*FOn, On.Ctx, On.Cfg, On.LI);
-  PinningContext::setSweepEngineEnabled(false);
-  Analyses Off(*FOff, Mode);
-  PhiCoalescingStats StOff = coalescePhis(*FOff, Off.Ctx, Off.Cfg, Off.LI);
-
-  EXPECT_EQ(StOn.NumAffinityEdges, StOff.NumAffinityEdges) << Orig.name();
-  EXPECT_EQ(StOn.NumInitialPruned, StOff.NumInitialPruned) << Orig.name();
-  EXPECT_EQ(StOn.NumWeightPruned, StOff.NumWeightPruned) << Orig.name();
-  EXPECT_EQ(StOn.NumMerges, StOff.NumMerges) << Orig.name();
-  EXPECT_EQ(StOn.NumUsePinMerges, StOff.NumUsePinMerges) << Orig.name();
-  EXPECT_EQ(StOn.NumPhysDeferred, StOff.NumPhysDeferred) << Orig.name();
-  EXPECT_EQ(StOn.NumSafetySkips, StOff.NumSafetySkips) << Orig.name();
-  EXPECT_EQ(StOn.NumPairQueries, StOff.NumPairQueries) << Orig.name();
-  EXPECT_EQ(StOn.TotalGain, StOff.TotalGain) << Orig.name();
-
-  // Identical merge traces leave identical pins behind.
-  EXPECT_EQ(printFunction(*FOn), printFunction(*FOff)) << Orig.name();
-  ASSERT_EQ(FOn->numValues(), FOff->numValues());
-  for (RegId V = 0; V < FOn->numValues(); ++V)
-    if (On.Ctx.resourceOf(V) != Off.Ctx.resourceOf(V)) {
-      ADD_FAILURE() << Orig.name() << ": class partition diverged at "
-                    << FOn->valueName(V);
-      break;
-    }
-  EXPECT_TRUE(On.Ctx.killedMask() == Off.Ctx.killedMask())
-      << Orig.name() << ": killed masks diverged";
+  PinningContext::setCrossCheckOracle(true);
+  Analyses S(*F, Mode);
+  coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
 }
 
 /// Adversarial generator configs. PhiWebs stresses deep nests of phis over
@@ -251,7 +214,6 @@ TEST(ClassInterference, CacheHitsOnRepeatedQueries) {
   prepare(*F);
   FlagGuard G;
   PinningContext::setCrossCheckOracle(false);
-  PinningContext::setSweepEngineEnabled(true);
   Analyses S(*F);
   std::vector<RegId> Reps = interestingReps(S.Ctx, *F);
   // Physical-physical pairs short-circuit before the engine; cache
@@ -289,7 +251,6 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
 
   FlagGuard G;
   PinningContext::setCrossCheckOracle(false);
-  PinningContext::setSweepEngineEnabled(true);
   Analyses S(*F);
   std::vector<RegId> Before = interestingReps(S.Ctx, *F);
   for (size_t I = 0; I < Before.size(); ++I)
@@ -306,10 +267,8 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
   std::vector<RegId> After = interestingReps(S.Ctx, *F);
   for (size_t I = 0; I < After.size(); ++I)
     for (size_t J = I + 1; J < After.size(); ++J) {
-      PinningContext::setSweepEngineEnabled(true);
       bool Engine = S.Ctx.resourceInterfere(After[I], After[J]);
-      PinningContext::setSweepEngineEnabled(false);
-      bool Pairwise = S.Ctx.resourceInterfere(After[I], After[J]);
+      bool Pairwise = S.Ctx.pairwiseResourceInterfere(After[I], After[J]);
       ASSERT_EQ(Engine, Pairwise)
           << "post-merge verdict diverged for " << F->valueName(After[I])
           << " / " << F->valueName(After[J]);
@@ -317,59 +276,14 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fallback and diagnostics
+// Diagnostics and the oracle
 //===----------------------------------------------------------------------===//
-
-TEST(ClassInterference, UnreachableBlockFallsBackToPairwise) {
-  // Class 2 of the pairwise scan has no dominance precondition on
-  // unreachable code, so a function with a non-empty unreachable block
-  // must be served wholesale by the pairwise path.
-  auto F = parse(R"(
-func @f {
-entry:
-  input %a
-  branch %a, t, e
-t:
-  %x1 = make 1
-  jump j
-e:
-  %x2 = make 2
-  jump j
-j:
-  %x = phi [%x1, t], [%x2, e]
-  output %x
-  ret %x
-dead:
-  %d = make 7
-  ret %d
-}
-)");
-  prepare(*F, /*PinABI=*/false);
-  FlagGuard G;
-  PinningContext::setCrossCheckOracle(false);
-  PinningContext::setSweepEngineEnabled(true);
-  Analyses S(*F);
-  std::vector<RegId> Reps = interestingReps(S.Ctx, *F);
-  for (size_t I = 0; I < Reps.size(); ++I)
-    for (size_t J = I + 1; J < Reps.size(); ++J) {
-      PinningContext::setSweepEngineEnabled(true);
-      bool WithFlag = S.Ctx.resourceInterfere(Reps[I], Reps[J]);
-      PinningContext::setSweepEngineEnabled(false);
-      bool Pairwise = S.Ctx.resourceInterfere(Reps[I], Reps[J]);
-      EXPECT_EQ(WithFlag, Pairwise);
-    }
-  PinningContext::setSweepEngineEnabled(true);
-  auto R = S.Ctx.interferenceReport();
-  EXPECT_FALSE(R.EngineUsed);
-  EXPECT_GT(R.PairwiseQueries, 0u);
-}
 
 TEST(ClassInterference, ReportHistogramCoversClasses) {
   auto F = adversarial(5, /*PhiWebs=*/true);
   prepare(*F);
   FlagGuard G;
   PinningContext::setCrossCheckOracle(false);
-  PinningContext::setSweepEngineEnabled(true);
   Analyses S(*F);
   PhiCoalescingStats St = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
   auto R = S.Ctx.interferenceReport();
@@ -379,7 +293,6 @@ TEST(ClassInterference, ReportHistogramCoversClasses) {
   EXPECT_EQ(Sum, R.NumClasses);
   EXPECT_GT(R.NumClasses, 0u);
   if (St.NumPairQueries > 0) {
-    EXPECT_TRUE(R.EngineUsed);
     EXPECT_GT(R.Queries + R.CacheHits, 0u);
     EXPECT_GT(R.PairCost, 0u) << "swept queries must record their bound";
   }
@@ -390,7 +303,6 @@ TEST(ClassInterference, OracleCleanOnCoalescingRuns) {
   // a full coalescing run is compared against the pairwise scan and a
   // mismatch aborts — so merely finishing is the assertion.
   FlagGuard G;
-  PinningContext::setSweepEngineEnabled(true);
   PinningContext::setCrossCheckOracle(true);
   for (uint64_t Seed : {11u, 12u}) {
     auto F = adversarial(Seed, Seed % 2 == 0);

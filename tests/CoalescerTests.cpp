@@ -240,9 +240,7 @@ TEST(Coalescer, AmortizedRebuildMatchesRebuildEveryRound) {
       auto B = cloneFunction(*A);
 
       CoalescerStats Fast = coalesceAggressively(*A);
-      CoalescerOptions Ref;
-      Ref.RebuildEveryRound = true;
-      CoalescerStats Slow = coalesceAggressively(*B, Ref);
+      CoalescerStats Slow = coalesceRebuildingEveryRound(*B);
 
       EXPECT_EQ(countMoves(*A), countMoves(*B)) << W.Name;
       EXPECT_EQ(Fast.NumMovesRemoved, Slow.NumMovesRemoved) << W.Name;
@@ -273,10 +271,7 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
         CoalescerOptions FastOpts;
         FastOpts.TraceOut = &FastTrace;
         CoalescerStats Fast = coalesceAggressively(*A, FastOpts);
-        CoalescerOptions RefOpts;
-        RefOpts.RebuildEveryRound = true;
-        RefOpts.TraceOut = &RefTrace;
-        CoalescerStats Slow = coalesceAggressively(*B, RefOpts);
+        CoalescerStats Slow = coalesceRebuildingEveryRound(*B, &RefTrace);
 
         EXPECT_EQ(FastTrace, RefTrace)
             << Spec.Name << "/" << W.Name << "/" << Preset
@@ -356,10 +351,7 @@ TEST(Coalescer, AdversarialRequeueForcerMatchesReference) {
     CoalescerOptions FastOpts;
     FastOpts.TraceOut = &FastTrace;
     CoalescerStats Fast = coalesceAggressively(*F, FastOpts);
-    CoalescerOptions RefOpts;
-    RefOpts.RebuildEveryRound = true;
-    RefOpts.TraceOut = &RefTrace;
-    coalesceAggressively(*Ref, RefOpts);
+    coalesceRebuildingEveryRound(*Ref, &RefTrace);
 
     EXPECT_EQ(FastTrace, RefTrace) << Gadgets << " gadgets";
     EXPECT_EQ(printFunction(*F), printFunction(*Ref)) << Gadgets;

@@ -255,6 +255,35 @@ TEST(Function, InstrRefsStableAcrossInsertEraseClone) {
   EXPECT_EQ(C->instr(AddRef).op(), Opcode::Add);
 }
 
+TEST(Function, EraseBlocksDropsPhiIncomingsAndRenumbers) {
+  auto F = parse(R"(
+func @f {
+entry:
+  input %a
+  jump j
+d1:
+  %d = make 7
+  jump j
+j:
+  %x = phi [%a, entry], [%d, d1], [%e, d2]
+  ret %x
+d2:
+  %e = make 8
+  jump j
+}
+)");
+  size_t Instrs = F->numInstrs();
+  F->eraseBlocks({false, true, false, true});
+  ASSERT_EQ(F->numBlocks(), 2u);
+  for (unsigned Id = 0; Id < F->numBlocks(); ++Id)
+    EXPECT_EQ(F->blocks()[Id]->id(), Id);
+  EXPECT_EQ(F->blocks()[1]->name(), "j");
+  EXPECT_EQ(F->numInstrs(), Instrs - 4) << "erased instructions are freed";
+  EXPECT_EQ(printFunction(*F), "func @f {\nentry:\n  input %a\n  jump j\n"
+                               "j:\n  %x = phi [%a, entry]\n  ret %x\n}\n");
+  expectWellFormed(*F);
+}
+
 TEST(Function, InlineOperandsNeverTouchSlabs) {
   // Every fixed-arity opcode (<= 2 defs, <= 3 uses) must fit the
   // record's inline slots: building a whole function out of them may

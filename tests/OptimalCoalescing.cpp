@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "outofssa/OptimalCoalescing.h"
+#include "OptimalCoalescing.h"
 
 #include <algorithm>
 #include <map>

@@ -17,12 +17,12 @@
 /// the paper's own conclusion — "affinity and interference graphs are
 /// usually quite simple" — means real blocks are almost always within
 /// reach, so the heuristic's optimality gap can be measured directly
-/// (see OptimalCoalescingTests).
+/// (see OptimalCoalescingTests). Test-only code: no library links it.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LAO_OUTOFSSA_OPTIMALCOALESCING_H
-#define LAO_OUTOFSSA_OPTIMALCOALESCING_H
+#ifndef LAO_TESTS_OPTIMALCOALESCING_H
+#define LAO_TESTS_OPTIMALCOALESCING_H
 
 #include "analysis/LoopInfo.h"
 #include "outofssa/PinningContext.h"
@@ -48,4 +48,4 @@ OptimalGainResult optimalPhiGain(PinningContext &Ctx, const CFG &Cfg,
 
 } // namespace lao
 
-#endif // LAO_OUTOFSSA_OPTIMALCOALESCING_H
+#endif // LAO_TESTS_OPTIMALCOALESCING_H

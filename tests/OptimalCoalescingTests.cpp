@@ -11,13 +11,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "OptimalCoalescing.h"
 #include "TestUtil.h"
 
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 #include "ir/CFG.h"
 #include "outofssa/Constraints.h"
-#include "outofssa/OptimalCoalescing.h"
 #include "outofssa/PhiCoalescing.h"
 #include "workloads/Generator.h"
 #include "workloads/PaperExamples.h"

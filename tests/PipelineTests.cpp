@@ -7,20 +7,27 @@
 // Checks the comparative *shape* of the paper's tables on a sample of
 // the suites: the full pinning-based pipeline (Lphi,ABI+C) never loses
 // to the baselines in aggregate, and the naive configurations leave an
-// order of magnitude more moves before coalescing (Table 4).
+// order of magnitude more moves before coalescing (Table 4). Also covers
+// the entry step: unreachable blocks are erased and non-SSA input is
+// rejected before any pass runs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "ir/CFG.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/Pipeline.h"
+#include "server/Server.h"
+#include "ssa/IfConversion.h"
 #include "support/Stats.h"
+#include "workloads/Generator.h"
 #include "workloads/Suites.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 
 using namespace lao;
 using namespace lao::test;
@@ -41,6 +48,70 @@ unsigned totalMoves(const std::vector<Workload> &Suite,
       *BeforeCoalesce += R.MovesBeforeCoalesce;
   }
   return Total;
+}
+
+/// The ten Table 1 presets (see outofssa/Pipeline.h).
+const char *const AllPresets[] = {
+    "Lphi+C", "C",            "Sphi+C",   "Lphi,ABI+C", "Sphi+LABI+C",
+    "LABI+C", "C,naiveABI+C", "Lphi,ABI", "Sphi",       "LABI"};
+
+unsigned numUnreachableBlocks(Function &F) {
+  CFG Cfg(F);
+  unsigned N = 0;
+  for (const auto &BB : F.blocks())
+    N += !Cfg.isReachable(BB.get());
+  return N;
+}
+
+/// What a one-worker server answers for \p Text under \p Preset.
+Response serveOne(const std::string &Text, const std::string &Preset) {
+  Request Req;
+  Req.Id = 1;
+  Req.Pipeline = Preset;
+  Req.Text = Text;
+  ServerOptions Opts;
+  Opts.NumWorkers = 1;
+  Server S(Opts);
+  std::istringstream In(encodeRequest(Req));
+  std::ostringstream Out;
+  EXPECT_EQ(S.serve(In, Out), 0);
+  std::istringstream Back(Out.str());
+  FrameKind Kind = FrameKind::Single;
+  Response Rsp;
+  BatchResponse Unused;
+  std::string Error;
+  EXPECT_EQ(readResponseFrame(Back, FrameLimits(), Kind, Rsp, Unused, Error),
+            FrameStatus::Ok)
+      << Error;
+  return Rsp;
+}
+
+/// The entry step's contract on an input with unreachable code, for every
+/// preset: the output has no unreachable block and computes what the
+/// input computes, the run is clean with the class-interference oracle
+/// armed (it aborts on a verdict that differs from the pairwise scan),
+/// and a server answers the one-shot IR byte for byte.
+void expectUnreachableCodeErased(
+    const std::string &Text, const std::vector<std::vector<uint64_t>> &Inputs) {
+  auto In = parse(Text);
+  ASSERT_GT(numUnreachableBlocks(*In), 0u)
+      << "the input must have unreachable code";
+  bool Oracle = PinningContext::crossCheckOracle();
+  for (const char *Preset : AllPresets) {
+    SCOPED_TRACE(Preset);
+    auto F = cloneFunction(*In);
+    PinningContext::setCrossCheckOracle(true);
+    PipelineResult R = runPipeline(*F, pipelinePreset(Preset));
+    PinningContext::setCrossCheckOracle(Oracle);
+    ASSERT_TRUE(R.InputError.empty()) << R.InputError;
+    EXPECT_EQ(numUnreachableBlocks(*F), 0u) << printFunction(*F);
+    expectWellFormed(*F);
+    for (const std::vector<uint64_t> &Args : Inputs)
+      expectEquivalent(*In, *F, Args);
+    Response Served = serveOne(Text, Preset);
+    EXPECT_TRUE(Served.Ok) << Served.RecordJson;
+    EXPECT_EQ(Served.IR, printFunction(*F));
+  }
 }
 
 } // namespace
@@ -211,4 +282,92 @@ TEST(Pipeline, ResultsAreDeterministic) {
     runPipeline(*B, pipelinePreset("Lphi,ABI+C"));
     EXPECT_EQ(printFunction(*A), printFunction(*B)) << W.Name;
   }
+}
+
+TEST(Pipeline, EntryErasesDeadBlockFeedingPhi) {
+  // `dead` has no predecessor but feeds the phi of `j`: the entry step
+  // erases it and drops its phi incoming.
+  const char *Text = R"(
+func @f {
+entry:
+  input %a
+  branch %a, t, e
+t:
+  %x1 = addi %a, 1
+  jump j
+e:
+  %x2 = make 2
+  jump j
+dead:
+  %d = make 7
+  jump j
+j:
+  %x = phi [%x1, t], [%x2, e], [%d, dead]
+  output %x
+  ret %x
+}
+)";
+  expectUnreachableCodeErased(Text, {{0}, {5}});
+}
+
+TEST(Pipeline, EntryErasesIfConversionHusks) {
+  // convertIfsToPsi threads trivial jumps and leaves the bypassed blocks
+  // behind as unreachable husks.
+  unsigned WithHusks = 0;
+  for (uint64_t Seed : {777001u, 777002u, 777003u}) {
+    GeneratorParams P;
+    P.Seed = Seed;
+    P.NumStatements = 50;
+    P.MaxNesting = 3;
+    auto F = generateProgram(P, "stack" + std::to_string(Seed));
+    normalizeToOptimizedSSA(*F);
+    convertIfsToPsi(*F);
+    if (numUnreachableBlocks(*F) == 0)
+      continue;
+    ++WithHusks;
+    expectUnreachableCodeErased(printFunction(*F), {{Seed, 3}});
+  }
+  EXPECT_GT(WithHusks, 0u);
+}
+
+TEST(Pipeline, NonSsaInputIsRejectedAtEntry) {
+  // %x is defined on both arms: the text is not SSA. Every preset reports
+  // it before any pass runs, instead of tripping PinningContext's SSA
+  // assertion.
+  const char *Text = R"(
+func @f {
+entry:
+  input %a
+  branch %a, t, e
+t:
+  %x = make 1
+  jump j
+e:
+  %x = make 2
+  jump j
+j:
+  ret %x
+}
+)";
+  for (const char *Preset : AllPresets) {
+    auto F = parse(Text);
+    PipelineResult R = runPipeline(*F, pipelinePreset(Preset));
+    EXPECT_NE(R.InputError.find("%x is defined more than once"),
+              std::string::npos)
+        << Preset << ": " << R.InputError;
+  }
+  // A second definition in unreachable code is erased, not rejected.
+  auto F = parse(R"(
+func @g {
+entry:
+  %x = make 1
+  ret %x
+dead:
+  %x = make 2
+  ret %x
+}
+)");
+  PipelineResult R = runPipeline(*F, pipelinePreset("Lphi,ABI+C"));
+  EXPECT_TRUE(R.InputError.empty()) << R.InputError;
+  EXPECT_EQ(F->numBlocks(), 1u);
 }

@@ -478,6 +478,52 @@ TEST(Server, SsaOnSsaInputIsParseErrorAndServingContinues) {
   EXPECT_EQ(S.report().NumParseErrors, 1u);
 }
 
+TEST(Server, NonSsaInputIsParseErrorAndServingContinues) {
+  // With "ssa: 0" the text must already be SSA; here %x is defined on both
+  // arms. The pipeline's entry step rejects it: a parse_error record for
+  // this request (not a daemon abort), and the next frame still compiles.
+  Request Bad;
+  Bad.Id = 1;
+  Bad.Text = R"(
+func @f {
+entry:
+  input %a
+  branch %a, t, e
+t:
+  %x = make 1
+  jump j
+e:
+  %x = make 2
+  jump j
+j:
+  ret %x
+}
+)";
+  Request Good;
+  Good.Id = 2;
+  Good.Text = SimpleFunc;
+  ServerOptions Opts;
+  Opts.NumWorkers = 2;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts, encodeRequest(Bad) + encodeRequest(Good),
+                        Responses, &S),
+            0);
+  ASSERT_EQ(Responses.size(), 2u);
+  EXPECT_FALSE(Responses[0].Ok);
+  EXPECT_NE(Responses[0].RecordJson.find("\"outcome\":\"parse_error\""),
+            std::string::npos)
+      << Responses[0].RecordJson;
+  EXPECT_NE(Responses[0].RecordJson.find("defined more than once"),
+            std::string::npos)
+      << Responses[0].RecordJson;
+  EXPECT_TRUE(Responses[0].IR.empty());
+  EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
+  EXPECT_EQ(Responses[1].IR, oneShot(SimpleFunc));
+  EXPECT_EQ(S.report().NumParseErrors, 1u);
+}
+
 TEST(Server, OversizedFrameThenGoodFrame) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;

@@ -243,6 +243,10 @@ int main(int Argc, char **Argv) {
     Config->CollectInterferenceStats = Opts.InterferenceStats;
     StatsSnapshot Before = StatsRegistry::instance().snapshot();
     PipelineResult R = runPipeline(*F, *Config);
+    if (!R.InputError.empty()) {
+      std::fprintf(stderr, "ssa error: %s\n", R.InputError.c_str());
+      return 1;
+    }
     if (Opts.InterferenceStats) {
       const PinningContext::InterferenceReport &IR = R.Interference;
       std::fprintf(stderr, "interference %s: %llu classes, sizes",
@@ -254,22 +258,17 @@ int main(int Argc, char **Argv) {
         if (IR.SizeHist[K])
           std::fprintf(stderr, " [%s]=%llu", Buckets[K],
                        static_cast<unsigned long long>(IR.SizeHist[K]));
-      if (IR.EngineUsed) {
-        uint64_t Total = IR.Queries + IR.CacheHits;
+      if (uint64_t Total = IR.Queries + IR.CacheHits) {
         std::fprintf(stderr,
                      "\n  engine: %llu/%llu cache hits (%.1f%%), "
                      "%llu evictions, %llu probes (pairwise bound %llu)",
                      static_cast<unsigned long long>(IR.CacheHits),
                      static_cast<unsigned long long>(Total),
-                     Total ? 100.0 * double(IR.CacheHits) / double(Total)
-                           : 0.0,
+                     100.0 * double(IR.CacheHits) / double(Total),
                      static_cast<unsigned long long>(IR.CacheEvictions),
                      static_cast<unsigned long long>(IR.Probes),
                      static_cast<unsigned long long>(IR.PairCost));
       }
-      if (IR.PairwiseQueries)
-        std::fprintf(stderr, "\n  pairwise scans: %llu",
-                     static_cast<unsigned long long>(IR.PairwiseQueries));
       std::fprintf(stderr, "\n");
     }
     if (Opts.CoalesceStats) {
