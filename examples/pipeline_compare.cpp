@@ -14,6 +14,7 @@
 #include "exec/Interpreter.h"
 #include "ir/Clone.h"
 #include "outofssa/Pipeline.h"
+#include "support/Stats.h"
 #include "workloads/Suites.h"
 
 #include <cstdio>
@@ -46,28 +47,28 @@ int main(int argc, char **argv) {
       "LABI",       "Sphi"};
 
   for (const char *Preset : Presets) {
-    uint64_t Moves = 0, Weighted = 0, PhiCp = 0, PinCp = 0, Repairs = 0,
-             Elided = 0, Removed = 0;
+    uint64_t Moves = 0, Weighted = 0, Removed = 0;
     unsigned Miscompiles = 0;
+    StatsScope Scope; // The translate.* copy counts of this preset.
     for (const Workload &W : Suite) {
       auto F = cloneFunction(*W.F);
       PipelineResult R = runPipeline(*F, pipelinePreset(Preset));
       Moves += R.NumMoves;
       Weighted += R.WeightedMoves;
-      PhiCp += R.Translate.NumPhiCopies;
-      PinCp += R.Translate.NumPinCopies;
-      Repairs += R.Translate.NumRepairs;
-      Elided += R.Translate.NumElidedCopies;
       Removed += R.Coalescer.NumMovesRemoved;
       for (const auto &Args : W.Inputs)
         if (!interpret(*W.F, Args).sameObservable(interpret(*F, Args)))
           ++Miscompiles;
     }
+    StatsSnapshot Translate = Scope.snapshot();
     std::printf("%-14s %8llu %9llu %8llu %8llu %8llu %8llu %9llu",
                 Preset, (unsigned long long)Moves,
-                (unsigned long long)Weighted, (unsigned long long)PhiCp,
-                (unsigned long long)PinCp, (unsigned long long)Repairs,
-                (unsigned long long)Elided, (unsigned long long)Removed);
+                (unsigned long long)Weighted,
+                (unsigned long long)Translate["translate.phi_copies"],
+                (unsigned long long)Translate["translate.pin_copies"],
+                (unsigned long long)Translate["translate.repairs"],
+                (unsigned long long)Translate["translate.elided_copies"],
+                (unsigned long long)Removed);
     if (Miscompiles)
       std::printf("  [%u MISCOMPILED input sets]", Miscompiles);
     std::printf("\n");

@@ -20,6 +20,7 @@
 #include "ir/IRPrinter.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/Pipeline.h"
+#include "support/Stats.h"
 #include "workloads/Suites.h"
 
 #include <cstdio>
@@ -72,13 +73,21 @@ done:
 
   // The paper's full configuration: SP + ABI constraint collection,
   // pinning-based phi coalescing, Leung & George translation, and the
-  // aggressive cleanup coalescer.
+  // aggressive cleanup coalescer. The passes report their numbers as
+  // registry counters (support/Stats.h); a StatsScope collects the ones
+  // this thread bumps.
+  StatsScope Scope;
   PipelineResult R = runPipeline(*F, pipelinePreset("Lphi,ABI+C"));
+  StatsSnapshot Counters = Scope.snapshot();
   std::printf("=== after out-of-SSA (Lphi,ABI+C) ===\n%s\n",
               printFunction(*F).c_str());
-  std::printf("phi copies: %u, pin copies: %u, repairs: %u, elided: %u\n",
-              R.Translate.NumPhiCopies, R.Translate.NumPinCopies,
-              R.Translate.NumRepairs, R.Translate.NumElidedCopies);
+  std::printf("phi copies: %llu, pin copies: %llu, repairs: %llu, "
+              "elided: %llu\n",
+              static_cast<unsigned long long>(Counters["translate.phi_copies"]),
+              static_cast<unsigned long long>(Counters["translate.pin_copies"]),
+              static_cast<unsigned long long>(Counters["translate.repairs"]),
+              static_cast<unsigned long long>(
+                  Counters["translate.elided_copies"]));
   std::printf("residual moves: %u (weighted by 5^depth: %llu)\n",
               R.NumMoves, static_cast<unsigned long long>(R.WeightedMoves));
 

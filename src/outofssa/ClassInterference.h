@@ -91,7 +91,7 @@ public:
   void onMerge(RegId OldA, RegId OldB);
 
   /// Engine-local counters (process-wide totals go to the stats
-  /// registry; these power lao-opt --interference-stats).
+  /// registry; these feed PinningContext::interferenceReport).
   struct Counters {
     uint64_t Queries = 0;      ///< Uncached interfere() computations.
     uint64_t CacheHits = 0;

@@ -110,8 +110,8 @@ struct CoalescerStats {
   unsigned NumStaleEdgesRemoved = 0;
   /// High-water mark of pending worklist entries.
   unsigned MaxWorklistDepth = 0;
-  /// Merges performed in each round, in round order (lao-opt
-  /// --coalesce-stats prints these).
+  /// Merges performed in each round, in round order (lao-opt --stats
+  /// reports these).
   std::vector<unsigned> RoundMerges;
 };
 

@@ -228,10 +228,8 @@ void mergeComponents(Function &F, AffinityGraph &G, PinningContext &Ctx,
         // use-pin tie toward the physical class).
         bool PhysInvolved = Ctx.func().isPhysical(Ctx.resourceOf(N)) ||
                             Ctx.func().isPhysical(Ctx.resourceOf(Acc));
-        if (PhysInvolved && Mult < PhysMergeMinMult) {
-          ++Stats.NumPhysDeferred;
+        if (PhysInvolved && Mult < PhysMergeMinMult)
           continue;
-        }
         Acc = Ctx.pinTogether(Acc, N);
         Merged.insert(N);
         ++Stats.NumMerges;
@@ -298,7 +296,6 @@ PhiCoalescingStats lao::coalescePhis(Function &F, PinningContext &Ctx,
           if (Ctx.resourceInterfere(V, Pin))
             continue;
           RegId Rep = Ctx.pinTogether(V, Pin);
-          ++Stats.NumUsePinMerges;
           const DefSite &DS = Ctx.defSite(V);
           if (DS.Valid) {
             Instruction &DefI = const_cast<Instruction &>(*DS.I);

@@ -68,9 +68,6 @@ struct PhiCoalescingStats {
   unsigned NumInitialPruned = 0;   ///< Removed by Graph_InitialPruning.
   unsigned NumWeightPruned = 0;    ///< Removed by BipartiteGraph_pruning.
   unsigned NumMerges = 0;          ///< Resource merges performed.
-  unsigned NumUsePinMerges = 0;    ///< Merges from the [LIM2] pre-pass.
-  unsigned NumPhysDeferred = 0;    ///< Weak-affinity physical merges left
-                                   ///< to the post coalescer.
   unsigned NumSafetySkips = 0;     ///< Vertices skipped by the merge-time
                                    ///< interference re-check (see below).
   uint64_t NumPairQueries = 0;     ///< resourceInterfere class-pair

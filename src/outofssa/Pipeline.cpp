@@ -155,7 +155,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
   }
   if (Config.Sreedhar) {
     ScopedTimer T(R.Timings, "sreedhar");
-    R.SreedharInfo = convertToCSSA(F);
+    convertToCSSA(F);
     pinCSSAWebs(F);
   }
   if (CancelledAt("front-phases"))
@@ -181,19 +181,18 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
     Analysis.reset();
     if (Config.PinPhi) {
       ScopedTimer T(R.Timings, "phi-coalescing");
-      R.Phi = coalescePhis(F, Ctx, AM.cfg(), AM.loopInfo(), Config.PhiOpts);
+      coalescePhis(F, Ctx, AM.cfg(), AM.loopInfo(), Config.PhiOpts);
       // Phi-coalescing only merges pinning classes; nothing is stale.
       AM.invalidate(PreservedAnalyses::all());
       assert(AM.epoch() == CtxEpoch &&
              "phi-coalescing must preserve the analyses PinningContext and "
              "its interference cache were built from");
     }
-    if (Config.CollectInterferenceStats)
-      R.Interference = Ctx.interferenceReport();
+    R.Interference = Ctx.interferenceReport();
     (void)CtxEpoch;
     {
       ScopedTimer T(R.Timings, "translate");
-      R.Translate = translateOutOfSSA(F, Ctx, AM.cfg());
+      translateOutOfSSA(F, Ctx, AM.cfg());
     }
   }
   // Translation replaced the instruction lists (blocks and branch targets

@@ -57,10 +57,6 @@ struct PipelineConfig {
   bool Coalesce = false;
   InterferenceMode Mode = InterferenceMode::Precise;
   PhiCoalescingOptions PhiOpts;
-  /// Capture PinningContext::interferenceReport() into
-  /// PipelineResult::Interference after phi-coalescing (lao-opt
-  /// --interference-stats). Off by default: the report walks all classes.
-  bool CollectInterferenceStats = false;
   /// Cooperative cancellation hook, polled between phases. When it
   /// returns true the pipeline stops immediately and the result comes
   /// back with Cancelled set; the function is left half-transformed and
@@ -104,13 +100,11 @@ struct PipelineResult {
   uint64_t WeightedMoves = 0;   ///< 5^depth-weighted (Table 5 metric).
   double Seconds = 0.0;         ///< Wall time of the whole pipeline.
   TimerGroup Timings;           ///< Per-phase wall time (see above).
-  OutOfSSAStats Translate;
-  PhiCoalescingStats Phi;
   CoalescerStats Coalescer;
-  SreedharStats SreedharInfo;
   unsigned MovesBeforeCoalesce = 0;
-  /// Post-coalescing class-size histogram + interference-cache counters;
-  /// only filled when PipelineConfig::CollectInterferenceStats is set.
+  /// Class-size histogram + interference-cache counters, taken after
+  /// phi-coalescing. The translate, phi-coalescing and Sreedhar numbers
+  /// are translate.*, phicoalesce.* and sreedhar.* registry counters.
   PinningContext::InterferenceReport Interference;
   /// Outcome of the optional register-allocation stage; engaged exactly
   /// when PipelineConfig::RegAlloc was set (check RegAlloc->Ok — an

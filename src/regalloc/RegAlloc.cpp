@@ -151,11 +151,20 @@ RegAllocResult lao::allocateRegisters(Function &F,
                                       const RegAllocOptions &Opts) {
   RegAllocResult Result;
   ++LAO_STAT(regalloc, runs);
-  if (Opts.NumRegs < 2) {
-    Result.Error = "need at least two allocatable registers";
+  auto Fail = [&Result](std::string Error) {
+    Result.Error = std::move(Error);
     ++LAO_STAT(regalloc, failures);
     return Result;
-  }
+  };
+  if (Opts.NumRegs < 2)
+    return Fail("need at least two allocatable registers");
+  for (const auto &BB : F.blocks())
+    for (const Instruction &I : BB->instructions())
+      if (I.isPhi() || I.isParCopy())
+        return Fail(formatStr("input has a %s in block %s; register "
+                              "allocation needs non-SSA code, run an "
+                              "out-of-SSA pipeline first",
+                              opcodeName(I.op()), BB->name().c_str()));
   std::vector<RegId> Pool = allocatablePool(Opts.NumRegs);
   std::unique_ptr<AllocatorStrategy> Strategy =
       makeAllocatorStrategy(Opts.Allocator);
@@ -194,18 +203,13 @@ RegAllocResult lao::allocateRegisters(Function &F,
     // Spill and retry. A spilled no-spill temp means the pool is too
     // small for a single instruction's operands.
     for (RegId V : Spills)
-      if (NoSpill.count(V)) {
-        Result.Error = formatStr(
+      if (NoSpill.count(V))
+        return Fail(formatStr(
             "cannot allocate: instruction needs more than %zu registers",
-            Pool.size());
-        ++LAO_STAT(regalloc, failures);
-        return Result;
-      }
+            Pool.size()));
     Model->insertSpillCode(F, Spills, NoSpill, Result);
   }
-  Result.Error = formatStr(
+  return Fail(formatStr(
       "register allocation did not converge after %u spill rounds",
-      MaxRounds);
-  ++LAO_STAT(regalloc, failures);
-  return Result;
+      MaxRounds));
 }

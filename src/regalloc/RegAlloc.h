@@ -115,6 +115,7 @@ struct RegAllocResult {
 /// parallel copies) to a physical register, inserting spill code as
 /// needed. Mutates F; afterwards all operands are physical. A thin
 /// driver over the AllocatorStrategy / SpillModel selected by \p Opts.
+/// Input with a phi or a parallel copy fails (Ok=false) untouched.
 RegAllocResult allocateRegisters(Function &F,
                                  const RegAllocOptions &Opts = {});
 

@@ -8,27 +8,11 @@
 
 #include "support/StringUtils.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <istream>
 
 using namespace lao;
 
 namespace {
-
-/// Parses a full decimal uint64 out of \p S. Returns false on empty,
-/// non-digit or overflowing input.
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (errno == ERANGE || End != S.c_str() + S.size())
-    return false;
-  Out = V;
-  return true;
-}
 
 /// Reads the declared body plus its trailing frame newline. Returns
 /// false on a truncated stream.
@@ -118,18 +102,12 @@ bool parseOptions(const std::string &Headers, RequestOptions &Opts,
       // Engine-name validity is semantic too; parsing records the string.
       Opts.Exec = Value;
     } else if (Key == "exec_args") {
-      Opts.ExecArgs.clear();
-      if (!Value.empty())
-        for (const std::string &Tok : splitString(Value, ',')) {
-          uint64_t V = 0;
-          if (!parseU64(trimString(Tok), V)) {
-            ErrorOut = formatStr("exec_args wants comma-separated numbers, "
-                                 "got '%s'",
-                                 Tok.c_str());
-            return false;
-          }
-          Opts.ExecArgs.push_back(V);
-        }
+      if (!parseU64List(Value, Opts.ExecArgs)) {
+        ErrorOut = formatStr("exec_args wants comma-separated numbers, "
+                             "got '%s'",
+                             Value.c_str());
+        return false;
+      }
     } else if (Key == "ssa") {
       Opts.BuildSSA = Value == "1" || Value == "true";
     } else if (Key == "deadline_ms" || Key == "sleep_ms" ||

@@ -19,6 +19,7 @@
 #include "support/ThreadPool.h"
 #include "workloads/Suites.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -170,8 +171,12 @@ RequestRecord Server::compileRequest(const Request &Req, WorkerContext &Ctx,
     return Rec;
   };
 
-  uint64_t DeadlineMs = Req.DeadlineMs ? Req.DeadlineMs
-                                       : Opts.DefaultDeadlineMs;
+  // Saturated at ~31 years, no practical limit: a larger value would
+  // overflow Arrival + DeadlineMs on the clock.
+  uint64_t DeadlineMs =
+      std::min<uint64_t>(Req.DeadlineMs ? Req.DeadlineMs
+                                        : Opts.DefaultDeadlineMs,
+                         1'000'000'000'000);
   Clock::time_point Deadline =
       Arrival + std::chrono::milliseconds(DeadlineMs);
   auto Expired = [&] { return DeadlineMs && Clock::now() >= Deadline; };

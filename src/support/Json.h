@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A small streaming JSON writer used by the bench binaries' `--json`
-/// mode and `lao-opt --timing-json`. Writer-only on purpose: the
+/// mode and `lao-opt --stats=<file>`. Writer-only on purpose: the
 /// project never consumes JSON, it only emits machine-readable records,
 /// and keeping this dependency-free means the bench binaries stay
 /// buildable with nothing beyond the toolchain.

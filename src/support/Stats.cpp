@@ -6,8 +6,6 @@
 
 #include "support/Stats.h"
 
-#include <vector>
-
 using namespace lao;
 
 StatCounter::StatCounter(const char *Pass, const char *Name)
@@ -33,6 +31,15 @@ StatsSnapshot StatsScope::takeAndReset() {
 void lao::mergeSnapshot(StatsSnapshot &Into, const StatsSnapshot &From) {
   for (const auto &[Key, V] : From)
     Into[Key] += V;
+}
+
+void lao::printSnapshot(std::FILE *Out, const char *Title,
+                        const StatsSnapshot &Snap) {
+  std::fprintf(Out, "=== %s ===\n", Title);
+  for (const auto &[Key, V] : Snap)
+    if (V)
+      std::fprintf(Out, "%12llu  %s\n", static_cast<unsigned long long>(V),
+                   Key.c_str());
 }
 
 StatsRegistry &StatsRegistry::instance() {
@@ -65,17 +72,4 @@ StatsSnapshot StatsRegistry::delta(const StatsSnapshot &Before,
       D[Key] = V - Base;
   }
   return D;
-}
-
-void StatsRegistry::print(std::FILE *Out) const {
-  StatsSnapshot Snap = snapshot();
-  size_t Widest = 0;
-  for (const auto &[Key, V] : Snap)
-    if (V)
-      Widest = std::max(Widest, Key.size());
-  std::fprintf(Out, "=== lao statistics ===\n");
-  for (const auto &[Key, V] : Snap)
-    if (V)
-      std::fprintf(Out, "%12llu  %-*s\n", static_cast<unsigned long long>(V),
-                   static_cast<int>(Widest), Key.c_str());
 }

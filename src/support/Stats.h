@@ -16,8 +16,8 @@
 /// counter costs one relaxed atomic add per bump and nothing when never
 /// reached. Counters are monotonically increasing over the process
 /// lifetime; consumers that want per-run numbers (the bench binaries'
-/// `--json` mode, `lao-opt --timing-json`) take a snapshot before and
-/// after the run and report the delta.
+/// `--json` mode, `lao-opt --stats`) take a snapshot before and after
+/// the run and report the delta.
 ///
 /// Counters are thread-safe: the bench suite runner executes pipelines
 /// from a ThreadPool and the per-run deltas stay exact because integer
@@ -59,6 +59,11 @@ using StatsSnapshot = std::map<std::string, uint64_t>;
 /// Adds every entry of \p From into \p Into — the merge-on-report step
 /// for per-worker / per-request snapshots.
 void mergeSnapshot(StatsSnapshot &Into, const StatsSnapshot &From);
+
+/// Prints \p Snap's non-zero entries under a "=== <Title> ===" line,
+/// LLVM `-stats` style: the value right-aligned, then the key.
+void printSnapshot(std::FILE *Out, const char *Title,
+                   const StatsSnapshot &Snap);
 
 /// RAII per-thread recording of counter bumps. While the innermost scope
 /// on a thread is alive, StatCounter::operator+= also accumulates the
@@ -139,9 +144,6 @@ public:
   /// Counters born after Before was taken count from zero.
   static StatsSnapshot delta(const StatsSnapshot &Before,
                              const StatsSnapshot &After);
-
-  /// Prints all non-zero counters, LLVM `-stats` style, aligned.
-  void print(std::FILE *Out) const;
 
 private:
   friend class StatCounter;

@@ -6,6 +6,7 @@
 
 #include "support/StringUtils.h"
 
+#include <charconv>
 #include <cstdio>
 
 using namespace lao;
@@ -50,4 +51,26 @@ std::string lao::trimString(const std::string &Text) {
     return std::string();
   size_t End = Text.find_last_not_of(" \t\r\n");
   return Text.substr(Begin, End - Begin + 1);
+}
+
+bool lao::parseU64(std::string_view Text, uint64_t &Out, uint64_t Max) {
+  // from_chars takes no sign, space or base prefix for an unsigned type.
+  uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec != std::errc() || Stop != End || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
+
+bool lao::parseU64List(const std::string &Text, std::vector<uint64_t> &Out) {
+  Out.clear();
+  for (const std::string &Piece : splitString(Text, ',')) {
+    uint64_t V = 0;
+    if (!parseU64(trimString(Piece), V))
+      return false;
+    Out.push_back(V);
+  }
+  return true;
 }

@@ -137,6 +137,47 @@ entry:
   EXPECT_FALSE(R.Error.empty());
 }
 
+TEST(RegAlloc, SsaInputFailsCleanly) {
+  // Phis and parallel copies are the pipeline's to remove; the
+  // allocator refuses them before the interference graph asserts.
+  auto Phi = parse(R"(
+func @f {
+entry:
+  input %a
+  branch %a, t, e
+t:
+  %x = make 1
+  jump j
+e:
+  %y = make 2
+  jump j
+j:
+  %z = phi [%x, t], [%y, e]
+  ret %z
+}
+)");
+  auto ParCopy = parse(R"(
+func @g {
+entry:
+  input %a, %b
+  parcopy %c = %b, %d = %a
+  %s = sub %c, %d
+  ret %s
+}
+)");
+  for (Function *F : {Phi.get(), ParCopy.get()}) {
+    std::string Before = printFunction(*F);
+    for (const RegAllocOptions &Opts :
+         {regAllocPreset("chaitin-briggs"), regAllocPreset("chordal")}) {
+      RegAllocResult R = allocateRegisters(*F, Opts);
+      EXPECT_FALSE(R.Ok);
+      EXPECT_NE(R.Error.find("out-of-SSA pipeline"), std::string::npos)
+          << R.Error;
+      EXPECT_EQ(printFunction(*F), Before);
+    }
+  }
+}
+
 TEST(RegAlloc, BoundedRoundsFailCleanly) {
   // Ten simultaneously live values in a 2-register machine need several
   // spill rounds; with MaxRounds=1 the allocator must give up after the

@@ -587,6 +587,32 @@ TEST(Server, DeadlineAppliesDefaultFromOptions) {
   EXPECT_EQ(S.records()[0].Outcome, RequestOutcome::Timeout);
 }
 
+TEST(Server, HugeDeadlineMeansNoPracticalLimit) {
+  // Arrival + deadline_ms would overflow the clock for values like
+  // these; the server clamps them, so they compile instead of timing out.
+  ServerOptions Opts;
+  Opts.NumWorkers = 1;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::string Frames;
+  uint64_t Id = 0;
+  for (uint64_t Ms : {uint64_t{9223372036854775}, uint64_t{INT64_MAX},
+                      uint64_t{UINT64_MAX}}) {
+    Request R;
+    R.Id = ++Id;
+    R.Text = SimpleFunc;
+    R.DeadlineMs = Ms;
+    Frames += encodeRequest(R);
+  }
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts, Frames, Responses, &S), 0);
+  ASSERT_EQ(Responses.size(), 3u);
+  for (const RequestRecord &Rec : S.records())
+    EXPECT_EQ(Rec.Outcome, RequestOutcome::Ok) << Rec.Error;
+  for (const Response &R : Responses)
+    EXPECT_EQ(R.IR, oneShot(SimpleFunc));
+}
+
 //===----------------------------------------------------------------------===//
 // Determinism under concurrency
 //===----------------------------------------------------------------------===//
@@ -1236,6 +1262,26 @@ TEST(ServerProtocol, BadExecArgsIsBodyLevelError) {
             FrameStatus::Ok);
   EXPECT_EQ(Back.Id, 33u);
   EXPECT_NE(Error.find("exec_args"), std::string::npos) << Error;
+}
+
+TEST(ServerProtocol, SignedOrNonDecimalNumberIsBodyLevelError) {
+  // Numbers are decimal digits only: "-1" must not wrap to 2^64-1.
+  for (const char *Value : {"-1", "+5", "5x", "0x10", ""}) {
+    std::string Body = std::string("deadline_ms: ") + Value +
+                       "\n\nfunc @f {\nentry:\n  input %a\n  ret %a\n}\n";
+    std::string Frame =
+        "LAO1 REQ 34 " + std::to_string(Body.size()) + "\n" + Body + "\n";
+    std::istringstream In(Frame);
+    FrameKind Kind;
+    Request Back;
+    BatchRequest Unused;
+    std::string Error;
+    ASSERT_EQ(readRequestFrame(In, FrameLimits(), Kind, Back, Unused, Error),
+              FrameStatus::Ok);
+    EXPECT_EQ(Back.Id, 34u);
+    EXPECT_NE(Error.find("deadline_ms"), std::string::npos)
+        << Value << ": " << Error;
+  }
 }
 
 TEST(Server, ExecVmRequestReportsDynCounters) {

@@ -8,6 +8,7 @@
 
 #include "outofssa/MoveStats.h"
 #include "outofssa/Pipeline.h"
+#include "support/Stats.h"
 #include "regalloc/RegAlloc.h"
 #include "ssa/IfConversion.h"
 #include "ssa/SSAVerifier.h"
@@ -32,8 +33,9 @@ TEST(Stress, VeryLargeFunctionThroughFullPipeline) {
   EXPECT_TRUE(verifySSA(*F).empty());
 
   auto Translated = cloneFunction(*F);
-  PipelineResult R = runPipeline(*Translated, pipelinePreset("Lphi,ABI+C"));
-  EXPECT_GT(R.Translate.NumPhisRemoved, 20u)
+  StatsScope Scope;
+  runPipeline(*Translated, pipelinePreset("Lphi,ABI+C"));
+  EXPECT_GT(Scope.snapshot()["translate.phis_removed"], 20u)
       << "a 400-statement nest should carry a real phi population";
   expectWellFormed(*Translated);
   expectEquivalent(*F, *Translated, {1, 2, 3, 4});

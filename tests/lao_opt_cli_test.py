@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Command-line test of lao-opt: its --stats report and its exit codes.
+
+Runs the lao-opt binary on tests/lao_opt_input.lai and checks that
+  * text --stats prints every report section on stderr;
+  * --stats=<file> writes one JSON object with the keys the report has
+    always had (input, pipeline, moves, weighted_moves, seconds,
+    per_pass_seconds, counters) plus the new sections;
+  * a --regalloc run without --pipeline still writes a report;
+  * the removed reporting flags and malformed numbers exit 2;
+  * register allocation of code that still has phis exits 1.
+It also checks that lao-server and lao-client reject malformed numeric
+flags with exit 2 and the usage line.
+
+Usage: lao_opt_cli_test.py <lao-opt> <lao-server> <lao-client> (ctest
+passes them); stdlib only.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+LAO_OPT = LAO_SERVER = LAO_CLIENT = None
+INPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                     "lao_opt_input.lai")
+FULL_RUN = ["--ssa", "--ifconvert", "--pipeline=Lphi,ABI+C", "--regalloc"]
+OLD_KEYS = ["input", "pipeline", "moves", "weighted_moves", "seconds",
+            "per_pass_seconds", "counters"]
+SECTIONS = ["per_pass_seconds", "ifconvert", "interference", "coalesce",
+            "regalloc"]
+
+
+def run(binary, *args):
+    return subprocess.run([binary, *args], capture_output=True, text=True,
+                          stdin=subprocess.DEVNULL, timeout=60)
+
+
+def lao_opt(*args):
+    return run(LAO_OPT, *args)
+
+
+class LaoOptCli(unittest.TestCase):
+    def run_json(self, *args):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "stats.json")
+            proc = lao_opt(*args, "--stats=" + path, INPUT)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            with open(path) as f:
+                return json.load(f)
+
+    def test_text_report_has_every_section(self):
+        proc = lao_opt(*FULL_RUN, "--stats", "--run", "5,9", INPUT)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("(matches input program: yes)", proc.stdout)
+        for section in ["run"] + SECTIONS + ["counters"]:
+            self.assertIn("=== %s ===" % section, proc.stderr)
+        # Numbers that are registry counters appear only as counters.
+        for line in ["moves", "weighted_moves", "seconds", "coalesce",
+                     "size_1", "size_3_4", "round_1_merges",
+                     "peak_worklist_depth", "diamonds", "regs_used",
+                     "classinterf.cache_hits", "classinterf.probes",
+                     "coalesce.rounds", "coalesce.worklist_pushes",
+                     "regalloc.rounds", "translate.phi_copies",
+                     "translate.pin_copies"]:
+            self.assertRegex(proc.stderr, r"\n +\S+  %s\n" % line)
+
+    def test_json_report_keeps_old_keys_and_adds_sections(self):
+        doc = self.run_json(*FULL_RUN)
+        for key in OLD_KEYS + SECTIONS:
+            self.assertIn(key, doc)
+        self.assertEqual(doc["input"], INPUT)
+        self.assertEqual(doc["pipeline"], "Lphi,ABI+C")
+        self.assertIn("coalesce", doc["per_pass_seconds"])
+        self.assertAlmostEqual(doc["seconds"],
+                               sum(doc["per_pass_seconds"].values()))
+        interference = doc["interference"]
+        self.assertEqual(interference["classes"],
+                         sum(v for k, v in interference.items()
+                             if k.startswith("size_")))
+        counters = doc["counters"]
+        rounds = [v for k, v in doc["coalesce"].items()
+                  if k.startswith("round_")]
+        self.assertEqual(len(rounds), counters["coalesce.rounds"])
+        self.assertEqual(sum(rounds), counters["coalesce.merges"])
+        self.assertGreater(doc["coalesce"]["peak_worklist_depth"], 0)
+        self.assertEqual(doc["ifconvert"]["diamonds"], 1)
+        self.assertEqual(doc["regalloc"]["num_regs"], 12)
+        for key in ["translate.phi_copies", "classinterf.queries",
+                    "regalloc.runs"]:
+            self.assertIn(key, counters)
+
+    def test_regalloc_without_pipeline_writes_report(self):
+        # Allocation needs non-SSA code, and the input is: no --ssa here.
+        doc = self.run_json("--regalloc=chordal", "--regalloc-regs=8")
+        for key in OLD_KEYS + ["regalloc"]:
+            self.assertIn(key, doc)
+        self.assertEqual(doc["pipeline"], "none")
+        self.assertEqual(doc["regalloc"]["allocator"], "chordal")
+        self.assertEqual(doc["regalloc"]["num_regs"], 8)
+        self.assertIn("regalloc", doc["per_pass_seconds"])
+        self.assertNotIn("interference", doc)
+
+    def test_removed_flags_and_malformed_numbers_exit_2(self):
+        for bad in [["--timing-json=x.json"], ["--coalesce-stats"],
+                    ["--interference-stats"], ["--stats="],
+                    ["--regalloc-regs=8x"], ["--regalloc-regs=-1"],
+                    ["--regalloc-regs=99999999999"], ["--run", "5,zz"],
+                    ["--run=-1"], ["--run=0x10"]]:
+            proc = lao_opt(*bad, INPUT)
+            self.assertEqual(proc.returncode, 2, bad)
+            self.assertIn("usage:", proc.stderr, bad)
+
+    def test_server_and_client_reject_malformed_numbers(self):
+        # strtoull would read "lots" as 0, "-1" as 2^64-1 and "8x" as 8.
+        for flag in ["--workers", "--max-body-bytes",
+                     "--default-deadline-ms", "--max-inflight"]:
+            for value in ["lots", "-1", "8x", ""]:
+                proc = run(LAO_SERVER, "%s=%s" % (flag, value))
+                self.assertEqual(proc.returncode, 2, (flag, value))
+                self.assertIn("usage:", proc.stderr)
+        for flag in ["--batch", "--max-body-bytes", "--deadline-ms",
+                     "--regalloc-regs"]:
+            for value in ["lots", "-1", "8x", ""]:
+                proc = run(LAO_CLIENT, "--server=unused",
+                           "%s=%s" % (flag, value), INPUT)
+                self.assertEqual(proc.returncode, 2, (flag, value))
+                self.assertIn("usage:", proc.stderr)
+
+    def test_regalloc_on_phis_exits_1(self):
+        proc = lao_opt("--ssa", "--regalloc", INPUT)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("run an out-of-SSA pipeline first", proc.stderr)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4:
+        sys.exit(__doc__)
+    LAO_OPT, LAO_SERVER, LAO_CLIENT = sys.argv[1:]
+    unittest.main(argv=sys.argv[:1])

@@ -62,6 +62,7 @@
 #include "outofssa/Pipeline.h"
 #include "server/Protocol.h"
 #include "server/SocketTransport.h"
+#include "support/StringUtils.h"
 #include "workloads/Suites.h"
 
 #include <algorithm>
@@ -352,6 +353,8 @@ int main(int Argc, char **Argv) {
   Options Opts;
   for (int K = 1; K < Argc; ++K) {
     std::string A = Argv[K];
+    uint64_t V = 0;
+    bool Ok = true;
     if (A.rfind("--server=", 0) == 0) {
       Opts.ServerCmd = A.substr(std::strlen("--server="));
     } else if (A.rfind("--connect-unix=", 0) == 0) {
@@ -359,24 +362,22 @@ int main(int Argc, char **Argv) {
     } else if (A.rfind("--connect-tcp=", 0) == 0) {
       Opts.ConnectTcp = A.substr(std::strlen("--connect-tcp="));
     } else if (A.rfind("--batch=", 0) == 0) {
-      Opts.Batch = std::strtoull(A.c_str() + std::strlen("--batch="),
-                                 nullptr, 10);
+      Ok = parseU64(A.substr(std::strlen("--batch=")), Opts.Batch);
     } else if (A.rfind("--max-body-bytes=", 0) == 0) {
-      Opts.MaxBodyBytes = static_cast<size_t>(std::strtoull(
-          A.c_str() + std::strlen("--max-body-bytes="), nullptr, 10));
+      Ok = parseU64(A.substr(std::strlen("--max-body-bytes=")), V, SIZE_MAX);
+      Opts.MaxBodyBytes = static_cast<size_t>(V);
     } else if (A.rfind("--pipeline=", 0) == 0) {
       Opts.Req.Pipeline = A.substr(std::strlen("--pipeline="));
     } else if (A == "--ssa") {
       Opts.Req.BuildSSA = true;
     } else if (A.rfind("--deadline-ms=", 0) == 0) {
-      Opts.Req.DeadlineMs =
-          std::strtoull(A.c_str() + std::strlen("--deadline-ms="), nullptr,
-                        10);
+      Ok = parseU64(A.substr(std::strlen("--deadline-ms=")),
+                    Opts.Req.DeadlineMs);
     } else if (A.rfind("--regalloc=", 0) == 0) {
       Opts.Req.RegAlloc = A.substr(std::strlen("--regalloc="));
     } else if (A.rfind("--regalloc-regs=", 0) == 0) {
-      Opts.Req.RegAllocRegs = std::strtoull(
-          A.c_str() + std::strlen("--regalloc-regs="), nullptr, 10);
+      Ok = parseU64(A.substr(std::strlen("--regalloc-regs=")),
+                    Opts.Req.RegAllocRegs);
     } else if (A == "--print-records") {
       Opts.PrintRecords = true;
     } else if (A == "--quiet") {
@@ -388,6 +389,10 @@ int main(int Argc, char **Argv) {
       return usage(Argv[0]);
     } else {
       Opts.Files.push_back(A);
+    }
+    if (!Ok) {
+      std::fprintf(stderr, "'%s' wants a decimal number\n", A.c_str());
+      return usage(Argv[0]);
     }
   }
   bool UseSocket = !Opts.ConnectUnix.empty() || !Opts.ConnectTcp.empty();

@@ -21,8 +21,10 @@
 //                         regalloc/RegAlloc.h), e.g. chordal or
 //                         chaitin-briggs/load-store-opt; no value means
 //                         the default chaitin-briggs/spill-everywhere.
+//                         Code with phis or parallel copies (run a
+//                         pipeline first) is an error: exit 1
 //     --regalloc-regs=N   size of the allocatable pool (default 12)
-//     --run a,b,...       execute with the given integer arguments and
+//     --run a,b,...       execute with the given decimal arguments and
 //                         print the trace
 //     --exec=<engine>     engine for --run: interp (tree-walk, default),
 //                         vm (threaded-dispatch bytecode), or both —
@@ -31,19 +33,14 @@
 //                         (docs/EXEC.md)
 //     --dot               print the CFG as Graphviz instead of text
 //     --verify            print structural/pinning/SSA diagnostics
-//     --stats             print pass statistics (including the global
-//                         counter registry, LLVM -stats style)
-//     --interference-stats
-//                         print the pinning class-size histogram and the
-//                         class-interference cache hit rate (pipeline
-//                         runs only)
-//     --coalesce-stats    print the aggressive coalescer's worklist
-//                         profile: merges per round, graph builds vs
-//                         repair scans, push/pop/requeue traffic and the
-//                         peak worklist depth (pipeline runs only; the
-//                         same numbers reach --timing-json and the bench
-//                         JSON as coalesce.* counters)
-//     --timing-json=<f>   write per-pass timings + counters as JSON
+//     --stats[=<file>]    report the run (moves, weighted moves, seconds,
+//                         per-phase seconds, class-size histogram,
+//                         coalescer rounds, regalloc and if-conversion
+//                         summaries, counter delta) as aligned text on
+//                         stderr, or as JSON in <file>
+//                         (docs/OBSERVABILITY.md)
+//
+// A malformed option, a number included, exits 2 with the usage line.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,14 +59,17 @@
 #include "support/Json.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
+#include "support/Timer.h"
 #include "workloads/Suites.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 using namespace lao;
@@ -85,9 +85,7 @@ struct Options {
   bool Dot = false;
   bool Verify = false;
   bool Stats = false;
-  bool InterferenceStats = false;
-  bool CoalesceStats = false;
-  std::string TimingJson;
+  std::string StatsFile; ///< --stats=<file>: JSON there, not text.
   std::vector<uint64_t> RunArgs;
   bool Run = false;
   std::string Exec = "interp"; ///< --run engine: interp, vm, or both.
@@ -99,9 +97,8 @@ int usage(const char *Argv0) {
       stderr,
       "usage: %s [--ssa] [--ifconvert] [--pipeline=<preset>] "
       "[--regalloc[=<preset>]] [--regalloc-regs=N] [--run a,b,...] "
-      "[--exec=vm|interp|both] "
-      "[--verify] [--stats] [--interference-stats] [--coalesce-stats] "
-      "[--timing-json=<file>] <file.lai|->\n",
+      "[--exec=vm|interp|both] [--dot] [--verify] [--stats[=<file>]] "
+      "<file.lai|->\n",
       Argv0);
   return 2;
 }
@@ -109,6 +106,8 @@ int usage(const char *Argv0) {
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   for (int K = 1; K < Argc; ++K) {
     std::string A = Argv[K];
+    uint64_t V = 0;
+    bool Ok = true;
     if (A == "--ssa") {
       Opts.BuildSSA = true;
     } else if (A == "--ifconvert") {
@@ -133,16 +132,13 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.RegAllocOpts = *RA;
       Opts.RegAllocOpts.NumRegs = NumRegs; // --regalloc-regs may precede.
     } else if (A.rfind("--regalloc-regs=", 0) == 0) {
-      Opts.RegAllocOpts.NumRegs = static_cast<unsigned>(std::strtoul(
-          A.c_str() + std::strlen("--regalloc-regs="), nullptr, 10));
-    } else if (A.rfind("--run", 0) == 0) {
+      Ok = parseU64(A.substr(std::strlen("--regalloc-regs=")), V, UINT_MAX);
+      Opts.RegAllocOpts.NumRegs = static_cast<unsigned>(V);
+    } else if (A == "--run" || A.rfind("--run=", 0) == 0) {
       Opts.Run = true;
-      std::string List =
-          A.size() > 5 && A[5] == '=' ? A.substr(6) : std::string();
-      if (List.empty() && K + 1 < Argc)
-        List = Argv[++K];
-      for (const std::string &Piece : splitString(List, ','))
-        Opts.RunArgs.push_back(std::strtoull(Piece.c_str(), nullptr, 0));
+      std::string List = A == "--run" ? (K + 1 < Argc ? Argv[++K] : "")
+                                      : A.substr(std::strlen("--run="));
+      Ok = parseU64List(List, Opts.RunArgs);
     } else if (A.rfind("--exec=", 0) == 0) {
       Opts.Exec = A.substr(std::strlen("--exec="));
       if (Opts.Exec != "vm" && Opts.Exec != "interp" && Opts.Exec != "both") {
@@ -157,20 +153,70 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Verify = true;
     } else if (A == "--stats") {
       Opts.Stats = true;
-    } else if (A == "--interference-stats") {
-      Opts.InterferenceStats = true;
-    } else if (A == "--coalesce-stats") {
-      Opts.CoalesceStats = true;
-    } else if (A.rfind("--timing-json=", 0) == 0) {
-      Opts.TimingJson = A.substr(std::strlen("--timing-json="));
+    } else if (A.rfind("--stats=", 0) == 0 && A.size() > 8) {
+      Opts.Stats = true;
+      Opts.StatsFile = A.substr(std::strlen("--stats="));
     } else if (!A.empty() && A[0] == '-' && A != "-") {
       std::fprintf(stderr, "unknown option '%s'\n", A.c_str());
       return false;
     } else {
       Opts.InputPath = A;
     }
+    if (!Ok) {
+      std::fprintf(stderr, "'%s' wants decimal numbers\n", A.c_str());
+      return false;
+    }
   }
   return !Opts.InputPath.empty();
+}
+
+using ReportValue = std::variant<uint64_t, double, std::string>;
+using ReportFields = std::vector<std::pair<std::string, ReportValue>>;
+
+/// The --stats report: sections of fields (the "run" section first),
+/// then the counter delta. The text and the JSON form render the same
+/// fields, so each section is written once. A number that is already a
+/// registry counter appears only among the counters.
+struct StatsReport {
+  std::vector<std::pair<std::string, ReportFields>> Sections;
+  StatsSnapshot Counters;
+};
+
+void printReport(const StatsReport &Rep) {
+  for (const auto &[Name, Fields] : Rep.Sections) {
+    std::fprintf(stderr, "=== %s ===\n", Name.c_str());
+    for (const auto &[Key, V] : Fields) {
+      std::string Text;
+      if (const auto *U = std::get_if<uint64_t>(&V))
+        Text = std::to_string(*U);
+      else if (const auto *D = std::get_if<double>(&V))
+        Text = formatStr("%.6f", *D);
+      else
+        Text = std::get<std::string>(V);
+      std::fprintf(stderr, "%12s  %s\n", Text.c_str(), Key.c_str());
+    }
+  }
+  printSnapshot(stderr, "counters", Rep.Counters);
+}
+
+/// The "run" fields are top-level keys, every other section an object.
+std::string reportJson(const StatsReport &Rep) {
+  JsonWriter W;
+  W.beginObject();
+  for (const auto &[Name, Fields] : Rep.Sections) {
+    if (Name != "run")
+      W.key(Name).beginObject();
+    for (const auto &[Key, V] : Fields)
+      std::visit([&W, &Key](const auto &X) { W.key(Key).value(X); }, V);
+    if (Name != "run")
+      W.endObject();
+  }
+  W.key("counters").beginObject();
+  for (const auto &[Key, Value] : Rep.Counters)
+    W.key(Key).value(Value);
+  W.endObject();
+  W.endObject();
+  return W.take();
 }
 
 } // namespace
@@ -179,6 +225,7 @@ int main(int Argc, char **Argv) {
   Options Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage(Argv[0]);
+  StatsSnapshot Before = StatsRegistry::instance().snapshot();
 
   std::string Text;
   if (Opts.InputPath == "-") {
@@ -223,14 +270,18 @@ int main(int Argc, char **Argv) {
       for (const std::string &D : verifySSA(*F))
         std::fprintf(stderr, "ssa: %s\n", D.c_str());
   }
+  StatsReport Rep; // "run" and "per_pass_seconds" go first at the end.
   if (Opts.IfConvert) {
     IfConversionStats S = convertIfsToPsi(*F);
-    if (Opts.Stats)
-      std::fprintf(stderr,
-                   "ifconvert: %u diamonds, %u triangles, %u psis\n",
-                   S.NumDiamondsConverted, S.NumTrianglesConverted,
-                   S.NumPsisCreated);
+    Rep.Sections.push_back(
+        {"ifconvert",
+         {{"diamonds", uint64_t{S.NumDiamondsConverted}},
+          {"triangles", uint64_t{S.NumTrianglesConverted}},
+          {"psis", uint64_t{S.NumPsisCreated}}}});
   }
+  TimerGroup Timings;
+  unsigned Moves = 0;
+  uint64_t WeightedMoves = 0;
   if (!Opts.Pipeline.empty()) {
     std::optional<PipelineConfig> Config = pipelinePresetOpt(Opts.Pipeline);
     if (!Config) {
@@ -240,107 +291,56 @@ int main(int Argc, char **Argv) {
                    Opts.Pipeline.c_str());
       return 1;
     }
-    Config->CollectInterferenceStats = Opts.InterferenceStats;
-    StatsSnapshot Before = StatsRegistry::instance().snapshot();
     PipelineResult R = runPipeline(*F, *Config);
     if (!R.InputError.empty()) {
       std::fprintf(stderr, "ssa error: %s\n", R.InputError.c_str());
       return 1;
     }
-    if (Opts.InterferenceStats) {
-      const PinningContext::InterferenceReport &IR = R.Interference;
-      std::fprintf(stderr, "interference %s: %llu classes, sizes",
-                   F->name().c_str(),
-                   static_cast<unsigned long long>(IR.NumClasses));
-      static const char *Buckets[6] = {"1",   "2",    "3-4",
-                                       "5-8", "9-16", ">=17"};
-      for (unsigned K = 0; K < 6; ++K)
-        if (IR.SizeHist[K])
-          std::fprintf(stderr, " [%s]=%llu", Buckets[K],
-                       static_cast<unsigned long long>(IR.SizeHist[K]));
-      if (uint64_t Total = IR.Queries + IR.CacheHits) {
-        std::fprintf(stderr,
-                     "\n  engine: %llu/%llu cache hits (%.1f%%), "
-                     "%llu evictions, %llu probes (pairwise bound %llu)",
-                     static_cast<unsigned long long>(IR.CacheHits),
-                     static_cast<unsigned long long>(Total),
-                     100.0 * double(IR.CacheHits) / double(Total),
-                     static_cast<unsigned long long>(IR.CacheEvictions),
-                     static_cast<unsigned long long>(IR.Probes),
-                     static_cast<unsigned long long>(IR.PairCost));
-      }
-      std::fprintf(stderr, "\n");
+    Timings = R.Timings;
+    Moves = R.NumMoves;
+    WeightedMoves = R.WeightedMoves;
+    // The cache and probe numbers are classinterf.* counters.
+    const uint64_t *Hist = R.Interference.SizeHist;
+    Rep.Sections.push_back({"interference",
+                            {{"classes", R.Interference.NumClasses},
+                             {"size_1", Hist[0]},
+                             {"size_2", Hist[1]},
+                             {"size_3_4", Hist[2]},
+                             {"size_5_8", Hist[3]},
+                             {"size_9_16", Hist[4]},
+                             {"size_ge17", Hist[5]}}});
+    // Rounds, merges and worklist traffic are coalesce.* counters.
+    if (Config->Coalesce) {
+      ReportFields &C = Rep.Sections.emplace_back("coalesce", ReportFields())
+                            .second;
+      C.emplace_back("peak_worklist_depth",
+                     uint64_t{R.Coalescer.MaxWorklistDepth});
+      for (size_t K = 0; K < R.Coalescer.RoundMerges.size(); ++K)
+        C.emplace_back(formatStr("round_%zu_merges", K + 1),
+                       uint64_t{R.Coalescer.RoundMerges[K]});
     }
-    if (Opts.CoalesceStats) {
-      const CoalescerStats &CS = R.Coalescer;
-      std::fprintf(stderr,
-                   "coalesce %s: %u merges in %u rounds, %u moves removed\n"
-                   "  graph: %u builds, %u repair scans, %u stale edges "
-                   "removed\n"
-                   "  worklist: %u pushes, %u pops, %u requeues, peak depth "
-                   "%u, %u confirm scans\n",
-                   F->name().c_str(), CS.NumMerges, CS.NumRounds,
-                   CS.NumMovesRemoved, CS.NumRebuilds, CS.NumRepairScans,
-                   CS.NumStaleEdgesRemoved, CS.NumWorklistPushes,
-                   CS.NumWorklistPops, CS.NumRequeues, CS.MaxWorklistDepth,
-                   CS.NumConfirmScans);
-      if (!CS.RoundMerges.empty()) {
-        std::fprintf(stderr, "  merges per round:");
-        for (unsigned M : CS.RoundMerges)
-          std::fprintf(stderr, " %u", M);
-        std::fprintf(stderr, "\n");
-      }
-    }
-    if (Opts.Stats)
-      std::fprintf(stderr,
-                   "pipeline %s: moves=%u weighted=%llu phi-copies=%u "
-                   "pin-copies=%u repairs=%u elided=%u\n",
-                   Opts.Pipeline.c_str(), R.NumMoves,
-                   static_cast<unsigned long long>(R.WeightedMoves),
-                   R.Translate.NumPhiCopies, R.Translate.NumPinCopies,
-                   R.Translate.NumRepairs, R.Translate.NumElidedCopies);
-    if (!Opts.TimingJson.empty()) {
-      StatsSnapshot Counters =
-          StatsRegistry::delta(Before, StatsRegistry::instance().snapshot());
-      JsonWriter W;
-      W.beginObject();
-      W.key("input").value(Opts.InputPath);
-      W.key("pipeline").value(Opts.Pipeline);
-      W.key("moves").value(R.NumMoves);
-      W.key("weighted_moves").value(R.WeightedMoves);
-      W.key("seconds").value(R.Timings.total());
-      W.key("per_pass_seconds").beginObject();
-      for (const auto &[Phase, Seconds] : R.Timings.entries())
-        W.key(Phase).value(Seconds);
-      W.endObject();
-      W.key("counters").beginObject();
-      for (const auto &[Key, Value] : Counters)
-        W.key(Key).value(Value);
-      W.endObject();
-      W.endObject();
-      std::FILE *Out = std::fopen(Opts.TimingJson.c_str(), "w");
-      if (!Out) {
-        std::fprintf(stderr, "cannot write '%s'\n", Opts.TimingJson.c_str());
-        return 1;
-      }
-      std::fprintf(Out, "%s\n", W.str().c_str());
-      std::fclose(Out);
-    }
+  } else if (Opts.Stats) {
+    Moves = countMoves(*F);
+    WeightedMoves = weightedMoveCount(*F);
   }
   if (Opts.RegAlloc) {
-    RegAllocResult R = allocateRegisters(*F, Opts.RegAllocOpts);
+    RegAllocResult R;
+    {
+      ScopedTimer T(Timings, "regalloc");
+      R = allocateRegisters(*F, Opts.RegAllocOpts);
+    }
     if (!R.Ok) {
       std::fprintf(stderr, "regalloc failed: %s\n", R.Error.c_str());
       return 1;
     }
-    if (Opts.Stats)
-      std::fprintf(stderr,
-                   "regalloc (%s/%s): %u regs used, %u spilled (%u loads, "
-                   "%u stores), frame %u bytes\n",
-                   allocatorName(Opts.RegAllocOpts.Allocator),
-                   spillModelName(Opts.RegAllocOpts.SpillMode),
-                   R.NumRegsUsed, R.NumSpilled, R.NumSpillLoads,
-                   R.NumSpillStores, R.FrameBytes);
+    // Rounds, spills and spill code are regalloc.* counters.
+    Rep.Sections.push_back(
+        {"regalloc",
+         {{"allocator", allocatorName(Opts.RegAllocOpts.Allocator)},
+          {"spill_model", spillModelName(Opts.RegAllocOpts.SpillMode)},
+          {"num_regs", uint64_t{Opts.RegAllocOpts.NumRegs}},
+          {"regs_used", uint64_t{R.NumRegsUsed}},
+          {"frame_bytes", uint64_t{R.FrameBytes}}}});
   }
 
   if (Opts.Dot)
@@ -391,7 +391,31 @@ int main(int Argc, char **Argv) {
     std::printf("\n");
   }
 
-  if (Opts.Stats)
-    StatsRegistry::instance().print(stderr);
-  return 0;
+  if (!Opts.Stats)
+    return 0;
+  ReportFields Phases;
+  for (const auto &[Phase, Seconds] : Timings.entries())
+    Phases.emplace_back(Phase, Seconds);
+  Rep.Sections.insert(
+      Rep.Sections.begin(),
+      {{"run",
+        {{"input", Opts.InputPath},
+         {"pipeline", Opts.Pipeline.empty() ? "none" : Opts.Pipeline},
+         {"moves", uint64_t{Moves}},
+         {"weighted_moves", WeightedMoves},
+         {"seconds", Timings.total()}}},
+       {"per_pass_seconds", std::move(Phases)}});
+  Rep.Counters =
+      StatsRegistry::delta(Before, StatsRegistry::instance().snapshot());
+  if (Opts.StatsFile.empty()) {
+    printReport(Rep);
+    return 0;
+  }
+  if (std::FILE *Out = std::fopen(Opts.StatsFile.c_str(), "w")) {
+    std::fprintf(Out, "%s\n", reportJson(Rep).c_str());
+    if (std::fclose(Out) == 0)
+      return 0;
+  }
+  std::fprintf(stderr, "cannot write '%s'\n", Opts.StatsFile.c_str());
+  return 1;
 }

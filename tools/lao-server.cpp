@@ -45,11 +45,13 @@
 #include "server/FdStream.h"
 #include "server/Server.h"
 #include "server/SocketTransport.h"
+#include "support/Stats.h"
+#include "support/StringUtils.h"
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -77,14 +79,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool parseUnsigned(const std::string &Arg, const char *Prefix,
-                   uint64_t &Out) {
-  if (Arg.rfind(Prefix, 0) != 0)
-    return false;
-  Out = std::strtoull(Arg.c_str() + std::strlen(Prefix), nullptr, 10);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -94,13 +88,18 @@ int main(int Argc, char **Argv) {
   for (int K = 1; K < Argc; ++K) {
     std::string A = Argv[K];
     uint64_t V = 0;
-    if (parseUnsigned(A, "--workers=", V)) {
+    bool Ok = true;
+    if (A.rfind("--workers=", 0) == 0) {
+      Ok = parseU64(A.substr(std::strlen("--workers=")), V, UINT_MAX);
       Opts.NumWorkers = static_cast<unsigned>(V);
-    } else if (parseUnsigned(A, "--max-body-bytes=", V)) {
+    } else if (A.rfind("--max-body-bytes=", 0) == 0) {
+      Ok = parseU64(A.substr(std::strlen("--max-body-bytes=")), V, SIZE_MAX);
       Opts.Limits.MaxBodyBytes = static_cast<size_t>(V);
-    } else if (parseUnsigned(A, "--default-deadline-ms=", V)) {
-      Opts.DefaultDeadlineMs = V;
-    } else if (parseUnsigned(A, "--max-inflight=", V)) {
+    } else if (A.rfind("--default-deadline-ms=", 0) == 0) {
+      Ok = parseU64(A.substr(std::strlen("--default-deadline-ms=")),
+                    Opts.DefaultDeadlineMs);
+    } else if (A.rfind("--max-inflight=", 0) == 0) {
+      Ok = parseU64(A.substr(std::strlen("--max-inflight=")), V, UINT_MAX);
       Opts.MaxInFlightFrames = static_cast<unsigned>(V);
     } else if (A.rfind("--default-regalloc=", 0) == 0) {
       Opts.DefaultRegAlloc = A.substr(std::strlen("--default-regalloc="));
@@ -117,6 +116,10 @@ int main(int Argc, char **Argv) {
       PrintStats = true;
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", A.c_str());
+      return usage(Argv[0]);
+    }
+    if (!Ok) {
+      std::fprintf(stderr, "'%s' wants a decimal number\n", A.c_str());
       return usage(Argv[0]);
     }
   }
@@ -179,11 +182,7 @@ int main(int Argc, char **Argv) {
                GStop.load(std::memory_order_acquire)
                    ? " (drained after shutdown signal)"
                    : "");
-  if (PrintStats) {
-    std::fprintf(stderr, "=== merged per-request counters ===\n");
-    for (const auto &[Key, Value] : R.MergedCounters)
-      std::fprintf(stderr, "%12llu  %s\n",
-                   static_cast<unsigned long long>(Value), Key.c_str());
-  }
+  if (PrintStats)
+    printSnapshot(stderr, "merged per-request counters", R.MergedCounters);
   return Rc;
 }
