@@ -48,7 +48,7 @@ const char *const ExecConfigs[] = {"Lphi,ABI+C", "Lphi,ABI"};
 /// Step budget for every run, both engines. Larger than the engines'
 /// default so no suite function times out; budgets are engine-specific
 /// cost models, so both engines always get the same number.
-constexpr uint64_t ExecMaxSteps = 1u << 24;
+constexpr uint64_t StepBudget = 1u << 24;
 
 /// Executions per (function, input) per timing pass, and alternating
 /// vm/interp passes per suite (the minimum wins). Counters are taken
@@ -130,8 +130,8 @@ ExecTotals measureSuite(const std::vector<CompiledWorkload> &Compiled,
   uint64_t InterpSteps = 0;
   for (const CompiledWorkload &C : Compiled)
     for (const auto &Args : C.Inputs) {
-      ExecResult Vm = runBytecode(C.BC, Args, ExecMaxSteps);
-      ExecResult In = interpret(*C.F, Args, ExecMaxSteps);
+      ExecResult Vm = runBytecode(C.BC, Args, StepBudget);
+      ExecResult In = interpret(*C.F, Args, StepBudget);
       if (!Vm.sameOutcome(In)) {
         std::fprintf(stderr,
                      "EXEC DIVERGENCE: %s under %s (vm: %s, interp: %s)\n",
@@ -160,12 +160,12 @@ ExecTotals measureSuite(const std::vector<CompiledWorkload> &Compiled,
     for (unsigned R = 0; R < TimingReps; ++R)
       for (const CompiledWorkload &C : Compiled)
         for (const auto &Args : C.Inputs)
-          VmSum += runBytecode(C.BC, Args, ExecMaxSteps).Steps;
+          VmSum += runBytecode(C.BC, Args, StepBudget).Steps;
     Clock::time_point VmEnd = Clock::now();
     for (unsigned R = 0; R < TimingReps; ++R)
       for (const CompiledWorkload &C : Compiled)
         for (const auto &Args : C.Inputs)
-          InterpSum += interpret(*C.F, Args, ExecMaxSteps).Steps;
+          InterpSum += interpret(*C.F, Args, StepBudget).Steps;
     Clock::time_point InEnd = Clock::now();
     if (VmSum != TimingReps * T.DynInstrs ||
         InterpSum != TimingReps * InterpSteps) {

@@ -90,6 +90,7 @@ public:
 private:
   std::unique_ptr<Function> F;
   std::map<std::string, BasicBlock *> BlocksByName;
+  std::vector<unsigned> LabelLine; ///< Block id -> line of its label.
   std::string Error;
   unsigned LineNo = 0;
 
@@ -441,6 +442,7 @@ std::unique_ptr<Function> Parser::run(const std::string &Text,
         break;
       }
       BlocksByName[Label] = F->createBlock(Label);
+      LabelLine.push_back(I + 1);
     }
   }
   if (!F && Error.empty())
@@ -463,12 +465,22 @@ std::unique_ptr<Function> Parser::run(const std::string &Text,
       fail("instruction before first block label");
       break;
     }
+    if (BB->hasTerminator()) {
+      fail("instruction after the terminator of block '" + BB->name() + "'");
+      break;
+    }
     LineCursor C(L);
     if (!parseInstruction(C, BB))
       break;
     if (!C.atEnd())
       fail("trailing characters after instruction");
   }
+  for (unsigned K = 0; F && K < F->numBlocks() && Error.empty(); ++K)
+    if (!F->blocks()[K]->hasTerminator()) {
+      LineNo = LabelLine[K];
+      fail("block '" + F->blocks()[K]->name() +
+           "' does not end with a terminator");
+    }
 
   if (!Error.empty()) {
     if (Err)

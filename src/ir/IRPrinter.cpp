@@ -101,7 +101,8 @@ std::string lao::printInstruction(const Function &F, const Instruction &I) {
     for (unsigned K = 0; K < I.numUses(); ++K) {
       if (K != 0)
         S += ", ";
-      S += "[" + useText(F, I, K) + ", " + I.incomingBlock(K)->name() + "]";
+      S += formatStr("[%s, %s]", useText(F, I, K).c_str(),
+                     I.incomingBlock(K)->name().c_str());
     }
     return S;
   }

@@ -27,9 +27,10 @@ namespace {
 
 /// The pipeline's entry step: a DFS over successors() marks the reachable
 /// blocks, one pass over their instructions checks that no virtual
-/// register is defined twice (reported in \p Error), and then the
-/// unreachable blocks are erased. No analysis is built, so the analysis
-/// counters of a run do not change.
+/// register is defined twice, a second pass that every virtual register
+/// used there is defined there (either failure is reported in \p Error),
+/// and then the unreachable blocks are erased. No analysis is built, so
+/// the analysis counters of a run do not change.
 bool prepareInput(Function &F, std::string &Error) {
   if (F.numBlocks() == 0)
     return true;
@@ -63,6 +64,22 @@ bool prepareInput(Function &F, std::string &Error) {
           return false;
         }
         Defined.set(D);
+      }
+  }
+  // Phi operands flowing in from a dead block are dropped with it.
+  for (const auto &BB : F.blocks()) {
+    if (Dead[BB->id()])
+      continue;
+    for (const Instruction &I : BB->instructions())
+      for (unsigned K = 0; K < I.numUses(); ++K) {
+        RegId U = I.use(K);
+        if (F.isPhysical(U) || Defined.test(U) ||
+            (I.isPhi() && Dead[I.incomingBlock(K)->id()]))
+          continue;
+        Error = formatStr("%%%s is used but never defined; the pipeline "
+                          "needs SSA input",
+                          F.valueName(U).c_str());
+        return false;
       }
   }
 
@@ -233,16 +250,6 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
 
   R.NumMoves = countMoves(F);
   R.WeightedMoves = weightedMoveCount(F, AM);
-
-  if (Config.RegAlloc) {
-    if (CancelledAt("coalesce"))
-      return R;
-    ScopedTimer T(R.Timings, "regalloc");
-    R.RegAlloc = allocateRegisters(F, *Config.RegAlloc);
-    // Spill code rewrote instruction lists in place; blocks/edges are
-    // untouched.
-    AM.invalidate(PreservedAnalyses::cfgOnly());
-  }
 
   R.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
   return R;

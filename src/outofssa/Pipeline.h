@@ -35,7 +35,6 @@
 #include "outofssa/LeungGeorge.h"
 #include "outofssa/PhiCoalescing.h"
 #include "outofssa/Sreedhar.h"
-#include "regalloc/RegAlloc.h"
 #include "support/Timer.h"
 
 #include <functional>
@@ -63,13 +62,6 @@ struct PipelineConfig {
   /// must be discarded. The compile server's deadline enforcement plugs
   /// in here — an empty function (the default) is never polled.
   std::function<bool()> CancelCheck;
-  /// Optional register-allocation stage after coalescing: when set, the
-  /// pipeline hands the final non-SSA code to
-  /// allocateRegisters(F, *RegAlloc) and reports the outcome in
-  /// PipelineResult::RegAlloc. Move metrics (NumMoves, WeightedMoves)
-  /// are still measured *before* allocation — they are the paper's
-  /// coalescing metrics, not allocator artifacts.
-  std::optional<RegAllocOptions> RegAlloc;
 };
 
 /// Returns the preset for \p Name (see header table), or std::nullopt
@@ -86,15 +78,14 @@ PipelineConfig pipelinePreset(const std::string &Name);
 /// execution order (phases a configuration skips are absent).
 ///
 ///   split-critical-edges, constraints, sreedhar, pin-analysis,
-///   phi-coalescing, translate, sequentialize, naive-abi, coalesce,
-///   regalloc
+///   phi-coalescing, translate, sequentialize, naive-abi, coalesce
 ///
 /// Outcome of one pipeline run over one function.
 struct PipelineResult {
   bool Cancelled = false;       ///< CancelCheck fired; all else invalid.
   /// Set when the entry step rejected the input (a value of the reachable
-  /// code is defined twice, so it is not SSA); nothing ran and all else
-  /// is invalid.
+  /// code is defined twice, or used and never defined, so it is not
+  /// SSA); nothing ran and all else is invalid.
   std::string InputError;
   unsigned NumMoves = 0;        ///< Residual moves (Tables 2-4 metric).
   uint64_t WeightedMoves = 0;   ///< 5^depth-weighted (Table 5 metric).
@@ -106,19 +97,16 @@ struct PipelineResult {
   /// phi-coalescing. The translate, phi-coalescing and Sreedhar numbers
   /// are translate.*, phicoalesce.* and sreedhar.* registry counters.
   PinningContext::InterferenceReport Interference;
-  /// Outcome of the optional register-allocation stage; engaged exactly
-  /// when PipelineConfig::RegAlloc was set (check RegAlloc->Ok — an
-  /// allocation failure is not a pipeline failure).
-  std::optional<RegAllocResult> RegAlloc;
 };
 
 /// Runs the configured pipeline over \p F (mutating it from SSA to final
 /// non-SSA code) and returns the measurements.
 ///
 /// The entry step, timed under split-critical-edges, checks that \p F is
-/// single-assignment (else InputError) and erases its unreachable blocks,
-/// so every later phase sees only reachable code: there, SSA live ranges
-/// are dominator subtrees, which the class-interference engine needs.
+/// single-assignment and defines every value it uses (else InputError)
+/// and erases its unreachable blocks, so every later phase sees only
+/// reachable code: there, SSA live ranges are dominator subtrees, which
+/// the class-interference engine needs.
 PipelineResult runPipeline(Function &F, const PipelineConfig &Config);
 
 /// Same, but reusing the caller-owned \p AM instead of building a fresh

@@ -22,8 +22,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace lao;
 
@@ -118,19 +116,6 @@ lao::regAllocPresetOpt(const std::string &Name) {
       return std::nullopt;
   }
   return Opts;
-}
-
-RegAllocOptions lao::regAllocPreset(const std::string &Name) {
-  if (std::optional<RegAllocOptions> O = regAllocPresetOpt(Name))
-    return *O;
-  // Same fatal discipline as pipelinePreset: an assert compiles out of
-  // NDEBUG builds and a silently-default allocator corrupts every
-  // downstream measurement.
-  std::fprintf(stderr,
-               "lao: fatal: unknown regalloc preset '%s' "
-               "(want <allocator>[/<spill-model>], see regalloc/RegAlloc.h)\n",
-               Name.c_str());
-  std::abort();
 }
 
 std::unique_ptr<AllocatorStrategy> lao::makeAllocatorStrategy(AllocatorKind K) {

@@ -90,15 +90,8 @@ const char *spillModelName(SpillModelKind K);
 /// Parses an allocator preset "<allocator>[/<spill-model>]" — e.g.
 /// "chordal", "chaitin-briggs/load-store-opt" — into options carrying
 /// the default NumRegs/MaxRounds. Returns std::nullopt for an unknown
-/// name; use this from anything that parses user input (mirrors
-/// pipelinePresetOpt).
+/// name (mirrors pipelinePresetOpt).
 std::optional<RegAllocOptions> regAllocPresetOpt(const std::string &Name);
-
-/// Same, but unknown names are a fatal error in every build type
-/// (message to stderr, then abort) — callers pass compile-time
-/// constants; user-facing code goes through regAllocPresetOpt
-/// (mirrors pipelinePreset).
-RegAllocOptions regAllocPreset(const std::string &Name);
 
 struct RegAllocResult {
   bool Ok = false;           ///< False if allocation failed (see Error).

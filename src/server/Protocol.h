@@ -68,6 +68,8 @@
 #ifndef LAO_SERVER_PROTOCOL_H
 #define LAO_SERVER_PROTOCOL_H
 
+#include "driver/CompileJob.h"
+
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -85,24 +87,7 @@ struct FrameLimits {
   size_t MaxBodyBytes = 4u << 20;
 };
 
-/// The option block every request frame carries, REQ and BAT alike. A
-/// BAT shares one block among all its items, so a batch item compiles
-/// exactly like a REQ with the same options.
-struct RequestOptions {
-  std::string Pipeline = "Lphi,ABI+C";
-  bool BuildSSA = false;
-  uint64_t DeadlineMs = 0; ///< 0 = none (the server default may apply);
-                           ///< measured from frame arrival.
-  uint64_t SleepMs = 0;    ///< Diagnostic pre-compile idle (see above).
-  std::string RegAlloc;    ///< Allocator preset; empty = server default
-                           ///< (which is usually "no allocation").
-  uint64_t RegAllocRegs = 0; ///< Pool-size override; 0 = preset default.
-  std::string Exec;        ///< Execution engine ("interp"/"vm"/"both");
-                           ///< empty = do not execute.
-  std::vector<uint64_t> ExecArgs; ///< Arguments for the entry `input`.
-};
-
-/// One compile request, as parsed from a REQ frame.
+/// One compile request, as parsed from a REQ frame (options: CompileJob.h).
 struct Request : RequestOptions {
   uint64_t Id = 0;
   std::string Text;        ///< The mini-LAI function.

@@ -6,18 +6,10 @@
 
 #include "server/Server.h"
 
-#include "analysis/AnalysisManager.h"
-#include "exec/Interpreter.h"
-#include "exec/VM.h"
-#include "ir/Function.h"
-#include "ir/IRParser.h"
-#include "ir/IRPrinter.h"
-#include "outofssa/Pipeline.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
-#include "workloads/Suites.h"
 
 #include <algorithm>
 #include <condition_variable>
@@ -29,28 +21,6 @@
 
 using namespace lao;
 using Clock = std::chrono::steady_clock;
-
-const char *lao::outcomeName(RequestOutcome O) {
-  switch (O) {
-  case RequestOutcome::Ok:
-    return "ok";
-  case RequestOutcome::ParseError:
-    return "parse_error";
-  case RequestOutcome::UnknownPreset:
-    return "unknown_preset";
-  case RequestOutcome::Timeout:
-    return "timeout";
-  case RequestOutcome::PipelineError:
-    return "pipeline_error";
-  case RequestOutcome::Oversized:
-    return "oversized";
-  case RequestOutcome::BatchError:
-    return "batch_error";
-  case RequestOutcome::Protocol:
-    return "protocol_error";
-  }
-  return "unknown";
-}
 
 std::string lao::requestRecordJson(const RequestRecord &Rec) {
   JsonWriter W;
@@ -120,16 +90,6 @@ std::string batchSummaryJson(uint64_t Id, RequestOutcome O,
   return W.take();
 }
 
-/// The step budget of a server-side execution request. Fixed (not a
-/// request option) so dyn counters stay comparable across clients; it is
-/// the engines' own default and comfortably covers every suite function.
-constexpr uint64_t ExecMaxSteps = 1u << 22;
-
-/// The record's wire name for how an execution ended.
-const char *execStatusName(const ExecResult &R) {
-  return R.ok() ? "ok" : R.timedOut() ? "timeout" : "error";
-}
-
 /// Drains the worker's recycler hit count into the global counter.
 /// Called after compileRequest returned, i.e. after its StatsScope
 /// died: warm-path volume depends on scheduling (which worker got the
@@ -164,12 +124,6 @@ RequestRecord Server::compileRequest(const Request &Req, WorkerContext &Ctx,
   Rec.Id = Req.Id;
   Rec.Pipeline = Req.Pipeline;
   auto Start = Clock::now();
-  auto Fail = [&](RequestOutcome O, std::string Error) -> RequestRecord & {
-    Rec.Outcome = O;
-    Rec.Error = std::move(Error);
-    Rec.IR.clear();
-    return Rec;
-  };
 
   // Saturated at ~31 years, no practical limit: a larger value would
   // overflow Arrival + DeadlineMs on the clock.
@@ -196,148 +150,50 @@ RequestRecord Server::compileRequest(const Request &Req, WorkerContext &Ctx,
         std::chrono::duration<double>(Clock::now() - Start).count();
     return Rec;
   };
-
-  if (Expired()) {
+  auto TimedOut = [&](const char *When) -> RequestRecord & {
     ++LAO_STAT(server, timeouts);
-    return Finish(),
-           Fail(RequestOutcome::Timeout,
-                "deadline exceeded before compilation started");
-  }
+    Rec.Outcome = RequestOutcome::Timeout;
+    Rec.Error = formatStr("deadline exceeded %s", When);
+    return Finish();
+  };
 
+  if (Expired())
+    return TimedOut("before compilation started");
   // Diagnostic idle, in slices so a deadline interrupts it promptly.
   for (Clock::time_point SleepEnd =
            Start + std::chrono::milliseconds(Req.SleepMs);
        Clock::now() < SleepEnd;) {
-    if (Expired()) {
-      ++LAO_STAT(server, timeouts);
-      return Finish(), Fail(RequestOutcome::Timeout,
-                            "deadline exceeded during requested sleep");
-    }
+    if (Expired())
+      return TimedOut("during requested sleep");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  std::string ParseError;
-  std::unique_ptr<Function> F = parseFunction(Req.Text, &ParseError);
-  if (!F) {
+  CompileOutcome &O = Rec;
+  // The job reads an empty pipeline as "none"; on the wire it names no
+  // preset. A request without an allocator gets the daemon's default.
+  std::optional<RequestOptions> WithDefault;
+  if (Req.RegAlloc.empty() && !Opts.DefaultRegAlloc.empty())
+    WithDefault.emplace(Req).RegAlloc = Opts.DefaultRegAlloc;
+  if (Req.Pipeline.empty()) {
+    O.Outcome = RequestOutcome::UnknownPreset;
+    O.Error = "unknown pipeline preset ''";
+  } else {
+    const RequestOptions &AsSent = Req;
+    O = runCompileJob(Req.Text, WithDefault ? *WithDefault : AsSent, Ctx,
+                      Expired);
+  }
+  if (O.ok())
+    ++LAO_STAT(server, requests_ok);
+  else if (O.Outcome == RequestOutcome::ParseError)
     ++LAO_STAT(server, parse_errors);
-    return Finish(),
-           Fail(RequestOutcome::ParseError, "parse error: " + ParseError);
-  }
-  std::optional<PipelineConfig> Config = pipelinePresetOpt(Req.Pipeline);
-  if (!Config) {
+  else if (O.Outcome == RequestOutcome::UnknownPreset)
     ++LAO_STAT(server, preset_errors);
-    return Finish(), Fail(RequestOutcome::UnknownPreset,
-                          formatStr("unknown pipeline preset '%s'",
-                                    Req.Pipeline.c_str()));
-  }
-  Config->CancelCheck = Expired;
-  const std::string &RegAllocName =
-      Req.RegAlloc.empty() ? Opts.DefaultRegAlloc : Req.RegAlloc;
-  if (!RegAllocName.empty()) {
-    std::optional<RegAllocOptions> RA = regAllocPresetOpt(RegAllocName);
-    if (!RA) {
-      ++LAO_STAT(server, preset_errors);
-      return Finish(), Fail(RequestOutcome::UnknownPreset,
-                            formatStr("unknown regalloc preset '%s'",
-                                      RegAllocName.c_str()));
-    }
-    if (Req.RegAllocRegs)
-      RA->NumRegs = static_cast<unsigned>(Req.RegAllocRegs);
-    Config->RegAlloc = *RA;
-  }
-  if (!Req.Exec.empty() && Req.Exec != "interp" && Req.Exec != "vm" &&
-      Req.Exec != "both") {
-    ++LAO_STAT(server, preset_errors);
-    return Finish(), Fail(RequestOutcome::UnknownPreset,
-                          formatStr("unknown exec engine '%s' (want interp, "
-                                    "vm or both)",
-                                    Req.Exec.c_str()));
-  }
-
-  // Swap the request's function into the worker context: the reused
-  // manager is rebound to it inside runPipeline, and the previous
-  // request's function (which the manager may still reference through
-  // dropped-on-reset caches) dies only after this one is in place.
-  // When the slot's recycler is bound to this thread, the dying
-  // function's arena chunks park there and the *next* request's parse
-  // bump-allocates straight into them.
-  Ctx.F = std::move(F);
-  if (!Ctx.AM)
-    Ctx.AM = std::make_unique<AnalysisManager>(*Ctx.F);
-
-  try {
-    if (Req.BuildSSA && !normalizeToOptimizedSSA(*Ctx.F, &ParseError)) {
-      ++LAO_STAT(server, parse_errors);
-      return Finish(),
-             Fail(RequestOutcome::ParseError, "parse error: " + ParseError);
-    }
-    PipelineResult R = runPipeline(*Ctx.F, *Config, *Ctx.AM);
-    if (!R.InputError.empty()) {
-      ++LAO_STAT(server, parse_errors);
-      return Finish(),
-             Fail(RequestOutcome::ParseError, "parse error: " + R.InputError);
-    }
-    if (R.Cancelled) {
-      ++LAO_STAT(server, timeouts);
-      return Finish(), Fail(RequestOutcome::Timeout,
-                            "deadline exceeded during compilation");
-    }
-    Rec.Moves = R.NumMoves;
-    Rec.WeightedMoves = R.WeightedMoves;
-    if (R.RegAlloc) {
-      if (!R.RegAlloc->Ok) {
-        ++LAO_STAT(server, pipeline_errors);
-        return Finish(), Fail(RequestOutcome::PipelineError,
-                              "regalloc error: " + R.RegAlloc->Error);
-      }
-      Rec.HasRegAlloc = true;
-      Rec.Allocator = allocatorName(Config->RegAlloc->Allocator);
-      Rec.SpillMode = spillModelName(Config->RegAlloc->SpillMode);
-      Rec.Spills = R.RegAlloc->NumSpilled;
-      Rec.SpillAccesses = R.RegAlloc->NumSpillLoads + R.RegAlloc->NumSpillStores;
-      Rec.RegsUsed = R.RegAlloc->NumRegsUsed;
-      Rec.FrameBytes = R.RegAlloc->FrameBytes;
-    }
-    Rec.IR = printFunction(*Ctx.F);
-    if (!Req.Exec.empty()) {
-      // Execute the transformed function the client just compiled. The
-      // VM is the reporting engine for "vm" and "both" (its dyn counters
-      // are the results axis the bench gates); "both" additionally runs
-      // the interpreter and holds the two to the sameOutcome contract —
-      // an in-process differential on live traffic.
-      ExecResult ER = Req.Exec == "interp"
-                          ? interpret(*Ctx.F, Req.ExecArgs, ExecMaxSteps)
-                          : executeVM(*Ctx.F, Req.ExecArgs, ExecMaxSteps);
-      if (Req.Exec == "both") {
-        ExecResult IRes = interpret(*Ctx.F, Req.ExecArgs, ExecMaxSteps);
-        if (!ER.sameOutcome(IRes)) {
-          ++LAO_STAT(server, exec_divergences);
-          return Finish(),
-                 Fail(RequestOutcome::PipelineError,
-                      formatStr("exec divergence: vm %s (%s), interp %s (%s)",
-                                execStatusName(ER), ER.Error.c_str(),
-                                execStatusName(IRes), IRes.Error.c_str()));
-        }
-      }
-      Rec.HasExec = true;
-      Rec.ExecEngine = Req.Exec;
-      Rec.ExecStatus = execStatusName(ER);
-      Rec.ExecError = ER.Error;
-      Rec.DynInstrs = ER.Steps;
-      Rec.DynMoves = ER.DynMoves;
-      Rec.ExecOutputs = std::move(ER.Outputs);
-      Rec.ExecRet = ER.ok() ? ER.RetValue : 0;
-    }
-  } catch (const std::exception &E) {
+  else if (O.Outcome == RequestOutcome::Timeout)
+    ++LAO_STAT(server, timeouts);
+  else if (O.ExecDiverged)
+    ++LAO_STAT(server, exec_divergences);
+  else
     ++LAO_STAT(server, pipeline_errors);
-    return Finish(), Fail(RequestOutcome::PipelineError,
-                          formatStr("pipeline error: %s", E.what()));
-  } catch (...) {
-    ++LAO_STAT(server, pipeline_errors);
-    return Finish(),
-           Fail(RequestOutcome::PipelineError, "pipeline error: unknown");
-  }
-  ++LAO_STAT(server, requests_ok);
   return Finish();
 }
 

@@ -15,9 +15,9 @@
 /// "millions of users" architecture step in ROADMAP.md, every piece of
 /// request-scoped state is explicit:
 ///
-///  * one WorkerContext per pool slot, holding a reused
-///    AnalysisManager (reset per request), the request's Function (kept
-///    alive exactly as long as the manager is bound to it), and an
+///  * one WorkerContext (driver/CompileJob.h) per pool slot, holding a
+///    reused AnalysisManager (reset per request), the request's Function
+///    (kept alive exactly as long as the manager is bound to it), and an
 ///    ArenaRecycler so the next request on the slot bump-allocates into
 ///    the chunks the previous one just released;
 ///  * one StatsScope per REQ, so the per-request counter deltas in the
@@ -26,15 +26,15 @@
 ///    items skip the scope — the lean path — and their records carry an
 ///    empty counters object plus their "item" position;
 ///  * cooperative deadlines: measured from frame arrival, enforced
-///    before compilation, during diagnostic sleeps, and between pipeline
-///    phases via PipelineConfig::CancelCheck;
-///  * graceful degradation: a request that fails to parse (including
-///    "ssa: 1" on text that is already SSA or reads an undefined
-///    variable), names an unknown preset, oversteps the frame limit,
-///    times out, carries malformed batch sub-framing, or throws yields a
-///    structured error record — the daemon keeps serving. The only
-///    fatal condition is an unframeable input stream, answered with a
-///    final id-0 protocol error record.
+///    before compilation, during diagnostic sleeps, and inside the
+///    compile job via its cancel callback;
+///  * graceful degradation: a request that fails to parse, is not valid
+///    input ("ssa: 1" on SSA text, a use nothing defines), names an
+///    unknown preset, oversteps the frame limit, times out, carries
+///    malformed batch sub-framing, or throws yields a structured error
+///    record — the daemon keeps serving. The only fatal condition is an
+///    unframeable input stream, answered with a final id-0 protocol
+///    error record.
 ///
 /// The worker pool is constructed once per Server and **shared by every
 /// serve() call**: serve() may run concurrently on N threads (the
@@ -45,19 +45,18 @@
 /// reader — not the pool — when the client races too far ahead.
 ///
 /// Response *order* is deterministic per connection (arrival order, via
-/// the reorder buffer) and response *content* is byte-identical to the
-/// one-shot lao-opt pipeline on the same input: the worker runs the
-/// exact same parse -> [normalizeToOptimizedSSA] -> runPipeline ->
-/// printFunction path. Timing fields in the JSON record are the only
-/// nondeterminism.
+/// the reorder buffer) and response *content* is byte-identical to
+/// lao-opt on the same input and options: each item is one call of the
+/// compile job lao-opt also calls (runCompileJob, driver/CompileJob.h).
+/// Timing fields in the JSON record are the only nondeterminism.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LAO_SERVER_SERVER_H
 #define LAO_SERVER_SERVER_H
 
+#include "driver/CompileJob.h"
 #include "server/Protocol.h"
-#include "support/Arena.h"
 #include "support/Stats.h"
 
 #include <atomic>
@@ -69,8 +68,6 @@
 
 namespace lao {
 
-class AnalysisManager;
-class Function;
 class ThreadPool;
 
 struct ServerOptions {
@@ -92,62 +89,16 @@ struct ServerOptions {
   std::string DefaultRegAlloc;
 };
 
-/// How one request ended. Mirrored textually in the record's "outcome".
-enum class RequestOutcome {
-  Ok,
-  ParseError,    ///< Function text or option block did not parse.
-  UnknownPreset, ///< Pipeline name is not a Table 1 preset.
-  Timeout,       ///< Deadline expired (queued, sleeping, or mid-phase).
-  PipelineError, ///< An exception escaped the compile path.
-  Oversized,     ///< Declared body length over the frame limit.
-  BatchError,    ///< Malformed batch sub-framing inside a framed body.
-  Protocol,      ///< Framing failure (the final, fatal record).
-};
-
-/// Returns the wire name of \p O ("ok", "parse_error", ...).
-const char *outcomeName(RequestOutcome O);
-
-/// Everything the server knows about one finished request. The response
+/// Everything the server knows about one finished request: the compile
+/// job's outcome plus the request's identity and timing. The response
 /// frame is rendered from this and nothing else.
-struct RequestRecord {
+struct RequestRecord : CompileOutcome {
   uint64_t Id = 0;
-  RequestOutcome Outcome = RequestOutcome::Ok;
-  bool ok() const { return Outcome == RequestOutcome::Ok; }
-  std::string Error;       ///< Human-readable; empty when ok.
   std::string Pipeline;
   int64_t Item = -1;       ///< Position inside a batch; -1 = not batched.
-  unsigned Moves = 0;      ///< PipelineResult::NumMoves.
-  uint64_t WeightedMoves = 0;
   double Seconds = 0;      ///< Wall time inside the worker.
-  /// Register-allocation outcome, when the request asked for it. The
-  /// record then carries allocator/spill_mode/spills/spill_accesses/
-  /// regs_used/frame_bytes keys; a failed allocation is reported as a
-  /// PipelineError outcome with the allocator's message.
-  bool HasRegAlloc = false;
-  std::string Allocator;   ///< allocatorName() of the applied preset.
-  std::string SpillMode;   ///< spillModelName() of the applied preset.
-  unsigned Spills = 0;         ///< RegAllocResult::NumSpilled.
-  unsigned SpillAccesses = 0;  ///< NumSpillLoads + NumSpillStores.
-  unsigned RegsUsed = 0;       ///< RegAllocResult::NumRegsUsed.
-  unsigned FrameBytes = 0;     ///< RegAllocResult::FrameBytes.
-  /// Execution-tier outcome, when the request carried an "exec" key. The
-  /// record then reports exec_engine/exec_status/dyn_instrs/dyn_moves/
-  /// exec_outputs/exec_ret (plus exec_error when the run failed). A
-  /// program-level failure (undefined read, step limit) is a valid
-  /// result, not a request error; only a "both" divergence fails the
-  /// request. dyn counters come from the engine that ran — the VM for
-  /// "vm" and "both", the interpreter for "interp".
-  bool HasExec = false;
-  std::string ExecEngine;      ///< "interp", "vm" or "both", as requested.
-  std::string ExecStatus;      ///< "ok", "error" or "timeout".
-  std::string ExecError;       ///< Program-level diagnostic; empty on ok.
-  uint64_t DynInstrs = 0;      ///< ExecResult::Steps.
-  uint64_t DynMoves = 0;       ///< ExecResult::DynMoves.
-  std::vector<uint64_t> ExecOutputs; ///< The `output` trace.
-  uint64_t ExecRet = 0;        ///< The `ret` value; 0 unless ok.
   StatsSnapshot Counters;  ///< Exact per-request deltas (StatsScope);
                            ///< empty on the lean batch-item path.
-  std::string IR;          ///< Transformed function; empty on error.
 };
 
 /// Renders the one-line JSON record of a response body.
@@ -168,26 +119,17 @@ struct ServerReport {
   StatsSnapshot MergedCounters; ///< Sum of per-request deltas.
 };
 
-/// Per-worker reusable state: the long-lived AnalysisManager, the
-/// Function it is currently bound to, and the slot's chunk recycler.
-/// The function must outlive the manager's binding, so both live here
-/// and are replaced together on the next request.
-struct WorkerContext {
-  std::unique_ptr<Function> F;
-  std::unique_ptr<AnalysisManager> AM;
-  ArenaRecycler Recycler;
-};
-
 class Server {
 public:
   explicit Server(ServerOptions Opts = {});
   ~Server();
 
-  /// Compiles one request through \p Ctx's reused manager. \p Arrival
-  /// anchors the deadline. This is the whole per-item path — serve()
-  /// calls it from pool workers for REQ and BAT items alike, tests call
-  /// it directly. With \p PerRequestCounters off (the lean batch-item
-  /// path) no StatsScope is opened and the record's Counters stay empty.
+  /// Compiles one request through \p Ctx's reused manager: the deadline
+  /// and sleep checks, then one runCompileJob call. \p Arrival anchors
+  /// the deadline. This is the whole per-item path — serve() calls it
+  /// from pool workers for REQ and BAT items alike, tests call it
+  /// directly. With \p PerRequestCounters off (the lean batch-item path)
+  /// no StatsScope is opened and the record's Counters stay empty.
   static RequestRecord compileRequest(const Request &Req, WorkerContext &Ctx,
                                       std::chrono::steady_clock::time_point
                                           Arrival,

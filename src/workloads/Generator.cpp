@@ -8,6 +8,7 @@
 
 #include "ir/IRBuilder.h"
 #include "support/Rng.h"
+#include "support/StringUtils.h"
 
 #include <vector>
 
@@ -26,7 +27,7 @@ public:
     // Parameters.
     Instruction Input(Opcode::Input);
     for (unsigned K = 0; K < P.NumParams; ++K) {
-      RegId V = F->makeVirtual("p" + std::to_string(K));
+      RegId V = F->makeVirtual(formatStr("p%u", K));
       Input.addDef(V);
       IntVars.push_back(V);
     }

@@ -151,6 +151,31 @@ TEST(Parser, ReportsErrors) {
   EXPECT_NE(Error.find("nowhere"), std::string::npos);
 }
 
+TEST(Parser, RejectsInstructionAfterTerminator) {
+  // BasicBlock::append asserts on this, so the parser must refuse it.
+  std::string Error;
+  EXPECT_EQ(parseFunction("func @f {\nentry:\n  input %a\n  ret %a\n"
+                          "  output %a\n}",
+                          &Error),
+            nullptr);
+  EXPECT_EQ(Error, "line 5: instruction after the terminator of block "
+                   "'entry'");
+}
+
+TEST(Parser, RejectsBlockWithoutTerminator) {
+  // Accepted, this would pass the pipeline and only fail at run time
+  // ("fell off the end of block").
+  std::string Error;
+  EXPECT_EQ(parseFunction("func @f {\nentry:\n  input %a\n  output %a\n}",
+                          &Error),
+            nullptr);
+  EXPECT_EQ(Error, "line 2: block 'entry' does not end with a terminator");
+  // An empty block, named by the line of its label.
+  EXPECT_EQ(parseFunction("func @f {\nentry:\n  jump b\nb:\n}", &Error),
+            nullptr);
+  EXPECT_EQ(Error, "line 4: block 'b' does not end with a terminator");
+}
+
 TEST(Parser, RejectsDuplicateLabels) {
   std::string Error;
   EXPECT_EQ(parseFunction("func @f {\na:\n  jump a\na:\n  jump a\n}", &Error),

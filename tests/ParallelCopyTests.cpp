@@ -42,7 +42,9 @@ std::unique_ptr<Function> makeParCopyFunction(
   std::vector<RegId> Vars;
   Instruction Input(Opcode::Input);
   for (unsigned K = 0; K < SrcOf.size(); ++K) {
-    RegId V = F->makeVirtual("v" + std::to_string(K));
+    std::string Name = "v"; // g++ 12 -O3 misreports "v" + ... (-Wrestrict).
+    Name += std::to_string(K);
+    RegId V = F->makeVirtual(Name);
     Input.addDef(V);
     Vars.push_back(V);
   }

@@ -371,3 +371,55 @@ dead:
   EXPECT_TRUE(R.InputError.empty()) << R.InputError;
   EXPECT_EQ(F->numBlocks(), 1u);
 }
+
+TEST(Pipeline, UndefinedUseIsRejectedAtEntry) {
+  // %u is never defined: every preset reports it before any pass runs,
+  // instead of tripping the translator's never-written-slot assertion.
+  const char *Text = R"(
+func @f {
+entry:
+  input %a
+  %b = add %u, %u
+  ret %b
+}
+)";
+  for (const char *Preset : AllPresets) {
+    auto F = parse(Text);
+    PipelineResult R = runPipeline(*F, pipelinePreset(Preset));
+    EXPECT_EQ(R.InputError,
+              "%u is used but never defined; the pipeline needs SSA input")
+        << Preset;
+  }
+  // A definition that only unreachable code makes does not count.
+  auto G = parse(R"(
+func @g {
+entry:
+  input %a
+  %b = add %a, %d
+  ret %b
+dead:
+  %d = make 7
+  ret %d
+}
+)");
+  EXPECT_NE(runPipeline(*G, pipelinePreset("Lphi,ABI+C"))
+                .InputError.find("%d is used but never defined"),
+            std::string::npos);
+  // A phi operand flowing in from a dead block is dropped with it, not
+  // rejected, even when nothing defines it.
+  auto H = parse(R"(
+func @h {
+entry:
+  input %a
+  jump j
+dead:
+  jump j
+j:
+  %x = phi [%a, entry], [%nowhere, dead]
+  ret %x
+}
+)");
+  PipelineResult R = runPipeline(*H, pipelinePreset("Lphi,ABI+C"));
+  EXPECT_TRUE(R.InputError.empty()) << R.InputError;
+  EXPECT_EQ(H->numBlocks(), 2u);
+}

@@ -167,8 +167,8 @@ entry:
 )");
   for (Function *F : {Phi.get(), ParCopy.get()}) {
     std::string Before = printFunction(*F);
-    for (const RegAllocOptions &Opts :
-         {regAllocPreset("chaitin-briggs"), regAllocPreset("chordal")}) {
+    for (const char *Preset : {"chaitin-briggs", "chordal"}) {
+      RegAllocOptions Opts = *regAllocPresetOpt(Preset);
       RegAllocResult R = allocateRegisters(*F, Opts);
       EXPECT_FALSE(R.Ok);
       EXPECT_NE(R.Error.find("out-of-SSA pipeline"), std::string::npos)

@@ -182,7 +182,9 @@ TEST(SSAConstruction, GeneratedProgramsVerify) {
     P.MaxNesting = 3;
     P.UseSP = Seed % 2 == 0;
     P.UsePsi = true;
-    auto F = generateProgram(P, "g" + std::to_string(Seed));
+    std::string Name = "g"; // g++ 12 -O3 misreports "g" + ... (-Wrestrict).
+    Name += std::to_string(Seed);
+    auto F = generateProgram(P, Name);
     auto Before = interpret(*F, {1, 2});
     buildSSA(*F);
     expectWellFormed(*F);
@@ -385,7 +387,9 @@ TEST(Transforms, NormalizationPreservesSemantics) {
     P.NumStatements = 22;
     P.MaxNesting = 2;
     P.ExtraCopies = true;
-    auto F = generateProgram(P, "n" + std::to_string(Seed));
+    std::string Name = "n"; // g++ 12 -O3 misreports "n" + ... (-Wrestrict).
+    Name += std::to_string(Seed);
+    auto F = generateProgram(P, Name);
     auto Before = interpret(*F, {4, 5});
     buildSSA(*F);
     propagateCopies(*F);

@@ -314,13 +314,13 @@ TEST(Server, RegAllocRequestAllocatesAndRecords) {
   ASSERT_EQ(Responses.size(), 1u);
   EXPECT_TRUE(Responses[0].Ok) << Responses[0].RecordJson;
 
-  // Reference: the same pipeline with the same allocation, in-process.
+  // Reference: the same pipeline, then the same allocation, in-process.
   auto F = parseFunction(SimpleFunc);
   ASSERT_TRUE(F != nullptr);
-  PipelineConfig Config = pipelinePreset("Lphi,ABI+C");
-  Config.RegAlloc = regAllocPreset("chordal/load-store-opt");
-  Config.RegAlloc->NumRegs = 8;
-  runPipeline(*F, Config);
+  runPipeline(*F, pipelinePreset("Lphi,ABI+C"));
+  RegAllocOptions RA = *regAllocPresetOpt("chordal/load-store-opt");
+  RA.NumRegs = 8;
+  ASSERT_TRUE(allocateRegisters(*F, RA).Ok);
   EXPECT_EQ(Responses[0].IR, printFunction(*F));
   EXPECT_TRUE(collectVirtualRegs(*F).empty());
 
@@ -364,6 +364,14 @@ TEST(Server, DefaultRegAllocAppliesAndRequestOverrides) {
   EXPECT_EQ(S.records()[0].Allocator, "chaitin-briggs");
   EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
   EXPECT_EQ(S.records()[1].Allocator, "chordal");
+
+  // compileRequest applies the default itself, for a direct caller too.
+  WorkerContext Ctx;
+  RequestRecord Direct = Server::compileRequest(
+      Defaulted, Ctx, std::chrono::steady_clock::now(), Opts);
+  ASSERT_TRUE(Direct.ok()) << Direct.Error;
+  EXPECT_EQ(Direct.Allocator, "chaitin-briggs");
+  EXPECT_EQ(Direct.IR, Responses[0].IR);
 }
 
 TEST(Server, UnknownRegAllocPresetIsPerRequestError) {
@@ -524,6 +532,48 @@ j:
   EXPECT_EQ(S.report().NumParseErrors, 1u);
 }
 
+TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
+  // Both inputs reach an assertion unless refused first: an instruction
+  // after a terminator (BasicBlock::append's, in the parser) and, with
+  // "ssa: 0", a use nothing defines (the translator's slot assertion).
+  // Each gets a parse_error record; the frame after them compiles.
+  Request AfterRet;
+  AfterRet.Id = 1;
+  AfterRet.Text = "func @f {\nentry:\n  input %a\n  ret %a\n"
+                  "  output %a\n}\n";
+  Request Undefined;
+  Undefined.Id = 2;
+  Undefined.Text = "func @f {\nentry:\n  input %a\n  %b = add %u, %u\n"
+                   "  ret %b\n}\n";
+  Request Good;
+  Good.Id = 3;
+  Good.Text = SimpleFunc;
+  ServerOptions Opts;
+  Opts.NumWorkers = 2;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts,
+                        encodeRequest(AfterRet) + encodeRequest(Undefined) +
+                            encodeRequest(Good),
+                        Responses, &S),
+            0);
+  ASSERT_EQ(Responses.size(), 3u);
+  ASSERT_EQ(S.records().size(), 3u);
+  EXPECT_EQ(S.records()[0].Outcome, RequestOutcome::ParseError);
+  EXPECT_EQ(S.records()[0].Error,
+            "parse error: line 5: instruction after the terminator of block "
+            "'entry'");
+  EXPECT_EQ(S.records()[1].Outcome, RequestOutcome::ParseError);
+  EXPECT_EQ(S.records()[1].Error, "ssa error: %u is used but never defined; "
+                                  "the pipeline needs SSA input");
+  EXPECT_TRUE(Responses[0].IR.empty());
+  EXPECT_TRUE(Responses[1].IR.empty());
+  EXPECT_TRUE(Responses[2].Ok) << Responses[2].RecordJson;
+  EXPECT_EQ(Responses[2].IR, oneShot(SimpleFunc));
+  EXPECT_EQ(S.report().NumParseErrors, 2u);
+}
+
 TEST(Server, OversizedFrameThenGoodFrame) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;
@@ -666,6 +716,21 @@ TEST(Server, ConcurrentStressIsDeterministic) {
         << "per-request stat deltas diverged for request "
         << Serial[K].Id;
   }
+}
+
+TEST(Server, EmptyPipelineIsAnUnknownPreset) {
+  // The compile job reads an empty pipeline as "run none"; a request
+  // must name a preset, so the server answers before calling the job.
+  WorkerContext Ctx;
+  Request R;
+  R.Id = 1;
+  R.Text = SimpleFunc;
+  R.Pipeline.clear();
+  RequestRecord Rec = Server::compileRequest(
+      R, Ctx, std::chrono::steady_clock::now(), ServerOptions());
+  EXPECT_EQ(Rec.Outcome, RequestOutcome::UnknownPreset);
+  EXPECT_EQ(Rec.Error, "unknown pipeline preset ''");
+  EXPECT_EQ(Rec.IR, "");
 }
 
 TEST(Server, CompileRequestAttributesStatsPerRequest) {

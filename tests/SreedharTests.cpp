@@ -173,7 +173,9 @@ TEST(Sreedhar, ConvertedSuiteFunctionsStayValidSSA) {
     P.Seed = Seed;
     P.NumStatements = 20;
     P.MaxNesting = 2;
-    auto F = generateProgram(P, "s" + std::to_string(Seed));
+    std::string Name = "s"; // g++ 12 -O3 misreports "s" + ... (-Wrestrict).
+    Name += std::to_string(Seed);
+    auto F = generateProgram(P, Name);
     normalizeToOptimizedSSA(*F);
     splitCriticalEdges(*F);
     convertToCSSA(*F);

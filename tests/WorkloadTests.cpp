@@ -44,7 +44,9 @@ TEST(Generator, ProgramsAreWellFormedAndRunnable) {
     P.UseSP = Seed % 2 == 0;
     P.UsePsi = Seed % 3 == 0;
     P.ExtraCopies = Seed % 5 == 0;
-    auto F = generateProgram(P, "w" + std::to_string(Seed));
+    std::string Name = "w"; // g++ 12 -O3 misreports "w" + ... (-Wrestrict).
+    Name += std::to_string(Seed);
+    auto F = generateProgram(P, Name);
     expectWellFormed(*F);
     ExecResult R = interpret(*F, {Seed, Seed + 1});
     EXPECT_TRUE(R.ok()) << "seed " << Seed << ": " << R.Error;

@@ -8,7 +8,15 @@ Runs the lao-opt binary on tests/lao_opt_input.lai and checks that
     per_pass_seconds, counters) plus the new sections;
   * a --regalloc run without --pipeline still writes a report;
   * the removed reporting flags and malformed numbers exit 2;
-  * register allocation of code that still has phis exits 1.
+  * register allocation of code that still has phis exits 1;
+  * lao-client --selftest exits 1 when its in-process reference fails;
+  * lao-opt and a lao-server fed the same text and options over pipes
+    print byte-identical IR and agree on moves, spills, registers used
+    and the run: both front doors call one compile job;
+  * the two inputs that reach an assertion unless refused first (an
+    instruction after a terminator; a use nothing defines, without
+    --ssa) exit 1 with the job's error text, which the server answers
+    verbatim.
 It also checks that lao-server and lao-client reject malformed numeric
 flags with exit 2 and the usage line.
 
@@ -18,6 +26,7 @@ passes them); stdlib only.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,6 +49,30 @@ def run(binary, *args):
 
 def lao_opt(*args):
     return run(LAO_OPT, *args)
+
+
+def serve(bodies):
+    """Sends each body as one REQ frame to a one-worker lao-server over
+    its stdin/stdout and returns the (record, IR) pairs it answered."""
+    frames = b""
+    for k, body in enumerate(bodies, 1):
+        data = body.encode()
+        frames += b"LAO1 REQ %d %d\n" % (k, len(data)) + data + b"\n"
+    proc = subprocess.run([LAO_SERVER, "--workers=1"], input=frames,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out, answers = proc.stdout, []
+    while out:
+        header, out = out.split(b"\n", 1)
+        size = int(header.split()[3])
+        record, ir = out[:size].decode().split("\n\n", 1)
+        answers.append((json.loads(record), ir))
+        out = out[size + 1:]
+    return answers
+
+
+AFTER_RET = "func @f {\nentry:\n  input %a\n  ret %a\n  output %a\n}\n"
+UNDEFINED = "func @f {\nentry:\n  input %a\n  %b = add %u, %u\n  ret %b\n}\n"
 
 
 class LaoOptCli(unittest.TestCase):
@@ -128,6 +161,66 @@ class LaoOptCli(unittest.TestCase):
                            "%s=%s" % (flag, value), INPUT)
                 self.assertEqual(proc.returncode, 2, (flag, value))
                 self.assertIn("usage:", proc.stderr)
+
+    def test_lao_opt_and_server_agree(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "stats.json")
+            proc = lao_opt("--ssa", "--pipeline=Lphi,ABI+C",
+                           "--regalloc=chordal/load-store-opt",
+                           "--regalloc-regs=8", "--run", "5,9",
+                           "--exec=both", "--stats=" + path, INPUT)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            with open(path) as f:
+                doc = json.load(f)
+        with open(INPUT) as f:
+            text = f.read()
+        [(record, ir)] = serve(["pipeline: Lphi,ABI+C\nssa: 1\n"
+                                "regalloc: chordal/load-store-opt\n"
+                                "regalloc_regs: 8\nexec: both\n"
+                                "exec_args: 5,9\n\n" + text])
+        self.assertTrue(record["ok"], record)
+        ir_text, run_line = proc.stdout.rsplit("; run:", 1)
+        self.assertEqual(ir, ir_text)
+        self.assertEqual(record["moves"], doc["moves"])
+        self.assertEqual(record["weighted_moves"], doc["weighted_moves"])
+        self.assertEqual(record["regs_used"], doc["regalloc"]["regs_used"])
+        self.assertEqual(record["spills"],
+                         doc["counters"].get("regalloc.spilled_values", 0))
+        agree = re.search(r"vm (\d+) instrs / (\d+) moves", proc.stderr)
+        self.assertEqual([record["dyn_instrs"], record["dyn_moves"]],
+                         [int(agree.group(1)), int(agree.group(2))])
+        outs = " ".join("out=%d" % v for v in record["exec_outputs"])
+        self.assertTrue(run_line.startswith(
+            " %s ret=%d (matches input program: yes)"
+            % (outs, record["exec_ret"])), run_line)
+
+    def test_abort_inputs_exit_1_with_the_job_error(self):
+        expected = [
+            "parse error: line 5: instruction after the terminator of "
+            "block 'entry'",
+            "ssa error: %u is used but never defined; the pipeline needs "
+            "SSA input"]
+        answers = serve(["pipeline: Lphi,ABI+C\n\n" + text
+                         for text in [AFTER_RET, UNDEFINED]])
+        for text, error, (record, ir) in zip([AFTER_RET, UNDEFINED],
+                                             expected, answers):
+            proc = subprocess.run([LAO_OPT, "--pipeline=Lphi,ABI+C", "-"],
+                                  input=text, capture_output=True,
+                                  text=True, timeout=60)
+            self.assertEqual(proc.returncode, 1, proc.stderr)
+            self.assertEqual(proc.stderr, error + "\n")
+            self.assertEqual(record["outcome"], "parse_error")
+            self.assertEqual(record["error"], error)
+            self.assertEqual(ir, "")
+
+    def test_selftest_fails_when_a_reference_fails(self):
+        # A one-register pool fails every reference allocation; the
+        # selftest must fail rather than check no function at all.
+        proc = run(LAO_CLIENT, "--server=%s --workers=1" % LAO_SERVER,
+                   "--regalloc=chaitin-briggs", "--regalloc-regs=1",
+                   "--selftest")
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("need at least two allocatable registers", proc.stderr)
 
     def test_regalloc_on_phis_exits_1(self):
         proc = lao_opt("--ssa", "--regalloc", INPUT)

@@ -39,8 +39,8 @@
 //     --quiet             don't print the transformed IR
 //     --selftest          ignore file arguments: submit every function
 //                         of every benchmark suite and require each
-//                         response to be byte-identical to the one-shot
-//                         in-process pipeline on the same text — the
+//                         response to be byte-identical to the compile
+//                         job run in-process on the same text — the
 //                         server-vs-lao-opt equivalence gate CI runs
 //
 // When the client spawned a socket-mode server itself, it finishes by
@@ -57,7 +57,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "outofssa/Pipeline.h"
 #include "server/Protocol.h"
@@ -245,33 +244,31 @@ bool loadFileJobs(const Options &Opts, std::vector<Job> &Jobs) {
   return true;
 }
 
-void loadSelftestJobs(const Options &Opts, std::vector<Job> &Jobs) {
+/// False when a reference job failed for any reason but text that does
+/// not parse back (such a function is skipped, as it cannot be sent).
+bool loadSelftestJobs(const Options &Opts, std::vector<Job> &Jobs) {
   uint64_t NextId = 1;
-  PipelineConfig Config = pipelinePreset(Opts.Req.Pipeline);
-  if (!Opts.Req.RegAlloc.empty()) {
-    Config.RegAlloc = regAllocPreset(Opts.Req.RegAlloc);
-    if (Opts.Req.RegAllocRegs)
-      Config.RegAlloc->NumRegs = static_cast<unsigned>(Opts.Req.RegAllocRegs);
-  }
+  bool AllRefsOk = true;
   for (const SuiteSpec &Spec : allSuites())
     for (Workload &W : Spec.Make()) {
       Job J;
       J.Req = Request{Opts.Req, NextId++, printFunction(*W.F)};
       J.Label = std::string(Spec.Name) + "/" + W.Name;
-      // The reference result: the exact one-shot path lao-opt runs,
-      // on the same *text* the server will see (parse of a print, so
-      // value numbering matches the server's parse).
-      std::string ParseError;
-      auto Ref = parseFunction(J.Req.Text, &ParseError);
-      if (!Ref) {
-        std::fprintf(stderr, "selftest: %s does not round-trip: %s\n",
-                     J.Label.c_str(), ParseError.c_str());
+      // The reference: the server's compile job, in-process, on the
+      // *text* the server will see (value numbering matches its parse)
+      // and on a fresh context, so manager reuse is on one side only.
+      WorkerContext Ctx;
+      CompileOutcome Ref = runCompileJob(J.Req.Text, J.Req, Ctx);
+      if (!Ref.ok()) {
+        std::fprintf(stderr, "selftest: %s has no reference: %s\n",
+                     J.Label.c_str(), Ref.Error.c_str());
+        AllRefsOk &= Ref.Error.rfind("parse error: ", 0) == 0;
         continue;
       }
-      runPipeline(*Ref, Config);
-      J.Expected = printFunction(*Ref);
+      J.Expected = std::move(Ref.IR);
       Jobs.push_back(std::move(J));
     }
+  return AllRefsOk;
 }
 
 /// Packs jobs into wire frames: one REQ each, or BAT frames of up to
@@ -421,9 +418,8 @@ int main(int Argc, char **Argv) {
   }
 
   std::vector<Job> Jobs;
-  if (Opts.Selftest)
-    loadSelftestJobs(Opts, Jobs);
-  else if (!loadFileJobs(Opts, Jobs))
+  if (Opts.Selftest ? !loadSelftestJobs(Opts, Jobs)
+                    : !loadFileJobs(Opts, Jobs))
     return 1;
   std::vector<Frame> Frames = buildFrames(Opts, Jobs);
 

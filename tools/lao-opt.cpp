@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Reads a mini-LAI function from a file (or stdin with "-"), runs the
-// requested passes, and prints the result. A miniature of the original
-// LAO tool's command line.
+// requested passes as one compile job (driver/CompileJob.h, as the
+// server does), and prints the result. A miniature of the original LAO
+// tool's command line.
 //
 //   lao-opt [options] <file.lai|->
 //     --ssa               build optimized pruned SSA first (for non-SSA
@@ -44,23 +45,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "exec/Interpreter.h"
-#include "exec/VM.h"
-#include "ir/Clone.h"
+#include "driver/CompileJob.h"
 #include "ir/DotExport.h"
 #include "ir/IRParser.h"
-#include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
-#include "outofssa/MoveStats.h"
-#include "outofssa/Pipeline.h"
-#include "regalloc/RegAlloc.h"
-#include "ssa/IfConversion.h"
-#include "ssa/SSAVerifier.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
-#include "support/Timer.h"
-#include "workloads/Suites.h"
 
 #include <climits>
 #include <cstdio>
@@ -77,16 +68,10 @@ using namespace lao;
 namespace {
 
 struct Options {
-  bool BuildSSA = false;
-  bool IfConvert = false;
-  std::string Pipeline;
-  bool RegAlloc = false;
-  RegAllocOptions RegAllocOpts;
+  RequestOptions Job; ///< Pipeline empty = no pipeline; Exec set by --run.
   bool Dot = false;
-  bool Verify = false;
   bool Stats = false;
   std::string StatsFile; ///< --stats=<file>: JSON there, not text.
-  std::vector<uint64_t> RunArgs;
   bool Run = false;
   std::string Exec = "interp"; ///< --run engine: interp, vm, or both.
   std::string InputPath;
@@ -104,41 +89,37 @@ int usage(const char *Argv0) {
 }
 
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
+  Opts.Job.Pipeline.clear(); // No pipeline unless --pipeline names one.
   for (int K = 1; K < Argc; ++K) {
     std::string A = Argv[K];
-    uint64_t V = 0;
     bool Ok = true;
     if (A == "--ssa") {
-      Opts.BuildSSA = true;
+      Opts.Job.BuildSSA = true;
     } else if (A == "--ifconvert") {
-      Opts.IfConvert = true;
+      Opts.Job.IfConvert = true;
     } else if (A.rfind("--pipeline=", 0) == 0) {
-      Opts.Pipeline = A.substr(std::strlen("--pipeline="));
+      Opts.Job.Pipeline = A.substr(std::strlen("--pipeline="));
     } else if (A == "--regalloc") {
-      Opts.RegAlloc = true;
+      if (Opts.Job.RegAlloc.empty())
+        Opts.Job.RegAlloc = "chaitin-briggs";
     } else if (A.rfind("--regalloc=", 0) == 0) {
-      Opts.RegAlloc = true;
-      std::string Value = A.substr(std::strlen("--regalloc="));
-      std::optional<RegAllocOptions> RA = regAllocPresetOpt(Value);
-      if (!RA) {
+      Opts.Job.RegAlloc = A.substr(std::strlen("--regalloc="));
+      if (!regAllocPresetOpt(Opts.Job.RegAlloc)) {
         std::fprintf(stderr,
                      "unknown regalloc preset '%s' (want "
                      "<allocator>[/<spill-model>], see "
                      "regalloc/RegAlloc.h)\n",
-                     Value.c_str());
+                     Opts.Job.RegAlloc.c_str());
         return false;
       }
-      unsigned NumRegs = Opts.RegAllocOpts.NumRegs;
-      Opts.RegAllocOpts = *RA;
-      Opts.RegAllocOpts.NumRegs = NumRegs; // --regalloc-regs may precede.
     } else if (A.rfind("--regalloc-regs=", 0) == 0) {
-      Ok = parseU64(A.substr(std::strlen("--regalloc-regs=")), V, UINT_MAX);
-      Opts.RegAllocOpts.NumRegs = static_cast<unsigned>(V);
+      Ok = parseU64(A.substr(std::strlen("--regalloc-regs=")),
+                    Opts.Job.RegAllocRegs, UINT_MAX);
     } else if (A == "--run" || A.rfind("--run=", 0) == 0) {
       Opts.Run = true;
       std::string List = A == "--run" ? (K + 1 < Argc ? Argv[++K] : "")
                                       : A.substr(std::strlen("--run="));
-      Ok = parseU64List(List, Opts.RunArgs);
+      Ok = parseU64List(List, Opts.Job.ExecArgs);
     } else if (A.rfind("--exec=", 0) == 0) {
       Opts.Exec = A.substr(std::strlen("--exec="));
       if (Opts.Exec != "vm" && Opts.Exec != "interp" && Opts.Exec != "both") {
@@ -150,7 +131,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (A == "--dot") {
       Opts.Dot = true;
     } else if (A == "--verify") {
-      Opts.Verify = true;
+      Opts.Job.Verify = true;
     } else if (A == "--stats") {
       Opts.Stats = true;
     } else if (A.rfind("--stats=", 0) == 0 && A.size() > 8) {
@@ -167,6 +148,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       return false;
     }
   }
+  if (Opts.Run)
+    Opts.Job.Exec = Opts.Exec;
   return !Opts.InputPath.empty();
 }
 
@@ -243,168 +226,102 @@ int main(int Argc, char **Argv) {
     Text = SS.str();
   }
 
-  std::string Error;
-  auto F = parseFunction(Text, &Error);
-  if (!F) {
-    std::fprintf(stderr, "parse error: %s\n", Error.c_str());
+  // The untransformed input, for --verify and the --run reference.
+  std::unique_ptr<Function> Input =
+      Opts.Job.Verify || Opts.Run ? parseFunction(Text) : nullptr;
+  if (Input && Opts.Job.Verify) {
+    for (const std::string &D : verifyStructure(*Input))
+      std::fprintf(stderr, "structure: %s\n", D.c_str());
+    for (const std::string &D : verifyPinning(*Input))
+      std::fprintf(stderr, "pinning: %s\n", D.c_str());
+  }
+  WorkerContext Ctx;
+  CompileOutcome Out = runCompileJob(Text, Opts.Job, Ctx);
+  for (const std::string &D : Out.Diagnostics)
+    std::fprintf(stderr, "%s\n", D.c_str());
+  if (!Out.ok()) {
+    std::fprintf(stderr, "%s\n", Out.Error.c_str());
     return 1;
   }
 
-  if (Opts.Verify) {
-    for (const std::string &D : verifyStructure(*F))
-      std::fprintf(stderr, "structure: %s\n", D.c_str());
-    for (const std::string &D : verifyPinning(*F))
-      std::fprintf(stderr, "pinning: %s\n", D.c_str());
-  }
+  if (Opts.Dot)
+    std::printf("%s", exportDot(*Ctx.F).c_str());
+  else
+    std::printf("%s", Out.IR.c_str());
 
-  std::unique_ptr<Function> Reference; // Pre-transform, for --run.
-  if (Opts.Run)
-    Reference = cloneFunction(*F);
-
-  if (Opts.BuildSSA) {
-    if (!normalizeToOptimizedSSA(*F, &Error)) {
-      std::fprintf(stderr, "ssa error: %s\n", Error.c_str());
-      return 1;
-    }
-    if (Opts.Verify)
-      for (const std::string &D : verifySSA(*F))
-        std::fprintf(stderr, "ssa: %s\n", D.c_str());
-  }
-  StatsReport Rep; // "run" and "per_pass_seconds" go first at the end.
-  if (Opts.IfConvert) {
-    IfConversionStats S = convertIfsToPsi(*F);
-    Rep.Sections.push_back(
-        {"ifconvert",
-         {{"diamonds", uint64_t{S.NumDiamondsConverted}},
-          {"triangles", uint64_t{S.NumTrianglesConverted}},
-          {"psis", uint64_t{S.NumPsisCreated}}}});
-  }
-  TimerGroup Timings;
-  unsigned Moves = 0;
-  uint64_t WeightedMoves = 0;
-  if (!Opts.Pipeline.empty()) {
-    std::optional<PipelineConfig> Config = pipelinePresetOpt(Opts.Pipeline);
-    if (!Config) {
+  if (Opts.Run) {
+    if (Opts.Exec == "both")
       std::fprintf(stderr,
-                   "unknown pipeline preset '%s' (see outofssa/Pipeline.h "
-                   "for the Table 1 names)\n",
-                   Opts.Pipeline.c_str());
+                   "exec both: engines agree (interp %llu steps, vm %llu "
+                   "instrs / %llu moves)\n",
+                   static_cast<unsigned long long>(Out.InterpSteps),
+                   static_cast<unsigned long long>(Out.DynInstrs),
+                   static_cast<unsigned long long>(Out.DynMoves));
+    if (Out.ExecStatus != "ok") {
+      std::fprintf(stderr, "run error%s: %s\n",
+                   Out.ExecStatus == "timeout" ? " (timeout)" : "",
+                   Out.ExecError.c_str());
       return 1;
     }
-    PipelineResult R = runPipeline(*F, *Config);
-    if (!R.InputError.empty()) {
-      std::fprintf(stderr, "ssa error: %s\n", R.InputError.c_str());
-      return 1;
-    }
-    Timings = R.Timings;
-    Moves = R.NumMoves;
-    WeightedMoves = R.WeightedMoves;
+    std::printf("; run:");
+    for (uint64_t V : Out.ExecOutputs)
+      std::printf(" out=%llu", static_cast<unsigned long long>(V));
+    std::printf(" ret=%llu", static_cast<unsigned long long>(Out.ExecRet));
+    ExecResult Ref = interpret(*Input, Opts.Job.ExecArgs);
+    bool Same = Ref.Outputs == Out.ExecOutputs && Ref.RetValue == Out.ExecRet;
+    if (Ref.ok())
+      std::printf(" (matches input program: %s)", Same ? "yes" : "NO");
+    std::printf("\n");
+  }
+
+  if (!Opts.Stats)
+    return 0;
+  StatsReport Rep;
+  ReportFields Phases;
+  for (const auto &[Phase, Seconds] : Out.Timings.entries())
+    Phases.emplace_back(Phase, Seconds);
+  Rep.Sections = {
+      {"run",
+       {{"input", Opts.InputPath},
+        {"pipeline", Opts.Job.Pipeline.empty() ? "none" : Opts.Job.Pipeline},
+        {"moves", uint64_t{Out.Moves}},
+        {"weighted_moves", Out.WeightedMoves},
+        {"seconds", Out.Timings.total()}}},
+      {"per_pass_seconds", std::move(Phases)}};
+  if (const auto &S = Out.IfConversion)
+    Rep.Sections.push_back({"ifconvert",
+                            {{"diamonds", uint64_t{S->NumDiamondsConverted}},
+                             {"triangles", uint64_t{S->NumTrianglesConverted}},
+                             {"psis", uint64_t{S->NumPsisCreated}}}});
+  if (!Opts.Job.Pipeline.empty()) {
     // The cache and probe numbers are classinterf.* counters.
-    const uint64_t *Hist = R.Interference.SizeHist;
+    const uint64_t *Hist = Out.Interference.SizeHist;
     Rep.Sections.push_back({"interference",
-                            {{"classes", R.Interference.NumClasses},
+                            {{"classes", Out.Interference.NumClasses},
                              {"size_1", Hist[0]},
                              {"size_2", Hist[1]},
                              {"size_3_4", Hist[2]},
                              {"size_5_8", Hist[3]},
                              {"size_9_16", Hist[4]},
                              {"size_ge17", Hist[5]}}});
-    // Rounds, merges and worklist traffic are coalesce.* counters.
-    if (Config->Coalesce) {
-      ReportFields &C = Rep.Sections.emplace_back("coalesce", ReportFields())
-                            .second;
-      C.emplace_back("peak_worklist_depth",
-                     uint64_t{R.Coalescer.MaxWorklistDepth});
-      for (size_t K = 0; K < R.Coalescer.RoundMerges.size(); ++K)
-        C.emplace_back(formatStr("round_%zu_merges", K + 1),
-                       uint64_t{R.Coalescer.RoundMerges[K]});
-    }
-  } else if (Opts.Stats) {
-    Moves = countMoves(*F);
-    WeightedMoves = weightedMoveCount(*F);
   }
-  if (Opts.RegAlloc) {
-    RegAllocResult R;
-    {
-      ScopedTimer T(Timings, "regalloc");
-      R = allocateRegisters(*F, Opts.RegAllocOpts);
-    }
-    if (!R.Ok) {
-      std::fprintf(stderr, "regalloc failed: %s\n", R.Error.c_str());
-      return 1;
-    }
-    // Rounds, spills and spill code are regalloc.* counters.
-    Rep.Sections.push_back(
-        {"regalloc",
-         {{"allocator", allocatorName(Opts.RegAllocOpts.Allocator)},
-          {"spill_model", spillModelName(Opts.RegAllocOpts.SpillMode)},
-          {"num_regs", uint64_t{Opts.RegAllocOpts.NumRegs}},
-          {"regs_used", uint64_t{R.NumRegsUsed}},
-          {"frame_bytes", uint64_t{R.FrameBytes}}}});
+  // Rounds, merges and worklist traffic are coalesce.* counters.
+  if (const auto &C = Out.Coalescer) {
+    ReportFields &F = Rep.Sections.emplace_back("coalesce", ReportFields())
+                          .second;
+    F.emplace_back("peak_worklist_depth", uint64_t{C->MaxWorklistDepth});
+    for (size_t K = 0; K < C->RoundMerges.size(); ++K)
+      F.emplace_back(formatStr("round_%zu_merges", K + 1),
+                     uint64_t{C->RoundMerges[K]});
   }
-
-  if (Opts.Dot)
-    std::printf("%s", exportDot(*F).c_str());
-  else
-    std::printf("%s", printFunction(*F).c_str());
-
-  if (Opts.Run) {
-    ExecResult Ref = interpret(*Reference, Opts.RunArgs);
-    ExecResult Res = Opts.Exec == "vm" ? executeVM(*F, Opts.RunArgs)
-                                       : interpret(*F, Opts.RunArgs);
-    if (Opts.Exec == "both") {
-      // In-process differential check: the VM must reproduce the
-      // interpreter's outcome on the transformed program exactly.
-      ExecResult Vm = executeVM(*F, Opts.RunArgs);
-      if (!Res.sameOutcome(Vm)) {
-        std::fprintf(stderr,
-                     "exec divergence: interp {status=%d ret=%llu "
-                     "outputs=%zu error=%s} vm {status=%d ret=%llu "
-                     "outputs=%zu error=%s}\n",
-                     static_cast<int>(Res.Status),
-                     static_cast<unsigned long long>(Res.RetValue),
-                     Res.Outputs.size(), Res.Error.c_str(),
-                     static_cast<int>(Vm.Status),
-                     static_cast<unsigned long long>(Vm.RetValue),
-                     Vm.Outputs.size(), Vm.Error.c_str());
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "exec both: engines agree (interp %llu steps, vm %llu "
-                   "instrs / %llu moves)\n",
-                   static_cast<unsigned long long>(Res.Steps),
-                   static_cast<unsigned long long>(Vm.Steps),
-                   static_cast<unsigned long long>(Vm.DynMoves));
-    }
-    if (!Res.ok()) {
-      std::fprintf(stderr, "run error%s: %s\n",
-                   Res.timedOut() ? " (timeout)" : "", Res.Error.c_str());
-      return 1;
-    }
-    std::printf("; run:");
-    for (uint64_t V : Res.Outputs)
-      std::printf(" out=%llu", static_cast<unsigned long long>(V));
-    std::printf(" ret=%llu", static_cast<unsigned long long>(Res.RetValue));
-    if (Ref.ok())
-      std::printf(" (matches input program: %s)",
-                  Ref.sameObservable(Res) ? "yes" : "NO");
-    std::printf("\n");
-  }
-
-  if (!Opts.Stats)
-    return 0;
-  ReportFields Phases;
-  for (const auto &[Phase, Seconds] : Timings.entries())
-    Phases.emplace_back(Phase, Seconds);
-  Rep.Sections.insert(
-      Rep.Sections.begin(),
-      {{"run",
-        {{"input", Opts.InputPath},
-         {"pipeline", Opts.Pipeline.empty() ? "none" : Opts.Pipeline},
-         {"moves", uint64_t{Moves}},
-         {"weighted_moves", WeightedMoves},
-         {"seconds", Timings.total()}}},
-       {"per_pass_seconds", std::move(Phases)}});
+  // Rounds, spills and spill code are regalloc.* counters.
+  if (Out.HasRegAlloc)
+    Rep.Sections.push_back({"regalloc",
+                            {{"allocator", Out.Allocator},
+                             {"spill_model", Out.SpillMode},
+                             {"num_regs", uint64_t{Out.NumRegs}},
+                             {"regs_used", uint64_t{Out.RegsUsed}},
+                             {"frame_bytes", uint64_t{Out.FrameBytes}}}});
   Rep.Counters =
       StatsRegistry::delta(Before, StatsRegistry::instance().snapshot());
   if (Opts.StatsFile.empty()) {
