@@ -59,13 +59,6 @@ public:
     return DfsOut[BB->id()];
   }
 
-  /// O(1) tree-ancestor query: true when \p A is \p BB itself or a
-  /// dominator-tree ancestor of it. Identical to dominates(); the name
-  /// documents call sites that reason about tree shape, not dominance.
-  bool isAncestor(const BasicBlock *A, const BasicBlock *B) const {
-    return dominates(A, B);
-  }
-
   /// Children of \p BB in the dominator tree.
   const std::vector<BasicBlock *> &children(const BasicBlock *BB) const {
     return Children[BB->id()];

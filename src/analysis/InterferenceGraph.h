@@ -74,17 +74,6 @@ public:
   /// B's neighbors in ascending RegId order (deterministic).
   const std::vector<RegId> &neighbors(RegId A) const { return Adj[A]; }
 
-  void addEdge(RegId A, RegId B) {
-    if (A == B)
-      return;
-    size_t Idx = triIndex(A, B);
-    if (Matrix.test(Idx))
-      return;
-    Matrix.set(Idx);
-    sortedInsert(Adj[A], B);
-    sortedInsert(Adj[B], A);
-  }
-
 private:
   /// Index of the unordered pair {A, B} in the lower-triangular matrix.
   static size_t triIndex(RegId A, RegId B) {
@@ -92,10 +81,6 @@ private:
     if (A < B)
       std::swap(A, B);
     return static_cast<size_t>(A) * (A - 1) / 2 + B;
-  }
-
-  static void sortedInsert(std::vector<RegId> &Vec, RegId V) {
-    Vec.insert(std::lower_bound(Vec.begin(), Vec.end(), V), V);
   }
 
   static void sortedErase(std::vector<RegId> &Vec, RegId V) {

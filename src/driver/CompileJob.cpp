@@ -62,8 +62,15 @@ void compile(CompileOutcome &O, const std::string &Text,
       return fail(O, RequestOutcome::UnknownPreset,
                   formatStr("unknown regalloc preset '%s'",
                             Opts.RegAlloc.c_str()));
-    if (Opts.RegAllocRegs)
-      RA->NumRegs = static_cast<unsigned>(Opts.RegAllocRegs);
+    if (uint64_t N = Opts.RegAllocRegs) {
+      // Checked before the narrowing cast, so NumRegs is the pool used.
+      if (N < 2 || N > MaxAllocatableRegs)
+        return fail(O, RequestOutcome::ParseError,
+                    formatStr("regalloc_regs must be 2..%u, got %llu",
+                              MaxAllocatableRegs,
+                              static_cast<unsigned long long>(N)));
+      RA->NumRegs = static_cast<unsigned>(N);
+    }
   }
   if (!Opts.Exec.empty() && Opts.Exec != "interp" && Opts.Exec != "vm" &&
       Opts.Exec != "both")

@@ -59,23 +59,6 @@ public:
   RegId mul(RegId A, RegId B, const std::string &Hint = "t") {
     return binary(Opcode::Mul, A, B, Hint);
   }
-  RegId cmpLT(RegId A, RegId B, const std::string &Hint = "p") {
-    return binary(Opcode::CmpLT, A, B, Hint);
-  }
-  RegId cmpEQ(RegId A, RegId B, const std::string &Hint = "p") {
-    return binary(Opcode::CmpEQ, A, B, Hint);
-  }
-
-  /// d = a + imm
-  RegId addI(RegId A, int64_t Imm, const std::string &Hint = "t") {
-    Instruction I(Opcode::AddI);
-    RegId D = func().makeVirtual(Hint);
-    I.addDef(D);
-    I.addUse(A);
-    I.setImm(Imm);
-    BB->append(std::move(I));
-    return D;
-  }
 
   /// d = s (plain move)
   RegId mov(RegId S, const std::string &Hint = "t") {
@@ -158,28 +141,6 @@ public:
     return D;
   }
 
-  /// 2-operand constrained: d = s + imm (post-modified addressing).
-  RegId autoAdd(RegId S, int64_t Imm, const std::string &Hint = "q") {
-    Instruction I(Opcode::AutoAdd);
-    RegId D = func().makeVirtual(Hint);
-    I.addDef(D);
-    I.addUse(S);
-    I.setImm(Imm);
-    BB->append(std::move(I));
-    return D;
-  }
-
-  /// SP-constrained: d = s + imm where s is SP-derived.
-  RegId spAdjust(RegId S, int64_t Imm, const std::string &Hint = "sp") {
-    Instruction I(Opcode::SpAdjust);
-    RegId D = func().makeVirtual(Hint);
-    I.addDef(D);
-    I.addUse(S);
-    I.setImm(Imm);
-    BB->append(std::move(I));
-    return D;
-  }
-
   RegId load(RegId Addr, const std::string &Hint = "l") {
     Instruction I(Opcode::Load);
     RegId D = func().makeVirtual(Hint);
@@ -198,18 +159,6 @@ public:
 
   RegId call(const std::string &Callee, std::initializer_list<RegId> Args,
              const std::string &Hint = "r") {
-    Instruction I(Opcode::Call);
-    RegId D = func().makeVirtual(Hint);
-    I.addDef(D);
-    for (RegId A : Args)
-      I.addUse(A);
-    I.setCallee(Callee);
-    BB->append(std::move(I));
-    return D;
-  }
-
-  RegId callV(const std::string &Callee, const std::vector<RegId> &Args,
-              const std::string &Hint = "r") {
     Instruction I(Opcode::Call);
     RegId D = func().makeVirtual(Hint);
     I.addDef(D);

@@ -4,12 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The classic build/simplify/select strategy, unchanged from the
-// original single-allocator implementation: its decisions (and hence
-// every committed spills/spill_accesses measurement taken with it) are
-// bit-identical across the strategy-tier refactor, which
-// scripts/check_bench_regression.py enforces against the committed
-// BENCH_regpressure.json.
+// The classic build/simplify/select strategy. Simplify keeps the nodes
+// of degree < K in K buckets and the others on a lazy min-heap keyed by
+// spill ratio, so a round costs O((V + E) log V) instead of a rescan of
+// every remaining node per pick. The picks are the scan's, tie-breaks
+// included (docs/REGALLOC.md, "Cost"): the committed spills and
+// spill_accesses measurements do not move, and the tie-break oracle
+// test replays every round against the scan kept in tests/.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,91 +27,86 @@ namespace {
 class ChaitinBriggsStrategy : public AllocatorStrategy {
 public:
   bool tryColor(Function &F, const std::vector<RegId> &Pool,
-                const std::set<RegId> &NoSpill,
-                std::map<RegId, RegId> &ColorOut,
+                const std::set<RegId> &NoSpill, std::vector<RegId> &ColorOut,
                 std::vector<RegId> &SpillOut) override {
     CFG Cfg(F);
     Liveness LV(Cfg);
     InterferenceGraph IG(F, LV);
-    std::map<RegId, double> Cost = spillCosts(F, Cfg);
+    std::vector<double> Cost = spillCosts(F, Cfg);
 
-    std::set<RegId> PoolSet(Pool.begin(), Pool.end());
     std::vector<RegId> Nodes = collectVirtualRegs(F);
     unsigned K = static_cast<unsigned>(Pool.size());
+    std::vector<char> Remaining(IG.numNodes(), 0), Spillable(Remaining);
+    for (RegId V : Nodes)
+      Remaining[V] = Spillable[V] = 1;
+    for (RegId V : NoSpill)
+      Spillable[V] = 0;
 
-    // Current degree counting both virtual neighbours and allocatable
-    // physical neighbours (precolored).
-    std::map<RegId, unsigned> Degree;
-    std::set<RegId> Remaining(Nodes.begin(), Nodes.end());
+    // Degree counts remaining virtual neighbours and pool registers
+    // (precolored). A node below K waits in its degree's bucket, smallest
+    // RegId on top; a spillable node at or above K waits on the spill
+    // heap under (Cost/(1+Degree), RegId). A node is filed again whenever
+    // its degree drops.
+    std::vector<unsigned> Degree(IG.numNodes(), 0);
+    std::vector<MinHeap<RegId>> Bucket(K);
+    MinHeap<std::pair<double, RegId>> SpillHeap;
+    auto Ratio = [&](RegId V) { return Cost[V] / (1.0 + Degree[V]); };
+    auto File = [&](RegId V) {
+      if (Degree[V] < K)
+        Bucket[Degree[V]].push(V);
+      else if (Spillable[V])
+        SpillHeap.push({Ratio(V), V});
+    };
     for (RegId V : Nodes) {
-      unsigned D = 0;
       for (RegId N : IG.neighbors(V))
-        if (Remaining.count(N) || PoolSet.count(N))
-          ++D;
-      Degree[V] = D;
+        Degree[V] += Remaining[N] || N < K;
+      File(V);
     }
 
-    // Simplify with optimistic (Briggs) spill candidates.
-    std::vector<std::pair<RegId, bool>> Stack; // (node, isSpillCandidate)
-    while (!Remaining.empty()) {
+    std::vector<RegId> Stack;
+    Stack.reserve(Nodes.size());
+    size_t Lowest = 0; // Nodes[Lowest] is the smallest remaining RegId.
+    while (Stack.size() < Nodes.size()) {
+      // Push high-degree-but-colorable first, so it colors late.
       RegId Pick = InvalidReg;
-      for (RegId V : Remaining)
-        if (Degree[V] < K && (Pick == InvalidReg ||
-                              Degree[V] > Degree[Pick])) // Heuristic: push
-          Pick = V; // high-degree-but-colorable first, color it late.
-      bool Candidate = false;
-      if (Pick == InvalidReg) {
-        // All remaining are high degree: choose the cheapest to spill,
-        // push optimistically.
-        double Best = 0;
-        for (RegId V : Remaining) {
-          if (NoSpill.count(V))
-            continue;
-          double Ratio = Cost[V] / (1.0 + Degree[V]);
-          if (Pick == InvalidReg || Ratio < Best) {
-            Pick = V;
-            Best = Ratio;
-          }
+      for (unsigned D = K; D-- > 0 && Pick == InvalidReg;) {
+        MinHeap<RegId> &B = Bucket[D];
+        while (!B.empty() && (!Remaining[B.top()] || Degree[B.top()] != D))
+          B.pop();
+        if (!B.empty())
+          Pick = B.top();
+      }
+      // All remaining are high degree: choose the cheapest to spill,
+      // push optimistically.
+      while (Pick == InvalidReg && !SpillHeap.empty()) {
+        auto [Key, V] = SpillHeap.top();
+        SpillHeap.pop();
+        if (Remaining[V] && Key == Ratio(V))
+          Pick = V;
+      }
+      if (Pick == InvalidReg) { // Only no-spill temps left: force one.
+        while (!Remaining[Nodes[Lowest]])
+          ++Lowest;
+        Pick = Nodes[Lowest];
+      }
+      Stack.push_back(Pick);
+      Remaining[Pick] = 0;
+      for (RegId N : IG.neighbors(Pick))
+        if (Remaining[N]) {
+          --Degree[N];
+          File(N);
         }
-        if (Pick == InvalidReg)
-          Pick = *Remaining.begin(); // Only no-spill temps left: force one.
-        Candidate = true;
-      }
-      Stack.push_back({Pick, Candidate});
-      Remaining.erase(Pick);
-      for (RegId N : IG.neighbors(Pick)) {
-        auto It = Degree.find(N);
-        if (It != Degree.end() && It->second > 0)
-          --It->second;
-      }
     }
 
     // Select.
-    ColorOut.clear();
+    ColorOut.assign(IG.numNodes(), InvalidReg);
     SpillOut.clear();
-    while (!Stack.empty()) {
-      auto [V, WasCandidate] = Stack.back();
-      Stack.pop_back();
-      std::set<RegId> Forbidden;
-      for (RegId N : IG.neighbors(V)) {
-        if (PoolSet.count(N))
-          Forbidden.insert(N);
-        auto It = ColorOut.find(N);
-        if (It != ColorOut.end())
-          Forbidden.insert(It->second);
-      }
-      RegId Color = InvalidReg;
-      for (RegId R : Pool)
-        if (!Forbidden.count(R)) {
-          Color = R;
-          break;
-        }
-      if (Color == InvalidReg) {
-        (void)WasCandidate;
-        SpillOut.push_back(V);
-        continue;
-      }
-      ColorOut[V] = Color;
+    for (auto It = Stack.rbegin(); It != Stack.rend(); ++It) {
+      RegId Color = firstFreeColor(forbiddenColors(IG, *It, K, ColorOut), K);
+      if (Color == InvalidReg)
+        SpillOut.push_back(*It);
+      else
+        ColorOut[*It] = Color;
     }
     return SpillOut.empty();
   }

@@ -14,6 +14,10 @@
 // DominatorTree::preorderBlocks) so that on the chordal subgraphs the
 // order is exactly the simplicial elimination order dominance induces.
 //
+// MCS takes its next node from a bucket queue on weight, so a round
+// costs O((V + E) log V); the order is the one a rescan of every
+// unnumbered node per pick gives (docs/REGALLOC.md, "Cost").
+//
 // Two refinements over plain greedy:
 //  * biased coloring — when a node has residual move affinities (Mov /
 //    ParCopy partners the coalescer could not merge), prefer a legal
@@ -35,6 +39,7 @@
 #include "support/Stats.h"
 
 #include <algorithm>
+#include <map>
 
 using namespace lao;
 
@@ -43,40 +48,42 @@ namespace {
 class ChordalStrategy : public AllocatorStrategy {
 public:
   bool tryColor(Function &F, const std::vector<RegId> &Pool,
-                const std::set<RegId> &NoSpill,
-                std::map<RegId, RegId> &ColorOut,
+                const std::set<RegId> &NoSpill, std::vector<RegId> &ColorOut,
                 std::vector<RegId> &SpillOut) override {
     CFG Cfg(F);
     Liveness LV(Cfg);
     InterferenceGraph IG(F, LV);
-    std::map<RegId, double> Cost = spillCosts(F, Cfg);
+    std::vector<double> Cost = spillCosts(F, Cfg);
     DominatorTree DT(Cfg);
 
-    std::set<RegId> PoolSet(Pool.begin(), Pool.end());
     std::vector<RegId> Nodes = collectVirtualRegs(F);
+    unsigned K = static_cast<unsigned>(Pool.size());
+    std::vector<char> Spillable(IG.numNodes(), 1);
+    for (RegId V : NoSpill)
+      Spillable[V] = 0;
 
     // Dominance key: virtuals ordered by the instruction position of
     // their first definition, blocks walked in dominator-tree preorder.
     // On SSA-shaped (single-def) subgraphs this is the simplicial
     // elimination order; values with no def (use-only, possible in
-    // hand-written input) sort last by RegId.
-    std::map<RegId, uint64_t> DefOrder;
+    // hand-written input) sort last by RegId. 0 = not yet keyed.
+    std::vector<uint64_t> DefOrder(IG.numNodes(), 0);
     uint64_t Ord = 0;
     for (BasicBlock *BB : DT.preorderBlocks())
       for (const Instruction &I : BB->instructions()) {
         ++Ord;
         for (RegId D : I.defs())
-          if (!F.isPhysical(D) && !DefOrder.count(D))
+          if (!F.isPhysical(D) && !DefOrder[D])
             DefOrder[D] = Ord;
       }
     for (RegId V : Nodes) // Ascending RegId (Nodes is sorted).
-      if (!DefOrder.count(V))
+      if (!DefOrder[V])
         DefOrder[V] = ++Ord;
 
     // Residual move affinities — the merge hints the coalescer left
     // behind as actual Mov/ParCopy instructions. Weighted by occurrence
     // count; partners are tried hottest-first during biased coloring.
-    std::map<RegId, std::map<RegId, double>> AffinityW;
+    std::vector<std::map<RegId, double>> AffinityW(IG.numNodes());
     for (const auto &BB : F.blocks())
       for (const Instruction &I : BB->instructions()) {
         auto Pair = [&](RegId D, RegId U) {
@@ -96,84 +103,83 @@ public:
 
     // Maximum cardinality search over the virtual nodes, with
     // allocatable physical neighbours counted as already numbered
-    // (they are precolored). Ties break toward the dominance key.
-    std::map<RegId, unsigned> Weight;
-    std::set<RegId> Unnumbered(Nodes.begin(), Nodes.end());
-    for (RegId V : Nodes) {
-      unsigned W = 0;
+    // (they are precolored). Weights only grow, so a bucket queue finds
+    // the heaviest node: bucket W holds the ranks of the nodes of weight
+    // W, the rank being the node's place in (DefOrder, RegId) order —
+    // ties break toward the dominance key. Stale entries (numbered, or
+    // filed again at a higher weight) are dropped when they surface.
+    std::vector<RegId> ByKey = Nodes;
+    std::sort(ByKey.begin(), ByKey.end(), [&](RegId A, RegId B) {
+      return std::pair(DefOrder[A], A) < std::pair(DefOrder[B], B);
+    });
+    std::vector<unsigned> Rank(IG.numNodes()), Weight(IG.numNodes(), 0);
+    std::vector<char> Unnumbered(IG.numNodes(), 0);
+    std::vector<MinHeap<unsigned>> Bucket;
+    unsigned Top = 0;
+    auto File = [&](RegId V) {
+      if (Weight[V] >= Bucket.size())
+        Bucket.resize(Weight[V] + 1);
+      Bucket[Weight[V]].push(Rank[V]);
+      Top = std::max(Top, Weight[V]);
+    };
+    for (unsigned R = 0; R < ByKey.size(); ++R) {
+      RegId V = ByKey[R];
+      Rank[V] = R;
+      Unnumbered[V] = 1;
       for (RegId N : IG.neighbors(V))
-        if (PoolSet.count(N))
-          ++W;
-      Weight[V] = W;
+        Weight[V] += N < K;
+      File(V);
     }
     std::vector<RegId> Order;
     Order.reserve(Nodes.size());
-    while (!Unnumbered.empty()) {
-      RegId Pick = InvalidReg;
-      for (RegId V : Unnumbered) {
-        if (Pick == InvalidReg || Weight[V] > Weight[Pick] ||
-            (Weight[V] == Weight[Pick] &&
-             (DefOrder[V] < DefOrder[Pick] ||
-              (DefOrder[V] == DefOrder[Pick] && V < Pick))))
-          Pick = V;
+    while (Order.size() < Nodes.size()) {
+      MinHeap<unsigned> &B = Bucket[Top];
+      while (!B.empty() && (!Unnumbered[ByKey[B.top()]] ||
+                            Weight[ByKey[B.top()]] != Top))
+        B.pop();
+      if (B.empty()) {
+        --Top;
+        continue;
       }
+      RegId Pick = ByKey[B.top()];
       Order.push_back(Pick);
-      Unnumbered.erase(Pick);
+      Unnumbered[Pick] = 0;
       for (RegId N : IG.neighbors(Pick))
-        if (Unnumbered.count(N))
+        if (Unnumbered[N]) {
           ++Weight[N];
+          File(N);
+        }
     }
 
     // Greedy coloring in MCS order with biased color choice.
-    ColorOut.clear();
+    ColorOut.assign(IG.numNodes(), InvalidReg);
     SpillOut.clear();
-    auto ForbiddenOf = [&](RegId V) {
-      std::set<RegId> Forbidden;
-      for (RegId N : IG.neighbors(V)) {
-        if (PoolSet.count(N))
-          Forbidden.insert(N);
-        auto It = ColorOut.find(N);
-        if (It != ColorOut.end())
-          Forbidden.insert(It->second);
-      }
-      return Forbidden;
-    };
-    auto PickColor = [&](RegId V, const std::set<RegId> &Forbidden) {
+    auto PickColor = [&](RegId V, ColorMask Forbidden) {
       // Biased: a legal color already held by the strongest affinity
       // partner makes the residual move coalesceable by assignment.
-      auto AffIt = AffinityW.find(V);
-      if (AffIt != AffinityW.end()) {
-        std::vector<std::pair<RegId, double>> Partners(AffIt->second.begin(),
-                                                       AffIt->second.end());
-        std::stable_sort(Partners.begin(), Partners.end(),
-                         [](const auto &A, const auto &B) {
-                           return A.second > B.second;
-                         });
-        for (const auto &[P, W] : Partners) {
-          (void)W;
-          RegId Want = InvalidReg;
-          if (PoolSet.count(P))
-            Want = P; // Physical partner in the pool.
-          else {
-            auto It = ColorOut.find(P);
-            if (It != ColorOut.end())
-              Want = It->second;
-          }
-          if (Want != InvalidReg && !Forbidden.count(Want)) {
-            ++LAO_STAT(regalloc, biased_hits);
-            return Want;
-          }
+      std::vector<std::pair<RegId, double>> Partners(AffinityW[V].begin(),
+                                                     AffinityW[V].end());
+      std::stable_sort(Partners.begin(), Partners.end(),
+                       [](const auto &A, const auto &B) {
+                         return A.second > B.second;
+                       });
+      for (const auto &[P, W] : Partners) {
+        (void)W;
+        // A physical partner in the pool is its own color.
+        RegId Want = P < K ? P : ColorOut[P];
+        if (Want != InvalidReg && !(Forbidden >> Want & 1)) {
+          ++LAO_STAT(regalloc, biased_hits);
+          return Want;
         }
       }
-      for (RegId R : Pool)
-        if (!Forbidden.count(R))
-          return R;
-      return InvalidReg;
+      return firstFreeColor(Forbidden, K);
     };
 
+    auto Ratio = [&](RegId V) {
+      return Cost[V] / (1.0 + IG.neighbors(V).size());
+    };
     for (RegId V : Order) {
-      std::set<RegId> Forbidden = ForbiddenOf(V);
-      RegId Color = PickColor(V, Forbidden);
+      RegId Color = PickColor(V, forbiddenColors(IG, V, K, ColorOut));
       if (Color != InvalidReg) {
         ColorOut[V] = Color;
         continue;
@@ -187,36 +193,26 @@ public:
       // nothing is freeable for one, the pool is genuinely too small
       // for one instruction and V is reported so the driver turns that
       // into the structured failure).
-      std::map<RegId, double> EvictCost;
-      std::set<RegId> Pinned;
+      double Bill[MaxAllocatableRegs] = {};
+      ColorMask Billed = 0, Pinned = 0;
       for (RegId N : IG.neighbors(V)) {
-        if (PoolSet.count(N)) {
-          Pinned.insert(N);
+        RegId C = N < K ? N : ColorOut[N];
+        if (C == InvalidReg)
           continue;
+        if (N < K || !Spillable[N]) {
+          Pinned |= ColorMask(1) << C;
+        } else {
+          Bill[C] += Ratio(N);
+          Billed |= ColorMask(1) << C;
         }
-        auto It = ColorOut.find(N);
-        if (It == ColorOut.end())
-          continue;
-        if (NoSpill.count(N))
-          Pinned.insert(It->second);
-        else
-          EvictCost[It->second] +=
-              Cost[N] / (1.0 + IG.neighbors(N).size());
       }
       RegId BestColor = InvalidReg;
-      double Bill = 0;
-      for (const auto &[C, W] : EvictCost) {
-        if (Pinned.count(C))
-          continue;
-        if (BestColor == InvalidReg || W < Bill ||
-            (W == Bill && C < BestColor)) {
+      for (RegId C = 0; C < K; ++C)
+        if ((Billed & ~Pinned) >> C & 1 &&
+            (BestColor == InvalidReg || Bill[C] < Bill[BestColor]))
           BestColor = C;
-          Bill = W;
-        }
-      }
-      if (!NoSpill.count(V) &&
-          (BestColor == InvalidReg ||
-           Cost[V] / (1.0 + IG.neighbors(V).size()) <= Bill)) {
+      if (Spillable[V] &&
+          (BestColor == InvalidReg || Ratio(V) <= Bill[BestColor])) {
         SpillOut.push_back(V);
         continue;
       }
@@ -224,14 +220,12 @@ public:
         SpillOut.push_back(V); // NoSpill: the driver reports failure.
         continue;
       }
-      for (RegId N : IG.neighbors(V)) {
-        auto It = ColorOut.find(N);
-        if (It == ColorOut.end() || It->second != BestColor)
-          continue;
-        ColorOut.erase(It);
-        SpillOut.push_back(N);
-        ++LAO_STAT(regalloc, evictions);
-      }
+      for (RegId N : IG.neighbors(V))
+        if (ColorOut[N] == BestColor) {
+          ColorOut[N] = InvalidReg;
+          SpillOut.push_back(N);
+          ++LAO_STAT(regalloc, evictions);
+        }
       ColorOut[V] = BestColor;
     }
     return SpillOut.empty();

@@ -14,6 +14,7 @@
 
 #include "regalloc/RegAlloc.h"
 
+#include "analysis/InterferenceGraph.h"
 #include "analysis/LoopInfo.h"
 #include "ir/CFG.h"
 #include "regalloc/AllocatorStrategy.h"
@@ -22,6 +23,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <numeric>
 
 using namespace lao;
 
@@ -40,18 +42,17 @@ std::vector<RegId> lao::collectVirtualRegs(const Function &F) {
 }
 
 std::vector<RegId> lao::allocatablePool(unsigned NumRegs) {
-  static const RegId Pool[] = {Target::R0, Target::R1, Target::R2,
-                               Target::R3, Target::R4, Target::R5,
-                               Target::R6, Target::R7, Target::P0,
-                               Target::P1, Target::P2, Target::P3};
-  unsigned N = std::min<unsigned>(NumRegs, 12);
-  return std::vector<RegId>(Pool, Pool + N);
+  static_assert(Target::R0 == 0 && Target::P0 == 8 && Target::P3 == 11,
+                "pool register i is RegId i");
+  std::vector<RegId> Pool(std::min(NumRegs, MaxAllocatableRegs));
+  std::iota(Pool.begin(), Pool.end(), RegId(Target::R0));
+  return Pool;
 }
 
-std::map<RegId, double> lao::spillCosts(const Function &F, const CFG &Cfg) {
+std::vector<double> lao::spillCosts(const Function &F, const CFG &Cfg) {
   DominatorTree DT(Cfg);
   LoopInfo LI(Cfg, DT);
-  std::map<RegId, double> Cost;
+  std::vector<double> Cost(F.numValues(), 0.0);
   for (const auto &BB : F.blocks()) {
     double W = 1;
     for (unsigned D = 0; D < LI.depth(BB.get()); ++D)
@@ -66,6 +67,17 @@ std::map<RegId, double> lao::spillCosts(const Function &F, const CFG &Cfg) {
     }
   }
   return Cost;
+}
+
+ColorMask lao::forbiddenColors(const InterferenceGraph &IG, RegId V,
+                               unsigned K, const std::vector<RegId> &ColorOf) {
+  ColorMask Taken = 0;
+  for (RegId N : IG.neighbors(V)) {
+    RegId C = N < K ? N : ColorOf[N];
+    if (C != InvalidReg)
+      Taken |= ColorMask(1) << C;
+  }
+  return Taken;
 }
 
 //===----------------------------------------------------------------------===//
@@ -160,25 +172,26 @@ RegAllocResult lao::allocateRegisters(Function &F,
   for (unsigned Round = 0; Round < MaxRounds; ++Round) {
     ++Result.NumRounds;
     ++LAO_STAT(regalloc, rounds);
-    std::map<RegId, RegId> Color;
+    std::vector<RegId> Color;
     std::vector<RegId> Spills;
     if (Strategy->tryColor(F, Pool, NoSpill, Color, Spills)) {
       // Rewrite operands to their colors.
-      std::set<RegId> Used;
+      ColorMask Used = 0;
+      auto ColorOf = [&](RegId V) {
+        assert(Color[V] != InvalidReg && "strategy left a virtual uncolored");
+        Used |= ColorMask(1) << Color[V];
+        return Color[V];
+      };
       for (const auto &BB : F.blocks())
         for (Instruction &I : BB->instructions()) {
           for (unsigned K = 0; K < I.numDefs(); ++K)
-            if (!F.isPhysical(I.def(K))) {
-              I.setDef(K, Color.at(I.def(K)));
-              Used.insert(I.def(K));
-            }
+            if (!F.isPhysical(I.def(K)))
+              I.setDef(K, ColorOf(I.def(K)));
           for (unsigned K = 0; K < I.numUses(); ++K)
-            if (!F.isPhysical(I.use(K))) {
-              I.setUse(K, Color.at(I.use(K)));
-              Used.insert(I.use(K));
-            }
+            if (!F.isPhysical(I.use(K)))
+              I.setUse(K, ColorOf(I.use(K)));
         }
-      Result.NumRegsUsed = static_cast<unsigned>(Used.size());
+      Result.NumRegsUsed = std::popcount(Used);
       Result.FrameBytes = 8 * Model->frameSlots();
       Result.Ok = true;
       LAO_STAT(regalloc, spill_loads) += Result.NumSpillLoads;

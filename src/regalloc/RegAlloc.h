@@ -64,6 +64,9 @@ enum class SpillModelKind {
   LoadStoreOpt,
 };
 
+/// The pool's size limit: R0..R7 and P0..P3.
+constexpr unsigned MaxAllocatableRegs = 12;
+
 struct RegAllocOptions {
   AllocatorKind Allocator = AllocatorKind::ChaitinBriggs;
   SpillModelKind SpillMode = SpillModelKind::SpillEverywhere;

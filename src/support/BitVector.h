@@ -104,22 +104,6 @@ public:
     }
   }
 
-  /// Calls \p Fn for each index set in both this and \p Other, in
-  /// increasing order — one AND per word, so sparse intersections cost
-  /// far less than testing every set bit of either side.
-  template <typename Callable>
-  void forEachCommon(const BitVector &Other, Callable Fn) const {
-    assert(Other.NumBits == NumBits && "size mismatch");
-    for (size_t WI = 0; WI < Words.size(); ++WI) {
-      uint64_t W = Words[WI] & Other.Words[WI];
-      while (W) {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
-        Fn(WI * 64 + Bit);
-        W &= W - 1;
-      }
-    }
-  }
-
 private:
   void clearPadding() {
     if (NumBits % 64 != 0 && !Words.empty())

@@ -175,12 +175,12 @@ TEST(RegAllocStrategy, MatrixOnValcc2) {
 
 TEST(RegAllocStrategy, MatrixOnLarge) {
   checkMatrixOnSuite(makeLargeSuite(), "Lphi,ABI+C", /*NumRegs=*/8,
-                     /*MaxInputs=*/1);
+                     /*MaxInputs=*/~size_t(0));
 }
 
 TEST(RegAllocStrategy, MatrixOnSpecLike) {
   checkMatrixOnSuite(makeSpecLikeSuite(), "Lphi,ABI+C", /*NumRegs=*/8,
-                     /*MaxInputs=*/1);
+                     /*MaxInputs=*/~size_t(0));
 }
 
 TEST(RegAllocStrategy, MatrixUnderStrongPressure) {

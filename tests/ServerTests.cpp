@@ -337,6 +337,51 @@ TEST(Server, RegAllocRequestAllocatesAndRecords) {
       << Responses[0].RecordJson;
 }
 
+TEST(Server, OutOfRangeRegAllocRegsIsParseError) {
+  // The pool holds 2..12 registers. Outside that range the count used to
+  // be narrowed to 32 bits (4294967298 allocated with 2 registers) or
+  // capped in silence (100 reported num_regs 100 but used 12). Each is
+  // now a parse_error naming the range; 0 keeps the preset default.
+  const uint64_t Bad[] = {1, 13, 100, 4294967298ull, 4294967304ull};
+  std::string Frames;
+  for (uint64_t Regs : Bad) {
+    Request R;
+    R.Id = Regs;
+    R.Text = SimpleFunc;
+    R.RegAlloc = "chaitin-briggs";
+    R.RegAllocRegs = Regs;
+    Frames += encodeRequest(R);
+  }
+  Request Default;
+  Default.Id = 0;
+  Default.Text = SimpleFunc;
+  Default.RegAlloc = "chaitin-briggs";
+  ServerOptions Opts;
+  Opts.NumWorkers = 1;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts, Frames + encodeRequest(Default), Responses, &S),
+            0);
+  ASSERT_EQ(Responses.size(), std::size(Bad) + 1);
+  for (size_t I = 0; I < std::size(Bad); ++I) {
+    SCOPED_TRACE(Bad[I]);
+    EXPECT_EQ(Responses[I].Id, Bad[I]);
+    EXPECT_FALSE(Responses[I].Ok);
+    EXPECT_NE(Responses[I].RecordJson.find("\"outcome\":\"parse_error\""),
+              std::string::npos)
+        << Responses[I].RecordJson;
+    EXPECT_NE(Responses[I].RecordJson.find(
+                  "regalloc_regs must be 2..12, got " + std::to_string(Bad[I])),
+              std::string::npos)
+        << Responses[I].RecordJson;
+  }
+  EXPECT_TRUE(Responses.back().Ok) << Responses.back().RecordJson;
+  ASSERT_EQ(S.records().size(), std::size(Bad) + 1);
+  EXPECT_EQ(S.records().back().NumRegs, 12u);
+  EXPECT_EQ(S.report().NumParseErrors, std::size(Bad));
+}
+
 TEST(Server, DefaultRegAllocAppliesAndRequestOverrides) {
   // The daemon-level default engages for requests carrying no regalloc
   // key; a request naming its own preset wins.

@@ -136,6 +136,25 @@ class LaoOptCli(unittest.TestCase):
         self.assertIn("regalloc", doc["per_pass_seconds"])
         self.assertNotIn("interference", doc)
 
+    def test_out_of_range_regalloc_regs_exits_1(self):
+        # The pool holds 2..12 registers: a count outside that range is
+        # the job's parse error, never a silently narrowed or capped pool.
+        # (lao-opt's flag parser already exits 2 above 2^32-1; the wire
+        # takes any 64-bit count.)
+        for regs in ["1", "13", "100"]:
+            proc = lao_opt("--regalloc", "--regalloc-regs=" + regs, INPUT)
+            self.assertEqual(proc.returncode, 1, regs)
+            self.assertEqual(proc.stderr,
+                             "regalloc_regs must be 2..12, got %s\n" % regs)
+        with open(INPUT) as f:
+            text = f.read()
+        [(record, ir)] = serve(["regalloc: chaitin-briggs\n"
+                                "regalloc_regs: 4294967304\n\n" + text])
+        self.assertEqual(record["outcome"], "parse_error")
+        self.assertEqual(ir, "")
+        doc = self.run_json("--regalloc=chordal", "--regalloc-regs=12")
+        self.assertEqual(doc["regalloc"]["num_regs"], 12)
+
     def test_removed_flags_and_malformed_numbers_exit_2(self):
         for bad in [["--timing-json=x.json"], ["--coalesce-stats"],
                     ["--interference-stats"], ["--stats="],
@@ -214,13 +233,13 @@ class LaoOptCli(unittest.TestCase):
             self.assertEqual(ir, "")
 
     def test_selftest_fails_when_a_reference_fails(self):
-        # A one-register pool fails every reference allocation; the
-        # selftest must fail rather than check no function at all.
+        # A one-register pool fails every reference job; the selftest
+        # must fail rather than check no function at all.
         proc = run(LAO_CLIENT, "--server=%s --workers=1" % LAO_SERVER,
                    "--regalloc=chaitin-briggs", "--regalloc-regs=1",
                    "--selftest")
         self.assertEqual(proc.returncode, 1, proc.stderr)
-        self.assertIn("need at least two allocatable registers", proc.stderr)
+        self.assertIn("regalloc_regs must be 2..12, got 1", proc.stderr)
 
     def test_regalloc_on_phis_exits_1(self):
         proc = lao_opt("--ssa", "--regalloc", INPUT)

@@ -24,7 +24,8 @@
 //                         the default chaitin-briggs/spill-everywhere.
 //                         Code with phis or parallel copies (run a
 //                         pipeline first) is an error: exit 1
-//     --regalloc-regs=N   size of the allocatable pool (default 12)
+//     --regalloc-regs=N   size of the allocatable pool, 2..12 (0 or
+//                         absent: 12); any other N is an error: exit 1
 //     --run a,b,...       execute with the given decimal arguments and
 //                         print the trace
 //     --exec=<engine>     engine for --run: interp (tree-walk, default),
