@@ -15,8 +15,8 @@
 // spills — and does the answer depend on the allocator asking?
 //
 // Record key shape (BENCH_regpressure.json): (suite, config, num_regs,
-// allocator, spill_mode) — scripts/check_bench_regression.py gates the
-// chaitin-briggs/spill-everywhere records bit-identically.
+// allocator, spill_mode) — scripts/check_bench_regression.py gates
+// spills, spill_accesses and failures bit-identically on every record.
 //
 //===----------------------------------------------------------------------===//
 

@@ -4,8 +4,8 @@
 Compares the per-(suite, config) records of a freshly generated
 BENCH_compiletime.json against the committed baseline
 (register-pressure records key on (suite, config, num_regs, allocator,
-spill_mode), with the pre-strategy-tier defaults
-chaitin-briggs/spill-everywhere filled in for old baselines). Three families of
+spill_mode); a record with num_regs but without allocator or spill_mode
+is malformed). Three families of
 checks, all pure counter/measurement diffs: independent of machine
 speed, deterministic, and they fail the build whenever a change
 
@@ -42,9 +42,10 @@ regression fails loudly with the offending key named: a fresh count
 above baseline, a measurement differing at all, a (suite, config)
 record that exists in the baseline but not in the fresh output, a
 checked counter or measurement field present on one side but missing
-from the other, and bench files missing their top-level 'records' key
-or per-record 'suite'/'config' keys (malformed input is a failure,
-never a traceback). Exit status: 0 clean, 1 any failure, 2 usage.
+from the other, and bench files missing their top-level 'records' key,
+per-record 'suite'/'config' keys, or a register-pressure record's
+'allocator'/'spill_mode' keys (malformed input is a failure, never a
+traceback). Exit status: 0 clean, 1 any failure, 2 usage.
 Stdlib only.
 """
 
@@ -133,17 +134,16 @@ def records_by_key(doc, path):
                 )
         # Register-pressure records repeat each (suite, config) once per
         # simulated register count, allocator strategy, and spill model;
-        # num_regs/allocator/spill_mode disambiguate them. The defaults
-        # name the historical single-allocator records, so a baseline
-        # from before the strategy tier keys identically to the fresh
-        # chaitin-briggs/spill-everywhere records.
+        # num_regs/allocator/spill_mode disambiguate them.
         key = (rec["suite"], rec["config"])
         if "num_regs" in rec:
-            key += (
-                rec["num_regs"],
-                rec.get("allocator", "chaitin-briggs"),
-                rec.get("spill_mode", "spill-everywhere"),
-            )
+            for required in ("allocator", "spill_mode"):
+                if required not in rec:
+                    raise MalformedBench(
+                        "%s: register-pressure record #%d missing "
+                        "required key '%s'" % (path, idx, required)
+                    )
+            key += (rec["num_regs"], rec["allocator"], rec["spill_mode"])
         out[key] = rec
     return out
 

@@ -202,29 +202,19 @@ class TestSecondsReport(CheckerHarness):
 
 class TestRegpressureKeying(CheckerHarness):
     """The 5-tuple (suite, config, num_regs, allocator, spill_mode) key
-    for register-pressure records, with pre-strategy-tier defaults."""
+    for register-pressure records."""
 
-    def test_old_baseline_matches_explicit_default_combo(self):
-        # A baseline written before the allocator strategy tier has no
-        # allocator/spill_mode keys; the defaults must make it compare
-        # against the fresh chaitin-briggs/spill-everywhere record —
-        # bit-identically, so a spill change still fails.
-        base = bench_doc([record(num_regs=8, spills=355, counters={})])
-        fresh = bench_doc([record(num_regs=8, spills=355,
-                                  allocator="chaitin-briggs",
-                                  spill_mode="spill-everywhere",
-                                  counters={})])
-        status, out = self.run_checker(base, fresh)
-        self.assertEqual(status, 0, out)
-
-    def test_old_baseline_gates_default_combo_bit_identically(self):
-        base = bench_doc([record(num_regs=8, spills=355, counters={})])
-        fresh = bench_doc([record(num_regs=8, spills=354,
-                                  allocator="chaitin-briggs",
-                                  spill_mode="spill-everywhere",
-                                  counters={})])
-        self.assert_fails_naming(base, fresh, "spills",
-                                 "must be bit-identical")
+    def test_record_without_allocator_keys_is_malformed(self):
+        # Every register-pressure record names its allocator and spill
+        # model; one without them cannot be keyed and fails cleanly.
+        for missing in ("allocator", "spill_mode"):
+            rec = record(num_regs=8, spills=355, allocator="chaitin-briggs",
+                         spill_mode="spill-everywhere", counters={})
+            del rec[missing]
+            self.assert_fails_naming(
+                bench_doc([rec]), bench_doc([rec]),
+                "register-pressure record #0 missing required key '%s'"
+                % missing)
 
     def test_allocator_distinguishes_records(self):
         # Same (suite, config, num_regs) but a different allocator is a

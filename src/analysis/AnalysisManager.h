@@ -131,6 +131,7 @@ public:
   /// any mismatch. Meant for tests and debug builds; global because it is
   /// a process-level debugging mode.
   static void setVerifyOnInvalidate(bool On) { VerifyOnInvalidate = On; }
+  static bool verifyOnInvalidate() { return VerifyOnInvalidate; }
 
 private:
   Function *F;

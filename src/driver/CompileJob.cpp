@@ -94,12 +94,15 @@ void compile(CompileOutcome &O, const std::string &Text,
   if (Opts.IfConvert)
     O.IfConversion = convertIfsToPsi(F);
 
+  // One manager from the pipeline to the last allocation round: the
+  // pipeline binds it to F, or the job does when there is no pipeline.
+  if (!Ctx.AM)
+    Ctx.AM = std::make_unique<AnalysisManager>(F);
+  AnalysisManager &AM = *Ctx.AM;
   bool Cancelled = false;
   if (Config) {
-    if (!Ctx.AM)
-      Ctx.AM = std::make_unique<AnalysisManager>(F);
     Config->CancelCheck = Cancel;
-    PipelineResult R = runPipeline(F, *Config, *Ctx.AM);
+    PipelineResult R = runPipeline(F, *Config, AM);
     if (!R.InputError.empty())
       return fail(O, RequestOutcome::ParseError, "ssa error: " + R.InputError);
     Cancelled = R.Cancelled;
@@ -110,8 +113,9 @@ void compile(CompileOutcome &O, const std::string &Text,
     if (Config->Coalesce)
       O.Coalescer = std::move(R.Coalescer);
   } else {
+    AM.reset(F);
     O.Moves = countMoves(F);
-    O.WeightedMoves = weightedMoveCount(F);
+    O.WeightedMoves = weightedMoveCount(F, AM);
   }
 
   // Allocation, the one long step after the pipeline, polls first.
@@ -122,7 +126,7 @@ void compile(CompileOutcome &O, const std::string &Text,
     RegAllocResult R;
     {
       ScopedTimer T(O.Timings, "regalloc");
-      R = allocateRegisters(F, *RA);
+      R = allocateRegisters(F, *RA, AM);
     }
     if (!R.Ok)
       return fail(O, RequestOutcome::PipelineError,

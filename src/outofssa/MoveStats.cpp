@@ -7,30 +7,8 @@
 #include "outofssa/MoveStats.h"
 
 #include "analysis/AnalysisManager.h"
-#include "analysis/LoopInfo.h"
-#include "ir/CFG.h"
 
 using namespace lao;
-
-namespace {
-
-uint64_t weightedMoveCountWith(const Function &F, const LoopInfo &LI) {
-  uint64_t Total = 0;
-  for (const auto &BB : F.blocks()) {
-    uint64_t Weight = 1;
-    for (unsigned D = 0; D < LI.depth(BB.get()); ++D)
-      Weight *= 5;
-    for (const Instruction &I : BB->instructions()) {
-      if (I.isCopy())
-        Total += Weight;
-      else if (I.isParCopy())
-        Total += Weight * I.numDefs();
-    }
-  }
-  return Total;
-}
-
-} // namespace
 
 unsigned lao::countMoves(const Function &F) {
   unsigned N = 0;
@@ -44,13 +22,19 @@ unsigned lao::countMoves(const Function &F) {
   return N;
 }
 
-uint64_t lao::weightedMoveCount(const Function &F) {
-  CFG Cfg(const_cast<Function &>(F));
-  DominatorTree DT(Cfg);
-  LoopInfo LI(Cfg, DT);
-  return weightedMoveCountWith(F, LI);
-}
-
 uint64_t lao::weightedMoveCount(const Function &F, AnalysisManager &AM) {
-  return weightedMoveCountWith(F, AM.loopInfo());
+  const LoopInfo &LI = AM.loopInfo();
+  uint64_t Total = 0;
+  for (const auto &BB : F.blocks()) {
+    uint64_t Weight = 1;
+    for (unsigned D = 0; D < LI.depth(BB.get()); ++D)
+      Weight *= 5;
+    for (const Instruction &I : BB->instructions()) {
+      if (I.isCopy())
+        Total += Weight;
+      else if (I.isParCopy())
+        Total += Weight * I.numDefs();
+    }
+  }
+  return Total;
 }

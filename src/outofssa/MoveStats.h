@@ -27,11 +27,8 @@ class AnalysisManager;
 /// Number of Mov instructions plus ParCopy entries in \p F.
 unsigned countMoves(const Function &F);
 
-/// Sum over moves of 5^depth(block) (Table 5's weighting).
-uint64_t weightedMoveCount(const Function &F);
-
-/// Same, reusing \p AM's cached CFG / dominator tree / loop info instead
-/// of rebuilding them.
+/// Sum over moves of 5^depth(block) (Table 5's weighting), with the loop
+/// depths of \p AM (bound to \p F).
 uint64_t weightedMoveCount(const Function &F, AnalysisManager &AM);
 
 } // namespace lao

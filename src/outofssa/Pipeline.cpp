@@ -170,21 +170,22 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
     if (Config.PinABI)
       collectABIConstraints(F);
   }
+
+  // One analysis manager for the rest of the pipeline: the passes above
+  // add blocks and edges and read no analysis, everything below only
+  // rewrites instructions inside existing blocks, so CFG / dominators /
+  // loop info are computed once and every pass declares what else it
+  // preserved. The manager may be a worker-owned one carrying caches
+  // from a previous request's function — reset rebinds it to F and
+  // drops them all.
+  AM.reset(F);
   if (Config.Sreedhar) {
     ScopedTimer T(R.Timings, "sreedhar");
-    convertToCSSA(F);
+    convertToCSSA(F, AM);
     pinCSSAWebs(F);
   }
   if (CancelledAt("front-phases"))
     return R;
-
-  // One analysis manager for the rest of the pipeline: the passes above
-  // add blocks and edges, everything below only rewrites instructions
-  // inside existing blocks, so CFG / dominators / loop info are computed
-  // once and every pass declares what else it preserved. The manager may
-  // be a worker-owned one carrying caches from a previous request's
-  // function — reset rebinds it to F and drops them all.
-  AM.reset(F);
 
   {
     std::optional<ScopedTimer> Analysis(std::in_place, R.Timings,

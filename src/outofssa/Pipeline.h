@@ -111,7 +111,9 @@ PipelineResult runPipeline(Function &F, const PipelineConfig &Config);
 
 /// Same, but reusing the caller-owned \p AM instead of building a fresh
 /// manager: the pipeline rebinds it to \p F (AnalysisManager::reset)
-/// once the CFG-mutating front phases are done. This is the
+/// before its first analysis-reading phase (Sreedhar, else
+/// pin-analysis) and returns it still bound, caches and all, for
+/// allocateRegisters. This is the
 /// compile-service entry point — one long-lived manager per worker,
 /// reset per request, identical results to the one-shot overload.
 PipelineResult runPipeline(Function &F, const PipelineConfig &Config,

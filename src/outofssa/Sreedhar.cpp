@@ -6,45 +6,41 @@
 
 #include "outofssa/Sreedhar.h"
 
-#include "analysis/Dominators.h"
-#include "analysis/Liveness.h"
-#include "ir/CFG.h"
+#include "analysis/AnalysisManager.h"
 #include "support/Stats.h"
 #include "support/UnionFind.h"
 
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <memory>
 #include <set>
 
 using namespace lao;
 
 namespace {
 
-/// Congruence classes plus the analyses they are checked against.
-/// Analyses are rebuilt lazily after copy insertion invalidates them.
+/// Congruence classes, checked against the dominator tree and the dense
+/// liveness of \p AM. Copy insertion only adds instructions inside
+/// existing blocks, so it keeps the CFG and the dominator tree and drops
+/// the liveness, which \p AM rebuilds on the next query.
 class CSSAState {
 public:
-  explicit CSSAState(Function &F) : F(F) { Classes.grow(F.numValues()); }
+  explicit CSSAState(AnalysisManager &AM) : F(AM.function()), AM(AM) {
+    Classes.grow(F.numValues());
+  }
 
-  void invalidate() { Built = false; }
-
-  void ensureBuilt() {
-    if (Built)
-      return;
-    Cfg = std::make_unique<CFG>(F);
-    DT = std::make_unique<DominatorTree>(*Cfg);
-    LV = std::make_unique<Liveness>(*Cfg);
-    rebuildDefSites();
-    Built = true;
+  /// Copies were inserted: liveness and the def sites are stale.
+  void copiesInserted() {
+    AM.invalidate(PreservedAnalyses::cfgOnly());
+    SitesStale = true;
   }
 
   UnionFind &classes() { return Classes; }
 
   /// Precise SSA interference between two values.
   bool valuesInterfere(RegId A, RegId B) {
-    ensureBuilt();
+    if (SitesStale)
+      rebuildDefSites();
     if (A == B)
       return false;
     const Site &SA = Sites[A], &SB = Sites[B];
@@ -75,18 +71,18 @@ public:
 
   /// True if any member of \p A's class is live out of \p BB.
   bool classLiveOut(RegId A, const BasicBlock *BB) {
-    ensureBuilt();
+    const Liveness &LV = AM.liveness();
     for (RegId X : membersOf(Classes.find(A)))
-      if (LV->isLiveOut(X, BB))
+      if (LV.isLiveOut(X, BB))
         return true;
     return false;
   }
 
   /// True if any member of \p A's class is live into \p BB.
   bool classLiveIn(RegId A, const BasicBlock *BB) {
-    ensureBuilt();
+    const Liveness &LV = AM.liveness();
     for (RegId X : membersOf(Classes.find(A)))
-      if (LV->isLiveIn(X, BB))
+      if (LV.isLiveIn(X, BB))
         return true;
     return false;
   }
@@ -122,13 +118,11 @@ private:
   };
 
   Function &F;
+  AnalysisManager &AM;
   UnionFind Classes;
   std::map<RegId, std::vector<RegId>> MembersMap;
-  std::unique_ptr<CFG> Cfg;
-  std::unique_ptr<DominatorTree> DT;
-  std::unique_ptr<Liveness> LV;
   std::vector<Site> Sites;
-  bool Built = false;
+  bool SitesStale = true;
 
   const std::vector<RegId> &membersOf(RegId Rep) {
     auto &V = MembersMap[Rep];
@@ -148,13 +142,14 @@ private:
           if (!F.isPhysical(D))
             Sites[D] = Site{BB.get(), &*It, It, Order, true};
     }
+    SitesStale = false;
   }
 
-  bool defDominates(const Site &A, const Site &B) const {
+  bool defDominates(const Site &A, const Site &B) {
     if (A.I == B.I)
       return false;
     if (A.BB != B.BB)
-      return DT->strictlyDominates(A.BB, B.BB);
+      return AM.domTree().strictlyDominates(A.BB, B.BB);
     if (A.I->isPhi())
       return !B.I->isPhi();
     if (B.I->isPhi())
@@ -163,9 +158,10 @@ private:
   }
 
   bool liveAtDef(RegId V, const Site &D) {
+    const Liveness &LV = AM.liveness();
     if (D.I->isPhi())
-      return LV->isLiveIn(V, D.BB);
-    return LV->isLiveAfter(V, D.BB, D.Pos);
+      return LV.isLiveIn(V, D.BB);
+    return LV.isLiveAfter(V, D.BB, D.Pos);
   }
 };
 
@@ -176,9 +172,9 @@ namespace {
 /// One pass of the per-phi conversion. Swap-shaped webs can need more
 /// than one pass: an inserted copy resolves the pair that triggered it
 /// but may itself interfere with another member merged later.
-SreedharStats convertToCSSAOnce(Function &F) {
+SreedharStats convertToCSSAOnce(Function &F, AnalysisManager &AM) {
   SreedharStats Stats;
-  CSSAState St(F);
+  CSSAState St(AM);
 
   // Collect phis up front (in RPO-ish program order); copies never add
   // or remove phis.
@@ -287,7 +283,7 @@ SreedharStats convertToCSSAOnce(Function &F) {
       ++Stats.NumCopiesInserted;
     }
     if (!Marked.empty())
-      St.invalidate();
+      St.copiesInserted();
 
     // Merge the (now interference-free) phi congruence classes.
     for (unsigned K = 0; K < Phi.numUses(); ++K)
@@ -298,15 +294,16 @@ SreedharStats convertToCSSAOnce(Function &F) {
 
 } // namespace
 
-SreedharStats lao::convertToCSSA(Function &F) {
+SreedharStats lao::convertToCSSA(Function &F, AnalysisManager &AM) {
+  assert(&AM.function() == &F && "the manager must be bound to F");
   SreedharStats Total;
   for (unsigned Round = 0; Round < 5; ++Round) {
-    SreedharStats Stats = convertToCSSAOnce(F);
+    SreedharStats Stats = convertToCSSAOnce(F, AM);
     Total.NumPhisProcessed =
         std::max(Total.NumPhisProcessed, Stats.NumPhisProcessed);
     Total.NumCopiesInserted += Stats.NumCopiesInserted;
     Total.NumUnresolvedPairs += Stats.NumUnresolvedPairs;
-    if (Stats.NumCopiesInserted == 0 || findCSSAViolations(F).empty())
+    if (Stats.NumCopiesInserted == 0 || findCSSAViolations(F, AM).empty())
       break;
   }
   LAO_STAT(sreedhar, runs) += 1;
@@ -316,9 +313,11 @@ SreedharStats lao::convertToCSSA(Function &F) {
   return Total;
 }
 
-std::vector<std::pair<RegId, RegId>> lao::findCSSAViolations(Function &F) {
+std::vector<std::pair<RegId, RegId>>
+lao::findCSSAViolations(Function &F, AnalysisManager &AM) {
+  assert(&AM.function() == &F && "the manager must be bound to F");
   std::vector<std::pair<RegId, RegId>> Violations;
-  CSSAState St(F);
+  CSSAState St(AM);
   // Webs: transitive closure over all phi operand sets.
   UnionFind Webs(F.numValues());
   for (const auto &BB : F.blocks())

@@ -36,14 +36,17 @@
 
 namespace lao {
 
+class AnalysisManager;
+
 struct SreedharStats {
   unsigned NumCopiesInserted = 0;
   unsigned NumPhisProcessed = 0;
   unsigned NumUnresolvedPairs = 0;
 };
 
-/// Converts \p F (SSA, critical edges split) to CSSA by copy insertion.
-SreedharStats convertToCSSA(Function &F);
+/// Converts \p F (SSA, critical edges split) to CSSA by copy insertion,
+/// reading \p AM (bound to \p F), which keeps its cfgOnly() part.
+SreedharStats convertToCSSA(Function &F, AnalysisManager &AM);
 
 /// Pins every phi web (result and arguments, transitively) to a common
 /// resource via def pins, preferring a member already pinned to a
@@ -52,8 +55,10 @@ unsigned pinCSSAWebs(Function &F);
 
 /// Checks the defining property of Conventional SSA: within every phi
 /// web (result and arguments, transitively across phis), no two members
-/// interfere. Returns the interfering pairs found (empty = CSSA).
-std::vector<std::pair<RegId, RegId>> findCSSAViolations(Function &F);
+/// interfere, per \p AM (bound to \p F). Returns the interfering pairs
+/// found (empty = CSSA).
+std::vector<std::pair<RegId, RegId>> findCSSAViolations(Function &F,
+                                                        AnalysisManager &AM);
 
 } // namespace lao
 

@@ -7,15 +7,15 @@
 /// \file
 /// The internal seam between the allocateRegisters driver and the
 /// concrete coloring strategies. One strategy call is one
-/// build/.../select round over *fresh* analyses of the (possibly
+/// build/.../select round over the analyses of the (possibly
 /// spill-rewritten) function; the driver owns the retry loop, the spill
 /// model, and the final color rewrite, so a strategy only decides which
 /// virtual gets which physical register — or which virtuals to spill.
 ///
 /// Contract for tryColor:
-///  * analyses (CFG, Liveness, InterferenceGraph, spill costs) are
-///    built from scratch inside the call — the function changed since
-///    the previous round;
+///  * analyses (InterferenceGraph, DominatorTree, spill costs) come
+///    from the manager, bound to the function, and stay untouched; the
+///    driver keeps only PreservedAnalyses::cfgOnly() across a spill;
 ///  * ColorOut is indexed by RegId over IG.numNodes() (InvalidReg =
 ///    no color); on success (return true) it maps every virtual
 ///    register of F to a member of Pool;
@@ -41,7 +41,7 @@
 
 namespace lao {
 
-class CFG;
+class AnalysisManager;
 class InterferenceGraph;
 
 class AllocatorStrategy {
@@ -49,7 +49,7 @@ public:
   virtual ~AllocatorStrategy() = default;
 
   /// One coloring round (see file comment).
-  virtual bool tryColor(Function &F, const std::vector<RegId> &Pool,
+  virtual bool tryColor(AnalysisManager &AM, const std::vector<RegId> &Pool,
                         const std::set<RegId> &NoSpill,
                         std::vector<RegId> &ColorOut,
                         std::vector<RegId> &SpillOut) = 0;
@@ -67,9 +67,9 @@ std::unique_ptr<AllocatorStrategy> makeAllocatorStrategy(AllocatorKind K);
 /// K when its id is below K.
 std::vector<RegId> allocatablePool(unsigned NumRegs);
 
-/// Spill-cost weights indexed by RegId: occurrences weighted
-/// 5^loopdepth (the same static frequency model as the paper's Table 5).
-std::vector<double> spillCosts(const Function &F, const CFG &Cfg);
+/// Spill-cost weights indexed by RegId: occurrences in \p AM's function
+/// weighted 5^loopdepth (the static frequency model of Table 5).
+std::vector<double> spillCosts(AnalysisManager &AM);
 
 /// A set of pool colors; bit R stands for the pool register R.
 using ColorMask = uint32_t;

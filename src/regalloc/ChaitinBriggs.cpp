@@ -16,9 +16,7 @@
 
 #include "regalloc/AllocatorStrategy.h"
 
-#include "analysis/InterferenceGraph.h"
-#include "analysis/Liveness.h"
-#include "ir/CFG.h"
+#include "analysis/AnalysisManager.h"
 
 using namespace lao;
 
@@ -26,13 +24,12 @@ namespace {
 
 class ChaitinBriggsStrategy : public AllocatorStrategy {
 public:
-  bool tryColor(Function &F, const std::vector<RegId> &Pool,
+  bool tryColor(AnalysisManager &AM, const std::vector<RegId> &Pool,
                 const std::set<RegId> &NoSpill, std::vector<RegId> &ColorOut,
                 std::vector<RegId> &SpillOut) override {
-    CFG Cfg(F);
-    Liveness LV(Cfg);
-    InterferenceGraph IG(F, LV);
-    std::vector<double> Cost = spillCosts(F, Cfg);
+    const Function &F = AM.function();
+    const InterferenceGraph &IG = AM.interference();
+    std::vector<double> Cost = spillCosts(AM);
 
     std::vector<RegId> Nodes = collectVirtualRegs(F);
     unsigned K = static_cast<unsigned>(Pool.size());

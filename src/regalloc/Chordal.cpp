@@ -32,10 +32,7 @@
 
 #include "regalloc/AllocatorStrategy.h"
 
-#include "analysis/Dominators.h"
-#include "analysis/InterferenceGraph.h"
-#include "analysis/Liveness.h"
-#include "ir/CFG.h"
+#include "analysis/AnalysisManager.h"
 #include "support/Stats.h"
 
 #include <algorithm>
@@ -47,14 +44,13 @@ namespace {
 
 class ChordalStrategy : public AllocatorStrategy {
 public:
-  bool tryColor(Function &F, const std::vector<RegId> &Pool,
+  bool tryColor(AnalysisManager &AM, const std::vector<RegId> &Pool,
                 const std::set<RegId> &NoSpill, std::vector<RegId> &ColorOut,
                 std::vector<RegId> &SpillOut) override {
-    CFG Cfg(F);
-    Liveness LV(Cfg);
-    InterferenceGraph IG(F, LV);
-    std::vector<double> Cost = spillCosts(F, Cfg);
-    DominatorTree DT(Cfg);
+    const Function &F = AM.function();
+    const InterferenceGraph &IG = AM.interference();
+    std::vector<double> Cost = spillCosts(AM);
+    const DominatorTree &DT = AM.domTree();
 
     std::vector<RegId> Nodes = collectVirtualRegs(F);
     unsigned K = static_cast<unsigned>(Pool.size());

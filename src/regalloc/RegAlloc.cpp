@@ -14,9 +14,7 @@
 
 #include "regalloc/RegAlloc.h"
 
-#include "analysis/InterferenceGraph.h"
-#include "analysis/LoopInfo.h"
-#include "ir/CFG.h"
+#include "analysis/AnalysisManager.h"
 #include "regalloc/AllocatorStrategy.h"
 #include "regalloc/SpillModel.h"
 #include "support/Stats.h"
@@ -49,9 +47,9 @@ std::vector<RegId> lao::allocatablePool(unsigned NumRegs) {
   return Pool;
 }
 
-std::vector<double> lao::spillCosts(const Function &F, const CFG &Cfg) {
-  DominatorTree DT(Cfg);
-  LoopInfo LI(Cfg, DT);
+std::vector<double> lao::spillCosts(AnalysisManager &AM) {
+  const Function &F = AM.function();
+  const LoopInfo &LI = AM.loopInfo();
   std::vector<double> Cost(F.numValues(), 0.0);
   for (const auto &BB : F.blocks()) {
     double W = 1;
@@ -146,6 +144,13 @@ std::unique_ptr<AllocatorStrategy> lao::makeAllocatorStrategy(AllocatorKind K) {
 
 RegAllocResult lao::allocateRegisters(Function &F,
                                       const RegAllocOptions &Opts) {
+  AnalysisManager AM(F);
+  return allocateRegisters(F, Opts, AM);
+}
+
+RegAllocResult lao::allocateRegisters(Function &F, const RegAllocOptions &Opts,
+                                      AnalysisManager &AM) {
+  assert(&AM.function() == &F && "the manager must be bound to F");
   RegAllocResult Result;
   ++LAO_STAT(regalloc, runs);
   auto Fail = [&Result](std::string Error) {
@@ -174,7 +179,7 @@ RegAllocResult lao::allocateRegisters(Function &F,
     ++LAO_STAT(regalloc, rounds);
     std::vector<RegId> Color;
     std::vector<RegId> Spills;
-    if (Strategy->tryColor(F, Pool, NoSpill, Color, Spills)) {
+    if (Strategy->tryColor(AM, Pool, NoSpill, Color, Spills)) {
       // Rewrite operands to their colors.
       ColorMask Used = 0;
       auto ColorOf = [&](RegId V) {
@@ -191,6 +196,7 @@ RegAllocResult lao::allocateRegisters(Function &F,
             if (!F.isPhysical(I.use(K)))
               I.setUse(K, ColorOf(I.use(K)));
         }
+      AM.invalidate(PreservedAnalyses::cfgOnly());
       Result.NumRegsUsed = std::popcount(Used);
       Result.FrameBytes = 8 * Model->frameSlots();
       Result.Ok = true;
@@ -205,7 +211,9 @@ RegAllocResult lao::allocateRegisters(Function &F,
         return Fail(formatStr(
             "cannot allocate: instruction needs more than %zu registers",
             Pool.size()));
+    // Spill code only adds instructions inside existing blocks.
     Model->insertSpillCode(F, Spills, NoSpill, Result);
+    AM.invalidate(PreservedAnalyses::cfgOnly());
   }
   return Fail(formatStr(
       "register allocation did not converge after %u spill rounds",

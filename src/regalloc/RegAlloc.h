@@ -51,6 +51,8 @@
 
 namespace lao {
 
+class AnalysisManager;
+
 /// Which coloring strategy a round uses (see file comment).
 enum class AllocatorKind {
   ChaitinBriggs,
@@ -114,6 +116,12 @@ struct RegAllocResult {
 /// Input with a phi or a parallel copy fails (Ok=false) untouched.
 RegAllocResult allocateRegisters(Function &F,
                                  const RegAllocOptions &Opts = {});
+
+/// Same, reading every analysis from \p AM (bound to \p F): round 1
+/// colors what the pipeline left cached, and each spill round keeps
+/// only its PreservedAnalyses::cfgOnly() part.
+RegAllocResult allocateRegisters(Function &F, const RegAllocOptions &Opts,
+                                 AnalysisManager &AM);
 
 /// Returns the virtual registers still referenced by \p F (empty after
 /// a successful allocation), in ascending RegId order.

@@ -7,15 +7,25 @@
 // The AnalysisManager contract: getters cache (same reference back until
 // invalidated), invalidate() honors the dependency cascade, and the
 // debug verifier catches passes that lie about what they preserved.
+// Over every suite, what the pipeline leaves cached is exact, and every
+// preservation claim from pipeline entry to the last allocation round
+// survives verify-on-invalidate.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "analysis/AnalysisManager.h"
+#include "outofssa/Pipeline.h"
+#include "regalloc/RegAlloc.h"
 #include "support/Stats.h"
+#include "support/ThreadPool.h"
+#include "workloads/Suites.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <functional>
 
 using namespace lao;
 using namespace lao::test;
@@ -46,6 +56,49 @@ j:
   ret %z
 }
 )");
+}
+
+/// The ten Table 1 presets (see outofssa/Pipeline.h).
+const char *const AllPresets[] = {
+    "Lphi+C", "C",            "Sphi+C",   "Lphi,ABI+C", "Sphi+LABI+C",
+    "LABI+C", "C,naiveABI+C", "Lphi,ABI", "Sphi",       "LABI"};
+
+/// Arms verify-on-invalidate for one scope, restoring the previous mode.
+class ArmVerifyOnInvalidate {
+public:
+  ArmVerifyOnInvalidate() : Was(AnalysisManager::verifyOnInvalidate()) {
+    AnalysisManager::setVerifyOnInvalidate(true);
+  }
+  ~ArmVerifyOnInvalidate() { AnalysisManager::setVerifyOnInvalidate(Was); }
+
+private:
+  bool Was;
+};
+
+/// Runs \p Run on a copy of every suite function under every preset and
+/// requires it to return "" (else what went wrong). The runs share
+/// nothing, so they go to a pool of up to four threads, largest
+/// function first.
+void forEachSuiteRun(
+    const std::function<std::string(Function &, const char *)> &Run) {
+  std::vector<Workload> Functions;
+  for (const SuiteSpec &Suite : allSuites())
+    for (Workload &W : Suite.Make())
+      Functions.push_back(std::move(W));
+  std::stable_sort(Functions.begin(), Functions.end(),
+                   [](const Workload &A, const Workload &B) {
+                     return A.F->numValues() > B.F->numValues();
+                   });
+  size_t NumPresets = std::size(AllPresets);
+  std::vector<std::string> Failure(Functions.size() * NumPresets);
+  ThreadPool Pool(std::min(4u, ThreadPool::defaultConcurrency()));
+  Pool.parallelFor(Failure.size(), [&](size_t I) {
+    auto F = cloneFunction(*Functions[I / NumPresets].F);
+    Failure[I] = Run(*F, AllPresets[I % NumPresets]);
+  });
+  for (size_t I = 0; I < Failure.size(); ++I)
+    EXPECT_EQ(Failure[I], "") << Functions[I / NumPresets].Name << " under "
+                              << AllPresets[I % NumPresets];
 }
 
 } // namespace
@@ -218,4 +271,89 @@ TEST(AnalysisManager, HonestPassKeepsVerifyClean) {
   // And a fresh request just recomputes.
   (void)AM.liveness();
   EXPECT_EQ(AM.verify(), "");
+}
+
+TEST(AnalysisManager, VerifyCatchesStaleInterferenceEdgeEitherWay) {
+  // %c interferes with %a exactly when %a is still used after %c's
+  // definition. A "pass" retargets the output without invalidating: the
+  // block live sets do not change, so only the graph check can see the
+  // cached graph keep an edge the function lost, or miss one it gained.
+  for (bool UseA : {true, false}) {
+    SCOPED_TRACE(UseA ? "edge goes stale" : "edge goes missing");
+    auto F = parse(std::string(R"(
+func @f {
+entry:
+  input %a
+  %b = make 1
+  %c = add %a, %b
+  output %)") + (UseA ? "a" : "c") + R"(
+  ret %c
+}
+)");
+    ASSERT_TRUE(F);
+    AnalysisManager AM(*F);
+    RegId A = F->findValue("a"), C = F->findValue("c");
+    EXPECT_EQ(AM.interference().interfere(A, C), UseA);
+    Instruction *Out = nullptr;
+    for (Instruction &I : F->entry().instructions())
+      if (I.op() == Opcode::Output)
+        Out = &I;
+    ASSERT_NE(Out, nullptr);
+    Out->setUse(0, UseA ? C : A);
+    EXPECT_EQ(AM.verify(), "InterferenceGraph stale: neighbors of v" +
+                               std::to_string(std::min(A, C)) + " differ");
+  }
+}
+
+TEST(AnalysisManager, PipelineLeavesExactAnalysesOnEverySuite) {
+  // Every suite under every preset: what runPipeline leaves cached (the
+  // CFG, dominators and loop info; after coalescing the liveness and,
+  // when it merged, its repaired interference graph) equals a fresh
+  // build, the graph row for row. allocateRegisters' first round colors
+  // that graph, so this is what makes the reuse exact.
+  std::atomic<unsigned> WithGraph = 0;
+  forEachSuiteRun([&](Function &F, const char *Preset) {
+    AnalysisManager AM(F);
+    runPipeline(F, pipelinePreset(Preset), AM);
+    WithGraph += AM.isCached(AnalysisKind::Interference);
+    return AM.verify();
+  });
+  EXPECT_GT(WithGraph, 0u) << "no run left a graph to check";
+}
+
+TEST(AnalysisManager, EveryPreservationClaimHoldsOnEverySuite) {
+  // With verify-on-invalidate armed, each invalidate() recomputes what it
+  // claims survived and aborts on a lie: the pipeline's phases,
+  // Sreedhar's copy insertion, every spill round and the final color
+  // rewrite, at 8 registers with both allocators and both spill models.
+  // The first combination allocates on the pipeline's own manager, the
+  // others on copies of its output. The mode is process-wide: it is
+  // armed before the pool starts and restored after the pool joins.
+  ArmVerifyOnInvalidate Armed;
+  forEachSuiteRun([](Function &F, const char *Preset) {
+    AnalysisManager AM(F);
+    runPipeline(F, pipelinePreset(Preset), AM);
+    std::vector<std::unique_ptr<Function>> Copies;
+    for (int I = 0; I < 3; ++I)
+      Copies.push_back(cloneFunction(F));
+    std::string Failures;
+    unsigned Combo = 0;
+    for (AllocatorKind A :
+         {AllocatorKind::ChaitinBriggs, AllocatorKind::Chordal})
+      for (SpillModelKind S :
+           {SpillModelKind::SpillEverywhere, SpillModelKind::LoadStoreOpt}) {
+        Function &G = Combo == 0 ? F : *Copies[Combo - 1];
+        if (Combo++)
+          AM.reset(G);
+        RegAllocOptions Opts;
+        Opts.Allocator = A;
+        Opts.SpillMode = S;
+        Opts.NumRegs = 8;
+        RegAllocResult R = allocateRegisters(G, Opts, AM);
+        if (!R.Ok)
+          Failures += R.Error + "; ";
+        Failures += AM.verify();
+      }
+    return Failures;
+  });
 }

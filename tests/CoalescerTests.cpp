@@ -544,5 +544,6 @@ done:
 }
 )");
   // One move at depth 0 (weight 1) + one at depth 1 (weight 5).
-  EXPECT_EQ(weightedMoveCount(*F), 6u);
+  AnalysisManager AM(*F);
+  EXPECT_EQ(weightedMoveCount(*F, AM), 6u);
 }

@@ -6,7 +6,8 @@
 //
 // The two tryColor bodies kept verbatim from the scan-based allocator,
 // apart from the dense spill-cost vector they now read (same values,
-// same operator[]). Each colors into an ordered map, which the shared
+// same operator[]) and the analyses they read from the round's manager,
+// as the production strategies do. Each colors into an ordered map, which the shared
 // wrapper spreads over the dense ColorOut the strategy contract asks
 // for.
 //
@@ -14,10 +15,7 @@
 
 #include "ReferenceAllocators.h"
 
-#include "analysis/Dominators.h"
-#include "analysis/InterferenceGraph.h"
-#include "analysis/Liveness.h"
-#include "ir/CFG.h"
+#include "analysis/AnalysisManager.h"
 #include "support/Stats.h"
 
 #include <algorithm>
@@ -29,19 +27,19 @@ namespace {
 
 class ScanStrategy : public AllocatorStrategy {
 public:
-  bool tryColor(Function &F, const std::vector<RegId> &Pool,
+  bool tryColor(AnalysisManager &AM, const std::vector<RegId> &Pool,
                 const std::set<RegId> &NoSpill, std::vector<RegId> &ColorOut,
                 std::vector<RegId> &SpillOut) override {
     std::map<RegId, RegId> Color;
-    bool Ok = scan(F, Pool, NoSpill, Color, SpillOut);
-    ColorOut.assign(F.numValues(), InvalidReg);
+    bool Ok = scan(AM, Pool, NoSpill, Color, SpillOut);
+    ColorOut.assign(AM.function().numValues(), InvalidReg);
     for (const auto &[V, C] : Color)
       ColorOut[V] = C;
     return Ok;
   }
 
 protected:
-  virtual bool scan(Function &F, const std::vector<RegId> &Pool,
+  virtual bool scan(AnalysisManager &AM, const std::vector<RegId> &Pool,
                     const std::set<RegId> &NoSpill,
                     std::map<RegId, RegId> &ColorOut,
                     std::vector<RegId> &SpillOut) = 0;
@@ -49,13 +47,12 @@ protected:
 
 class ScanChaitinBriggsStrategy : public ScanStrategy {
 protected:
-  bool scan(Function &F, const std::vector<RegId> &Pool,
+  bool scan(AnalysisManager &AM, const std::vector<RegId> &Pool,
             const std::set<RegId> &NoSpill, std::map<RegId, RegId> &ColorOut,
             std::vector<RegId> &SpillOut) override {
-    CFG Cfg(F);
-    Liveness LV(Cfg);
-    InterferenceGraph IG(F, LV);
-    std::vector<double> Cost = spillCosts(F, Cfg);
+    const Function &F = AM.function();
+    const InterferenceGraph &IG = AM.interference();
+    std::vector<double> Cost = spillCosts(AM);
 
     std::set<RegId> PoolSet(Pool.begin(), Pool.end());
     std::vector<RegId> Nodes = collectVirtualRegs(F);
@@ -141,14 +138,13 @@ protected:
 
 class ScanChordalStrategy : public ScanStrategy {
 protected:
-  bool scan(Function &F, const std::vector<RegId> &Pool,
+  bool scan(AnalysisManager &AM, const std::vector<RegId> &Pool,
             const std::set<RegId> &NoSpill, std::map<RegId, RegId> &ColorOut,
             std::vector<RegId> &SpillOut) override {
-    CFG Cfg(F);
-    Liveness LV(Cfg);
-    InterferenceGraph IG(F, LV);
-    std::vector<double> Cost = spillCosts(F, Cfg);
-    DominatorTree DT(Cfg);
+    const Function &F = AM.function();
+    const InterferenceGraph &IG = AM.interference();
+    std::vector<double> Cost = spillCosts(AM);
+    const DominatorTree &DT = AM.domTree();
 
     std::set<RegId> PoolSet(Pool.begin(), Pool.end());
     std::vector<RegId> Nodes = collectVirtualRegs(F);

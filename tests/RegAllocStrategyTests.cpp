@@ -9,15 +9,20 @@
 // matrix (no virtuals remain, interpreter equivalence against the
 // unallocated function, load-store-opt never touching memory more often
 // than spill-everywhere), chordal-vs-Chaitin-Briggs spill parity on the
-// committed suites, and the deterministic frame-slot assignment
-// regression test.
+// committed suites, the deterministic frame-slot assignment
+// regression test, and the compile job's allocation (on analyses the
+// pipeline left cached) against the one-shot calls (on fresh ones).
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "driver/CompileJob.h"
+#include "ir/IRParser.h"
+#include "ir/IRPrinter.h"
 #include "outofssa/Pipeline.h"
 #include "regalloc/RegAlloc.h"
+#include "support/ThreadPool.h"
 #include "workloads/Suites.h"
 
 #include <gtest/gtest.h>
@@ -284,4 +289,55 @@ TEST(RegAllocStrategy, FrameSlotAssignmentIsDeterministic) {
       }
     }
   }
+}
+
+TEST(RegAllocStrategy, CompileJobMatchesOneShotCalls) {
+  // The compile job allocates on the manager its pipeline filled, so
+  // round 1 colors the coalescer's cached graph; one WorkerContext per
+  // preset and combination carries that manager from function to
+  // function, as a server worker does. The one-shot calls build every
+  // analysis afresh. Over every suite function, at 8 registers, both
+  // must give the same IR byte for byte and the same allocation.
+  std::vector<std::pair<std::string, std::string>> Texts; // Name, IR.
+  for (const SuiteSpec &Suite : allSuites())
+    for (const Workload &W : Suite.Make())
+      Texts.push_back({W.Name, printFunction(*W.F)});
+  const char *const Presets[] = {"Lphi,ABI+C", "LABI+C", "C,naiveABI+C"};
+  size_t NumCombos = std::size(AllCombos);
+  std::vector<std::string> Mismatch(std::size(Presets) * NumCombos);
+  ThreadPool Pool(std::min(4u, ThreadPool::defaultConcurrency()));
+  Pool.parallelFor(Mismatch.size(), [&](size_t Task) {
+    const char *Preset = Presets[Task / NumCombos];
+    RegAllocOptions RA = AllCombos[Task % NumCombos];
+    RA.NumRegs = 8;
+    RequestOptions Opts;
+    Opts.Pipeline = Preset;
+    Opts.RegAlloc = comboName(RA);
+    Opts.RegAllocRegs = RA.NumRegs;
+    WorkerContext Ctx;
+    for (const auto &[Name, Text] : Texts) {
+      CompileOutcome Job = runCompileJob(Text, Opts, Ctx);
+      auto F = parseFunction(Text);
+      PipelineResult P = runPipeline(*F, pipelinePreset(Preset));
+      RegAllocResult R = allocateRegisters(*F, RA);
+      std::string Where = Name + " under " + Preset + " [" + comboName(RA) +
+                          "]: ";
+      if (Job.ok() != R.Ok)
+        Mismatch[Task] += Where + "job ok " + std::to_string(Job.ok()) +
+                          ", one-shot ok " + std::to_string(R.Ok) + "\n";
+      else if (!R.Ok && Job.Error != "regalloc error: " + R.Error)
+        Mismatch[Task] += Where + Job.Error + " vs " + R.Error + "\n";
+      else if (R.Ok && (Job.IR != printFunction(*F) ||
+                        Job.Moves != P.NumMoves ||
+                        Job.WeightedMoves != P.WeightedMoves ||
+                        Job.Spills != R.NumSpilled ||
+                        Job.SpillAccesses !=
+                            R.NumSpillLoads + R.NumSpillStores ||
+                        Job.RegsUsed != R.NumRegsUsed ||
+                        Job.FrameBytes != R.FrameBytes))
+        Mismatch[Task] += Where + "results differ\n";
+    }
+  });
+  for (const std::string &M : Mismatch)
+    EXPECT_EQ(M, "");
 }

@@ -6,6 +6,7 @@
 
 #include "TestUtil.h"
 
+#include "analysis/AnalysisManager.h"
 #include "ir/CFG.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/Pipeline.h"
@@ -38,7 +39,8 @@ j:
 }
 )");
   splitCriticalEdges(*F);
-  SreedharStats Stats = convertToCSSA(*F);
+  AnalysisManager AM(*F);
+  SreedharStats Stats = convertToCSSA(*F, AM);
   EXPECT_EQ(Stats.NumPhisProcessed, 1u);
   EXPECT_EQ(Stats.NumCopiesInserted, 0u);
 }
@@ -48,7 +50,8 @@ TEST(Sreedhar, InsertsCopyForInterferingArg) {
   auto F = makeFigure5();
   auto Before = cloneFunction(*F);
   splitCriticalEdges(*F);
-  SreedharStats Stats = convertToCSSA(*F);
+  AnalysisManager AM(*F);
+  SreedharStats Stats = convertToCSSA(*F, AM);
   EXPECT_GE(Stats.NumCopiesInserted, 1u);
   EXPECT_TRUE(verifySSA(*F).empty()) << "conversion preserves SSA";
   expectEquivalent(*Before, *F, {2, 5});
@@ -77,7 +80,8 @@ done:
 )");
   auto Before = cloneFunction(*F);
   splitCriticalEdges(*F);
-  SreedharStats Stats = convertToCSSA(*F);
+  AnalysisManager AM(*F);
+  SreedharStats Stats = convertToCSSA(*F, AM);
   EXPECT_GE(Stats.NumCopiesInserted, 1u);
   pinCSSAWebs(*F);
 
@@ -116,7 +120,8 @@ j:
 }
 )");
   splitCriticalEdges(*F);
-  convertToCSSA(*F);
+  AnalysisManager AM(*F);
+  convertToCSSA(*F, AM);
   unsigned Pinned = pinCSSAWebs(*F);
   EXPECT_EQ(Pinned, 3u) << "x, x1 and x2 all pinned to one resource";
   RegId Pin = InvalidReg;
@@ -178,7 +183,8 @@ TEST(Sreedhar, ConvertedSuiteFunctionsStayValidSSA) {
     auto F = generateProgram(P, Name);
     normalizeToOptimizedSSA(*F);
     splitCriticalEdges(*F);
-    convertToCSSA(*F);
+    AnalysisManager AM(*F);
+    convertToCSSA(*F, AM);
     EXPECT_TRUE(verifySSA(*F).empty()) << "seed " << Seed;
     expectWellFormed(*F);
   }
@@ -190,8 +196,9 @@ TEST(Sreedhar, ConversionEstablishesCSSAProperty) {
   for (const Workload &W : makeExamplesSuite()) {
     auto F = cloneFunction(*W.F);
     splitCriticalEdges(*F);
-    convertToCSSA(*F);
-    auto Violations = findCSSAViolations(*F);
+    AnalysisManager AM(*F);
+    convertToCSSA(*F, AM);
+    auto Violations = findCSSAViolations(*F, AM);
     EXPECT_TRUE(Violations.empty())
         << W.Name << ": " << Violations.size() << " interfering pairs, "
         << "e.g. " << F->valueName(Violations.empty() ? 0
@@ -205,8 +212,9 @@ TEST(Sreedhar, ConversionEstablishesCSSAProperty) {
     auto F = generateProgram(P, "cssa" + std::to_string(Seed));
     normalizeToOptimizedSSA(*F);
     splitCriticalEdges(*F);
-    convertToCSSA(*F);
-    EXPECT_TRUE(findCSSAViolations(*F).empty()) << "seed " << Seed;
+    AnalysisManager AM(*F);
+    convertToCSSA(*F, AM);
+    EXPECT_TRUE(findCSSAViolations(*F, AM).empty()) << "seed " << Seed;
   }
 }
 
@@ -215,7 +223,8 @@ TEST(Sreedhar, ViolationsDetectedBeforeConversion) {
   // must see it, and conversion must clear it.
   auto F = makeFigure5();
   splitCriticalEdges(*F);
-  EXPECT_FALSE(findCSSAViolations(*F).empty());
-  convertToCSSA(*F);
-  EXPECT_TRUE(findCSSAViolations(*F).empty());
+  AnalysisManager AM(*F);
+  EXPECT_FALSE(findCSSAViolations(*F, AM).empty());
+  convertToCSSA(*F, AM);
+  EXPECT_TRUE(findCSSAViolations(*F, AM).empty());
 }

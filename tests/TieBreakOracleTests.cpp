@@ -19,9 +19,7 @@
 #include "ReferenceAllocators.h"
 #include "TestUtil.h"
 
-#include "analysis/InterferenceGraph.h"
-#include "analysis/Liveness.h"
-#include "ir/CFG.h"
+#include "analysis/AnalysisManager.h"
 #include "outofssa/Pipeline.h"
 #include "regalloc/SpillModel.h"
 #include "support/Rng.h"
@@ -55,10 +53,11 @@ std::string firstDifference(const std::vector<RegId> &Got,
   return "index " + std::to_string(I) + ": " + At(Got) + " vs " + At(Want);
 }
 
-/// One coloring round of \p F through the production strategy and its
-/// reference: the production's result, and in \p Mismatch where the
-/// two differ (left empty when they agree).
-bool sameRound(Function &F, AllocatorKind A, unsigned NumRegs,
+/// One coloring round of the function \p AM is bound to through the
+/// production strategy and its reference, both reading \p AM: the
+/// production's result, and in \p Mismatch where the two differ (left
+/// empty when they agree).
+bool sameRound(AnalysisManager &AM, AllocatorKind A, unsigned NumRegs,
                const std::set<RegId> &NoSpill, std::vector<RegId> &Spills,
                std::string &Mismatch) {
   std::vector<RegId> Pool = allocatablePool(NumRegs);
@@ -66,8 +65,8 @@ bool sameRound(Function &F, AllocatorKind A, unsigned NumRegs,
       A == AllocatorKind::Chordal ? makeScanChordalStrategy()
                                   : makeScanChaitinBriggsStrategy();
   std::vector<RegId> Color, RefColor, RefSpills;
-  bool Ok = makeAllocatorStrategy(A)->tryColor(F, Pool, NoSpill, Color, Spills);
-  bool RefOk = Ref->tryColor(F, Pool, NoSpill, RefColor, RefSpills);
+  bool Ok = makeAllocatorStrategy(A)->tryColor(AM, Pool, NoSpill, Color, Spills);
+  bool RefOk = Ref->tryColor(AM, Pool, NoSpill, RefColor, RefSpills);
   if (Ok != RefOk)
     Mismatch = "colored " + std::to_string(Ok) + " vs " + std::to_string(RefOk);
   else if (std::string D = firstDifference(Color, RefColor); !D.empty())
@@ -79,20 +78,22 @@ bool sameRound(Function &F, AllocatorKind A, unsigned NumRegs,
 
 /// allocateRegisters' round loop with both strategies in lockstep: each
 /// round is compared, then the spill model applies the (shared) spill
-/// set. Stops where the driver stops: colored, a NoSpill temp spilled,
-/// or the round cap. Returns where the two first differ, or "" when
+/// set and the manager drops what the spill code made stale, as the
+/// driver does. Stops where the driver stops: colored, a NoSpill temp
+/// spilled, or the round cap. Returns where the two first differ, or "" when
 /// they agree in every round. Touches no gtest state, so it may run on
 /// any thread.
 std::string firstMismatch(const Function &Input, AllocatorKind A,
                           SpillModelKind S, unsigned NumRegs) {
   auto F = cloneFunction(Input);
+  AnalysisManager AM(*F);
   std::unique_ptr<SpillModel> Model = makeSpillModel(S);
   std::set<RegId> NoSpill;
   RegAllocResult Counters;
   for (unsigned Round = 1; Round <= RegAllocOptions().MaxRounds; ++Round) {
     std::vector<RegId> Spills;
     std::string Mismatch;
-    bool Ok = sameRound(*F, A, NumRegs, NoSpill, Spills, Mismatch);
+    bool Ok = sameRound(AM, A, NumRegs, NoSpill, Spills, Mismatch);
     if (!Mismatch.empty())
       return formatStr("%s/%s with %u registers, round %u: %s",
                        allocatorName(A), spillModelName(S), NumRegs, Round,
@@ -103,6 +104,7 @@ std::string firstMismatch(const Function &Input, AllocatorKind A,
       if (NoSpill.count(V))
         return "";
     Model->insertSpillCode(*F, Spills, NoSpill, Counters);
+    AM.invalidate(PreservedAnalyses::cfgOnly());
   }
   return "";
 }
@@ -162,10 +164,9 @@ struct Ties {
 };
 
 Ties tiesOf(Function &F, unsigned K) {
-  CFG Cfg(F);
-  Liveness LV(Cfg);
-  InterferenceGraph IG(F, LV);
-  std::vector<double> Cost = spillCosts(F, Cfg);
+  AnalysisManager AM(F);
+  const InterferenceGraph &IG = AM.interference();
+  std::vector<double> Cost = spillCosts(AM);
   std::vector<RegId> Nodes = collectVirtualRegs(F);
   std::map<unsigned, unsigned> LowDegrees;
   std::map<double, std::set<double>> CostsByRatio;
@@ -300,12 +301,13 @@ entry:
   std::set<RegId> HalfNoSpill;
   for (size_t I = 0; I < Virtuals.size(); I += 2)
     HalfNoSpill.insert(Virtuals[I]);
+  AnalysisManager AM(*F);
   for (const std::set<RegId> *NoSpill : {&AllNoSpill, &HalfNoSpill})
     for (unsigned K = 2; K <= 4; ++K)
       for (AllocatorKind A : Allocators) {
         std::vector<RegId> Spills;
         std::string Mismatch;
-        EXPECT_FALSE(sameRound(*F, A, K, *NoSpill, Spills, Mismatch));
+        EXPECT_FALSE(sameRound(AM, A, K, *NoSpill, Spills, Mismatch));
         EXPECT_EQ(Mismatch, "");
         EXPECT_FALSE(Spills.empty());
       }
