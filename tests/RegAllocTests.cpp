@@ -8,6 +8,8 @@
 
 #include "outofssa/Pipeline.h"
 #include "regalloc/RegAlloc.h"
+#include "regalloc/SpillModel.h"
+#include "support/Stats.h"
 #include "workloads/Generator.h"
 #include "workloads/Suites.h"
 
@@ -26,6 +28,40 @@ RegAllocResult lowerAndAllocate(Function &F, unsigned NumRegs = 12,
   Opts.NumRegs = NumRegs;
   return allocateRegisters(F, Opts);
 }
+
+/// Drives the spill rewriter directly, one round per spill() call, with
+/// the state the driver keeps across rounds: the rewriter, the NoSpill
+/// set and the result counters.
+struct SpillHarness {
+  SpillHarness(Function &F, SpillModelKind Kind)
+      : F(F), Model(makeSpillModel(Kind)) {}
+
+  /// Spills the values named \p Names (in that order) and returns the
+  /// regalloc counters the round bumped.
+  StatsSnapshot spill(std::vector<std::string> Names) {
+    std::vector<RegId> Spilled;
+    for (const std::string &N : Names) {
+      Spilled.push_back(F.findValue(N));
+      EXPECT_NE(Spilled.back(), InvalidReg) << N;
+    }
+    StatsScope Scope;
+    Model->insertSpillCode(F, Spilled, NoSpill, Result);
+    return Scope.snapshot();
+  }
+
+  /// The NoSpill members, by name in RegId order.
+  std::string noSpill() const {
+    std::string Out;
+    for (RegId V : NoSpill)
+      Out += (Out.empty() ? "" : " ") + F.valueName(V);
+    return Out;
+  }
+
+  Function &F;
+  std::unique_ptr<SpillModel> Model;
+  std::set<RegId> NoSpill;
+  RegAllocResult Result;
+};
 
 } // namespace
 
@@ -277,4 +313,211 @@ TEST(RegAlloc, CoalescingReducesPressureOnAverage) {
   }
   EXPECT_LE(PinnedSpills, NaiveSpills + NaiveSpills / 4)
       << "pinning-based coalescing should not blow up register pressure";
+}
+
+//===----------------------------------------------------------------------===//
+// The spill rewriter's output, pinned
+//===----------------------------------------------------------------------===//
+
+TEST(SpillRewrite, SpillEverywhereReloadsEachUseAndStoresEachDef) {
+  // One reload per instruction per value (both operands of %w read the
+  // same temp), a store after the def, every temp NoSpill. Slots go to
+  // new values in ascending RegId order whatever order they arrive in.
+  auto F = parse(R"(
+func @f {
+entry:
+  input %a
+  %v = addi %a, 1
+  %w = add %v, %v
+  %x = add %w, %v
+  ret %x
+}
+)");
+  auto Before = cloneFunction(*F);
+  SpillHarness H(*F, SpillModelKind::SpillEverywhere);
+  H.spill({"w", "v"});
+  EXPECT_EQ(printFunction(*F), R"(func @f {
+entry:
+  input %a
+  %v.st = addi %a, 1
+  %sl.addr = make 524288
+  store %sl.addr, %v.st
+  %v.ld = make 524288
+  %v.ld = load %v.ld
+  %w.st = add %v.ld, %v.ld
+  %sl.addr.21 = make 524296
+  store %sl.addr.21, %w.st
+  %w.ld = make 524296
+  %w.ld = load %w.ld
+  %v.ld.23 = make 524288
+  %v.ld.23 = load %v.ld.23
+  %x = add %w.ld, %v.ld.23
+  ret %x
+}
+)");
+  EXPECT_EQ(H.noSpill(), "v.st sl.addr v.ld w.st sl.addr.21 w.ld v.ld.23");
+  EXPECT_EQ(H.Result.NumSpilled, 2u);
+  EXPECT_EQ(H.Result.NumSpillLoads, 3u);
+  EXPECT_EQ(H.Result.NumSpillStores, 2u);
+  EXPECT_EQ(H.Model->frameSlots(), 2u);
+  expectEquivalent(*Before, *F, {4});
+}
+
+TEST(SpillRewrite, LoadStoreOptForwardsWithinABlock) {
+  // One reload in b serves all three uses; the store stays because b
+  // reloads the slot. The forwarded reload temp stays spillable.
+  auto F = parse(R"(
+func @f {
+entry:
+  input %a
+  %v = addi %a, 1
+  jump b
+b:
+  %w = add %v, %v
+  %x = add %w, %v
+  ret %x
+}
+)");
+  auto Before = cloneFunction(*F);
+  SpillHarness H(*F, SpillModelKind::LoadStoreOpt);
+  StatsSnapshot Stats = H.spill({"v"});
+  EXPECT_EQ(printFunction(*F), R"(func @f {
+entry:
+  input %a
+  %v.st = addi %a, 1
+  %sl.addr = make 524288
+  store %sl.addr, %v.st
+  jump b
+b:
+  %v.ld = make 524288
+  %v.ld = load %v.ld
+  %w = add %v.ld, %v.ld
+  %x = add %w, %v.ld
+  ret %x
+}
+)");
+  EXPECT_EQ(H.noSpill(), "v.st sl.addr");
+  EXPECT_EQ(H.Result.NumSpilled, 1u);
+  EXPECT_EQ(H.Result.NumSpillLoads, 1u);
+  EXPECT_EQ(H.Result.NumSpillStores, 1u);
+  EXPECT_EQ(Stats["regalloc.forwarded_uses"], 2u);
+  EXPECT_EQ(Stats.count("regalloc.dead_stores_removed"), 0u);
+  expectEquivalent(*Before, *F, {4});
+}
+
+TEST(SpillRewrite, LoadStoreOptDeletesAnOverwrittenStore) {
+  // The second def's store overwrites the first's with no reload in
+  // between: the first store goes, and its def temp (now read only by
+  // the forwarded use) stays spillable.
+  auto F = parse(R"(
+func @f {
+entry:
+  input %a
+  %v = addi %a, 1
+  %v = addi %v, 2
+  jump b
+b:
+  %w = add %v, %a
+  ret %w
+}
+)");
+  auto Before = cloneFunction(*F);
+  SpillHarness H(*F, SpillModelKind::LoadStoreOpt);
+  StatsSnapshot Stats = H.spill({"v"});
+  EXPECT_EQ(printFunction(*F), R"(func @f {
+entry:
+  input %a
+  %v.st = addi %a, 1
+  %v.st.18 = addi %v.st, 2
+  %sl.addr.19 = make 524288
+  store %sl.addr.19, %v.st.18
+  jump b
+b:
+  %v.ld = make 524288
+  %v.ld = load %v.ld
+  %w = add %v.ld, %a
+  ret %w
+}
+)");
+  EXPECT_EQ(H.noSpill(), "sl.addr v.st.18 sl.addr.19 v.ld");
+  EXPECT_EQ(H.Result.NumSpillLoads, 1u);
+  EXPECT_EQ(H.Result.NumSpillStores, 1u);
+  EXPECT_EQ(Stats["regalloc.forwarded_uses"], 1u);
+  EXPECT_EQ(Stats["regalloc.dead_stores_removed"], 1u);
+  expectEquivalent(*Before, *F, {4});
+}
+
+TEST(SpillRewrite, LoadStoreOptDropsStoresOfAValueNeverReloaded) {
+  // Every use of %v sits in its def block: the def temp forwards to
+  // both, no reload is emitted, and the write-only store is dropped.
+  // The value was renamed, not shortened, so the rename stays spillable;
+  // it still owns a slot.
+  auto F = parse(R"(
+func @f {
+entry:
+  input %a
+  %v = addi %a, 1
+  %w = add %v, %v
+  ret %w
+}
+)");
+  auto Before = cloneFunction(*F);
+  SpillHarness H(*F, SpillModelKind::LoadStoreOpt);
+  StatsSnapshot Stats = H.spill({"v"});
+  EXPECT_EQ(printFunction(*F), R"(func @f {
+entry:
+  input %a
+  %v.st = addi %a, 1
+  %w = add %v.st, %v.st
+  ret %w
+}
+)");
+  EXPECT_EQ(H.noSpill(), "sl.addr");
+  EXPECT_EQ(H.Result.NumSpilled, 1u);
+  EXPECT_EQ(H.Result.NumSpillLoads, 0u);
+  EXPECT_EQ(H.Result.NumSpillStores, 0u);
+  EXPECT_EQ(H.Model->frameSlots(), 1u);
+  EXPECT_EQ(Stats["regalloc.forwarded_uses"], 2u);
+  EXPECT_EQ(Stats["regalloc.dead_stores_removed"], 1u);
+  expectEquivalent(*Before, *F, {4});
+}
+
+TEST(SpillRewrite, LoadStoreOptRespillsItsOwnTempClassically) {
+  // Round 1 renames %v to %v.st (previous test); spilling that rename
+  // in round 2 takes the classic path: a store after its def, one
+  // reload for the instruction that reads it twice, no forwarding, and
+  // every new temp NoSpill. It gets the next slot.
+  auto F = parse(R"(
+func @f {
+entry:
+  input %a
+  %v = addi %a, 1
+  %w = add %v, %v
+  ret %w
+}
+)");
+  auto Before = cloneFunction(*F);
+  SpillHarness H(*F, SpillModelKind::LoadStoreOpt);
+  H.spill({"v"});
+  StatsSnapshot Stats = H.spill({"v.st"});
+  EXPECT_EQ(printFunction(*F), R"(func @f {
+entry:
+  input %a
+  %v.st.st = addi %a, 1
+  %sl.addr.19 = make 524296
+  store %sl.addr.19, %v.st.st
+  %v.st.ld = make 524296
+  %v.st.ld = load %v.st.ld
+  %w = add %v.st.ld, %v.st.ld
+  ret %w
+}
+)");
+  EXPECT_EQ(H.noSpill(), "sl.addr v.st.st sl.addr.19 v.st.ld");
+  EXPECT_EQ(H.Result.NumSpilled, 2u);
+  EXPECT_EQ(H.Result.NumSpillLoads, 1u);
+  EXPECT_EQ(H.Result.NumSpillStores, 1u);
+  EXPECT_EQ(H.Model->frameSlots(), 2u);
+  EXPECT_EQ(Stats.count("regalloc.forwarded_uses"), 0u);
+  EXPECT_EQ(Stats.count("regalloc.dead_stores_removed"), 0u);
+  expectEquivalent(*Before, *F, {4});
 }
