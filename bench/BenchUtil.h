@@ -98,6 +98,39 @@ inline ThreadPool &sharedPool() {
   return Pool;
 }
 
+/// Calls \p Fn(I) for every I in [0, N): on the shared pool when it has
+/// more than one worker, else serially. Callers write index-addressed
+/// results and reduce them in order afterwards.
+template <typename Callable> void forEachIndex(size_t N, Callable Fn) {
+  if (sharedPool().numThreads() > 1)
+    sharedPool().parallelFor(N, Fn);
+  else
+    for (size_t I = 0; I < N; ++I)
+      Fn(I);
+}
+
+/// The FNV-1a offset basis every bench digest starts from.
+constexpr uint64_t DigestSeed = 14695981039346656037ull;
+
+/// Folds one byte into the FNV-1a digest \p H.
+inline void feedByte(uint64_t &H, uint8_t B) {
+  H ^= B;
+  H *= 1099511628211ull;
+}
+
+/// Folds the eight bytes of \p V, lowest first, into \p H.
+inline void feedDigest(uint64_t &H, uint64_t V) {
+  for (int B = 0; B < 8; ++B)
+    feedByte(H, static_cast<uint8_t>(V >> (B * 8)));
+}
+
+/// Folds the length of \p S, then its bytes, into \p H.
+inline void feedDigest(uint64_t &H, std::string_view S) {
+  feedDigest(H, static_cast<uint64_t>(S.size()));
+  for (char C : S)
+    feedByte(H, static_cast<uint8_t>(C));
+}
+
 /// Aggregate outcome of a configuration over one suite.
 struct SuiteTotals {
   uint64_t Moves = 0;

@@ -62,17 +62,12 @@ struct ExecTotals {
   uint64_t Errors = 0; ///< Runs that did not reach `ret` (error/timeout).
   uint64_t DynInstrs = 0;
   uint64_t DynMoves = 0;
-  uint64_t Digest = 14695981039346656037ull; ///< FNV-1a over all traces.
+  uint64_t Digest = DigestSeed; ///< FNV-1a over all traces.
   double VmSeconds = 0;
   double InterpSeconds = 0;
 };
 
-void feedDigest(uint64_t &H, uint64_t V) {
-  for (int B = 0; B < 8; ++B) {
-    H ^= (V >> (B * 8)) & 0xFF;
-    H *= 1099511628211ull;
-  }
-}
+using bench::feedDigest;
 
 void feedDigest(uint64_t &H, const ExecResult &R) {
   feedDigest(H, static_cast<uint64_t>(R.Status));

@@ -14,14 +14,20 @@
 // does the pinning-based coalescing pay for its move savings with
 // spills — and does the answer depend on the allocator asking?
 //
+// Each (suite, config) pair is lowered once; every (combo, num_regs)
+// cell allocates clones of the lowered functions.
+//
 // Record key shape (BENCH_regpressure.json): (suite, config, num_regs,
 // allocator, spill_mode) — scripts/check_bench_regression.py gates
-// spills, spill_accesses and failures bit-identically on every record.
+// spills, spill_accesses, failures and ir_digest bit-identically on every
+// record. ir_digest is FNV-1a over each function's allocated IR (or its
+// error text), folded in suite order.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
+#include "ir/IRPrinter.h"
 #include "regalloc/RegAlloc.h"
 
 using namespace lao;
@@ -33,27 +39,39 @@ struct PressureTotals {
   uint64_t Spills = 0;
   uint64_t SpillAccesses = 0; // loads + stores inserted
   unsigned Failures = 0;      // functions the allocator gave up on
+  uint64_t IrDigest = DigestSeed;
 };
 
-PressureTotals allocateSuite(const std::vector<Workload> &Suite,
-                             const char *Preset, RegAllocOptions Opts) {
+/// Every function of a suite after one out-of-SSA preset.
+using LoweredSuite = std::vector<std::unique_ptr<Function>>;
+
+LoweredSuite lowerSuite(const std::vector<Workload> &Suite,
+                        const char *Preset) {
+  LoweredSuite Lowered(Suite.size());
+  forEachIndex(Suite.size(), [&](size_t I) {
+    Lowered[I] = cloneFunction(*Suite[I].F);
+    runPipeline(*Lowered[I], pipelinePreset(Preset));
+  });
+  return Lowered;
+}
+
+PressureTotals allocateSuite(const LoweredSuite &Lowered,
+                             const RegAllocOptions &Opts) {
   // Same deterministic shape as runOnSuite: allocate each function
   // independently (in parallel when the machine allows), reduce in suite
   // order.
-  std::vector<RegAllocResult> Results(Suite.size());
-  auto AllocOne = [&](size_t I) {
-    auto F = cloneFunction(*Suite[I].F);
-    runPipeline(*F, pipelinePreset(Preset));
+  std::vector<RegAllocResult> Results(Lowered.size());
+  std::vector<std::string> Text(Lowered.size());
+  forEachIndex(Lowered.size(), [&](size_t I) {
+    auto F = cloneFunction(*Lowered[I]);
     Results[I] = allocateRegisters(*F, Opts);
-  };
-  if (sharedPool().numThreads() > 1)
-    sharedPool().parallelFor(Suite.size(), AllocOne);
-  else
-    for (size_t I = 0; I < Suite.size(); ++I)
-      AllocOne(I);
+    Text[I] = Results[I].Ok ? printFunction(*F) : Results[I].Error;
+  });
 
   PressureTotals T;
-  for (const RegAllocResult &R : Results) {
+  for (size_t I = 0; I < Results.size(); ++I) {
+    const RegAllocResult &R = Results[I];
+    feedDigest(T.IrDigest, Text[I]);
     if (!R.Ok) {
       ++T.Failures;
       continue;
@@ -86,22 +104,32 @@ struct PressureRecord {
 };
 std::vector<PressureRecord> Records;
 
+const char *const Presets[] = {"Lphi,ABI+C", "LABI+C", "C,naiveABI+C"};
+
 void printPressureTables() {
+  // Lowered[suite][preset], in suites() and Presets order.
+  std::vector<std::vector<LoweredSuite>> Lowered;
+  for (const auto &[Name, Suite] : suites()) {
+    Lowered.emplace_back();
+    for (const char *Preset : Presets)
+      Lowered.back().push_back(lowerSuite(Suite, Preset));
+  }
   for (const RegAllocOptions &Combo : Combos) {
     for (unsigned NumRegs : {6u, 8u, 12u}) {
       std::printf("\nRegister pressure [%s/%s]: spills (spill "
                   "loads+stores) with %u registers\n",
                   allocatorName(Combo.Allocator),
                   spillModelName(Combo.SpillMode), NumRegs);
-      std::printf("%-14s %22s %22s %22s\n", "benchmark", "Lphi,ABI+C",
-                  "LABI+C", "C,naiveABI+C");
-      for (const auto &[Name, Suite] : suites()) {
+      std::printf("%-14s %22s %22s %22s\n", "benchmark", Presets[0],
+                  Presets[1], Presets[2]);
+      for (size_t S = 0; S < suites().size(); ++S) {
+        const std::string &Name = suites()[S].first;
         std::printf("%-14s", Name.c_str());
-        for (const char *Preset : {"Lphi,ABI+C", "LABI+C", "C,naiveABI+C"}) {
+        for (size_t P = 0; P < std::size(Presets); ++P) {
           RegAllocOptions Opts = Combo;
           Opts.NumRegs = NumRegs;
-          PressureTotals T = allocateSuite(Suite, Preset, Opts);
-          Records.push_back({Name, Preset, NumRegs,
+          PressureTotals T = allocateSuite(Lowered[S][P], Opts);
+          Records.push_back({Name, Presets[P], NumRegs,
                              allocatorName(Combo.Allocator),
                              spillModelName(Combo.SpillMode), T});
           std::string Cell =
@@ -133,6 +161,7 @@ std::string pressureJson() {
     W.key("spills").value(R.Totals.Spills);
     W.key("spill_accesses").value(R.Totals.SpillAccesses);
     W.key("failures").value(R.Totals.Failures);
+    W.key("ir_digest").value(R.Totals.IrDigest);
     W.endObject();
   }
   W.endArray();

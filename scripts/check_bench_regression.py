@@ -84,6 +84,10 @@ IDENTICAL_FIELDS = (
     "spills",
     "spill_accesses",
     "failures",
+    # Register-pressure records (BENCH_regpressure.json): FNV-1a over the
+    # allocated IR (or error text) of every function, so spill code that
+    # changes shape without changing the counts fails too.
+    "ir_digest",
     # Compile-service measurements (BENCH_server.json): the served IR is
     # deterministic, so framing counts and payload bytes are too.
     # Throughput lives in "seconds"/"functions_per_sec" and is never

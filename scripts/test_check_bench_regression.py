@@ -263,6 +263,24 @@ class TestRegpressureKeying(CheckerHarness):
             base, fresh, "spill_accesses",
             "valcc/Lphi,ABI+C/6/chaitin-briggs/load-store-opt")
 
+    def test_ir_digest_change_fails(self):
+        # ir_digest folds every function's allocated IR: the same spill
+        # counts with different spill code still fail, under the record's
+        # full key.
+        def rec(digest):
+            return record(num_regs=6, spills=355, spill_accesses=1943,
+                          failures=0, ir_digest=digest,
+                          allocator="chordal",
+                          spill_mode="load-store-opt", counters={})
+        base = bench_doc([rec(0x9E3779B97F4A7C15)])
+        status, out = self.run_checker(base, base)
+        self.assertEqual(status, 0, out)
+        self.assert_fails_naming(
+            base, bench_doc([rec(0x9E3779B97F4A7C16)]),
+            "measurement ir_digest changed",
+            "valcc/Lphi,ABI+C/6/chordal/load-store-opt",
+            "must be bit-identical")
+
     def test_records_without_num_regs_ignore_allocator_keys(self):
         # Compile-time records have no num_regs; they keep the plain
         # (suite, config) key even if a stray allocator key appears.
