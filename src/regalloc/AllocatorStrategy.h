@@ -33,11 +33,11 @@
 #define LAO_REGALLOC_ALLOCATORSTRATEGY_H
 
 #include "regalloc/RegAlloc.h"
+#include "support/BitVector.h"
 
 #include <bit>
 #include <memory>
 #include <queue>
-#include <set>
 
 namespace lao {
 
@@ -50,7 +50,7 @@ public:
 
   /// One coloring round (see file comment).
   virtual bool tryColor(AnalysisManager &AM, const std::vector<RegId> &Pool,
-                        const std::set<RegId> &NoSpill,
+                        const BitVector &NoSpill,
                         std::vector<RegId> &ColorOut,
                         std::vector<RegId> &SpillOut) = 0;
 };

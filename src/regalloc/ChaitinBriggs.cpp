@@ -25,7 +25,7 @@ namespace {
 class ChaitinBriggsStrategy : public AllocatorStrategy {
 public:
   bool tryColor(AnalysisManager &AM, const std::vector<RegId> &Pool,
-                const std::set<RegId> &NoSpill, std::vector<RegId> &ColorOut,
+                const BitVector &NoSpill, std::vector<RegId> &ColorOut,
                 std::vector<RegId> &SpillOut) override {
     const Function &F = AM.function();
     const InterferenceGraph &IG = AM.interference();
@@ -33,11 +33,9 @@ public:
 
     std::vector<RegId> Nodes = collectVirtualRegs(F);
     unsigned K = static_cast<unsigned>(Pool.size());
-    std::vector<char> Remaining(IG.numNodes(), 0), Spillable(Remaining);
+    std::vector<char> Remaining(IG.numNodes(), 0);
     for (RegId V : Nodes)
-      Remaining[V] = Spillable[V] = 1;
-    for (RegId V : NoSpill)
-      Spillable[V] = 0;
+      Remaining[V] = 1;
 
     // Degree counts remaining virtual neighbours and pool registers
     // (precolored). A node below K waits in its degree's bucket, smallest
@@ -51,7 +49,7 @@ public:
     auto File = [&](RegId V) {
       if (Degree[V] < K)
         Bucket[Degree[V]].push(V);
-      else if (Spillable[V])
+      else if (!NoSpill.test(V))
         SpillHeap.push({Ratio(V), V});
     };
     for (RegId V : Nodes) {

@@ -45,7 +45,7 @@ namespace {
 class ChordalStrategy : public AllocatorStrategy {
 public:
   bool tryColor(AnalysisManager &AM, const std::vector<RegId> &Pool,
-                const std::set<RegId> &NoSpill, std::vector<RegId> &ColorOut,
+                const BitVector &NoSpill, std::vector<RegId> &ColorOut,
                 std::vector<RegId> &SpillOut) override {
     const Function &F = AM.function();
     const InterferenceGraph &IG = AM.interference();
@@ -54,9 +54,6 @@ public:
 
     std::vector<RegId> Nodes = collectVirtualRegs(F);
     unsigned K = static_cast<unsigned>(Pool.size());
-    std::vector<char> Spillable(IG.numNodes(), 1);
-    for (RegId V : NoSpill)
-      Spillable[V] = 0;
 
     // Dominance key: virtuals ordered by the instruction position of
     // their first definition, blocks walked in dominator-tree preorder.
@@ -195,7 +192,7 @@ public:
         RegId C = N < K ? N : ColorOut[N];
         if (C == InvalidReg)
           continue;
-        if (N < K || !Spillable[N]) {
+        if (N < K || NoSpill.test(N)) {
           Pinned |= ColorMask(1) << C;
         } else {
           Bill[C] += Ratio(N);
@@ -207,7 +204,7 @@ public:
         if ((Billed & ~Pinned) >> C & 1 &&
             (BestColor == InvalidReg || Bill[C] < Bill[BestColor]))
           BestColor = C;
-      if (Spillable[V] &&
+      if (!NoSpill.test(V) &&
           (BestColor == InvalidReg || Ratio(V) <= Bill[BestColor])) {
         SpillOut.push_back(V);
         continue;

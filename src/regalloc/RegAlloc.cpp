@@ -7,7 +7,7 @@
 // The strategy-independent half of the allocator tier: preset parsing,
 // the shared build infrastructure (pool, spill costs, virtual-register
 // collection), and the round loop that alternates a coloring strategy
-// (AllocatorStrategy.h) with a spill model (SpillModel.h) until the
+// (AllocatorStrategy.h) with the spill rewriter (SpillModel.h) until the
 // function colors or the round budget runs out.
 //
 //===----------------------------------------------------------------------===//
@@ -26,17 +26,20 @@
 using namespace lao;
 
 std::vector<RegId> lao::collectVirtualRegs(const Function &F) {
-  std::set<RegId> Seen;
+  BitVector Seen(F.numValues());
   for (const auto &BB : F.blocks())
     for (const Instruction &I : BB->instructions()) {
       for (RegId D : I.defs())
         if (!F.isPhysical(D))
-          Seen.insert(D);
+          Seen.set(D);
       for (RegId U : I.uses())
         if (!F.isPhysical(U))
-          Seen.insert(U);
+          Seen.set(U);
     }
-  return std::vector<RegId>(Seen.begin(), Seen.end());
+  std::vector<RegId> Virtuals;
+  Virtuals.reserve(Seen.count());
+  Seen.forEach([&](size_t V) { Virtuals.push_back(static_cast<RegId>(V)); });
+  return Virtuals;
 }
 
 std::vector<RegId> lao::allocatablePool(unsigned NumRegs) {
@@ -170,8 +173,8 @@ RegAllocResult lao::allocateRegisters(Function &F, const RegAllocOptions &Opts,
   std::vector<RegId> Pool = allocatablePool(Opts.NumRegs);
   std::unique_ptr<AllocatorStrategy> Strategy =
       makeAllocatorStrategy(Opts.Allocator);
-  std::unique_ptr<SpillModel> Model = makeSpillModel(Opts.SpillMode);
-  std::set<RegId> NoSpill;
+  SpillRewriter Rewriter(Opts.SpillMode);
+  BitVector NoSpill(F.numValues());
 
   unsigned MaxRounds = std::max(Opts.MaxRounds, 1u);
   for (unsigned Round = 0; Round < MaxRounds; ++Round) {
@@ -198,7 +201,7 @@ RegAllocResult lao::allocateRegisters(Function &F, const RegAllocOptions &Opts,
         }
       AM.invalidate(PreservedAnalyses::cfgOnly());
       Result.NumRegsUsed = std::popcount(Used);
-      Result.FrameBytes = 8 * Model->frameSlots();
+      Result.FrameBytes = 8 * Rewriter.frameSlots();
       Result.Ok = true;
       LAO_STAT(regalloc, spill_loads) += Result.NumSpillLoads;
       LAO_STAT(regalloc, spill_stores) += Result.NumSpillStores;
@@ -207,12 +210,12 @@ RegAllocResult lao::allocateRegisters(Function &F, const RegAllocOptions &Opts,
     // Spill and retry. A spilled no-spill temp means the pool is too
     // small for a single instruction's operands.
     for (RegId V : Spills)
-      if (NoSpill.count(V))
+      if (NoSpill.test(V))
         return Fail(formatStr(
             "cannot allocate: instruction needs more than %zu registers",
             Pool.size()));
     // Spill code only adds instructions inside existing blocks.
-    Model->insertSpillCode(F, Spills, NoSpill, Result);
+    Rewriter.insertSpillCode(F, Spills, NoSpill, Result);
     AM.invalidate(PreservedAnalyses::cfgOnly());
   }
   return Fail(formatStr(

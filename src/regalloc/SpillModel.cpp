@@ -1,6 +1,24 @@
-//===- SpillModel.cpp - Pluggable spill code insertion -------------------------===//
+//===- SpillModel.cpp - Spill code insertion -----------------------------------===//
 //
 // Part of the lao project (CGO 2004 out-of-SSA reproduction).
+//
+//===----------------------------------------------------------------------===//
+//
+// The forwarding path rests on one invariant: inside a block, once a
+// temp holds a spilled value (from a reload or from the def feeding a
+// store), the rewriter never emits another load of that value in the
+// block — so the slot is provably unread between any two same-block
+// stores, and a value reloaded nowhere in the whole round has a
+// write-only slot.
+//
+// Forwarding can defeat a spill: when every use of a value sits in its
+// def block, the def temp forwards to all of them, the (dead) store is
+// dropped, and the value was merely *renamed* — same live range, no
+// pressure relief. Two rules keep the round loop convergent anyway:
+// such a rename stays spillable (it is not a minimal-range temp), and
+// when a temp the rewriter itself created is selected for spilling in a
+// later round it takes the classic path, whose fresh temps all have
+// single-instruction ranges.
 //
 //===----------------------------------------------------------------------===//
 
@@ -8,319 +26,185 @@
 
 #include "support/Stats.h"
 
-#include <algorithm>
-
 using namespace lao;
 
-void SpillModel::assignSlots(const std::vector<RegId> &Spilled,
-                             RegAllocResult &Result) {
+void SpillRewriter::insertSpillCode(Function &F,
+                                    const std::vector<RegId> &Spilled,
+                                    BitVector &NoSpill,
+                                    RegAllocResult &Result) {
+  // Values below NumValues are the round's input; every value made
+  // during the round is one of its temps.
+  const size_t NumValues = F.numValues();
+  BitVector SpillSet(NumValues);
+  for (RegId V : Spilled)
+    SpillSet.set(V);
+
   // New values get slots in ascending RegId order, whatever order the
   // strategy produced them in: the frame layout (and FrameBytes) must
-  // not depend on select-stack pops or set iteration.
-  std::vector<RegId> Fresh;
-  for (RegId V : Spilled)
-    if (!SlotOf.count(V))
-      Fresh.push_back(V);
-  std::sort(Fresh.begin(), Fresh.end());
-  Fresh.erase(std::unique(Fresh.begin(), Fresh.end()), Fresh.end());
-  for (RegId V : Fresh) {
+  // not depend on select-stack pops.
+  SlotOf.resize(NumValues, 0);
+  SpillSet.forEach([&](size_t V) {
+    if (SlotOf[V])
+      return;
     SlotOf[V] = 0x80000 + 8 * static_cast<int64_t>(NextSlot++);
     ++Result.NumSpilled;
     ++LAO_STAT(regalloc, spilled_values);
-  }
-}
+  });
+  OwnTemps.resize(NumValues);
+  auto Classic = [&](RegId V) {
+    return Kind == SpillModelKind::SpillEverywhere || OwnTemps.test(V);
+  };
 
-namespace {
+  using InstIter = BasicBlock::InstList::iterator;
+  /// One emitted store (its address Make and the Store itself), kept so
+  /// the post-scan pass can delete it.
+  struct StoreSite {
+    RegId V;
+    RegId Tmp; ///< The .st temp the store reads.
+    InstIter Lea, St;
+    bool Redundant = false; ///< Overwritten by a later same-block store.
+  };
+  std::vector<StoreSite> Stores;
+  BitVector Reloaded(NumValues); ///< Values this round loaded at least once.
+  /// Temp -> uses outside its own lea/load pair (its store and the
+  /// forwarded uses); classic temps count none.
+  std::vector<unsigned> TempUses(NumValues, 0);
+  auto NewTemp = [&](const std::string &Name) {
+    TempUses.push_back(0);
+    return F.makeVirtual(Name);
+  };
 
-//===----------------------------------------------------------------------===//
-// SpillEverywhere
-//===----------------------------------------------------------------------===//
+  // tmp = make slot; tmp = load tmp, before \p Before. The reload
+  // register doubles as the address register to halve the register
+  // pressure of spill code.
+  auto Reload = [&](RegId V, InstIter Before) {
+    RegId Tmp = NewTemp(F.valueName(V) + ".ld");
+    Instruction Lea(Opcode::Make);
+    Lea.addDef(Tmp);
+    Lea.setImm(SlotOf[V]);
+    Before.list()->insert(Before, std::move(Lea));
+    Instruction Ld(Opcode::Load);
+    Ld.addDef(Tmp);
+    Ld.addUse(Tmp);
+    Before.list()->insert(Before, std::move(Ld));
+    ++Result.NumSpillLoads;
+    Reloaded.set(V);
+    return Tmp;
+  };
+  // Def \p K of \p I (the value V) writes a fresh temp instead, stored
+  // to V's slot by an address make and a store inserted before
+  // \p Before.
+  auto Store = [&](Instruction &I, unsigned K, InstIter Before) {
+    RegId V = I.def(K);
+    RegId Tmp = NewTemp(F.valueName(V) + ".st");
+    I.setDef(K, Tmp);
+    RegId Addr = NewTemp("sl.addr");
+    Instruction Lea(Opcode::Make);
+    Lea.addDef(Addr);
+    Lea.setImm(SlotOf[V]);
+    InstIter LeaIt = Before.list()->insert(Before, std::move(Lea));
+    Instruction St(Opcode::Store);
+    St.addUse(Addr);
+    St.addUse(Tmp);
+    InstIter StIt = Before.list()->insert(Before, std::move(St));
+    ++Result.NumSpillStores;
+    return StoreSite{V, Tmp, LeaIt, StIt};
+  };
 
-/// The classic model: rewrites \p F to keep each spilled register in a
-/// stack slot with a store after every def and a load before every use,
-/// through fresh short-lived temporaries (all NoSpill — their ranges
-/// are already minimal).
-class SpillEverywhere : public SpillModel {
-public:
-  void insertSpillCode(Function &F, const std::vector<RegId> &Spilled,
-                       std::set<RegId> &NoSpill,
-                       RegAllocResult &Result) override {
-    std::set<RegId> SpillSet(Spilled.begin(), Spilled.end());
-    assignSlots(Spilled, Result);
-
-    auto AddrOf = [&](RegId V, BasicBlock::InstList &List,
-                      BasicBlock::InstList::iterator Pos) {
-      RegId Addr = F.makeVirtual("sl.addr");
-      NoSpill.insert(Addr);
-      Instruction Lea(Opcode::Make);
-      Lea.addDef(Addr);
-      Lea.setImm(SlotOf[V]);
-      List.insert(Pos, std::move(Lea));
-      return Addr;
-    };
-
-    for (const auto &BB : F.blocks()) {
-      auto &List = BB->instructions();
-      for (auto It = List.begin(); It != List.end(); ++It) {
-        Instruction &I = *It;
-        // Loads before uses: one reload temp per instruction per value.
-        std::map<RegId, RegId> ReloadedAs;
-        for (unsigned K = 0; K < I.numUses(); ++K) {
-          RegId V = I.use(K);
-          if (!SpillSet.count(V))
-            continue;
-          auto Found = ReloadedAs.find(V);
-          if (Found == ReloadedAs.end()) {
-            // The reload register doubles as the address register
-            // (tmp = make slot; tmp = load tmp) to halve the register
-            // pressure of spill code.
-            RegId Tmp = F.makeVirtual(F.valueName(V) + ".ld");
-            NoSpill.insert(Tmp);
-            Instruction Lea(Opcode::Make);
-            Lea.addDef(Tmp);
-            Lea.setImm(SlotOf[V]);
-            List.insert(It, std::move(Lea));
-            Instruction Ld(Opcode::Load);
-            Ld.addDef(Tmp);
-            Ld.addUse(Tmp);
-            List.insert(It, std::move(Ld));
-            ++Result.NumSpillLoads;
-            Found = ReloadedAs.emplace(V, Tmp).first;
-          }
-          I.setUse(K, Found->second);
+  // Avail[V]: the temp holding V's value — a reload, or the def temp
+  // whose store just wrote the slot. A forwarding value keeps it for the
+  // rest of the block (spill temps have a single def, so it is never
+  // invalidated), a classic one for the rest of the instruction.
+  // LastStore[V]: the index into Stores of V's last store in the block.
+  constexpr unsigned NoStore = ~0u;
+  std::vector<RegId> Avail(NumValues, InvalidReg);
+  std::vector<unsigned> LastStore(NumValues, NoStore);
+  std::vector<RegId> BlockTouched, InstTouched;
+  for (const auto &BB : F.blocks()) {
+    auto &List = BB->instructions();
+    for (InstIter It = List.begin(); It != List.end(); ++It) {
+      Instruction &I = *It;
+      for (unsigned K = 0; K < I.numUses(); ++K) {
+        RegId V = I.use(K);
+        if (!SpillSet.test(V))
+          continue;
+        bool IsClassic = Classic(V);
+        if (Avail[V] == InvalidReg) {
+          Avail[V] = Reload(V, It);
+          (IsClassic ? InstTouched : BlockTouched).push_back(V);
+        } else if (!IsClassic) {
+          ++LAO_STAT(regalloc, forwarded_uses);
         }
-        // Stores after defs.
-        for (unsigned K = 0; K < I.numDefs(); ++K) {
-          RegId V = I.def(K);
-          if (!SpillSet.count(V))
-            continue;
-          RegId Tmp = F.makeVirtual(F.valueName(V) + ".st");
-          NoSpill.insert(Tmp);
-          I.setDef(K, Tmp);
-          auto After = std::next(It);
-          RegId Addr = AddrOf(V, List, After);
-          Instruction St(Opcode::Store);
-          St.addUse(Addr);
-          St.addUse(Tmp);
-          List.insert(After, std::move(St));
-          ++Result.NumSpillStores;
-          // Skip over the inserted address+store so they are not
-          // re-processed as spill sites.
-          ++It;
-          ++It;
-        }
+        I.setUse(K, Avail[V]);
+        if (!IsClassic)
+          ++TempUses[Avail[V]];
+      }
+      for (RegId V : InstTouched)
+        Avail[V] = InvalidReg;
+      InstTouched.clear();
+
+      for (unsigned K = 0; K < I.numDefs(); ++K) {
+        RegId V = I.def(K);
+        if (!SpillSet.test(V))
+          continue;
+        // A forwarding store overwrites the block's previous store of V,
+        // and no load of V can have been emitted in between (Avail held
+        // V for the whole gap) — the earlier one is dead. A classic
+        // store stays: the classic reloads read its slot.
+        bool IsClassic = Classic(V);
+        if (!IsClassic && LastStore[V] != NoStore)
+          Stores[LastStore[V]].Redundant = true;
+        StoreSite Site = Store(I, K, std::next(It));
+        // Skip over the inserted address+store so they are not
+        // re-processed as spill sites.
+        It = Site.St;
+        if (IsClassic)
+          continue;
+        ++TempUses[Site.Tmp]; // The store's own read of the def temp.
+        if (Avail[V] == InvalidReg)
+          BlockTouched.push_back(V);
+        Avail[V] = Site.Tmp; // Later same-block uses read the def temp.
+        LastStore[V] = static_cast<unsigned>(Stores.size());
+        Stores.push_back(Site);
       }
     }
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// LoadStoreOpt
-//===----------------------------------------------------------------------===//
-
-/// SpillEverywhere plus three access-removing optimizations, all
-/// justified by one invariant: inside a block, once a temp holds a
-/// spilled value (from a reload or from the def feeding a store), the
-/// model never emits another load of that value in the block — so the
-/// slot is provably unread between any two same-block stores, and a
-/// value reloaded nowhere in the whole round has a write-only slot.
-///
-/// Forwarding can defeat a spill: when every use of a value sits in its
-/// def block, the def temp forwards to all of them, the (dead) store is
-/// dropped, and the value was merely *renamed* — same live range, no
-/// pressure relief. Two rules keep the round loop convergent anyway:
-/// such a rename stays spillable (it is not a minimal-range temp), and
-/// when a temp this model itself created is selected for spilling in a
-/// later round it is rewritten with classic spill-everywhere code (no
-/// forwarding), whose fresh temps all have single-instruction ranges.
-class LoadStoreOpt : public SpillModel {
-  /// Every spillable temp created by an earlier round's rewrite; a
-  /// member showing up in \p Spilled again takes the no-forwarding
-  /// path above.
-  std::set<RegId> OwnTemps;
-
-public:
-  void insertSpillCode(Function &F, const std::vector<RegId> &Spilled,
-                       std::set<RegId> &NoSpill,
-                       RegAllocResult &Result) override {
-    std::set<RegId> SpillSet(Spilled.begin(), Spilled.end());
-    assignSlots(Spilled, Result);
-
-    using InstIter = BasicBlock::InstList::iterator;
-    /// One emitted store (its address Make and the Store itself),
-    /// kept so the post-scan passes can delete it.
-    struct StoreSite {
-      RegId V;
-      RegId Tmp; ///< The .st temp the store reads.
-      InstIter Lea, St;
-      bool Redundant = false; ///< Overwritten by a later same-block store.
-    };
-    std::vector<StoreSite> Stores;
-    std::map<RegId, unsigned> LoadsOf;  ///< V -> reloads emitted.
-    std::map<RegId, unsigned> TempUses; ///< temp -> uses outside its own
-                                        ///< lea/load pair (store + forwards).
-    std::vector<RegId> Fresh;           ///< every temp made this round.
-
-    for (const auto &BB : F.blocks()) {
-      auto &List = BB->instructions();
-      // V -> temp currently holding V's value in this block (a reload
-      // temp, or the def temp whose store just wrote the slot). Never
-      // invalidated within the block: spill temps have a single def.
-      std::map<RegId, RegId> Avail;
-      // V -> index into Stores of the last store in this block.
-      std::map<RegId, size_t> LastStore;
-      for (auto It = List.begin(); It != List.end(); ++It) {
-        Instruction &I = *It;
-        // Re-spilled own temps reload classically: one minimal-range
-        // temp per instruction per value, never forwarded.
-        std::map<RegId, RegId> ClassicReload;
-        for (unsigned K = 0; K < I.numUses(); ++K) {
-          RegId V = I.use(K);
-          if (!SpillSet.count(V))
-            continue;
-          if (OwnTemps.count(V)) {
-            auto Found = ClassicReload.find(V);
-            if (Found == ClassicReload.end()) {
-              RegId Tmp = F.makeVirtual(F.valueName(V) + ".ld");
-              NoSpill.insert(Tmp);
-              Fresh.push_back(Tmp);
-              Instruction Lea(Opcode::Make);
-              Lea.addDef(Tmp);
-              Lea.setImm(SlotOf[V]);
-              List.insert(It, std::move(Lea));
-              Instruction Ld(Opcode::Load);
-              Ld.addDef(Tmp);
-              Ld.addUse(Tmp);
-              List.insert(It, std::move(Ld));
-              ++Result.NumSpillLoads;
-              ++LoadsOf[V];
-              Found = ClassicReload.emplace(V, Tmp).first;
-            }
-            I.setUse(K, Found->second);
-            continue;
-          }
-          auto Found = Avail.find(V);
-          if (Found == Avail.end()) {
-            RegId Tmp = F.makeVirtual(F.valueName(V) + ".ld");
-            Fresh.push_back(Tmp);
-            Instruction Lea(Opcode::Make);
-            Lea.addDef(Tmp);
-            Lea.setImm(SlotOf[V]);
-            List.insert(It, std::move(Lea));
-            Instruction Ld(Opcode::Load);
-            Ld.addDef(Tmp);
-            Ld.addUse(Tmp);
-            List.insert(It, std::move(Ld));
-            ++Result.NumSpillLoads;
-            ++LoadsOf[V];
-            Found = Avail.emplace(V, Tmp).first;
-          } else {
-            ++LAO_STAT(regalloc, forwarded_uses);
-          }
-          I.setUse(K, Found->second);
-          ++TempUses[Found->second];
-        }
-        for (unsigned K = 0; K < I.numDefs(); ++K) {
-          RegId V = I.def(K);
-          if (!SpillSet.count(V))
-            continue;
-          if (OwnTemps.count(V)) {
-            // Classic store for a re-spilled own temp: the def temp's
-            // range is one instruction, and the store stays (its slot
-            // is read by the classic reloads above).
-            RegId Tmp = F.makeVirtual(F.valueName(V) + ".st");
-            NoSpill.insert(Tmp);
-            Fresh.push_back(Tmp);
-            I.setDef(K, Tmp);
-            auto After = std::next(It);
-            RegId Addr = F.makeVirtual("sl.addr");
-            NoSpill.insert(Addr);
-            Fresh.push_back(Addr);
-            Instruction Lea(Opcode::Make);
-            Lea.addDef(Addr);
-            Lea.setImm(SlotOf[V]);
-            List.insert(After, std::move(Lea));
-            Instruction St(Opcode::Store);
-            St.addUse(Addr);
-            St.addUse(Tmp);
-            List.insert(After, std::move(St));
-            ++Result.NumSpillStores;
-            ++It;
-            ++It;
-            continue;
-          }
-          // This store overwrites the block's previous store of V, and
-          // no load of V can have been emitted in between (Avail held
-          // V for the whole gap) — the earlier one is dead.
-          auto Last = LastStore.find(V);
-          if (Last != LastStore.end())
-            Stores[Last->second].Redundant = true;
-          RegId Tmp = F.makeVirtual(F.valueName(V) + ".st");
-          Fresh.push_back(Tmp);
-          I.setDef(K, Tmp);
-          auto After = std::next(It);
-          RegId Addr = F.makeVirtual("sl.addr");
-          NoSpill.insert(Addr);
-          Fresh.push_back(Addr);
-          Instruction Lea(Opcode::Make);
-          Lea.addDef(Addr);
-          Lea.setImm(SlotOf[V]);
-          auto LeaIt = List.insert(After, std::move(Lea));
-          Instruction St(Opcode::Store);
-          St.addUse(Addr);
-          St.addUse(Tmp);
-          auto StIt = List.insert(After, std::move(St));
-          ++Result.NumSpillStores;
-          ++TempUses[Tmp]; // The store's own read of the def temp.
-          LastStore[V] = Stores.size();
-          Stores.push_back({V, Tmp, LeaIt, StIt, false});
-          Avail[V] = Tmp; // Later same-block uses read the def temp.
-          ++It;
-          ++It;
-        }
-      }
+    for (RegId V : BlockTouched) {
+      Avail[V] = InvalidReg;
+      LastStore[V] = NoStore;
     }
-
-    // Delete overwritten stores, then the stores of values this round
-    // never reloaded (their slots are write-only; nothing later can
-    // read them — the value's old name no longer occurs in F). The
-    // iterators stay valid: InstList::erase invalidates only the
-    // erased position, and they carry their owning list.
-    std::set<RegId> Lengthened;
-    for (StoreSite &S : Stores) {
-      if (!S.Redundant && LoadsOf.find(S.V) != LoadsOf.end())
-        continue;
-      S.Lea.list()->erase(S.Lea);
-      S.St.list()->erase(S.St);
-      --Result.NumSpillStores;
-      --TempUses[S.Tmp];
-      ++LAO_STAT(regalloc, dead_stores_removed);
-      // Without its store, the def temp's range runs to its last
-      // forwarded use: the value was renamed, not shortened, and must
-      // stay eligible for a real (classic) spill in a later round.
-      Lengthened.insert(S.Tmp);
-    }
-
-    // NoSpill discipline: temps serving exactly one instruction keep
-    // the minimal ranges of the spill-everywhere model and must never
-    // re-spill. Forwarded temps (several uses) and store-less renames
-    // stay spillable — their ranges are real, and re-spilling one takes
-    // the classic no-forwarding path, so the rewrite cannot cycle.
-    for (const auto &[Tmp, Uses] : TempUses)
-      if (Uses <= 1 && !Lengthened.count(Tmp))
-        NoSpill.insert(Tmp);
-    OwnTemps.insert(Fresh.begin(), Fresh.end());
+    BlockTouched.clear();
   }
-};
 
-} // namespace
-
-std::unique_ptr<SpillModel> lao::makeSpillModel(SpillModelKind K) {
-  switch (K) {
-  case SpillModelKind::SpillEverywhere:
-    return std::make_unique<SpillEverywhere>();
-  case SpillModelKind::LoadStoreOpt:
-    return std::make_unique<LoadStoreOpt>();
+  // Delete overwritten stores, then the stores of values this round
+  // never reloaded (their slots are write-only; nothing later can read
+  // them — the value's old name no longer occurs in F). The iterators
+  // stay valid: InstList::erase invalidates only the erased position,
+  // and they carry their owning list.
+  BitVector Lengthened(F.numValues());
+  for (StoreSite &S : Stores) {
+    if (!S.Redundant && Reloaded.test(S.V))
+      continue;
+    S.Lea.list()->erase(S.Lea);
+    S.St.list()->erase(S.St);
+    --Result.NumSpillStores;
+    --TempUses[S.Tmp];
+    ++LAO_STAT(regalloc, dead_stores_removed);
+    // Without its store, the def temp's range runs to its last
+    // forwarded use: the value was renamed, not shortened, and must
+    // stay eligible for a real (classic) spill in a later round.
+    Lengthened.set(S.Tmp);
   }
-  return std::make_unique<SpillEverywhere>();
+
+  // NoSpill discipline: temps serving exactly one instruction keep the
+  // minimal ranges of the classic path and must never re-spill.
+  // Forwarded temps (several uses) and store-less renames stay
+  // spillable — their ranges are real, and re-spilling one takes the
+  // classic path, so the rewrite cannot cycle.
+  NoSpill.resize(F.numValues());
+  OwnTemps.resize(F.numValues());
+  for (RegId T = static_cast<RegId>(NumValues); T < F.numValues(); ++T) {
+    if (TempUses[T] <= 1 && !Lengthened.test(T))
+      NoSpill.set(T);
+    OwnTemps.set(T);
+  }
 }

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 using namespace lao;
 
@@ -28,7 +29,7 @@ namespace {
 class ScanStrategy : public AllocatorStrategy {
 public:
   bool tryColor(AnalysisManager &AM, const std::vector<RegId> &Pool,
-                const std::set<RegId> &NoSpill, std::vector<RegId> &ColorOut,
+                const BitVector &NoSpill, std::vector<RegId> &ColorOut,
                 std::vector<RegId> &SpillOut) override {
     std::map<RegId, RegId> Color;
     bool Ok = scan(AM, Pool, NoSpill, Color, SpillOut);
@@ -40,7 +41,7 @@ public:
 
 protected:
   virtual bool scan(AnalysisManager &AM, const std::vector<RegId> &Pool,
-                    const std::set<RegId> &NoSpill,
+                    const BitVector &NoSpill,
                     std::map<RegId, RegId> &ColorOut,
                     std::vector<RegId> &SpillOut) = 0;
 };
@@ -48,7 +49,7 @@ protected:
 class ScanChaitinBriggsStrategy : public ScanStrategy {
 protected:
   bool scan(AnalysisManager &AM, const std::vector<RegId> &Pool,
-            const std::set<RegId> &NoSpill, std::map<RegId, RegId> &ColorOut,
+            const BitVector &NoSpill, std::map<RegId, RegId> &ColorOut,
             std::vector<RegId> &SpillOut) override {
     const Function &F = AM.function();
     const InterferenceGraph &IG = AM.interference();
@@ -84,7 +85,7 @@ protected:
         // push optimistically.
         double Best = 0;
         for (RegId V : Remaining) {
-          if (NoSpill.count(V))
+          if (NoSpill.test(V))
             continue;
           double Ratio = Cost[V] / (1.0 + Degree[V]);
           if (Pick == InvalidReg || Ratio < Best) {
@@ -139,7 +140,7 @@ protected:
 class ScanChordalStrategy : public ScanStrategy {
 protected:
   bool scan(AnalysisManager &AM, const std::vector<RegId> &Pool,
-            const std::set<RegId> &NoSpill, std::map<RegId, RegId> &ColorOut,
+            const BitVector &NoSpill, std::map<RegId, RegId> &ColorOut,
             std::vector<RegId> &SpillOut) override {
     const Function &F = AM.function();
     const InterferenceGraph &IG = AM.interference();
@@ -291,7 +292,7 @@ protected:
         auto It = ColorOut.find(N);
         if (It == ColorOut.end())
           continue;
-        if (NoSpill.count(N))
+        if (NoSpill.test(N))
           Pinned.insert(It->second);
         else
           EvictCost[It->second] +=
@@ -308,7 +309,7 @@ protected:
           Bill = W;
         }
       }
-      if (!NoSpill.count(V) &&
+      if (!NoSpill.test(V) &&
           (BestColor == InvalidReg ||
            Cost[V] / (1.0 + IG.neighbors(V).size()) <= Bill)) {
         SpillOut.push_back(V);

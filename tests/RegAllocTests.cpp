@@ -34,7 +34,7 @@ RegAllocResult lowerAndAllocate(Function &F, unsigned NumRegs = 12,
 /// set and the result counters.
 struct SpillHarness {
   SpillHarness(Function &F, SpillModelKind Kind)
-      : F(F), Model(makeSpillModel(Kind)) {}
+      : F(F), Model(Kind), NoSpill(F.numValues()) {}
 
   /// Spills the values named \p Names (in that order) and returns the
   /// regalloc counters the round bumped.
@@ -45,21 +45,21 @@ struct SpillHarness {
       EXPECT_NE(Spilled.back(), InvalidReg) << N;
     }
     StatsScope Scope;
-    Model->insertSpillCode(F, Spilled, NoSpill, Result);
+    Model.insertSpillCode(F, Spilled, NoSpill, Result);
     return Scope.snapshot();
   }
 
   /// The NoSpill members, by name in RegId order.
   std::string noSpill() const {
     std::string Out;
-    for (RegId V : NoSpill)
-      Out += (Out.empty() ? "" : " ") + F.valueName(V);
+    NoSpill.forEach(
+        [&](size_t V) { Out += (Out.empty() ? "" : " ") + F.valueName(V); });
     return Out;
   }
 
   Function &F;
-  std::unique_ptr<SpillModel> Model;
-  std::set<RegId> NoSpill;
+  SpillRewriter Model;
+  BitVector NoSpill;
   RegAllocResult Result;
 };
 
@@ -359,7 +359,7 @@ entry:
   EXPECT_EQ(H.Result.NumSpilled, 2u);
   EXPECT_EQ(H.Result.NumSpillLoads, 3u);
   EXPECT_EQ(H.Result.NumSpillStores, 2u);
-  EXPECT_EQ(H.Model->frameSlots(), 2u);
+  EXPECT_EQ(H.Model.frameSlots(), 2u);
   expectEquivalent(*Before, *F, {4});
 }
 
@@ -476,7 +476,7 @@ entry:
   EXPECT_EQ(H.Result.NumSpilled, 1u);
   EXPECT_EQ(H.Result.NumSpillLoads, 0u);
   EXPECT_EQ(H.Result.NumSpillStores, 0u);
-  EXPECT_EQ(H.Model->frameSlots(), 1u);
+  EXPECT_EQ(H.Model.frameSlots(), 1u);
   EXPECT_EQ(Stats["regalloc.forwarded_uses"], 2u);
   EXPECT_EQ(Stats["regalloc.dead_stores_removed"], 1u);
   expectEquivalent(*Before, *F, {4});
@@ -516,7 +516,7 @@ entry:
   EXPECT_EQ(H.Result.NumSpilled, 2u);
   EXPECT_EQ(H.Result.NumSpillLoads, 1u);
   EXPECT_EQ(H.Result.NumSpillStores, 1u);
-  EXPECT_EQ(H.Model->frameSlots(), 2u);
+  EXPECT_EQ(H.Model.frameSlots(), 2u);
   EXPECT_EQ(Stats.count("regalloc.forwarded_uses"), 0u);
   EXPECT_EQ(Stats.count("regalloc.dead_stores_removed"), 0u);
   expectEquivalent(*Before, *F, {4});

@@ -29,6 +29,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 using namespace lao;
 using namespace lao::test;
 
@@ -58,7 +61,7 @@ std::string firstDifference(const std::vector<RegId> &Got,
 /// production's result, and in \p Mismatch where the two differ (left
 /// empty when they agree).
 bool sameRound(AnalysisManager &AM, AllocatorKind A, unsigned NumRegs,
-               const std::set<RegId> &NoSpill, std::vector<RegId> &Spills,
+               const BitVector &NoSpill, std::vector<RegId> &Spills,
                std::string &Mismatch) {
   std::vector<RegId> Pool = allocatablePool(NumRegs);
   std::unique_ptr<AllocatorStrategy> Ref =
@@ -87,8 +90,8 @@ std::string firstMismatch(const Function &Input, AllocatorKind A,
                           SpillModelKind S, unsigned NumRegs) {
   auto F = cloneFunction(Input);
   AnalysisManager AM(*F);
-  std::unique_ptr<SpillModel> Model = makeSpillModel(S);
-  std::set<RegId> NoSpill;
+  SpillRewriter Rewriter(S);
+  BitVector NoSpill(F->numValues());
   RegAllocResult Counters;
   for (unsigned Round = 1; Round <= RegAllocOptions().MaxRounds; ++Round) {
     std::vector<RegId> Spills;
@@ -101,9 +104,9 @@ std::string firstMismatch(const Function &Input, AllocatorKind A,
     if (Ok)
       break;
     for (RegId V : Spills)
-      if (NoSpill.count(V))
+      if (NoSpill.test(V))
         return "";
-    Model->insertSpillCode(*F, Spills, NoSpill, Counters);
+    Rewriter.insertSpillCode(*F, Spills, NoSpill, Counters);
     AM.invalidate(PreservedAnalyses::cfgOnly());
   }
   return "";
@@ -297,12 +300,14 @@ entry:
 )");
   ASSERT_TRUE(F);
   std::vector<RegId> Virtuals = collectVirtualRegs(*F);
-  std::set<RegId> AllNoSpill(Virtuals.begin(), Virtuals.end());
-  std::set<RegId> HalfNoSpill;
-  for (size_t I = 0; I < Virtuals.size(); I += 2)
-    HalfNoSpill.insert(Virtuals[I]);
+  BitVector AllNoSpill(F->numValues()), HalfNoSpill(F->numValues());
+  for (size_t I = 0; I < Virtuals.size(); ++I) {
+    AllNoSpill.set(Virtuals[I]);
+    if (I % 2 == 0)
+      HalfNoSpill.set(Virtuals[I]);
+  }
   AnalysisManager AM(*F);
-  for (const std::set<RegId> *NoSpill : {&AllNoSpill, &HalfNoSpill})
+  for (const BitVector *NoSpill : {&AllNoSpill, &HalfNoSpill})
     for (unsigned K = 2; K <= 4; ++K)
       for (AllocatorKind A : Allocators) {
         std::vector<RegId> Spills;
