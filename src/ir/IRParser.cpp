@@ -410,15 +410,25 @@ std::unique_ptr<Function> Parser::run(const std::string &Text,
     L = trimString(L);
   }
 
-  // First pass: function header and block labels (so forward references
-  // to blocks resolve during instruction parsing).
-  unsigned HeaderLine = ~0u;
+  // First pass: function header, block labels (so forward references
+  // to blocks resolve during instruction parsing) and the closing brace.
+  // Only comments and blank lines may come before the header or after
+  // the brace.
+  unsigned HeaderLine = ~0u, CloseLine = ~0u;
   for (unsigned I = 0; I < Lines.size() && Error.empty(); ++I) {
     const std::string &L = Lines[I];
     if (L.empty())
       continue;
-    if (!F && L.rfind("func", 0) == 0) {
-      LineNo = I + 1;
+    LineNo = I + 1;
+    if (CloseLine != ~0u) {
+      fail("unexpected text after the function's closing '}'");
+      break;
+    }
+    if (!F) {
+      if (L.rfind("func", 0) != 0) {
+        fail("unexpected text before 'func @name {'");
+        break;
+      }
       LineCursor C(L);
       C.ident(); // "func"
       if (!C.consume('@')) {
@@ -434,10 +444,13 @@ std::unique_ptr<Function> Parser::run(const std::string &Text,
       HeaderLine = I;
       continue;
     }
-    if (F && L.back() == ':') {
+    if (L == "}") {
+      CloseLine = I;
+      continue;
+    }
+    if (L.back() == ':') {
       std::string Label = trimString(L.substr(0, L.size() - 1));
       if (BlocksByName.count(Label)) {
-        LineNo = I + 1;
         fail("duplicate block label '" + Label + "'");
         break;
       }
@@ -474,6 +487,11 @@ std::unique_ptr<Function> Parser::run(const std::string &Text,
       break;
     if (!C.atEnd())
       fail("trailing characters after instruction");
+  }
+  if (F && Error.empty() && F->numBlocks() == 0) {
+    // Function::entry() asserts on this; every later stage needs a block.
+    LineNo = HeaderLine + 1;
+    fail("function '@" + F->name() + "' has no blocks");
   }
   for (unsigned K = 0; F && K < F->numBlocks() && Error.empty(); ++K)
     if (!F->blocks()[K]->hasTerminator()) {

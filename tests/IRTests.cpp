@@ -176,6 +176,32 @@ TEST(Parser, RejectsBlockWithoutTerminator) {
   EXPECT_EQ(Error, "line 4: block 'b' does not end with a terminator");
 }
 
+TEST(Parser, RejectsFunctionWithoutBlocks) {
+  // Function::entry() asserts on this, so the parser must refuse it.
+  std::string Error;
+  EXPECT_EQ(parseFunction("func @f {\n}", &Error), nullptr);
+  EXPECT_EQ(Error, "line 1: function '@f' has no blocks");
+  EXPECT_EQ(parseFunction("# comment\nfunc @g {\n\n}\n", &Error), nullptr);
+  EXPECT_EQ(Error, "line 2: function '@g' has no blocks");
+}
+
+TEST(Parser, RejectsTextOutsideTheFunction) {
+  // Only comments and blank lines may surround the function.
+  std::string Error;
+  const std::string Body = "func @a {\nentry:\n  input %x\n  ret %x\n}\n";
+  EXPECT_EQ(parseFunction("hello world\n" + Body, &Error), nullptr);
+  EXPECT_EQ(Error, "line 1: unexpected text before 'func @name {'");
+  EXPECT_EQ(parseFunction(Body + "\ntrailing words\n", &Error), nullptr);
+  EXPECT_EQ(Error, "line 7: unexpected text after the function's closing '}'");
+  // A label after the brace is stray text too, not a block that lacks
+  // a terminator.
+  EXPECT_EQ(parseFunction(Body + "late:\n", &Error), nullptr);
+  EXPECT_EQ(Error, "line 6: unexpected text after the function's closing '}'");
+  EXPECT_NE(parseFunction("# lead\n\n" + Body + "; tail\n\n", &Error),
+            nullptr)
+      << Error;
+}
+
 TEST(Parser, RejectsDuplicateLabels) {
   std::string Error;
   EXPECT_EQ(parseFunction("func @f {\na:\n  jump a\na:\n  jump a\n}", &Error),

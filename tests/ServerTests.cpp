@@ -619,6 +619,44 @@ TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
   EXPECT_EQ(S.report().NumParseErrors, 2u);
 }
 
+TEST(Server, FunctionWithoutBlocksIsParseErrorAndServingContinues) {
+  // With "ssa: 1" or "exec: vm", a function without blocks reached
+  // Function::entry()'s assertion and killed the daemon. The parser now
+  // refuses it; the frame after it compiles.
+  Request Ssa;
+  Ssa.Id = 1;
+  Ssa.Text = "func @f {\n}\n";
+  Ssa.BuildSSA = true;
+  Request Vm;
+  Vm.Id = 2;
+  Vm.Text = Ssa.Text;
+  Vm.Exec = "vm";
+  Request Good;
+  Good.Id = 3;
+  Good.Text = SimpleFunc;
+  ServerOptions Opts;
+  Opts.NumWorkers = 2;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts,
+                        encodeRequest(Ssa) + encodeRequest(Vm) +
+                            encodeRequest(Good),
+                        Responses, &S),
+            0);
+  ASSERT_EQ(Responses.size(), 3u);
+  ASSERT_EQ(S.records().size(), 3u);
+  for (unsigned I = 0; I < 2; ++I) {
+    EXPECT_EQ(S.records()[I].Outcome, RequestOutcome::ParseError);
+    EXPECT_EQ(S.records()[I].Error,
+              "parse error: line 1: function '@f' has no blocks");
+    EXPECT_TRUE(Responses[I].IR.empty());
+  }
+  EXPECT_TRUE(Responses[2].Ok) << Responses[2].RecordJson;
+  EXPECT_EQ(Responses[2].IR, oneShot(SimpleFunc));
+  EXPECT_EQ(S.report().NumParseErrors, 2u);
+}
+
 TEST(Server, OversizedFrameThenGoodFrame) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;

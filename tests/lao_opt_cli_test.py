@@ -16,7 +16,9 @@ Runs the lao-opt binary on tests/lao_opt_input.lai and checks that
   * the two inputs that reach an assertion unless refused first (an
     instruction after a terminator; a use nothing defines, without
     --ssa) exit 1 with the job's error text, which the server answers
-    verbatim.
+    verbatim;
+  * a function without blocks, and text before the function header or
+    after its closing brace, exit 1 with a parse error.
 It also checks that lao-server and lao-client reject malformed numeric
 flags with exit 2 and the usage line.
 
@@ -73,6 +75,7 @@ def serve(bodies):
 
 AFTER_RET = "func @f {\nentry:\n  input %a\n  ret %a\n  output %a\n}\n"
 UNDEFINED = "func @f {\nentry:\n  input %a\n  %b = add %u, %u\n  ret %b\n}\n"
+NO_BLOCKS = "func @f {\n}\n"
 
 
 class LaoOptCli(unittest.TestCase):
@@ -231,6 +234,33 @@ class LaoOptCli(unittest.TestCase):
             self.assertEqual(record["outcome"], "parse_error")
             self.assertEqual(record["error"], error)
             self.assertEqual(ir, "")
+
+    def test_function_without_blocks_exits_1(self):
+        # It reached Function::entry()'s assertion under --ssa and --run.
+        error = "parse error: line 1: function '@f' has no blocks"
+        for args in (["--ssa"], ["--run", "1"], ["--pipeline=Lphi,ABI+C"]):
+            proc = subprocess.run([LAO_OPT, *args, "-"], input=NO_BLOCKS,
+                                  capture_output=True, text=True, timeout=60)
+            self.assertEqual(proc.returncode, 1, (args, proc.stderr))
+            self.assertEqual(proc.stderr, error + "\n", args)
+        (record, ir), = serve(["ssa: 1\n\n" + NO_BLOCKS])
+        self.assertEqual(record["outcome"], "parse_error")
+        self.assertEqual(record["error"], error)
+        self.assertEqual(ir, "")
+
+    def test_text_outside_the_function_exits_1(self):
+        body = "func @a {\nentry:\n  input %x\n  ret %x\n}\n"
+        cases = [
+            ("hello world\n" + body,
+             "line 1: unexpected text before 'func @name {'"),
+            (body + "late:\n",
+             "line 6: unexpected text after the function's closing '}'"),
+        ]
+        for text, error in cases:
+            proc = subprocess.run([LAO_OPT, "-"], input=text,
+                                  capture_output=True, text=True, timeout=60)
+            self.assertEqual(proc.returncode, 1, proc.stderr)
+            self.assertEqual(proc.stderr, "parse error: " + error + "\n")
 
     def test_selftest_fails_when_a_reference_fails(self):
         # A one-register pool fails every reference job; the selftest
