@@ -98,17 +98,6 @@ inline ThreadPool &sharedPool() {
   return Pool;
 }
 
-/// Calls \p Fn(I) for every I in [0, N): on the shared pool when it has
-/// more than one worker, else serially. Callers write index-addressed
-/// results and reduce them in order afterwards.
-template <typename Callable> void forEachIndex(size_t N, Callable Fn) {
-  if (sharedPool().numThreads() > 1)
-    sharedPool().parallelFor(N, Fn);
-  else
-    for (size_t I = 0; I < N; ++I)
-      Fn(I);
-}
-
 /// The FNV-1a offset basis every bench digest starts from.
 constexpr uint64_t DigestSeed = 14695981039346656037ull;
 

@@ -48,7 +48,7 @@ using LoweredSuite = std::vector<std::unique_ptr<Function>>;
 LoweredSuite lowerSuite(const std::vector<Workload> &Suite,
                         const char *Preset) {
   LoweredSuite Lowered(Suite.size());
-  forEachIndex(Suite.size(), [&](size_t I) {
+  sharedPool().parallelFor(Suite.size(), [&](size_t I) {
     Lowered[I] = cloneFunction(*Suite[I].F);
     runPipeline(*Lowered[I], pipelinePreset(Preset));
   });
@@ -62,7 +62,7 @@ PressureTotals allocateSuite(const LoweredSuite &Lowered,
   // order.
   std::vector<RegAllocResult> Results(Lowered.size());
   std::vector<std::string> Text(Lowered.size());
-  forEachIndex(Lowered.size(), [&](size_t I) {
+  sharedPool().parallelFor(Lowered.size(), [&](size_t I) {
     auto F = cloneFunction(*Lowered[I]);
     Results[I] = allocateRegisters(*F, Opts);
     Text[I] = Results[I].Ok ? printFunction(*F) : Results[I].Error;

@@ -9,8 +9,9 @@
 /// concrete coloring strategies. One strategy call is one
 /// build/.../select round over the analyses of the (possibly
 /// spill-rewritten) function; the driver owns the retry loop, the spill
-/// model, and the final color rewrite, so a strategy only decides which
-/// virtual gets which physical register — or which virtuals to spill.
+/// rewriter, and the final color rewrite, so a strategy only decides
+/// which virtual gets which physical register — or which virtuals to
+/// spill.
 ///
 /// Contract for tryColor:
 ///  * analyses (InterferenceGraph, DominatorTree, spill costs) come
@@ -19,11 +20,12 @@
 ///  * ColorOut is indexed by RegId over IG.numNodes() (InvalidReg =
 ///    no color); on success (return true) it maps every virtual
 ///    register of F to a member of Pool;
-///  * on failure (return false) SpillOut names the virtuals to spill
-///    this round. If any of them is in NoSpill (a temp the spill model
-///    already created, which must not recursively spill under the
-///    spill-everywhere discipline), the driver reports the
-///    "instruction needs more registers" failure;
+///  * NoSpill is a dense flag set over the function's RegIds, sized to
+///    F.numValues(): a set flag marks a temp the spill rewriter
+///    created, whose range is already minimal and must not recursively
+///    spill. On failure (return false) SpillOut names the virtuals to
+///    spill this round; if any of them is NoSpill, the driver reports
+///    the "instruction needs more registers" failure;
 ///  * both containers are cleared by the callee; determinism is part
 ///    of the contract (no hash-map iteration may leak into decisions).
 ///

@@ -23,13 +23,15 @@
 ///        (DominatorTree::preorderBlocks), with biased coloring that
 ///        prefers the colors of residual move partners — the affinities
 ///        the coalescer could not merge.
-///  * **Spill model** (SpillModel.h) — how a failed round rewrites the
-///    function:
-///      - `spill-everywhere`: a store after each definition, a load
-///        before each use;
-///      - `load-store-opt`: per-block load reuse (a reload or the def's
-///        store temp forwards to later uses), redundant-store
-///        elimination, and dropping stores of values never reloaded.
+///  * **Spill model** — which path of the one spill rewriter
+///    (SpillModel.h) a failed round sends its spilled values down:
+///      - `spill-everywhere`: all classic — a store after each
+///        definition, a load before each use;
+///      - `load-store-opt`: forwarding — per-block load reuse (a reload
+///        or the def's store temp forwards to later uses),
+///        redundant-store elimination, and dropping stores of values
+///        never reloaded; the rewriter's own re-spilled temps stay
+///        classic.
 ///
 /// Shared by every combination: allocatable classes are the
 /// general-purpose registers R0..R7 for all virtuals except SP
@@ -112,7 +114,8 @@ struct RegAllocResult {
 /// Allocates every virtual register of non-SSA \p F (no phis, no
 /// parallel copies) to a physical register, inserting spill code as
 /// needed. Mutates F; afterwards all operands are physical. A thin
-/// driver over the AllocatorStrategy / SpillModel selected by \p Opts.
+/// driver over the AllocatorStrategy and the SpillRewriter mode
+/// selected by \p Opts.
 /// Input with a phi or a parallel copy fails (Ok=false) untouched.
 RegAllocResult allocateRegisters(Function &F,
                                  const RegAllocOptions &Opts = {});
