@@ -32,58 +32,15 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV) {
     Adj[B].push_back(A);
   };
 
-  for (const auto &BB : F.blocks()) {
-    BitVector Live = LV.liveOut(BB.get());
-    // Backward scan: at each def, the def interferes with everything live
-    // across it.
-    auto &Insts = BB->instructions();
-    for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
-      const Instruction &I = *It;
-      assert(!I.isPhi() && "interference graph expects non-SSA code");
-      if (I.isCopy()) {
-        // Move d = s: d does not interfere with s through this move.
-        RegId D = I.def(0), S = I.use(0);
-        Live.reset(S);
-        Live.forEach([&](size_t L) { AddRaw(D, static_cast<RegId>(L)); });
-        Live.reset(D);
-        Live.set(S);
-        continue;
-      }
-      if (I.isParCopy()) {
-        // All sources read in parallel; each dest interferes with what is
-        // live across the copy minus its own source.
-        for (unsigned K = 0; K < I.numDefs(); ++K) {
-          RegId D = I.def(K), S = I.use(K);
-          Live.forEach([&](size_t L) {
-            if (static_cast<RegId>(L) != S && static_cast<RegId>(L) != D)
-              AddRaw(D, static_cast<RegId>(L));
-          });
-        }
-        // Destinations also interfere pairwise (written in parallel).
-        for (unsigned A = 0; A < I.numDefs(); ++A)
-          for (unsigned B = A + 1; B < I.numDefs(); ++B)
-            AddRaw(I.def(A), I.def(B));
-        for (RegId D : I.defs())
-          Live.reset(D);
-        for (RegId U : I.uses())
-          Live.set(U);
-        continue;
-      }
-      for (RegId D : I.defs())
+  forEachInterference(
+      F, LV,
+      [&](RegId D, const BitVector &Live, RegId ExemptSrc) {
         Live.forEach([&](size_t L) {
-          if (static_cast<RegId>(L) != D)
+          if (static_cast<RegId>(L) != ExemptSrc)
             AddRaw(D, static_cast<RegId>(L));
         });
-      // Multiple defs of one instruction are written together.
-      for (unsigned A = 0; A < I.numDefs(); ++A)
-        for (unsigned B = A + 1; B < I.numDefs(); ++B)
-          AddRaw(I.def(A), I.def(B));
-      for (RegId D : I.defs())
-        Live.reset(D);
-      for (RegId U : I.uses())
-        Live.set(U);
-    }
-  }
+      },
+      AddRaw);
 
   for (auto &List : Adj)
     std::sort(List.begin(), List.end());

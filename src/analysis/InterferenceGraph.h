@@ -18,6 +18,10 @@
 /// RegId order, so every order-sensitive client (coalescer merge loops,
 /// allocator color scans) behaves identically run to run.
 ///
+/// The edge rule itself lives in one place, forEachInterference: the
+/// graph constructor and the coalescer's graph-free confirm and repair
+/// scans are its visitors.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LAO_ANALYSIS_INTERFERENCEGRAPH_H
@@ -29,9 +33,57 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 #include <vector>
 
 namespace lao {
+
+/// Observer of forEachInterference's live set that does nothing.
+struct NoLiveHook {
+  void block(const BitVector &) {}
+  void set(RegId) {}
+  void reset(RegId) {}
+};
+
+/// Chaitin's edge rule as one backward walk over non-SSA \p F. Starting
+/// from each block's live-out set, it calls `OnDef(D, Live, ExemptSrc)`
+/// for every def D with the set live across that def; a visitor adds an
+/// edge from D to each member of Live other than D and ExemptSrc, which
+/// is the move's source (or the parallel copy's paired source) and
+/// InvalidReg elsewhere. It then calls `OnDefPair(A, B)` for each pair of
+/// distinct defs of the instruction (written together), kills the defs
+/// and adds the uses. \p Hook sees the walk's live set: `block(Live)` at
+/// each block's live-out, then every `reset(D)` and `set(U)`.
+template <typename OnDefFn, typename OnDefPairFn, typename HookT = NoLiveHook>
+void forEachInterference(const Function &F, const Liveness &LV,
+                         OnDefFn &&OnDef, OnDefPairFn &&OnDefPair,
+                         HookT &&Hook = HookT()) {
+  BitVector Live;
+  for (const auto &BB : F.blocks()) {
+    Live = LV.liveOut(BB.get());
+    Hook.block(Live);
+    auto &Insts = BB->instructions();
+    for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
+      const Instruction &I = *It;
+      assert(!I.isPhi() && "interference walk expects non-SSA code");
+      bool Paired = I.isCopy() || I.isParCopy();
+      for (unsigned K = 0; K < I.numDefs(); ++K)
+        OnDef(I.def(K), std::as_const(Live), Paired ? I.use(K) : InvalidReg);
+      for (unsigned A = 0; A < I.numDefs(); ++A)
+        for (unsigned B = A + 1; B < I.numDefs(); ++B)
+          if (I.def(A) != I.def(B))
+            OnDefPair(I.def(A), I.def(B));
+      for (RegId D : I.defs()) {
+        Live.reset(D);
+        Hook.reset(D);
+      }
+      for (RegId U : I.uses()) {
+        Live.set(U);
+        Hook.set(U);
+      }
+    }
+  }
+}
 
 /// Undirected interference graph over register ids.
 class InterferenceGraph {
@@ -71,7 +123,7 @@ public:
 
   size_t numNodes() const { return Adj.size(); }
 
-  /// B's neighbors in ascending RegId order (deterministic).
+  /// A's neighbors in ascending RegId order (deterministic).
   const std::vector<RegId> &neighbors(RegId A) const { return Adj[A]; }
 
 private:

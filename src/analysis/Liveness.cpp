@@ -13,79 +13,83 @@ using namespace lao;
 
 Liveness::~Liveness() = default;
 
-Liveness::Liveness(const CFG &Cfg) : Cfg(Cfg) {
+namespace {
+
+/// The one liveness solver: per-block summaries, then a backward fixpoint
+/// in post-order (reverse RPO, for fast convergence), over the values
+/// that \p SlotOf maps to a slot below \p Width (UINT32_MAX: not
+/// solved). Phi results count as defs of their block (they are defined
+/// at entry); phi arguments are uses at the end of their incoming block,
+/// not of the phi's block. Every other instruction, parallel copies
+/// included, reads all its uses before writing any def. Fills \p In and
+/// \p Out with one Width-bit set per block and returns the number of
+/// fixpoint iterations.
+template <typename SlotFn>
+uint64_t solve(const CFG &Cfg, size_t Width, SlotFn SlotOf,
+               std::vector<BitVector> &In, std::vector<BitVector> &Out) {
   const Function &F = Cfg.func();
   size_t NB = F.numBlocks();
-  size_t NV = F.numValues();
-  LiveIn.assign(NB, BitVector(NV));
-  LiveOut.assign(NB, BitVector(NV));
-
-  // Per-block upward-exposed uses and defs. Phi results count as defs of
-  // their block (they are defined at entry); phi arguments are not uses of
-  // the phi's block.
-  std::vector<BitVector> UeUses(NB, BitVector(NV));
-  std::vector<BitVector> Defs(NB, BitVector(NV));
+  std::vector<BitVector> UeUses(NB, BitVector(Width));
+  std::vector<BitVector> Defs(NB, BitVector(Width));
+  std::vector<BitVector> PhiOut(NB, BitVector(Width));
   for (const auto &BB : F.blocks()) {
     BitVector &UE = UeUses[BB->id()];
     BitVector &DF = Defs[BB->id()];
     for (const Instruction &I : BB->instructions()) {
       if (I.isPhi()) {
-        DF.set(I.def(0));
-        continue;
-      }
-      if (I.isParCopy()) {
-        // All sources read before any destination is written.
-        for (RegId U : I.uses())
-          if (!DF.test(U))
-            UE.set(U);
-        for (RegId D : I.defs())
-          DF.set(D);
+        if (uint32_t S = SlotOf(I.def(0)); S != UINT32_MAX)
+          DF.set(S);
+        for (unsigned K = 0; K < I.numUses(); ++K)
+          if (uint32_t S = SlotOf(I.use(K)); S != UINT32_MAX)
+            PhiOut[I.incomingBlock(K)->id()].set(S);
         continue;
       }
       for (RegId U : I.uses())
-        if (!DF.test(U))
-          UE.set(U);
+        if (uint32_t S = SlotOf(U); S != UINT32_MAX && !DF.test(S))
+          UE.set(S);
       for (RegId D : I.defs())
-        DF.set(D);
+        if (uint32_t S = SlotOf(D); S != UINT32_MAX)
+          DF.set(S);
     }
   }
 
-  // Phi argument contribution to predecessor live-out.
-  std::vector<BitVector> PhiOut(NB, BitVector(NV));
-  for (const auto &BB : F.blocks()) {
-    for (const Instruction &I : BB->instructions()) {
-      if (!I.isPhi())
-        break;
-      for (unsigned K = 0; K < I.numUses(); ++K)
-        PhiOut[I.incomingBlock(K)->id()].set(I.use(K));
-    }
-  }
-
-  // Iterate to fixpoint in post-order (reverse RPO) for fast convergence.
-  ++LAO_STAT(liveness, analyses);
+  In.assign(NB, BitVector(Width));
+  Out.assign(NB, BitVector(Width));
   const auto &Rpo = Cfg.rpo();
+  uint64_t Iterations = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    ++LAO_STAT(liveness, fixpoint_iterations);
+    ++Iterations;
     for (auto It = Rpo.rbegin(); It != Rpo.rend(); ++It) {
-      BasicBlock *BB = *It;
-      BitVector Out = PhiOut[BB->id()];
-      for (BasicBlock *S : Cfg.succs(BB))
-        Out.orWith(LiveIn[S->id()]);
-      BitVector In = Out;
-      In.subtract(Defs[BB->id()]);
-      In.orWith(UeUses[BB->id()]);
-      if (!(Out == LiveOut[BB->id()])) {
-        LiveOut[BB->id()] = std::move(Out);
+      size_t B = (*It)->id();
+      BitVector NewOut = PhiOut[B];
+      for (BasicBlock *S : Cfg.succs(*It))
+        NewOut.orWith(In[S->id()]);
+      BitVector NewIn = NewOut;
+      NewIn.subtract(Defs[B]);
+      NewIn.orWith(UeUses[B]);
+      if (!(NewOut == Out[B])) {
+        Out[B] = std::move(NewOut);
         Changed = true;
       }
-      if (!(In == LiveIn[BB->id()])) {
-        LiveIn[BB->id()] = std::move(In);
+      if (!(NewIn == In[B])) {
+        In[B] = std::move(NewIn);
         Changed = true;
       }
     }
   }
+  return Iterations;
+}
+
+} // namespace
+
+Liveness::Liveness(const CFG &Cfg) : Cfg(Cfg) {
+  // A full solve is the restricted solve over every value.
+  ++LAO_STAT(liveness, analyses);
+  LAO_STAT(liveness, fixpoint_iterations) += solve(
+      Cfg, Cfg.func().numValues(),
+      [](RegId V) { return static_cast<uint32_t>(V); }, LiveIn, LiveOut);
 }
 
 const DefUseIndex &Liveness::index() const {
@@ -158,65 +162,16 @@ void Liveness::recomputeValues(const std::vector<RegId> &Vars) {
   if (Vars.empty())
     return;
   ++LAO_STAT(liveness, partial_recomputes);
-  const Function &F = Cfg.func();
-  size_t NB = F.numBlocks();
+  size_t NB = LiveIn.size();
   size_t K = Vars.size();
 
   // Dense slot assignment for just the requested variables.
-  std::vector<uint32_t> Slot(F.numValues(), UINT32_MAX);
+  std::vector<uint32_t> Slot(Cfg.func().numValues(), UINT32_MAX);
   for (size_t I = 0; I < K; ++I)
     Slot[Vars[I]] = static_cast<uint32_t>(I);
 
-  // Restricted K-bit per-block summaries, mirroring the constructor.
-  std::vector<BitVector> UeUses(NB, BitVector(K));
-  std::vector<BitVector> Defs(NB, BitVector(K));
-  std::vector<BitVector> PhiOut(NB, BitVector(K));
-  for (const auto &BB : F.blocks()) {
-    BitVector &UE = UeUses[BB->id()];
-    BitVector &DF = Defs[BB->id()];
-    for (const Instruction &I : BB->instructions()) {
-      if (I.isPhi()) {
-        if (uint32_t S = Slot[I.def(0)]; S != UINT32_MAX)
-          DF.set(S);
-        for (unsigned U = 0; U < I.numUses(); ++U)
-          if (uint32_t S = Slot[I.use(U)]; S != UINT32_MAX)
-            PhiOut[I.incomingBlock(U)->id()].set(S);
-        continue;
-      }
-      // ParCopy and plain instructions both read all uses before writing
-      // any def for the purposes of upward exposure.
-      for (RegId U : I.uses())
-        if (uint32_t S = Slot[U]; S != UINT32_MAX && !DF.test(S))
-          UE.set(S);
-      for (RegId D : I.defs())
-        if (uint32_t S = Slot[D]; S != UINT32_MAX)
-          DF.set(S);
-    }
-  }
-
-  std::vector<BitVector> In(NB, BitVector(K)), Out(NB, BitVector(K));
-  const auto &Rpo = Cfg.rpo();
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (auto It = Rpo.rbegin(); It != Rpo.rend(); ++It) {
-      BasicBlock *BB = *It;
-      BitVector NewOut = PhiOut[BB->id()];
-      for (BasicBlock *S : Cfg.succs(BB))
-        NewOut.orWith(In[S->id()]);
-      BitVector NewIn = NewOut;
-      NewIn.subtract(Defs[BB->id()]);
-      NewIn.orWith(UeUses[BB->id()]);
-      if (!(NewOut == Out[BB->id()])) {
-        Out[BB->id()] = std::move(NewOut);
-        Changed = true;
-      }
-      if (!(NewIn == In[BB->id()])) {
-        In[BB->id()] = std::move(NewIn);
-        Changed = true;
-      }
-    }
-  }
+  std::vector<BitVector> In, Out;
+  solve(Cfg, K, [&](RegId V) { return Slot[V]; }, In, Out);
 
   // Write the restricted solution back into the full-width sets.
   for (size_t B = 0; B < NB; ++B) {

@@ -7,7 +7,7 @@
 /// \file
 /// Liveness queries without a global dense fixpoint, after Boissinot et
 /// al., "Revisiting Out-of-SSA Translation for Correctness, Code Quality,
-/// and Efficiency" (RR2007-42, see PAPERS.md): instead of iterating
+/// and Efficiency" (CGO 2009): instead of iterating
 /// bitsets over all (variable, block) pairs up front, answer each query
 /// from per-variable def/use data precomputed in one pass (DefUseIndex)
 /// plus the dominator tree.

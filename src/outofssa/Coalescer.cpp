@@ -42,9 +42,9 @@ uint64_t pairKey(RegId A, RegId B) {
 /// Graph-free fixpoint check: would a freshly built exact interference
 /// graph let the sweep merge at least one remaining copy?
 ///
-/// Replays the InterferenceGraph constructor's backward scan, but instead
-/// of materializing edges it only *marks* the candidate pairs — the
-/// (def, use) pairs of the remaining copies (identities and
+/// A visitor of forEachInterference, the walk that builds the graph:
+/// instead of materializing edges it only *marks* the candidate pairs —
+/// the (def, use) pairs of the remaining copies (identities and
 /// physical/physical pairs excluded) — that would receive an edge. A
 /// candidate left unmarked is exactly a copy the sweep would merge on a
 /// fresh graph, so "any candidate unmarked" <=> "a rebuild would be
@@ -86,60 +86,21 @@ bool anyCoalescableCopy(const Function &F, const Liveness &LV) {
     Partners[B].push_back(A);
   }
 
-  // Mirror of the graph constructor's edge rules, restricted to a def's
-  // candidate partners (everything else cannot affect the answer).
+  // The graph's edge rule, restricted to a def's candidate partners
+  // (everything else cannot affect the answer).
   std::vector<uint64_t> Interfering;
-  auto MarkDef = [&](RegId D, const BitVector &Live, RegId ExemptSrc) {
-    for (RegId P : Partners[D])
-      if (P != D && P != ExemptSrc && Live.test(P))
-        Interfering.push_back(pairKey(D, P));
-  };
-  auto MarkDefPair = [&](RegId A, RegId B) {
-    if (A != B && std::binary_search(Candidates.begin(), Candidates.end(),
-                                     pairKey(A, B)))
-      Interfering.push_back(pairKey(A, B));
-  };
-
-  for (const auto &BB : F.blocks()) {
-    BitVector Live = LV.liveOut(BB.get());
-    auto &Insts = BB->instructions();
-    for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
-      const Instruction &I = *It;
-      assert(!I.isPhi() && "coalescer expects non-SSA code");
-      if (I.isCopy()) {
-        RegId D = I.def(0), S = I.use(0);
-        // The constructor resets S before scanning Live, then resets D
-        // and re-adds S; exempting S from the partner test is the same
-        // restriction.
-        Live.reset(S);
-        MarkDef(D, Live, /*ExemptSrc=*/S);
-        Live.reset(D);
-        Live.set(S);
-        continue;
-      }
-      if (I.isParCopy()) {
-        for (unsigned K = 0; K < I.numDefs(); ++K)
-          MarkDef(I.def(K), Live, /*ExemptSrc=*/I.use(K));
-        for (unsigned A = 0; A < I.numDefs(); ++A)
-          for (unsigned B = A + 1; B < I.numDefs(); ++B)
-            MarkDefPair(I.def(A), I.def(B));
-        for (RegId D : I.defs())
-          Live.reset(D);
-        for (RegId U : I.uses())
-          Live.set(U);
-        continue;
-      }
-      for (RegId D : I.defs())
-        MarkDef(D, Live, /*ExemptSrc=*/InvalidReg);
-      for (unsigned A = 0; A < I.numDefs(); ++A)
-        for (unsigned B = A + 1; B < I.numDefs(); ++B)
-          MarkDefPair(I.def(A), I.def(B));
-      for (RegId D : I.defs())
-        Live.reset(D);
-      for (RegId U : I.uses())
-        Live.set(U);
-    }
-  }
+  forEachInterference(
+      F, LV,
+      [&](RegId D, const BitVector &Live, RegId ExemptSrc) {
+        for (RegId P : Partners[D])
+          if (P != D && P != ExemptSrc && Live.test(P))
+            Interfering.push_back(pairKey(D, P));
+      },
+      [&](RegId A, RegId B) {
+        if (std::binary_search(Candidates.begin(), Candidates.end(),
+                               pairKey(A, B)))
+          Interfering.push_back(pairKey(A, B));
+      });
   std::sort(Interfering.begin(), Interfering.end());
   Interfering.erase(std::unique(Interfering.begin(), Interfering.end()),
                     Interfering.end());
@@ -148,10 +109,10 @@ bool anyCoalescableCopy(const Function &F, const Liveness &LV) {
 
 /// Round-boundary repair: recomputes the rows of the dirty nodes — the
 /// survivors (and since-victimized survivors) of this round's merges —
-/// exactly, from the already-maintained liveness of the rewritten
-/// program. Staleness is confined to those rows (see the header's
-/// confinement lemmas), so removing each dirty row's unconfirmed edges
-/// restores the whole graph to exactness.
+/// exactly, by one forEachInterference walk over the already-maintained
+/// liveness of the rewritten program. Staleness is confined to those
+/// rows (see the header's confinement lemmas), so removing each dirty
+/// row's unconfirmed edges restores the whole graph to exactness.
 void repairDirtyRows(const Function &F, const Liveness &LV,
                      InterferenceGraph &IG,
                      const std::vector<RegId> &DirtyList,
@@ -174,82 +135,50 @@ void repairDirtyRows(const Function &F, const Liveness &LV,
     if (Slot[B] != UINT32_MAX)
       Exact[Slot[B]].set(A);
   };
-  // Def site: the constructor's edge rule, restricted to pairs with a
-  // dirty endpoint. A dirty def (rare: a def of a merge survivor) scans
-  // everything live across it. Clean defs — the overwhelming majority —
-  // only need the *dirty* subset of the live set, which the scan below
-  // maintains as a DirtyLive vector restricted to |dirty| slots: the
-  // per-def cost is one scan of |dirty|/64 words plus the actual hits,
-  // independent of the function's total value count.
-  BitVector DirtyLive(ND);
-  auto MarkDef = [&](RegId D, const BitVector &Live, RegId ExemptSrc) {
-    if (Slot[D] != UINT32_MAX) {
-      Live.forEach([&](size_t L) {
-        RegId R = static_cast<RegId>(L);
-        if (R != D && R != ExemptSrc)
-          MarkPair(D, R);
-      });
-    } else {
-      DirtyLive.forEach([&](size_t SlotIdx) {
-        RegId R = DirtyList[SlotIdx];
-        if (R != D && R != ExemptSrc)
-          Exact[SlotIdx].set(D);
-      });
+  // The graph's edge rule, restricted to pairs with a dirty endpoint. A
+  // dirty def (rare: a def of a merge survivor) scans everything live
+  // across it. Clean defs — the overwhelming majority — only need the
+  // *dirty* subset of the live set, which the hook below mirrors into
+  // |dirty| slots: the per-def cost is one scan of |dirty|/64 words plus
+  // the actual hits, independent of the function's total value count.
+  struct DirtyLiveHook {
+    const std::vector<RegId> &DirtyList;
+    const std::vector<uint32_t> &Slot;
+    BitVector Live;
+    void block(const BitVector &BlockLive) {
+      Live.clear();
+      for (size_t I = 0; I < DirtyList.size(); ++I)
+        if (BlockLive.test(DirtyList[I]))
+          Live.set(I);
     }
-  };
-  auto LiveReset = [&](BitVector &Live, RegId V) {
-    Live.reset(V);
-    if (Slot[V] != UINT32_MAX)
-      DirtyLive.reset(Slot[V]);
-  };
-  auto LiveSet = [&](BitVector &Live, RegId V) {
-    Live.set(V);
-    if (Slot[V] != UINT32_MAX)
-      DirtyLive.set(Slot[V]);
-  };
+    void set(RegId V) {
+      if (Slot[V] != UINT32_MAX)
+        Live.set(Slot[V]);
+    }
+    void reset(RegId V) {
+      if (Slot[V] != UINT32_MAX)
+        Live.reset(Slot[V]);
+    }
+  } DirtyLive{DirtyList, Slot, BitVector(ND)};
 
-  for (const auto &BB : F.blocks()) {
-    BitVector Live = LV.liveOut(BB.get());
-    DirtyLive.clear();
-    for (size_t I = 0; I < ND; ++I)
-      if (Live.test(DirtyList[I]))
-        DirtyLive.set(I);
-    auto &Insts = BB->instructions();
-    for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
-      const Instruction &I = *It;
-      if (I.isCopy()) {
-        RegId D = I.def(0), S = I.use(0);
-        LiveReset(Live, S);
-        MarkDef(D, Live, /*ExemptSrc=*/S);
-        LiveReset(Live, D);
-        LiveSet(Live, S);
-        continue;
-      }
-      if (I.isParCopy()) {
-        for (unsigned K = 0; K < I.numDefs(); ++K)
-          MarkDef(I.def(K), Live, /*ExemptSrc=*/I.use(K));
-        for (unsigned A = 0; A < I.numDefs(); ++A)
-          for (unsigned B = A + 1; B < I.numDefs(); ++B)
-            if (I.def(A) != I.def(B))
-              MarkPair(I.def(A), I.def(B));
-        for (RegId D : I.defs())
-          LiveReset(Live, D);
-        for (RegId U : I.uses())
-          LiveSet(Live, U);
-        continue;
-      }
-      for (RegId D : I.defs())
-        MarkDef(D, Live, /*ExemptSrc=*/InvalidReg);
-      for (unsigned A = 0; A < I.numDefs(); ++A)
-        for (unsigned B = A + 1; B < I.numDefs(); ++B)
-          if (I.def(A) != I.def(B))
-            MarkPair(I.def(A), I.def(B));
-      for (RegId D : I.defs())
-        LiveReset(Live, D);
-      for (RegId U : I.uses())
-        LiveSet(Live, U);
-    }
-  }
+  forEachInterference(
+      F, LV,
+      [&](RegId D, const BitVector &Live, RegId ExemptSrc) {
+        if (Slot[D] != UINT32_MAX) {
+          Live.forEach([&](size_t L) {
+            RegId R = static_cast<RegId>(L);
+            if (R != D && R != ExemptSrc)
+              MarkPair(D, R);
+          });
+          return;
+        }
+        DirtyLive.Live.forEach([&](size_t SlotIdx) {
+          RegId R = DirtyList[SlotIdx];
+          if (R != ExemptSrc)
+            Exact[SlotIdx].set(D);
+        });
+      },
+      MarkPair, DirtyLive);
 
   for (size_t I = 0; I < ND; ++I) {
     RegId R = DirtyList[I];

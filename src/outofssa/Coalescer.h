@@ -33,6 +33,10 @@
 /// The sweep stops when nothing is re-enqueued: every surviving copy then
 /// carries an exact interference edge, which is the fixpoint condition.
 ///
+/// Both scans are visitors of forEachInterference
+/// (analysis/InterferenceGraph.h), the walk the graph constructor uses:
+/// the edge rule they restrict is the constructor's by construction.
+///
 /// Exactness argument (why the merge trace equals rebuild-every-round)
 /// -------------------------------------------------------------------
 /// Let E(P) be the exact graph of program P and G the maintained graph.
