@@ -6,12 +6,10 @@
 
 #include "ir/Verifier.h"
 
-#include "ir/CFG.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 using namespace lao;
 
@@ -124,12 +122,20 @@ std::vector<std::string> lao::verifyStructure(const Function &F) {
     }
   }
   if (!Diags.empty())
-    return Diags; // CFG-based checks below assume basic structure.
+    return Diags; // The predecessor checks below assume basic structure.
 
-  // Phi incoming lists must match CFG predecessors exactly.
-  CFG Cfg(const_cast<Function &>(F));
+  // Phi incoming lists must match CFG predecessors exactly. The checks
+  // above put every phi at the top of its block, so only blocks that
+  // open with a phi need their predecessors.
+  std::vector<std::vector<const BasicBlock *>> PhiBlockPreds(F.numBlocks());
+  for (const auto &BB : F.blocks())
+    for (BasicBlock *S : BB->successors())
+      if (S->front().isPhi())
+        PhiBlockPreds[S->id()].push_back(BB.get());
+  // The phi that last listed each block as incoming.
+  std::vector<const Instruction *> ListedBy(F.numBlocks(), nullptr);
   for (const auto &BB : F.blocks()) {
-    const auto &Preds = Cfg.preds(BB.get());
+    const auto &Preds = PhiBlockPreds[BB->id()];
     for (const Instruction &I : BB->instructions()) {
       if (!I.isPhi())
         break;
@@ -138,12 +144,12 @@ std::vector<std::string> lao::verifyStructure(const Function &F) {
                          BB->name().c_str(), I.numUses(), Preds.size()));
         continue;
       }
-      std::set<const BasicBlock *> Seen;
       for (unsigned K = 0; K < I.numUses(); ++K) {
         const BasicBlock *In = I.incomingBlock(K);
-        if (!Seen.insert(In).second)
+        if (ListedBy[In->id()] == &I)
           Report(formatStr("block %s: phi lists pred %s twice",
                            BB->name().c_str(), In->name().c_str()));
+        ListedBy[In->id()] = &I;
         if (std::find(Preds.begin(), Preds.end(), In) == Preds.end())
           Report(formatStr("block %s: phi incoming %s is not a predecessor",
                            BB->name().c_str(), In->name().c_str()));

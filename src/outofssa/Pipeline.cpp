@@ -9,6 +9,7 @@
 #include "analysis/AnalysisManager.h"
 #include "analysis/LoopInfo.h"
 #include "ir/CFG.h"
+#include "ir/Verifier.h"
 #include "outofssa/Constraints.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/NaiveABI.h"
@@ -29,8 +30,9 @@ namespace {
 /// blocks, one pass over their instructions checks that no virtual
 /// register is defined twice, a second pass that every virtual register
 /// used there is defined there (either failure is reported in \p Error),
-/// and then the unreachable blocks are erased. No analysis is built, so
-/// the analysis counters of a run do not change.
+/// and then the unreachable blocks are erased. Last, verifyStructure
+/// checks what is left, and its first diagnostic becomes \p Error. No
+/// analysis is built, so the analysis counters of a run do not change.
 bool prepareInput(Function &F, std::string &Error) {
   if (F.numBlocks() == 0)
     return true;
@@ -85,6 +87,13 @@ bool prepareInput(Function &F, std::string &Error) {
 
   if (NumReachable != F.numBlocks())
     F.eraseBlocks(Dead);
+  // What is left must be well formed: phis at the top of a non-entry
+  // block, one incoming per predecessor, input first in the entry.
+  std::vector<std::string> Diags = verifyStructure(F);
+  if (!Diags.empty()) {
+    Error = Diags.front();
+    return false;
+  }
   return true;
 }
 

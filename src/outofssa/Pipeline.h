@@ -84,8 +84,9 @@ PipelineConfig pipelinePreset(const std::string &Name);
 struct PipelineResult {
   bool Cancelled = false;       ///< CancelCheck fired; all else invalid.
   /// Set when the entry step rejected the input (a value of the reachable
-  /// code is defined twice, or used and never defined, so it is not
-  /// SSA); nothing ran and all else is invalid.
+  /// code is defined twice, or used and never defined, so it is not SSA;
+  /// or verifyStructure found a malformed phi or input); nothing ran and
+  /// all else is invalid.
   std::string InputError;
   unsigned NumMoves = 0;        ///< Residual moves (Tables 2-4 metric).
   uint64_t WeightedMoves = 0;   ///< 5^depth-weighted (Table 5 metric).
@@ -103,10 +104,11 @@ struct PipelineResult {
 /// non-SSA code) and returns the measurements.
 ///
 /// The entry step, timed under split-critical-edges, checks that \p F is
-/// single-assignment and defines every value it uses (else InputError)
-/// and erases its unreachable blocks, so every later phase sees only
-/// reachable code: there, SSA live ranges are dominator subtrees, which
-/// the class-interference engine needs.
+/// single-assignment and defines every value it uses, erases its
+/// unreachable blocks and then requires verifyStructure to pass (else
+/// InputError). So every later phase sees only reachable, well-formed
+/// code: there, SSA live ranges are dominator subtrees, which the
+/// class-interference engine needs.
 PipelineResult runPipeline(Function &F, const PipelineConfig &Config);
 
 /// Same, but reusing the caller-owned \p AM instead of building a fresh

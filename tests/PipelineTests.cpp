@@ -8,13 +8,14 @@
 // the suites: the full pinning-based pipeline (Lphi,ABI+C) never loses
 // to the baselines in aggregate, and the naive configurations leave an
 // order of magnitude more moves before coalescing (Table 4). Also covers
-// the entry step: unreachable blocks are erased and non-SSA input is
-// rejected before any pass runs.
+// the entry step: unreachable blocks are erased, and non-SSA input and
+// malformed phis are rejected before any pass runs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "driver/CompileJob.h"
 #include "ir/CFG.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/Pipeline.h"
@@ -26,7 +27,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <regex>
 #include <sstream>
 
 using namespace lao;
@@ -422,4 +425,148 @@ j:
   PipelineResult R = runPipeline(*H, pipelinePreset("Lphi,ABI+C"));
   EXPECT_TRUE(R.InputError.empty()) << R.InputError;
   EXPECT_EQ(H->numBlocks(), 2u);
+}
+
+namespace {
+
+/// A diamond whose entry block and join block the malformed-input cases
+/// below replace.
+std::string diamond(const std::string &Entry, const std::string &Join) {
+  return "func @f {\nentry:\n" + Entry +
+         "  branch %a, t, e\nt:\n  %x1 = addi %a, 1\n  jump j\n"
+         "e:\n  %x2 = make 2\n  jump j\nj:\n" +
+         Join + "  output %x\n  ret %x\n}\n";
+}
+
+} // namespace
+
+TEST(Pipeline, MalformedPhiIsRejectedAtEntry) {
+  // Each input parses. The first four reached an assertion of the
+  // Leung-George translator; the entry-block phi compiled to code that
+  // reads an undefined register. The entry step runs verifyStructure on
+  // the reachable code and reports its first diagnostic under every
+  // preset, and the compile job answers parse_error.
+  const std::string In = "  input %a\n";
+  const std::pair<std::string, std::string> Cases[] = {
+      {diamond(In, "  %y = make 3\n  %x = phi [%x1, t], [%x2, e]\n"),
+       "block j: phi after non-phi instruction"},
+      {diamond(In, "  %x = phi [%x1, t]\n"),
+       "block j: phi has 1 incoming, block has 2 preds"},
+      {diamond(In, "  %x = phi [%x1, t], [%x2, entry]\n"),
+       "block j: phi incoming entry is not a predecessor"},
+      {diamond(In, "  %x = phi [%x1, t], [%x2, t]\n"),
+       "block j: phi lists pred t twice"},
+      {"func @f {\nentry:\n  %x = phi [%y, loop]\n  jump loop\nloop:\n"
+       "  %y = make 1\n  branch %y, entry, out\nout:\n  ret %x\n}\n",
+       "entry block must not contain phis"},
+      {diamond("  %z = make 1\n" + In, "  %x = phi [%x1, t], [%x2, e]\n"),
+       "input instruction must be the first instruction of the entry"},
+  };
+  for (const auto &[Text, Error] : Cases) {
+    SCOPED_TRACE(Text);
+    for (const char *Preset : AllPresets) {
+      auto F = parse(Text);
+      EXPECT_EQ(runPipeline(*F, pipelinePreset(Preset)).InputError, Error)
+          << Preset;
+    }
+    RequestOptions Opts;
+    Opts.Pipeline = "Lphi,ABI+C";
+    WorkerContext Ctx;
+    CompileOutcome Job = runCompileJob(Text, Opts, Ctx);
+    EXPECT_EQ(Job.Outcome, RequestOutcome::ParseError);
+    EXPECT_EQ(Job.Error, "ssa error: " + Error);
+  }
+}
+
+TEST(Pipeline, PhiMutantsOfEverySuiteAreParseErrors) {
+  // Adversarial inputs: four mutants of the first phi of every suite
+  // function that has one, made from its printed text. Each must get a
+  // parse_error from the compile job under every kind of pipeline;
+  // before the entry step verified structure, these aborted the process.
+  const std::regex Incoming(R"(\[%[^,\]]+, ([^\]]+)\])");
+  const char *const Presets[] = {"Lphi,ABI+C", "Sphi+C", "C,naiveABI+C"};
+  unsigned NumMutants = 0;
+  for (const SuiteSpec &Suite : allSuites()) {
+    for (const Workload &W : Suite.Make()) {
+      const BasicBlock *PhiBlock = nullptr;
+      for (const auto &BB : W.F->blocks())
+        if (!BB->empty() && BB->front().isPhi()) {
+          PhiBlock = BB.get();
+          break;
+        }
+      if (!PhiBlock)
+        continue;
+      SCOPED_TRACE(W.Name);
+      // A block that does not branch to the phi's block.
+      const BasicBlock *NonPred = nullptr;
+      for (const auto &BB : W.F->blocks()) {
+        std::vector<BasicBlock *> Succs = BB->successors();
+        if (std::find(Succs.begin(), Succs.end(), PhiBlock) == Succs.end()) {
+          NonPred = BB.get();
+          break;
+        }
+      }
+
+      std::vector<std::string> Lines;
+      std::istringstream Printed(printFunction(*W.F));
+      for (std::string L; std::getline(Printed, L);)
+        Lines.push_back(L);
+      size_t PhiLine =
+          std::find(Lines.begin(), Lines.end(), PhiBlock->name() + ":") -
+          Lines.begin() + 1;
+      ASSERT_LT(PhiLine, Lines.size());
+      const std::string Phi = Lines[PhiLine];
+      std::vector<std::smatch> Entries(
+          std::sregex_iterator(Phi.begin(), Phi.end(), Incoming),
+          std::sregex_iterator());
+      ASSERT_FALSE(Entries.empty()) << Phi;
+      const std::smatch &Last = Entries.back();
+
+      std::vector<std::vector<std::string>> Mutants;
+      // The phi moved below the block's first non-phi.
+      size_t FirstNonPhi = PhiLine;
+      while (Lines[FirstNonPhi].find(" = phi ") != std::string::npos)
+        ++FirstNonPhi;
+      Mutants.push_back(Lines);
+      Mutants.back().insert(Mutants.back().begin() + FirstNonPhi + 1, Phi);
+      Mutants.back().erase(Mutants.back().begin() + PhiLine);
+      // One incoming value dropped.
+      size_t Cut = Last.position();
+      if (Entries.size() > 1) {
+        const std::smatch &Prev = Entries[Entries.size() - 2];
+        Cut = Prev.position() + Prev.length();
+      }
+      Mutants.push_back(Lines);
+      Mutants.back()[PhiLine] =
+          Phi.substr(0, Cut) + Phi.substr(Last.position() + Last.length());
+      // One incoming value listed twice.
+      Mutants.push_back(Lines);
+      Mutants.back()[PhiLine] = Phi + ", " + Last.str();
+      // One incoming value retargeted to a block that is not a
+      // predecessor.
+      if (NonPred) {
+        Mutants.push_back(Lines);
+        Mutants.back()[PhiLine] = Phi.substr(0, Last.position(1)) +
+                                  NonPred->name() +
+                                  Phi.substr(Last.position(1) +
+                                             Last.length(1));
+      }
+
+      for (const std::vector<std::string> &M : Mutants) {
+        std::string Text;
+        for (const std::string &L : M)
+          Text += L + "\n";
+        for (const char *Preset : Presets) {
+          RequestOptions Opts;
+          Opts.Pipeline = Preset;
+          WorkerContext Ctx;
+          CompileOutcome Job = runCompileJob(Text, Opts, Ctx);
+          EXPECT_EQ(Job.Outcome, RequestOutcome::ParseError)
+              << Preset << "\n" << Text;
+        }
+        ++NumMutants;
+      }
+    }
+  }
+  EXPECT_GT(NumMutants, 400u);
 }

@@ -657,6 +657,36 @@ TEST(Server, FunctionWithoutBlocksIsParseErrorAndServingContinues) {
   EXPECT_EQ(S.report().NumParseErrors, 2u);
 }
 
+TEST(Server, MalformedPhiIsParseErrorAndServingContinues) {
+  // A phi below a non-phi instruction parses, and reached an assertion
+  // of the Leung-George translator that killed the daemon and left the
+  // frame behind it unanswered. The pipeline's entry step now refuses it.
+  Request Bad;
+  Bad.Id = 1;
+  Bad.Text = "func @f {\nentry:\n  input %a\n  jump j\nj:\n"
+             "  %y = make 3\n  %x = phi [%a, entry]\n  ret %x\n}\n";
+  Request Good;
+  Good.Id = 2;
+  Good.Text = SimpleFunc;
+  ServerOptions Opts;
+  Opts.NumWorkers = 2;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts, encodeRequest(Bad) + encodeRequest(Good),
+                        Responses, &S),
+            0);
+  ASSERT_EQ(Responses.size(), 2u);
+  ASSERT_EQ(S.records().size(), 2u);
+  EXPECT_EQ(S.records()[0].Outcome, RequestOutcome::ParseError);
+  EXPECT_EQ(S.records()[0].Error,
+            "ssa error: block j: phi after non-phi instruction");
+  EXPECT_TRUE(Responses[0].IR.empty());
+  EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
+  EXPECT_EQ(Responses[1].IR, oneShot(SimpleFunc));
+  EXPECT_EQ(S.report().NumParseErrors, 1u);
+}
+
 TEST(Server, OversizedFrameThenGoodFrame) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;

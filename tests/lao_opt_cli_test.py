@@ -18,7 +18,12 @@ Runs the lao-opt binary on tests/lao_opt_input.lai and checks that
     --ssa) exit 1 with the job's error text, which the server answers
     verbatim;
   * a function without blocks, and text before the function header or
-    after its closing brace, exit 1 with a parse error.
+    after its closing brace, exit 1 with a parse error;
+  * the four malformed phis that parse but reached an assertion of the
+    translator (a phi below a non-phi, too few incoming values, an
+    incoming block that is no predecessor, a predecessor listed twice)
+    and an entry-block phi exit 1 with the job's error text, which the
+    server answers verbatim before it serves the next frame.
 It also checks that lao-server and lao-client reject malformed numeric
 flags with exit 2 and the usage line.
 
@@ -76,6 +81,27 @@ def serve(bodies):
 AFTER_RET = "func @f {\nentry:\n  input %a\n  ret %a\n  output %a\n}\n"
 UNDEFINED = "func @f {\nentry:\n  input %a\n  %b = add %u, %u\n  ret %b\n}\n"
 NO_BLOCKS = "func @f {\n}\n"
+
+
+def diamond(join):
+    return ("func @f {\nentry:\n  input %a\n  branch %a, t, e\nt:\n"
+            "  %x1 = addi %a, 1\n  jump j\ne:\n  %x2 = make 2\n  jump j\n"
+            "j:\n" + join + "  ret %x\n}\n")
+
+
+MALFORMED_PHIS = [
+    (diamond("  %y = make 3\n  %x = phi [%x1, t], [%x2, e]\n"),
+     "block j: phi after non-phi instruction"),
+    (diamond("  %x = phi [%x1, t]\n"),
+     "block j: phi has 1 incoming, block has 2 preds"),
+    (diamond("  %x = phi [%x1, t], [%x2, entry]\n"),
+     "block j: phi incoming entry is not a predecessor"),
+    (diamond("  %x = phi [%x1, t], [%x2, t]\n"),
+     "block j: phi lists pred t twice"),
+    ("func @f {\nentry:\n  %x = phi [%y, loop]\n  jump loop\nloop:\n"
+     "  %y = make 1\n  branch %y, entry, out\nout:\n  ret %x\n}\n",
+     "entry block must not contain phis"),
+]
 
 
 class LaoOptCli(unittest.TestCase):
@@ -234,6 +260,22 @@ class LaoOptCli(unittest.TestCase):
             self.assertEqual(record["outcome"], "parse_error")
             self.assertEqual(record["error"], error)
             self.assertEqual(ir, "")
+
+    def test_malformed_phis_exit_1(self):
+        good = "func @g {\nentry:\n  input %a\n  ret %a\n}\n"
+        answers = serve(["pipeline: Lphi,ABI+C\n\n" + text
+                         for text, _ in MALFORMED_PHIS + [(good, "")]])
+        self.assertEqual(len(answers), len(MALFORMED_PHIS) + 1)
+        for (text, error), (record, ir) in zip(MALFORMED_PHIS, answers):
+            proc = subprocess.run([LAO_OPT, "--pipeline=Lphi,ABI+C", "-"],
+                                  input=text, capture_output=True,
+                                  text=True, timeout=60)
+            self.assertEqual(proc.returncode, 1, proc.stderr)
+            self.assertEqual(proc.stderr, "ssa error: " + error + "\n")
+            self.assertEqual(record["outcome"], "parse_error")
+            self.assertEqual(record["error"], "ssa error: " + error)
+            self.assertEqual(ir, "")
+        self.assertTrue(answers[-1][0]["ok"], answers[-1][0])
 
     def test_function_without_blocks_exits_1(self):
         # It reached Function::entry()'s assertion under --ssa and --run.
