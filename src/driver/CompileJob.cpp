@@ -91,8 +91,13 @@ void compile(CompileOutcome &O, const std::string &Text,
       for (const std::string &D : verifySSA(F))
         O.Diagnostics.push_back("ssa: " + D);
   }
-  if (Opts.IfConvert)
+  if (Opts.IfConvert) {
+    // If-conversion reads the phis of every join: it needs the input the
+    // pipeline's entry step guarantees, so that step runs first.
+    if (!prepareInput(F, Error))
+      return fail(O, RequestOutcome::ParseError, "ssa error: " + Error);
     O.IfConversion = convertIfsToPsi(F);
+  }
 
   // One manager from the pipeline to the last allocation round: the
   // pipeline binds it to F, or the job does when there is no pipeline.

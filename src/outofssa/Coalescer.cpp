@@ -9,28 +9,16 @@
 #include "analysis/AnalysisManager.h"
 #include "analysis/InterferenceGraph.h"
 #include "analysis/Liveness.h"
-#include "ir/CFG.h"
-#include "ir/Clone.h"
-#include "ir/IRPrinter.h"
 #include "support/Stats.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <vector>
 
 using namespace lao;
 
 namespace {
-
-bool oracleFromEnv() {
-  const char *E = std::getenv("LAO_COALESCE_ORACLE");
-  return E && *E && *E != '0';
-}
-
-bool CrossCheckOracle = oracleFromEnv();
 
 /// Packs an unordered RegId pair into one sortable/searchable key.
 uint64_t pairKey(RegId A, RegId B) {
@@ -199,12 +187,10 @@ void repairDirtyRows(const Function &F, const Liveness &LV,
 }
 
 /// The zero-rebuild worklist schedule (see the header for the exactness
-/// argument). \p ExpectTrace, when set, is the reference merge trace the
-/// oracle compares against, aborting on the first divergence.
+/// argument).
 void coalesceWithWorklist(Function &F, AnalysisManager &AM,
                           CoalescerStats &Stats,
-                          std::vector<std::pair<RegId, RegId>> *TraceOut,
-                          const std::vector<std::pair<RegId, RegId>> *ExpectTrace) {
+                          std::vector<std::pair<RegId, RegId>> *TraceOut) {
   Liveness &LV = AM.liveness();
 
   // Graph-free gate first: most calls after the phi-coalescing
@@ -255,7 +241,6 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
   };
   BitVector DirtyMask(NV);
   std::vector<RegId> DirtyList;
-  unsigned TraceIdx = 0;
 
   while (!Queue.empty()) {
     ++Stats.NumRounds;
@@ -287,24 +272,6 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
       }
       if (TraceOut)
         TraceOut->emplace_back(Survivor, Victim);
-      if (ExpectTrace) {
-        if (TraceIdx >= ExpectTrace->size() ||
-            (*ExpectTrace)[TraceIdx] != std::make_pair(Survivor, Victim)) {
-          std::fprintf(
-              stderr,
-              "LAO_COALESCE_ORACLE: merge %u diverged: worklist merged "
-              "(v%u <- v%u), rebuild-every-round merged %s\n",
-              TraceIdx, Survivor, Victim,
-              TraceIdx < ExpectTrace->size()
-                  ? (std::string("(v") +
-                     std::to_string((*ExpectTrace)[TraceIdx].first) + " <- v" +
-                     std::to_string((*ExpectTrace)[TraceIdx].second) + ")")
-                        .c_str()
-                  : "nothing (trace exhausted)");
-          std::abort();
-        }
-        ++TraceIdx;
-      }
       ++Stats.NumMerges;
       ++MergesThisRound;
     }
@@ -381,82 +348,9 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
   }
   // Worklist dry: every surviving copy pair carries an exact interference
   // edge — the rebuild-every-round fixpoint condition.
-
-  if (ExpectTrace && TraceIdx != ExpectTrace->size()) {
-    std::fprintf(stderr,
-                 "LAO_COALESCE_ORACLE: worklist stopped after %u merges, "
-                 "rebuild-every-round performed %zu\n",
-                 TraceIdx, ExpectTrace->size());
-    std::abort();
-  }
 }
 
 } // namespace
-
-void lao::setCoalescerCrossCheckOracle(bool On) { CrossCheckOracle = On; }
-
-CoalescerStats lao::coalesceRebuildingEveryRound(
-    Function &F, std::vector<std::pair<RegId, RegId>> *TraceOut) {
-  CoalescerStats Stats;
-  for (;;) {
-    ++Stats.NumRebuilds;
-    CFG Cfg(F);
-    Liveness LV(Cfg);
-    InterferenceGraph IG(F, LV);
-
-    std::vector<RegId> RenameTo(F.numValues(), InvalidReg);
-    auto Resolve = [&](RegId V) {
-      while (RenameTo[V] != InvalidReg)
-        V = RenameTo[V];
-      return V;
-    };
-
-    bool MergedOnThisGraph = false;
-    ++Stats.NumRounds;
-    for (const auto &BB : F.blocks()) {
-      for (Instruction &I : BB->instructions()) {
-        if (!I.isCopy())
-          continue;
-        RegId D = Resolve(I.def(0));
-        RegId S = Resolve(I.use(0));
-        if (D == S)
-          continue;
-        if (F.isPhysical(D) && F.isPhysical(S))
-          continue;
-        if (IG.interfere(D, S))
-          continue;
-        RegId Survivor = F.isPhysical(S) ? S : D;
-        RegId Victim = Survivor == D ? S : D;
-        IG.mergeNodes(Survivor, Victim);
-        RenameTo[Victim] = Survivor;
-        if (TraceOut)
-          TraceOut->emplace_back(Survivor, Victim);
-        ++Stats.NumMerges;
-        MergedOnThisGraph = true;
-      }
-    }
-
-    if (!MergedOnThisGraph)
-      break;
-
-    for (const auto &BB : F.blocks()) {
-      auto &Insts = BB->instructions();
-      for (auto It = Insts.begin(); It != Insts.end();) {
-        for (unsigned K = 0; K < It->numDefs(); ++K)
-          It->setDef(K, Resolve(It->def(K)));
-        for (unsigned K = 0; K < It->numUses(); ++K)
-          It->setUse(K, Resolve(It->use(K)));
-        if (It->isCopy() && It->def(0) == It->use(0)) {
-          It = Insts.erase(It);
-          ++Stats.NumMovesRemoved;
-        } else {
-          ++It;
-        }
-      }
-    }
-  }
-  return Stats;
-}
 
 CoalescerStats lao::coalesceAggressively(Function &F,
                                          const CoalescerOptions &Opts,
@@ -468,21 +362,7 @@ CoalescerStats lao::coalesceAggressively(Function &F,
     AM = &*LocalAM;
   }
 
-  std::optional<std::vector<std::pair<RegId, RegId>>> RefTrace;
-  std::string RefPrinted;
-  unsigned RefMovesRemoved = 0;
-  if (CrossCheckOracle) {
-    // Run the reference schedule on a clone first; the worklist run
-    // below then replays against its trace in lockstep.
-    auto Ref = cloneFunction(F);
-    RefTrace.emplace();
-    CoalescerStats RefStats = coalesceRebuildingEveryRound(*Ref, &*RefTrace);
-    RefPrinted = printFunction(*Ref);
-    RefMovesRemoved = RefStats.NumMovesRemoved;
-  }
-
-  coalesceWithWorklist(F, *AM, Stats, Opts.TraceOut,
-                       RefTrace ? &*RefTrace : nullptr);
+  coalesceWithWorklist(F, *AM, Stats, Opts.TraceOut);
 
   if (Stats.NumMerges > 0) {
     // The maintained liveness is exact, and the repaired graph is the
@@ -492,30 +372,6 @@ CoalescerStats lao::coalesceAggressively(Function &F,
     AM->invalidate(PreservedAnalyses::cfgOnly()
                        .preserve(AnalysisKind::Liveness)
                        .preserve(AnalysisKind::Interference));
-  }
-
-  if (CrossCheckOracle) {
-    if (Stats.NumMovesRemoved != RefMovesRemoved) {
-      std::fprintf(stderr,
-                   "LAO_COALESCE_ORACLE: moves removed mismatch: "
-                   "worklist %u, rebuild-every-round %u\n",
-                   Stats.NumMovesRemoved, RefMovesRemoved);
-      std::abort();
-    }
-    if (printFunction(F) != RefPrinted) {
-      std::fprintf(stderr,
-                   "LAO_COALESCE_ORACLE: final IR mismatch\n"
-                   "--- worklist ---\n%s--- rebuild-every-round ---\n%s",
-                   printFunction(F).c_str(), RefPrinted.c_str());
-      std::abort();
-    }
-    // A true fixpoint: no copy is mergeable under the exact liveness.
-    if (anyCoalescableCopy(F, AM->liveness())) {
-      std::fprintf(stderr,
-                   "LAO_COALESCE_ORACLE: worklist stopped before the "
-                   "fixpoint (a mergeable copy remains)\n");
-      std::abort();
-    }
   }
 
   LAO_STAT(coalesce, runs) += 1;

@@ -61,12 +61,13 @@
 /// blocks on its own unions identically), so the (survivor, victim) merge
 /// sequence is identical to the rebuild-every-round reference.
 ///
-/// `LAO_COALESCE_ORACLE=1` (or setCoalescerCrossCheckOracle) checks that
-/// claim at runtime: every production run first executes the reference,
-/// coalesceRebuildingEveryRound, on a clone, then replays the worklist
-/// schedule in lockstep against the recorded trace and aborts on the
-/// first divergent merge, on a final-IR mismatch, or on a residual
-/// mergeable copy.
+/// The tests hold the schedule to that claim literally: the reference,
+/// which rebuilds CFG, liveness and graph before every sweep, lives in
+/// the test tree (tests/ReferenceCoalescer.h), and
+/// Coalescer.WorklistTraceMatchesRebuildEveryRoundOnEverySuite and
+/// Coalescer.AdversarialRequeueForcerMatchesReference require the same
+/// merge trace and byte-identical IR from both on the coalescer input of
+/// every `+C` preset, every suite function and generated programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,7 +85,7 @@ class AnalysisManager;
 
 struct CoalescerOptions {
   /// When set, every merge appends its resolved (survivor, victim) pair —
-  /// the exact trace the oracle compares across schedules.
+  /// the exact trace the tests compare against the reference schedule.
   std::vector<std::pair<RegId, RegId>> *TraceOut = nullptr;
 };
 
@@ -131,24 +132,6 @@ struct CoalescerStats {
 CoalescerStats coalesceAggressively(Function &F,
                                     const CoalescerOptions &Opts = {},
                                     AnalysisManager *AM = nullptr);
-
-/// The reference schedule: rebuilds CFG, liveness and the interference
-/// graph before every sweep and stops after the first sweep that merges
-/// nothing. Quadratic-ish, so no pass uses it: it is the oracle the
-/// equivalence tests and LAO_COALESCE_ORACLE hold the worklist schedule
-/// to (same merges, in the same order, appended to \p TraceOut when set).
-/// Adds nothing to the coalesce.* counters.
-CoalescerStats
-coalesceRebuildingEveryRound(Function &F,
-                             std::vector<std::pair<RegId, RegId>> *TraceOut =
-                                 nullptr);
-
-/// Cross-check mode (also enabled by the LAO_COALESCE_ORACLE environment
-/// variable): every worklist-scheduled call first runs the
-/// rebuild-every-round reference on a clone, then compares merge-by-merge
-/// and aborts on the first divergence, a final-IR mismatch, or a missed
-/// fixpoint. Global because it is a process-level debugging mode.
-void setCoalescerCrossCheckOracle(bool On);
 
 } // namespace lao
 

@@ -10,15 +10,10 @@
 #include "support/Stats.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace lao;
 
-bool PinningContext::CrossCheckOracle = [] {
-  const char *E = std::getenv("LAO_CLASSINTERF_ORACLE");
-  return E && E[0] != '\0' && E[0] != '0';
-}();
+PinningContext::VerdictObserver PinningContext::Observer = nullptr;
 
 PinningContext::PinningContext(const Function &F, const CFG &Cfg,
                                const DominatorTree &DT, const LivenessQuery &LV,
@@ -230,29 +225,6 @@ bool PinningContext::stronglyInterfere(RegId A, RegId B) const {
   return DA.I == DB.I;
 }
 
-bool PinningContext::pairwiseResourceInterfere(RegId A, RegId B) const {
-  RegId RA = Classes.find(A), RB = Classes.find(B);
-  if (RA == RB)
-    return false;
-  if (F.isPhysical(RA) && F.isPhysical(RB))
-    return true;
-  for (RegId X : Members[RA]) {
-    if (!Defs[X].Valid)
-      continue;
-    for (RegId Y : Members[RB]) {
-      if (!Defs[Y].Valid)
-        continue;
-      if (!KilledMask.test(X) && variableKills(Y, X))
-        return true;
-      if (!KilledMask.test(Y) && variableKills(X, Y))
-        return true;
-      if (stronglyInterfere(X, Y))
-        return true;
-    }
-  }
-  return false;
-}
-
 bool PinningContext::resourceInterfere(RegId A, RegId B) const {
   RegId RA = Classes.find(A), RB = Classes.find(B);
   if (RA == RB)
@@ -263,16 +235,8 @@ bool PinningContext::resourceInterfere(RegId A, RegId B) const {
   if (!Engine)
     Engine = std::make_unique<ClassInterference>(*this, DT, LV);
   bool Verdict = Engine->interfere(RA, RB);
-  if (CrossCheckOracle) {
-    bool Reference = pairwiseResourceInterfere(RA, RB);
-    if (Reference != Verdict) {
-      std::fprintf(stderr,
-                   "lao: fatal: class-interference oracle mismatch in "
-                   "'%s': classes %u / %u, engine=%d pairwise=%d\n",
-                   F.name().c_str(), RA, RB, int(Verdict), int(Reference));
-      std::abort();
-    }
-  }
+  if (Observer)
+    Observer(*this, RA, RB, Verdict);
   return Verdict;
 }
 

@@ -15,8 +15,13 @@
 /// class-interference engine (outofssa/ClassInterference.h), which is
 /// exact only over reachable code: the context requires every non-empty
 /// block to be reachable, as runPipeline's entry step guarantees. The
-/// paper-literal pairwise scan stays as pairwiseResourceInterfere, the
-/// reference the engine is checked against.
+/// paper-literal pairwise scan, the engine's reference, is test code
+/// (tests/ReferenceClassInterference.h). ClassInterference's
+/// SuiteVerdictsMatchPairwise and Adversarial*AllModes tests compare
+/// single queries against it; its SuiteMergeTracesMatchPairwise,
+/// AdversarialMergeTraces and OracleCleanOnCoalescingRuns, and the
+/// Pipeline.EntryErases* tests, check every verdict of whole runs through
+/// the verdict observer (setVerdictObserver).
 ///
 /// Terminology (paper Section 3.2):
 ///  * "a kills b": pinning a and b to one resource clobbers b's value at
@@ -119,11 +124,6 @@ public:
   /// (outofssa/ClassInterference.h).
   bool resourceInterfere(RegId A, RegId B) const;
 
-  /// The same verdict from the paper-literal O(|A|*|B|) member-pair scan
-  /// of Algorithm 2. Not used by any pass: it is the reference the
-  /// engine is checked against (tests and the cross-check oracle).
-  bool pairwiseResourceInterfere(RegId A, RegId B) const;
-
   /// Definition site of \p V (Valid == false for physical registers and
   /// never-defined values).
   const DefSite &defSite(RegId V) const { return Defs[V]; }
@@ -134,14 +134,14 @@ public:
 
   InterferenceMode mode() const { return Mode; }
 
-  /// When on, every engine verdict is cross-checked against
-  /// pairwiseResourceInterfere and a mismatch aborts the process — the
-  /// debug oracle the CI Debug job runs on all suites. Also enabled by
-  /// setting the LAO_CLASSINTERF_ORACLE environment variable to a
-  /// non-zero value. Set before any parallel pipeline runs (plain flag,
-  /// same pattern as AnalysisManager::setVerifyOnInvalidate).
-  static void setCrossCheckOracle(bool On) { CrossCheckOracle = On; }
-  static bool crossCheckOracle() { return CrossCheckOracle; }
+  /// Called with every verdict resourceInterfere returns from the
+  /// engine: the context, the two class representatives and the answer.
+  /// Null outside tests, which install one to check each verdict of a
+  /// whole run against the pairwise scan. A plain static: set it only
+  /// while no other thread uses a PinningContext.
+  using VerdictObserver = void (*)(const PinningContext &Ctx, RegId RA,
+                                   RegId RB, bool Verdict);
+  static void setVerdictObserver(VerdictObserver Fn) { Observer = Fn; }
 
   /// Field-diagnosis summary for lao-opt --stats: the class-size
   /// histogram of the current class partition plus the engine's
@@ -187,7 +187,7 @@ private:
   /// not). Null until then.
   mutable std::unique_ptr<ClassInterference> Engine;
 
-  static bool CrossCheckOracle;
+  static VerdictObserver Observer;
 
   bool defDominates(RegId A, RegId B) const;
   bool liveAtDef(RegId V, const DefSite &D) const;

@@ -24,16 +24,7 @@
 
 using namespace lao;
 
-namespace {
-
-/// The pipeline's entry step: a DFS over successors() marks the reachable
-/// blocks, one pass over their instructions checks that no virtual
-/// register is defined twice, a second pass that every virtual register
-/// used there is defined there (either failure is reported in \p Error),
-/// and then the unreachable blocks are erased. Last, verifyStructure
-/// checks what is left, and its first diagnostic becomes \p Error. No
-/// analysis is built, so the analysis counters of a run do not change.
-bool prepareInput(Function &F, std::string &Error) {
+bool lao::prepareInput(Function &F, std::string &Error) {
   if (F.numBlocks() == 0)
     return true;
   std::vector<bool> Dead(F.numBlocks(), true);
@@ -96,8 +87,6 @@ bool prepareInput(Function &F, std::string &Error) {
   }
   return true;
 }
-
-} // namespace
 
 std::optional<PipelineConfig> lao::pipelinePresetOpt(const std::string &Name) {
   PipelineConfig C;

@@ -100,6 +100,16 @@ struct PipelineResult {
   PinningContext::InterferenceReport Interference;
 };
 
+/// The pipeline's entry step, also run by the compile job before
+/// if-conversion: a DFS over successors() marks the reachable blocks, one
+/// pass over their instructions checks that no virtual register is
+/// defined twice, a second pass that every virtual register used there is
+/// defined there (either failure is reported in \p Error), and then the
+/// unreachable blocks are erased. Last, verifyStructure checks what is
+/// left, and its first diagnostic becomes \p Error. No analysis is built,
+/// so the analysis counters of a run do not change.
+bool prepareInput(Function &F, std::string &Error);
+
 /// Runs the configured pipeline over \p F (mutating it from SSA to final
 /// non-SSA code) and returns the measurements.
 ///

@@ -15,12 +15,13 @@ using namespace lao;
 
 namespace {
 
-/// Process-wide cache of standard-size chunks, bounded in bytes.
-/// Oversized chunks are never cached (they are workload-specific).
+/// Process-wide cache of standard-size chunks, bounded in bytes (32 MiB
+/// suits the compile service). Oversized chunks are never cached (they
+/// are workload-specific).
 struct ChunkCache {
+  static constexpr size_t Limit = 32u << 20;
   std::mutex M;
   std::vector<char *> Free;
-  size_t Limit = 32u << 20;
 
   char *pop() {
     std::lock_guard<std::mutex> G(M);
@@ -53,16 +54,6 @@ ChunkCache &cache() {
 }
 
 } // namespace
-
-void Arena::setChunkCacheLimit(size_t Bytes) {
-  ChunkCache &C = cache();
-  std::lock_guard<std::mutex> G(C.M);
-  C.Limit = Bytes;
-  while (C.Free.size() * Arena::ChunkBytes > Bytes) {
-    ::operator delete(C.Free.back());
-    C.Free.pop_back();
-  }
-}
 
 void *Arena::allocSlow(size_t Size, size_t Align) {
   assert(Align <= alignof(std::max_align_t) && "over-aligned arena request");

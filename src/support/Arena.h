@@ -88,11 +88,6 @@ public:
   }
 
   size_t bytesAllocated() const { return Allocated; }
-  size_t bytesReserved() const { return Reserved; }
-
-  /// Bounds the process-wide chunk cache (bytes); 0 disables recycling.
-  /// Exposed for tests; the default (32 MiB) suits the compile service.
-  static void setChunkCacheLimit(size_t Bytes);
 
 private:
   friend class ArenaRecycler;

@@ -73,14 +73,6 @@ public:
       Words[I] &= ~Other.Words[I];
   }
 
-  bool anyCommon(const BitVector &Other) const {
-    assert(Other.NumBits == NumBits && "size mismatch");
-    for (size_t I = 0; I < Words.size(); ++I)
-      if (Words[I] & Other.Words[I])
-        return true;
-    return false;
-  }
-
   size_t count() const {
     size_t N = 0;
     for (uint64_t W : Words)

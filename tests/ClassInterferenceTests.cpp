@@ -8,12 +8,14 @@
 // engine (outofssa/ClassInterference.h): on every workload suite and on
 // adversarial generator functions (large phi webs, physical-register
 // classes), the engine must return the exact verdicts of the paper-literal
-// pairwise scan (PinningContext::pairwiseResourceInterfere) — both per
-// query and over whole coalescing runs with the cross-check oracle armed.
-// Also covers the verdict cache (hits, post-merge eviction).
+// pairwise scan (pairwiseResourceInterfere, ReferenceClassInterference.h) —
+// both per query and over whole coalescing runs, whose every verdict a
+// PairwiseVerdictCheck compares. Also covers the verdict cache (hits,
+// post-merge eviction).
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceClassInterference.h"
 #include "TestUtil.h"
 
 #include "analysis/Dominators.h"
@@ -33,13 +35,6 @@ using namespace lao;
 using namespace lao::test;
 
 namespace {
-
-/// Saves and restores the process-wide oracle flag, so a failing test
-/// cannot leak its flag state into the rest of the binary.
-struct FlagGuard {
-  bool Oracle = PinningContext::crossCheckOracle();
-  ~FlagGuard() { PinningContext::setCrossCheckOracle(Oracle); }
-};
 
 /// Analyses bundle for driving PinningContext / coalescePhis by hand.
 struct Analyses {
@@ -85,8 +80,6 @@ std::vector<RegId> interestingReps(const PinningContext &Ctx,
 /// engine and through the pairwise scan, expecting identical verdicts.
 void expectVerdictEquality(Function &F, InterferenceMode Mode,
                            size_t MaxPairs = 6000) {
-  FlagGuard G;
-  PinningContext::setCrossCheckOracle(false);
   Analyses S(F, Mode);
 
   std::vector<RegId> Reps = interestingReps(S.Ctx, F);
@@ -98,7 +91,7 @@ void expectVerdictEquality(Function &F, InterferenceMode Mode,
       if (Index++ % Stride != 0)
         continue;
       bool Engine = S.Ctx.resourceInterfere(Reps[I], Reps[J]);
-      bool Pairwise = S.Ctx.pairwiseResourceInterfere(Reps[I], Reps[J]);
+      bool Pairwise = pairwiseResourceInterfere(S.Ctx, Reps[I], Reps[J]);
       ASSERT_EQ(Engine, Pairwise)
           << F.name() << ": verdict mismatch for classes "
           << F.valueName(Reps[I]) << " / " << F.valueName(Reps[J])
@@ -108,20 +101,20 @@ void expectVerdictEquality(Function &F, InterferenceMode Mode,
       << F.name();
 }
 
-/// Runs coalescePhis over a clone of \p Orig with the cross-check oracle
-/// armed: every verdict of the run is compared against the pairwise scan
-/// (a mismatch aborts), so the merge trace — statistics, resulting pins,
-/// class partition and killed mask — is the pairwise scan's by
-/// construction.
-void expectMergeTraceEquality(const Function &Orig, InterferenceMode Mode,
-                              bool PinABI = true) {
+/// Runs coalescePhis over a clone of \p Orig under a PairwiseVerdictCheck:
+/// every verdict of the run is compared against the pairwise scan (a
+/// mismatch fails the test), so the merge trace — statistics, resulting
+/// pins, class partition and killed mask — is the pairwise scan's by
+/// construction. Returns the number of verdicts checked.
+uint64_t expectMergeTraceEquality(const Function &Orig, InterferenceMode Mode,
+                                  bool PinABI = true) {
   auto F = cloneFunction(Orig);
   prepare(*F, PinABI);
 
-  FlagGuard G;
-  PinningContext::setCrossCheckOracle(true);
+  PairwiseVerdictCheck Check;
   Analyses S(*F, Mode);
   coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+  return Check.numChecked();
 }
 
 /// Adversarial generator configs. PhiWebs stresses deep nests of phis over
@@ -163,9 +156,11 @@ TEST(ClassInterference, SuiteVerdictsMatchPairwise) {
 }
 
 TEST(ClassInterference, SuiteMergeTracesMatchPairwise) {
+  uint64_t Checked = 0;
   for (const SuiteSpec &S : allSuites())
     for (Workload &W : S.Make())
-      expectMergeTraceEquality(*W.F, InterferenceMode::Precise);
+      Checked += expectMergeTraceEquality(*W.F, InterferenceMode::Precise);
+  EXPECT_GT(Checked, 0u) << "the runs must issue verdicts to check";
 }
 
 //===----------------------------------------------------------------------===//
@@ -195,14 +190,16 @@ TEST(ClassInterference, AdversarialPhysicalClassesAllModes) {
 }
 
 TEST(ClassInterference, AdversarialMergeTraces) {
+  uint64_t Checked = 0;
   for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
-    expectMergeTraceEquality(*adversarial(Seed, true),
-                             InterferenceMode::Precise);
-    expectMergeTraceEquality(*adversarial(Seed, false),
-                             InterferenceMode::Precise);
-    expectMergeTraceEquality(*adversarial(Seed, true),
-                             InterferenceMode::Pessimistic);
+    Checked += expectMergeTraceEquality(*adversarial(Seed, true),
+                                        InterferenceMode::Precise);
+    Checked += expectMergeTraceEquality(*adversarial(Seed, false),
+                                        InterferenceMode::Precise);
+    Checked += expectMergeTraceEquality(*adversarial(Seed, true),
+                                        InterferenceMode::Pessimistic);
   }
+  EXPECT_GT(Checked, 0u) << "the runs must issue verdicts to check";
 }
 
 //===----------------------------------------------------------------------===//
@@ -212,8 +209,6 @@ TEST(ClassInterference, AdversarialMergeTraces) {
 TEST(ClassInterference, CacheHitsOnRepeatedQueries) {
   auto F = adversarial(3, /*PhiWebs=*/true);
   prepare(*F);
-  FlagGuard G;
-  PinningContext::setCrossCheckOracle(false);
   Analyses S(*F);
   std::vector<RegId> Reps = interestingReps(S.Ctx, *F);
   // Physical-physical pairs short-circuit before the engine; cache
@@ -249,8 +244,6 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
   normalizeToOptimizedSSA(*F);
   prepare(*F);
 
-  FlagGuard G;
-  PinningContext::setCrossCheckOracle(false);
   Analyses S(*F);
   std::vector<RegId> Before = interestingReps(S.Ctx, *F);
   for (size_t I = 0; I < Before.size(); ++I)
@@ -268,7 +261,7 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
   for (size_t I = 0; I < After.size(); ++I)
     for (size_t J = I + 1; J < After.size(); ++J) {
       bool Engine = S.Ctx.resourceInterfere(After[I], After[J]);
-      bool Pairwise = S.Ctx.pairwiseResourceInterfere(After[I], After[J]);
+      bool Pairwise = pairwiseResourceInterfere(S.Ctx, After[I], After[J]);
       ASSERT_EQ(Engine, Pairwise)
           << "post-merge verdict diverged for " << F->valueName(After[I])
           << " / " << F->valueName(After[J]);
@@ -282,8 +275,6 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
 TEST(ClassInterference, ReportHistogramCoversClasses) {
   auto F = adversarial(5, /*PhiWebs=*/true);
   prepare(*F);
-  FlagGuard G;
-  PinningContext::setCrossCheckOracle(false);
   Analyses S(*F);
   PhiCoalescingStats St = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
   auto R = S.Ctx.interferenceReport();
@@ -299,16 +290,14 @@ TEST(ClassInterference, ReportHistogramCoversClasses) {
 }
 
 TEST(ClassInterference, OracleCleanOnCoalescingRuns) {
-  // With the cross-check oracle armed, every engine verdict issued during
-  // a full coalescing run is compared against the pairwise scan and a
-  // mismatch aborts — so merely finishing is the assertion.
-  FlagGuard G;
-  PinningContext::setCrossCheckOracle(true);
+  // Every engine verdict issued during a full coalescing run is compared
+  // against the pairwise scan; the check fails the test on a mismatch.
+  PairwiseVerdictCheck Check;
   for (uint64_t Seed : {11u, 12u}) {
     auto F = adversarial(Seed, Seed % 2 == 0);
     prepare(*F);
     Analyses S(*F);
     coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
   }
-  SUCCEED();
+  EXPECT_GT(Check.numChecked(), 0u);
 }

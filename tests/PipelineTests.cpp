@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceClassInterference.h"
 #include "TestUtil.h"
 
 #include "driver/CompileJob.h"
@@ -28,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <regex>
 #include <sstream>
 
@@ -91,21 +91,22 @@ Response serveOne(const std::string &Text, const std::string &Preset) {
 
 /// The entry step's contract on an input with unreachable code, for every
 /// preset: the output has no unreachable block and computes what the
-/// input computes, the run is clean with the class-interference oracle
-/// armed (it aborts on a verdict that differs from the pairwise scan),
-/// and a server answers the one-shot IR byte for byte.
+/// input computes, every class-interference verdict of the run matches
+/// the pairwise scan, and a server answers the one-shot IR byte for byte.
 void expectUnreachableCodeErased(
     const std::string &Text, const std::vector<std::vector<uint64_t>> &Inputs) {
   auto In = parse(Text);
   ASSERT_GT(numUnreachableBlocks(*In), 0u)
       << "the input must have unreachable code";
-  bool Oracle = PinningContext::crossCheckOracle();
   for (const char *Preset : AllPresets) {
     SCOPED_TRACE(Preset);
     auto F = cloneFunction(*In);
-    PinningContext::setCrossCheckOracle(true);
-    PipelineResult R = runPipeline(*F, pipelinePreset(Preset));
-    PinningContext::setCrossCheckOracle(Oracle);
+    PipelineResult R;
+    {
+      // Checked serially: the server below runs on worker threads.
+      PairwiseVerdictCheck Check;
+      R = runPipeline(*F, pipelinePreset(Preset));
+    }
     ASSERT_TRUE(R.InputError.empty()) << R.InputError;
     EXPECT_EQ(numUnreachableBlocks(*F), 0u) << printFunction(*F);
     expectWellFormed(*F);
@@ -256,9 +257,6 @@ TEST(Pipeline, AnalysisBudgetOneDenseLivenessAndGraphPerRun) {
   // rebuilds may only happen when the coalescer's confirm scan proves a
   // rebuild will merge something, which never exceeds one per run on
   // top of the budget... so assert the hard <= runs bound directly.
-  if (const char *E = std::getenv("LAO_COALESCE_ORACLE"); E && *E && *E != '0')
-    GTEST_SKIP() << "the coalescer oracle's rebuild-every-round reference "
-                    "intentionally blows the analysis budget";
   auto Suite = makeValccSuite(1);
   StatsSnapshot Before = StatsRegistry::instance().snapshot();
   uint64_t Runs = 0;
@@ -445,7 +443,9 @@ TEST(Pipeline, MalformedPhiIsRejectedAtEntry) {
   // Leung-George translator; the entry-block phi compiled to code that
   // reads an undefined register. The entry step runs verifyStructure on
   // the reachable code and reports its first diagnostic under every
-  // preset, and the compile job answers parse_error.
+  // preset, and the compile job answers parse_error — also when it
+  // if-converts first, with or without a pipeline after it (if-conversion
+  // aborted on the non-predecessor incoming).
   const std::string In = "  input %a\n";
   const std::pair<std::string, std::string> Cases[] = {
       {diamond(In, "  %y = make 3\n  %x = phi [%x1, t], [%x2, e]\n"),
@@ -469,12 +469,17 @@ TEST(Pipeline, MalformedPhiIsRejectedAtEntry) {
       EXPECT_EQ(runPipeline(*F, pipelinePreset(Preset)).InputError, Error)
           << Preset;
     }
-    RequestOptions Opts;
-    Opts.Pipeline = "Lphi,ABI+C";
-    WorkerContext Ctx;
-    CompileOutcome Job = runCompileJob(Text, Opts, Ctx);
-    EXPECT_EQ(Job.Outcome, RequestOutcome::ParseError);
-    EXPECT_EQ(Job.Error, "ssa error: " + Error);
+    for (const auto &[Pipeline, IfConvert] :
+         {std::pair{"Lphi,ABI+C", false}, {"Lphi,ABI+C", true}, {"", true}}) {
+      RequestOptions Opts;
+      Opts.Pipeline = Pipeline;
+      Opts.IfConvert = IfConvert;
+      WorkerContext Ctx;
+      CompileOutcome Job = runCompileJob(Text, Opts, Ctx);
+      EXPECT_EQ(Job.Outcome, RequestOutcome::ParseError)
+          << Pipeline << " " << IfConvert;
+      EXPECT_EQ(Job.Error, "ssa error: " + Error);
+    }
   }
 }
 

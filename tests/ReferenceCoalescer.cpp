@@ -1,0 +1,100 @@
+//===- ReferenceCoalescer.cpp - Rebuild-every-round coalescing -----------===//
+//
+// Part of the lao project (CGO 2004 out-of-SSA reproduction).
+//
+//===----------------------------------------------------------------------===//
+
+#include "ReferenceCoalescer.h"
+
+#include "analysis/InterferenceGraph.h"
+#include "analysis/Liveness.h"
+#include "ir/CFG.h"
+
+#include <sstream>
+
+using namespace lao;
+
+CoalescerStats lao::test::coalesceRebuildingEveryRound(Function &F,
+                                                       MergeTrace *TraceOut) {
+  CoalescerStats Stats;
+  for (;;) {
+    ++Stats.NumRebuilds;
+    CFG Cfg(F);
+    Liveness LV(Cfg);
+    InterferenceGraph IG(F, LV);
+
+    std::vector<RegId> RenameTo(F.numValues(), InvalidReg);
+    auto Resolve = [&](RegId V) {
+      while (RenameTo[V] != InvalidReg)
+        V = RenameTo[V];
+      return V;
+    };
+
+    bool MergedOnThisGraph = false;
+    ++Stats.NumRounds;
+    for (const auto &BB : F.blocks()) {
+      for (Instruction &I : BB->instructions()) {
+        if (!I.isCopy())
+          continue;
+        RegId D = Resolve(I.def(0));
+        RegId S = Resolve(I.use(0));
+        if (D == S)
+          continue;
+        if (F.isPhysical(D) && F.isPhysical(S))
+          continue;
+        if (IG.interfere(D, S))
+          continue;
+        RegId Survivor = F.isPhysical(S) ? S : D;
+        RegId Victim = Survivor == D ? S : D;
+        IG.mergeNodes(Survivor, Victim);
+        RenameTo[Victim] = Survivor;
+        if (TraceOut)
+          TraceOut->emplace_back(Survivor, Victim);
+        ++Stats.NumMerges;
+        MergedOnThisGraph = true;
+      }
+    }
+
+    if (!MergedOnThisGraph)
+      break;
+
+    for (const auto &BB : F.blocks()) {
+      auto &Insts = BB->instructions();
+      for (auto It = Insts.begin(); It != Insts.end();) {
+        for (unsigned K = 0; K < It->numDefs(); ++K)
+          It->setDef(K, Resolve(It->def(K)));
+        for (unsigned K = 0; K < It->numUses(); ++K)
+          It->setUse(K, Resolve(It->use(K)));
+        if (It->isCopy() && It->def(0) == It->use(0)) {
+          It = Insts.erase(It);
+          ++Stats.NumMovesRemoved;
+        } else {
+          ++It;
+        }
+      }
+    }
+  }
+  return Stats;
+}
+
+std::string lao::test::firstTraceDivergence(const MergeTrace &Worklist,
+                                            const MergeTrace &Reference) {
+  size_t I = 0;
+  while (I < Worklist.size() && I < Reference.size() &&
+         Worklist[I] == Reference[I])
+    ++I;
+  if (I == Worklist.size() && I == Reference.size())
+    return "";
+  auto Pair = [](const MergeTrace &T, size_t I) {
+    std::ostringstream OS;
+    if (I < T.size())
+      OS << "(v" << T[I].first << " <- v" << T[I].second << ")";
+    else
+      OS << "nothing (after " << T.size() << " merges)";
+    return OS.str();
+  };
+  std::ostringstream OS;
+  OS << "merge " << I << " diverged: worklist merged " << Pair(Worklist, I)
+     << ", rebuild-every-round merged " << Pair(Reference, I);
+  return OS.str();
+}

@@ -87,14 +87,12 @@ TEST(BitVector, OrWithReportsChange) {
   EXPECT_TRUE(A.test(69));
 }
 
-TEST(BitVector, SubtractAndAnyCommon) {
+TEST(BitVector, Subtract) {
   BitVector A(64), B(64);
   A.set(1);
   A.set(2);
   B.set(2);
-  EXPECT_TRUE(A.anyCommon(B));
   A.subtract(B);
-  EXPECT_FALSE(A.anyCommon(B));
   EXPECT_TRUE(A.test(1));
   EXPECT_FALSE(A.test(2));
 }

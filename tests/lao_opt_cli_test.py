@@ -267,11 +267,14 @@ class LaoOptCli(unittest.TestCase):
                          for text, _ in MALFORMED_PHIS + [(good, "")]])
         self.assertEqual(len(answers), len(MALFORMED_PHIS) + 1)
         for (text, error), (record, ir) in zip(MALFORMED_PHIS, answers):
-            proc = subprocess.run([LAO_OPT, "--pipeline=Lphi,ABI+C", "-"],
-                                  input=text, capture_output=True,
-                                  text=True, timeout=60)
-            self.assertEqual(proc.returncode, 1, proc.stderr)
-            self.assertEqual(proc.stderr, "ssa error: " + error + "\n")
+            # --ifconvert reads the join phis before any pipeline runs: it
+            # gets the same entry check (it used to abort on these).
+            for args in (["--pipeline=Lphi,ABI+C"], ["--ifconvert"]):
+                proc = subprocess.run([LAO_OPT, *args, "-"], input=text,
+                                      capture_output=True, text=True,
+                                      timeout=60)
+                self.assertEqual(proc.returncode, 1, (args, proc.stderr))
+                self.assertEqual(proc.stderr, "ssa error: " + error + "\n")
             self.assertEqual(record["outcome"], "parse_error")
             self.assertEqual(record["error"], "ssa error: " + error)
             self.assertEqual(ir, "")
