@@ -14,8 +14,6 @@
 
 using namespace lao;
 
-bool AnalysisManager::VerifyOnInvalidate = false;
-
 const CFG &AnalysisManager::cfg() {
   if (!TheCFG) {
     ++LAO_STAT(analysis, cfg_builds);

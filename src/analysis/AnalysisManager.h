@@ -16,8 +16,8 @@
 ///   DomTree dropped    -> LoopInfo, LivenessQuery dropped
 ///   Liveness dropped   -> InterferenceGraph dropped
 ///
-/// A debug verifier (`verify()`, optionally run on every invalidation via
-/// setVerifyOnInvalidate) recomputes the retained analyses from scratch
+/// A debug verifier (`verify()`, optionally run on every invalidation of
+/// one manager via setVerifyOnInvalidate) recomputes the retained analyses from scratch
 /// and diffs them against the cache, catching passes that lie about what
 /// they preserve. See docs/ANALYSIS.md for the full contract.
 ///
@@ -116,8 +116,8 @@ public:
   uint64_t epoch() const { return Epoch; }
 
   /// Drops every cached analysis the pass did not preserve, plus the
-  /// dependency closure. When the verify-on-invalidate debug flag is on,
-  /// first cross-checks the surviving entries against fresh recomputation
+  /// dependency closure. When verify-on-invalidate is on, then
+  /// cross-checks the surviving entries against fresh recomputation
   /// and aborts on a mismatch (a pass lied about preservation).
   void invalidate(const PreservedAnalyses &PA);
 
@@ -127,11 +127,10 @@ public:
   /// inconsistency found.
   std::string verify() const;
 
-  /// When set, invalidate() calls verify() on the survivors and aborts on
-  /// any mismatch. Meant for tests and debug builds; global because it is
-  /// a process-level debugging mode.
-  static void setVerifyOnInvalidate(bool On) { VerifyOnInvalidate = On; }
-  static bool verifyOnInvalidate() { return VerifyOnInvalidate; }
+  /// When set, this manager's invalidate() calls verify() on the
+  /// survivors and aborts on any mismatch. Meant for tests; the setting
+  /// survives reset().
+  void setVerifyOnInvalidate(bool On) { VerifyOnInvalidate = On; }
 
 private:
   Function *F;
@@ -142,8 +141,7 @@ private:
   std::unique_ptr<LivenessQuery> LQ;
   std::unique_ptr<InterferenceGraph> IG;
   uint64_t Epoch = 0;
-
-  static bool VerifyOnInvalidate;
+  bool VerifyOnInvalidate = false;
 };
 
 } // namespace lao

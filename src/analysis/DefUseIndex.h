@@ -10,7 +10,8 @@
 ///
 ///  * ordered (block, ordinal, use/def) events, so "is V used or defined
 ///    after position P?" is a binary search instead of an instruction-list
-///    rescan (the hot leaves of Liveness::isLiveAfter/isLiveBefore);
+///    rescan (the hot leaves of LivenessQuery::isLiveAfter and
+///    isLiveBefore);
 ///  * per-variable block summaries (upward-exposed-use blocks, def
 ///    blocks, phi-argument predecessor blocks) that seed LivenessQuery's
 ///    per-variable backward solves.

@@ -6,12 +6,9 @@
 
 #include "analysis/Liveness.h"
 
-#include "analysis/DefUseIndex.h"
 #include "support/Stats.h"
 
 using namespace lao;
-
-Liveness::~Liveness() = default;
 
 namespace {
 
@@ -92,38 +89,6 @@ Liveness::Liveness(const CFG &Cfg) : Cfg(Cfg) {
       [](RegId V) { return static_cast<uint32_t>(V); }, LiveIn, LiveOut);
 }
 
-const DefUseIndex &Liveness::index() const {
-  if (!Index)
-    Index = std::make_unique<DefUseIndex>(Cfg.func());
-  return *Index;
-}
-
-bool Liveness::isLiveAfter(RegId V, const BasicBlock *BB,
-                           BasicBlock::InstList::const_iterator Pos) const {
-  // V is live after Pos iff its next occurrence in the block is a use
-  // (before being fully redefined), or there is no further occurrence and
-  // it survives to the block end.
-  const DefUseIndex &Idx = index();
-  int K = Idx.firstEventFrom(V, BB->id(), Idx.ordinalOf(&*Pos),
-                             /*Inclusive=*/false);
-  if (K >= 0)
-    return K == DefUseIndex::UseEvent;
-  return isLiveOut(V, BB);
-}
-
-bool Liveness::isLiveBefore(RegId V, const BasicBlock *BB,
-                            BasicBlock::InstList::const_iterator Pos) const {
-  // Phi uses are not events of the phi's own block (they flow out of the
-  // predecessor), but phi defs are — so the indexed answer matches the
-  // old scan even when Pos sits at or before a phi group.
-  const DefUseIndex &Idx = index();
-  int K = Idx.firstEventFrom(V, BB->id(), Idx.ordinalOf(&*Pos),
-                             /*Inclusive=*/true);
-  if (K >= 0)
-    return K == DefUseIndex::UseEvent;
-  return isLiveOut(V, BB);
-}
-
 void Liveness::applyRenames(const std::vector<RegId> &RenameTo) {
   ++LAO_STAT(liveness, incremental_renames);
   size_t NV = Cfg.func().numValues();
@@ -155,7 +120,6 @@ void Liveness::applyRenames(const std::vector<RegId> &RenameTo) {
       }
     }
   }
-  Index.reset(); // Underlying instructions are about to change / changed.
 }
 
 void Liveness::recomputeValues(const std::vector<RegId> &Vars) {
@@ -187,5 +151,4 @@ void Liveness::recomputeValues(const std::vector<RegId> &Vars) {
         LiveOut[B].reset(V);
     }
   }
-  Index.reset();
 }

@@ -25,18 +25,15 @@
 #include "ir/Function.h"
 #include "support/BitVector.h"
 
-#include <memory>
 #include <vector>
 
 namespace lao {
 
-class DefUseIndex;
-
-/// Liveness sets for every block of a function.
+/// Liveness sets for every block of a function. Liveness at an
+/// instruction position is LivenessQuery's job (analysis/LivenessQuery.h).
 class Liveness {
 public:
   explicit Liveness(const CFG &Cfg);
-  ~Liveness();
 
   const BitVector &liveIn(const BasicBlock *BB) const {
     return LiveIn[BB->id()];
@@ -51,19 +48,6 @@ public:
   bool isLiveOut(RegId V, const BasicBlock *BB) const {
     return LiveOut[BB->id()].test(V);
   }
-
-  /// Returns true if \p V is live immediately *after* instruction \p Pos
-  /// of block \p BB (i.e. at the program point following it). Phi uses
-  /// count as uses at the end of the predecessor block, and are therefore
-  /// covered by the liveOut component. O(log uses-of-V) via a lazily
-  /// built per-block position index (DefUseIndex), instead of rescanning
-  /// the instruction list.
-  bool isLiveAfter(RegId V, const BasicBlock *BB,
-                   BasicBlock::InstList::const_iterator Pos) const;
-
-  /// Returns true if \p V is live immediately *before* instruction \p Pos.
-  bool isLiveBefore(RegId V, const BasicBlock *BB,
-                    BasicBlock::InstList::const_iterator Pos) const;
 
   const CFG &cfg() const { return Cfg; }
 
@@ -85,12 +69,6 @@ private:
   const CFG &Cfg;
   std::vector<BitVector> LiveIn;
   std::vector<BitVector> LiveOut;
-  /// Lazily built occurrence index backing isLiveAfter/isLiveBefore;
-  /// dropped whenever the sets are incrementally updated (the underlying
-  /// instructions changed).
-  mutable std::unique_ptr<DefUseIndex> Index;
-
-  const DefUseIndex &index() const;
 };
 
 } // namespace lao

@@ -93,22 +93,27 @@ bool LivenessQuery::isLiveOut(RegId V, const BasicBlock *BB) const {
   return solved(V).Out.test(BB->id());
 }
 
-bool LivenessQuery::isLiveAfter(RegId V, const BasicBlock *BB,
-                                BasicBlock::InstList::const_iterator Pos)
-    const {
-  int K = Idx.firstEventFrom(V, BB->id(), Idx.ordinalOf(&*Pos),
-                             /*Inclusive=*/false);
+bool LivenessQuery::liveFrom(RegId V, const BasicBlock *BB,
+                             BasicBlock::InstList::const_iterator Pos,
+                             bool Inclusive) const {
+  // V is live at the point iff its next occurrence in the block is a use
+  // (before being fully redefined), or there is no further occurrence and
+  // it survives to the block end. Phi uses are not events of the phi's
+  // own block (they flow out of the predecessor), but phi defs are.
+  int K = Idx.firstEventFrom(V, BB->id(), Idx.ordinalOf(&*Pos), Inclusive);
   if (K >= 0)
     return K == DefUseIndex::UseEvent;
   return isLiveOut(V, BB);
 }
 
+bool LivenessQuery::isLiveAfter(RegId V, const BasicBlock *BB,
+                                BasicBlock::InstList::const_iterator Pos)
+    const {
+  return liveFrom(V, BB, Pos, /*Inclusive=*/false);
+}
+
 bool LivenessQuery::isLiveBefore(RegId V, const BasicBlock *BB,
                                  BasicBlock::InstList::const_iterator Pos)
     const {
-  int K = Idx.firstEventFrom(V, BB->id(), Idx.ordinalOf(&*Pos),
-                             /*Inclusive=*/true);
-  if (K >= 0)
-    return K == DefUseIndex::UseEvent;
-  return isLiveOut(V, BB);
+  return liveFrom(V, BB, Pos, /*Inclusive=*/true);
 }

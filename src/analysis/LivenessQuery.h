@@ -17,13 +17,15 @@
 ///    dominate — and only then run a memoized per-variable backward
 ///    reachability walk from the variable's use blocks.
 ///  * isLiveAfter/isLiveBefore binary-search the variable's in-block
-///    occurrence events and fall back to isLiveOut.
+///    occurrence events and fall back to isLiveOut. This is the project's
+///    only engine for liveness at an instruction position.
 ///
 /// The walk solves the same per-variable dataflow equations as the dense
 /// `Liveness` (including the paper's Class 2 phi semantics), so answers
-/// are identical — LivenessQueryTests cross-checks every suite. Multi-def
-/// variables (physical registers, pre-SSA code) skip the dominance
-/// filter and remain exact.
+/// are identical — LivenessQueryTests cross-checks every suite, the
+/// block-level answers against the dense sets and the positional ones
+/// against a scan of the block. Multi-def variables (physical registers,
+/// pre-SSA code) skip the dominance filter and remain exact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,17 +51,17 @@ public:
   bool isLiveIn(RegId V, const BasicBlock *BB) const;
   bool isLiveOut(RegId V, const BasicBlock *BB) const;
 
-  /// Same contract as Liveness::isLiveAfter: true if \p V is live at the
-  /// program point following \p Pos.
+  /// True if \p V is live at the program point following \p Pos in
+  /// \p BB. Phi uses count as uses at the end of the predecessor block,
+  /// so they are covered by the live-out fallback.
   bool isLiveAfter(RegId V, const BasicBlock *BB,
                    BasicBlock::InstList::const_iterator Pos) const;
 
-  /// Same contract as Liveness::isLiveBefore.
+  /// True if \p V is live at the program point preceding \p Pos.
   bool isLiveBefore(RegId V, const BasicBlock *BB,
                     BasicBlock::InstList::const_iterator Pos) const;
 
   const CFG &cfg() const { return Cfg; }
-  const DefUseIndex &index() const { return Idx; }
 
 private:
   struct VarSets {
@@ -73,6 +75,12 @@ private:
   mutable std::vector<VarSets> Sets;
 
   const VarSets &solved(RegId V) const;
+
+  /// Liveness at the point after \p Pos, or before it when \p Inclusive:
+  /// the kind of V's next in-block event, else live-out of \p BB.
+  bool liveFrom(RegId V, const BasicBlock *BB,
+                BasicBlock::InstList::const_iterator Pos,
+                bool Inclusive) const;
 
   /// SSA dominance filter: definitely-not-live when the unique reachable
   /// def does not (strictly, for live-in) dominate \p BB.

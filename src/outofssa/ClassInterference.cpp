@@ -166,18 +166,8 @@ void ClassInterference::VictimStack::popTo(uint32_t PreIn, uint32_t SubKey,
 bool ClassInterference::class1Probe(RegId Victim, RegId Killer) {
   // The Class 1 probe of variableKills(Killer, Victim), with
   // defDominates(Victim, Killer) already guaranteed by the stack.
-  const DefSite &DK = Ctx.defSite(Killer);
   ++Stats.Probes;
-  switch (Ctx.mode()) {
-  case InterferenceMode::Precise:
-    return DK.I->isPhi() ? LV.isLiveIn(Victim, DK.BB)
-                         : LV.isLiveAfter(Victim, DK.BB, DK.Pos);
-  case InterferenceMode::Optimistic:
-    return LV.isLiveOut(Victim, DK.BB);
-  case InterferenceMode::Pessimistic:
-    return LV.isLiveIn(Victim, DK.BB) || DK.BB == Ctx.defSite(Victim).BB;
-  }
-  return false;
+  return Ctx.liveAcrossDef(Victim, Killer);
 }
 
 bool ClassInterference::strongInterfere(const ClassData &A,

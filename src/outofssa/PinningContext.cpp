@@ -15,6 +15,24 @@ using namespace lao;
 
 PinningContext::VerdictObserver PinningContext::Observer = nullptr;
 
+std::vector<DefSite> lao::collectDefSites(const Function &F) {
+  std::vector<DefSite> Defs(F.numValues());
+  for (const auto &BB : F.blocks()) {
+    unsigned Order = 0;
+    for (auto It = BB->instructions().begin(),
+              End = BB->instructions().end();
+         It != End; ++It, ++Order) {
+      for (RegId D : It->defs()) {
+        if (F.isPhysical(D))
+          continue;
+        assert(!Defs[D].Valid && "collectDefSites requires SSA input");
+        Defs[D] = DefSite{BB.get(), &*It, It, Order, true};
+      }
+    }
+  }
+  return Defs;
+}
+
 PinningContext::PinningContext(const Function &F, const CFG &Cfg,
                                const DominatorTree &DT, const LivenessQuery &LV,
                                InterferenceMode Mode)
@@ -24,7 +42,7 @@ PinningContext::PinningContext(const Function &F, const CFG &Cfg,
   Members.resize(N);
   KilledMask.resize(N);
   PinSites.resize(N);
-  Defs.resize(N);
+  Defs = collectDefSites(F);
 
   for (RegId V = 0; V < N; ++V)
     Members[V].push_back(V);
@@ -47,21 +65,6 @@ PinningContext::PinningContext(const Function &F, const CFG &Cfg,
           PinSites[It->usePin(K)].push_back(
               PinSite{BB.get(), It, It->use(K)});
     }
-
-  // Record SSA definition sites.
-  for (const auto &BB : F.blocks()) {
-    unsigned Order = 0;
-    for (auto It = BB->instructions().begin(),
-              End = BB->instructions().end();
-         It != End; ++It, ++Order) {
-      for (RegId D : It->defs()) {
-        if (F.isPhysical(D))
-          continue;
-        assert(!Defs[D].Valid && "PinningContext requires SSA input");
-        Defs[D] = DefSite{BB.get(), &*It, It, Order, true};
-      }
-    }
-  }
 
   // Seed the killed mask with self-kills (the lost-copy situation: a phi
   // result live out of a predecessor it does not flow through).
@@ -136,29 +139,6 @@ bool PinningContext::pinSiteKills(const PinSite &S, RegId X) const {
   return LV.isLiveBefore(X, S.BB, S.Pos);
 }
 
-bool PinningContext::defDominates(RegId A, RegId B) const {
-  const DefSite &DA = Defs[A], &DB = Defs[B];
-  if (!DA.Valid || !DB.Valid)
-    return false;
-  if (DA.I == DB.I)
-    return false; // Parallel defs of one instruction.
-  if (DA.BB != DB.BB)
-    return DT.strictlyDominates(DA.BB, DB.BB);
-  // Same block: phis define at block entry, before all non-phis; two
-  // phis of one block are parallel.
-  if (DA.I->isPhi())
-    return !DB.I->isPhi();
-  if (DB.I->isPhi())
-    return false;
-  return DA.Order < DB.Order;
-}
-
-bool PinningContext::liveAtDef(RegId V, const DefSite &D) const {
-  if (D.I->isPhi())
-    return LV.isLiveIn(V, D.BB);
-  return LV.isLiveAfter(V, D.BB, D.Pos);
-}
-
 bool PinningContext::variableKills(RegId A, RegId B) const {
   const DefSite &DA = Defs[A];
   if (!DA.Valid || !Defs[B].Valid)
@@ -166,22 +146,8 @@ bool PinningContext::variableKills(RegId A, RegId B) const {
 
   // Class 1: B defined first, still live when A's definition writes the
   // shared resource.
-  if (A != B && defDominates(B, A)) {
-    switch (Mode) {
-    case InterferenceMode::Precise:
-      if (liveAtDef(B, DA))
-        return true;
-      break;
-    case InterferenceMode::Optimistic:
-      if (LV.isLiveOut(B, DA.BB))
-        return true;
-      break;
-    case InterferenceMode::Pessimistic:
-      if (LV.isLiveIn(B, DA.BB) || DA.BB == Defs[B].BB)
-        return true;
-      break;
-    }
-  }
+  if (A != B && defDominates(DT, Defs[B], DA) && liveAcrossDef(B, A))
+    return true;
 
   // Class 2: A is a phi; the parallel copy writing A's resource at the
   // end of predecessor Bi clobbers B if B lives through that copy and is

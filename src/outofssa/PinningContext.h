@@ -67,6 +67,37 @@ struct DefSite {
   bool Valid = false;
 };
 
+/// Definition site of every virtual register of SSA function \p F,
+/// indexed by value (Valid == false for physical registers and
+/// never-defined values). Asserts that no virtual register is defined
+/// twice.
+std::vector<DefSite> collectDefSites(const Function &F);
+
+/// True if definition \p A comes strictly before definition \p B on
+/// every path to B: the precondition of a Class 1 kill of A's value by
+/// B's (paper Section 3.2). Phis define at their block's entry, before
+/// every non-phi; two defs of one instruction, or two phis of one block,
+/// are parallel. Both sites must be valid.
+inline bool defDominates(const DominatorTree &DT, const DefSite &A,
+                         const DefSite &B) {
+  if (A.I == B.I)
+    return false;
+  if (A.BB != B.BB)
+    return DT.strictlyDominates(A.BB, B.BB);
+  if (A.I->isPhi())
+    return !B.I->isPhi();
+  if (B.I->isPhi())
+    return false;
+  return A.Order < B.Order;
+}
+
+/// True if \p V is live where the definition at \p D writes: live into
+/// the block for a phi, live after the instruction otherwise.
+inline bool liveAtDef(const LivenessQuery &LQ, RegId V, const DefSite &D) {
+  return D.I->isPhi() ? LQ.isLiveIn(V, D.BB)
+                      : LQ.isLiveAfter(V, D.BB, D.Pos);
+}
+
 /// Resource classes over the variables of one SSA function, built from
 /// def-operand pins, with the paper's interference tests.
 ///
@@ -114,6 +145,12 @@ public:
   /// clobbers b's value at a's definition point (Class 1) or at a
   /// phi-related copy of a (Class 2). Honors the interference mode.
   bool variableKills(RegId A, RegId B) const;
+
+  /// The Class 1 liveness test of variableKills(Killer, Victim), under
+  /// the interference mode: is \p Victim still live where \p Killer's
+  /// definition writes? The caller has checked that Victim's definition
+  /// dominates Killer's.
+  bool liveAcrossDef(RegId Victim, RegId Killer) const;
 
   /// Paper: Variable_stronglyInterfere(a, b) — unrepairable conflicts.
   bool stronglyInterfere(RegId A, RegId B) const;
@@ -189,12 +226,22 @@ private:
 
   static VerdictObserver Observer;
 
-  bool defDominates(RegId A, RegId B) const;
-  bool liveAtDef(RegId V, const DefSite &D) const;
-
   /// True if the pin copy at \p S would clobber \p X's live value.
   bool pinSiteKills(const PinSite &S, RegId X) const;
 };
+
+inline bool PinningContext::liveAcrossDef(RegId Victim, RegId Killer) const {
+  const DefSite &DK = Defs[Killer];
+  switch (Mode) {
+  case InterferenceMode::Precise:
+    return liveAtDef(LV, Victim, DK);
+  case InterferenceMode::Optimistic:
+    return LV.isLiveOut(Victim, DK.BB);
+  case InterferenceMode::Pessimistic:
+    return LV.isLiveIn(Victim, DK.BB) || DK.BB == Defs[Victim].BB;
+  }
+  return false;
+}
 
 } // namespace lao
 

@@ -161,10 +161,9 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
     splitCriticalEdges(F);
   }
 
-  if (Config.PinSP || Config.PinABI) {
+  {
     ScopedTimer T(R.Timings, "constraints");
-    if (Config.PinSP)
-      collectSPConstraints(F);
+    collectSPConstraints(F);
     if (Config.PinABI)
       collectABIConstraints(F);
   }

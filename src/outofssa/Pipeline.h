@@ -49,7 +49,6 @@ class AnalysisManager;
 struct PipelineConfig {
   std::string Name = "Lphi,ABI+C";
   bool Sreedhar = false;  ///< convertToCSSA + pinCSSAWebs
-  bool PinSP = true;      ///< Always on in the paper's experiments.
   bool PinABI = false;
   bool PinPhi = false;    ///< The paper's pinning-based coalescing.
   bool NaiveABI = false;

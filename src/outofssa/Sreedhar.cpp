@@ -7,6 +7,7 @@
 #include "outofssa/Sreedhar.h"
 
 #include "analysis/AnalysisManager.h"
+#include "outofssa/PinningContext.h"
 #include "support/Stats.h"
 #include "support/UnionFind.h"
 
@@ -19,10 +20,11 @@ using namespace lao;
 
 namespace {
 
-/// Congruence classes, checked against the dominator tree and the dense
-/// liveness of \p AM. Copy insertion only adds instructions inside
-/// existing blocks, so it keeps the CFG and the dominator tree and drops
-/// the liveness, which \p AM rebuilds on the next query.
+/// Congruence classes, checked against the dominator tree and the
+/// liveness query engine of \p AM, with the kill test of PinningContext.h.
+/// Copy insertion only adds instructions inside existing blocks, so it
+/// keeps the CFG and the dominator tree and drops the query engine,
+/// which \p AM rebuilds on the next query.
 class CSSAState {
 public:
   explicit CSSAState(AnalysisManager &AM) : F(AM.function()), AM(AM) {
@@ -39,20 +41,23 @@ public:
 
   /// Precise SSA interference between two values.
   bool valuesInterfere(RegId A, RegId B) {
-    if (SitesStale)
-      rebuildDefSites();
+    if (SitesStale) {
+      Sites = collectDefSites(F);
+      SitesStale = false;
+    }
     if (A == B)
       return false;
-    const Site &SA = Sites[A], &SB = Sites[B];
+    const DefSite &SA = Sites[A], &SB = Sites[B];
     if (!SA.Valid || !SB.Valid)
       return false;
     // Same-block phis coexist at block entry.
     if (SA.I->isPhi() && SB.I->isPhi() && SA.BB == SB.BB)
       return true;
-    if (defDominates(SB, SA))
-      return liveAtDef(B, SA);
-    if (defDominates(SA, SB))
-      return liveAtDef(A, SB);
+    const DominatorTree &DT = AM.domTree();
+    if (defDominates(DT, SB, SA))
+      return liveAtDef(AM.livenessQuery(), B, SA);
+    if (defDominates(DT, SA, SB))
+      return liveAtDef(AM.livenessQuery(), A, SB);
     return false;
   }
 
@@ -71,18 +76,18 @@ public:
 
   /// True if any member of \p A's class is live out of \p BB.
   bool classLiveOut(RegId A, const BasicBlock *BB) {
-    const Liveness &LV = AM.liveness();
+    const LivenessQuery &LQ = AM.livenessQuery();
     for (RegId X : membersOf(Classes.find(A)))
-      if (LV.isLiveOut(X, BB))
+      if (LQ.isLiveOut(X, BB))
         return true;
     return false;
   }
 
   /// True if any member of \p A's class is live into \p BB.
   bool classLiveIn(RegId A, const BasicBlock *BB) {
-    const Liveness &LV = AM.liveness();
+    const LivenessQuery &LQ = AM.livenessQuery();
     for (RegId X : membersOf(Classes.find(A)))
-      if (LV.isLiveIn(X, BB))
+      if (LQ.isLiveIn(X, BB))
         return true;
     return false;
   }
@@ -109,19 +114,11 @@ public:
   void grow() { Classes.grow(F.numValues()); }
 
 private:
-  struct Site {
-    const BasicBlock *BB = nullptr;
-    const Instruction *I = nullptr;
-    BasicBlock::InstList::const_iterator Pos;
-    unsigned Order = 0;
-    bool Valid = false;
-  };
-
   Function &F;
   AnalysisManager &AM;
   UnionFind Classes;
   std::map<RegId, std::vector<RegId>> MembersMap;
-  std::vector<Site> Sites;
+  std::vector<DefSite> Sites;
   bool SitesStale = true;
 
   const std::vector<RegId> &membersOf(RegId Rep) {
@@ -129,39 +126,6 @@ private:
     if (V.empty())
       V.push_back(Rep);
     return V;
-  }
-
-  void rebuildDefSites() {
-    Sites.assign(F.numValues(), Site());
-    for (const auto &BB : F.blocks()) {
-      unsigned Order = 0;
-      for (auto It = BB->instructions().begin(),
-                End = BB->instructions().end();
-           It != End; ++It, ++Order)
-        for (RegId D : It->defs())
-          if (!F.isPhysical(D))
-            Sites[D] = Site{BB.get(), &*It, It, Order, true};
-    }
-    SitesStale = false;
-  }
-
-  bool defDominates(const Site &A, const Site &B) {
-    if (A.I == B.I)
-      return false;
-    if (A.BB != B.BB)
-      return AM.domTree().strictlyDominates(A.BB, B.BB);
-    if (A.I->isPhi())
-      return !B.I->isPhi();
-    if (B.I->isPhi())
-      return false;
-    return A.Order < B.Order;
-  }
-
-  bool liveAtDef(RegId V, const Site &D) {
-    const Liveness &LV = AM.liveness();
-    if (D.I->isPhi())
-      return LV.isLiveIn(V, D.BB);
-    return LV.isLiveAfter(V, D.BB, D.Pos);
   }
 };
 

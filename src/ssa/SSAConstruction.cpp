@@ -45,17 +45,10 @@ private:
     return Stacks[Orig].back();
   }
 
-  RegId fresh(RegId Orig) {
-    RegId New = F.makeVirtual(F.valueName(Orig));
-    Stacks[Orig].push_back(New);
-    ++Stats.NumVarsRenamed;
-    return New;
-  }
-
   void renameBlock(BasicBlock *BB) {
-    // Record how many pushes this block makes per variable so they can be
-    // popped on exit.
-    std::vector<std::pair<RegId, size_t>> Pushed;
+    // Record the variables this block pushes a name for, one entry per
+    // push, so they can be popped on exit.
+    std::vector<RegId> Pushed;
 
     auto pushDef = [&](Instruction &I, unsigned DefIdx) {
       RegId Orig = I.def(DefIdx);
@@ -63,7 +56,7 @@ private:
         return;
       RegId New = F.makeVirtual(F.valueName(Orig));
       Stacks[Orig].push_back(New);
-      Pushed.push_back({Orig, 1});
+      Pushed.push_back(Orig);
       ++Stats.NumVarsRenamed;
       I.setDef(DefIdx, New);
     };
@@ -100,9 +93,8 @@ private:
     for (BasicBlock *Child : DT.children(BB))
       renameBlock(Child);
 
-    for (auto &[Orig, Count] : Pushed)
-      for (size_t K = 0; K < Count; ++K)
-        Stacks[Orig].pop_back();
+    for (RegId Orig : Pushed)
+      Stacks[Orig].pop_back();
   }
 };
 

@@ -63,18 +63,6 @@ const char *const AllPresets[] = {
     "Lphi+C", "C",            "Sphi+C",   "Lphi,ABI+C", "Sphi+LABI+C",
     "LABI+C", "C,naiveABI+C", "Lphi,ABI", "Sphi",       "LABI"};
 
-/// Arms verify-on-invalidate for one scope, restoring the previous mode.
-class ArmVerifyOnInvalidate {
-public:
-  ArmVerifyOnInvalidate() : Was(AnalysisManager::verifyOnInvalidate()) {
-    AnalysisManager::setVerifyOnInvalidate(true);
-  }
-  ~ArmVerifyOnInvalidate() { AnalysisManager::setVerifyOnInvalidate(Was); }
-
-private:
-  bool Was;
-};
-
 /// Runs \p Run on a copy of every suite function under every preset and
 /// requires it to return "" (else what went wrong). The runs share
 /// nothing, so they go to a pool of up to four threads, largest
@@ -252,6 +240,22 @@ TEST(AnalysisManager, VerifyCatchesLyingPassCfgEdit) {
   EXPECT_NE(AM.verify(), "") << "stale cached CFG went undetected";
 }
 
+TEST(AnalysisManager, VerifyOnInvalidateIsPerManager) {
+  // Two managers hold the same stale liveness after a lying edit; only
+  // the armed one checks its invalidate() and aborts.
+  auto F = makeDiamond();
+  AnalysisManager Plain(*F), Armed(*F);
+  Armed.setVerifyOnInvalidate(true);
+  (void)Plain.liveness();
+  (void)Armed.liveness();
+  F->blockByName("t")->front().setUse(0, F->findValue("c"));
+
+  Plain.invalidate(PreservedAnalyses::all());
+  EXPECT_NE(Plain.verify(), "") << "the unarmed manager kept its cache";
+  EXPECT_DEATH(Armed.invalidate(PreservedAnalyses::all()),
+               "lied about preserved analyses");
+}
+
 TEST(AnalysisManager, HonestPassKeepsVerifyClean) {
   // The coalescer-style contract: mutate, then report exactly what
   // changed. After an honest invalidate the survivors re-verify clean.
@@ -327,11 +331,11 @@ TEST(AnalysisManager, EveryPreservationClaimHoldsOnEverySuite) {
   // Sreedhar's copy insertion, every spill round and the final color
   // rewrite, at 8 registers with both allocators and both spill models.
   // The first combination allocates on the pipeline's own manager, the
-  // others on copies of its output. The mode is process-wide: it is
-  // armed before the pool starts and restored after the pool joins.
-  ArmVerifyOnInvalidate Armed;
+  // others on copies of its output, through the same manager: every
+  // invalidate() of the run goes through it.
   forEachSuiteRun([](Function &F, const char *Preset) {
     AnalysisManager AM(F);
+    AM.setVerifyOnInvalidate(true);
     runPipeline(F, pipelinePreset(Preset), AM);
     std::vector<std::unique_ptr<Function>> Copies;
     for (int I = 0; I < 3; ++I)

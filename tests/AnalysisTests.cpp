@@ -207,134 +207,3 @@ TEST(Liveness, PhiResultLiveInDownstream) {
   // Not live-in at function entry.
   EXPECT_FALSE(LV.isLiveIn(Iv, F->blockByName("entry")));
 }
-
-TEST(Liveness, IsLiveAfterScansUsesAndDefs) {
-  auto F = parse(R"(
-func @f {
-entry:
-  input %a, %b
-  %x = add %a, %b
-  %y = add %x, %a
-  %z = add %y, %y
-  ret %z
-}
-)");
-  CFG Cfg(*F);
-  Liveness LV(Cfg);
-  BasicBlock *E = &F->entry();
-  RegId A = F->findValue("a");
-  RegId X = F->findValue("x");
-  auto It = E->instructions().begin(); // input
-  ++It;                                // x = add a, b
-  // After defining x: a is still used by y's def; x used by y.
-  EXPECT_TRUE(LV.isLiveAfter(A, E, It));
-  EXPECT_TRUE(LV.isLiveAfter(X, E, It));
-  ++It; // y = add x, a
-  // After y: neither a nor x is used again.
-  EXPECT_FALSE(LV.isLiveAfter(A, E, It));
-  EXPECT_FALSE(LV.isLiveAfter(X, E, It));
-}
-
-TEST(Liveness, IsLiveAroundCopy) {
-  // A copy is an ordinary use: the source stays live up to (and through)
-  // the move, and dies there when the move is its last use.
-  auto F = parse(R"(
-func @f {
-entry:
-  input %a
-  %b = mov %a
-  %r = add %b, %b
-  ret %r
-}
-)");
-  CFG Cfg(*F);
-  Liveness LV(Cfg);
-  BasicBlock *E = &F->entry();
-  RegId A = F->findValue("a"), B = F->findValue("b");
-  auto It = E->instructions().begin(); // input
-  ++It;                                // b = mov a
-  EXPECT_TRUE(LV.isLiveBefore(A, E, It));
-  EXPECT_FALSE(LV.isLiveAfter(A, E, It)) << "copy source dead after move";
-  EXPECT_FALSE(LV.isLiveBefore(B, E, It));
-  EXPECT_TRUE(LV.isLiveAfter(B, E, It));
-  ++It; // r = add b, b
-  EXPECT_TRUE(LV.isLiveBefore(B, E, It));
-  EXPECT_FALSE(LV.isLiveAfter(B, E, It));
-}
-
-TEST(Liveness, IsLiveAroundParallelCopy) {
-  // parcopy %a = %b, %b = %a swaps: both sources are live before, both
-  // destinations live after; the pre-swap values die at the parcopy.
-  auto F = parse(R"(
-func @f {
-entry:
-  input %a, %b
-  parcopy %a = %b, %b = %a
-  %r = add %a, %b
-  ret %r
-}
-)");
-  CFG Cfg(*F);
-  Liveness LV(Cfg);
-  BasicBlock *E = &F->entry();
-  RegId A = F->findValue("a"), B = F->findValue("b");
-  auto It = E->instructions().begin(); // input
-  ++It;                                // parcopy
-  EXPECT_TRUE(LV.isLiveBefore(A, E, It));
-  EXPECT_TRUE(LV.isLiveBefore(B, E, It));
-  EXPECT_TRUE(LV.isLiveAfter(A, E, It));
-  EXPECT_TRUE(LV.isLiveAfter(B, E, It));
-  ++It; // r = add a, b -- last uses
-  EXPECT_FALSE(LV.isLiveAfter(A, E, It));
-  EXPECT_FALSE(LV.isLiveAfter(B, E, It));
-  EXPECT_TRUE(LV.isLiveAfter(F->findValue("r"), E, It));
-}
-
-TEST(Liveness, IsLiveBeforeAtBlockBoundary) {
-  // isLiveBefore at a block's first instruction must agree with live-in.
-  auto F = parse(R"(
-func @f {
-entry:
-  input %a
-  %c = cmplt %a, %a
-  branch %c, left, right
-left:
-  %x = addi %a, 1
-  ret %x
-right:
-  ret %a
-}
-)");
-  CFG Cfg(*F);
-  Liveness LV(Cfg);
-  BasicBlock *L = F->blockByName("left");
-  RegId A = F->findValue("a");
-  EXPECT_TRUE(LV.isLiveIn(A, L));
-  EXPECT_TRUE(LV.isLiveBefore(A, L, L->instructions().begin()));
-  EXPECT_FALSE(LV.isLiveBefore(F->findValue("x"), L,
-                               L->instructions().begin()));
-}
-
-TEST(Liveness, NonSSAMultipleDefs) {
-  // Non-SSA: v redefined; the first value dies at the redefinition.
-  auto F = parse(R"(
-func @f {
-entry:
-  input %a
-  %v = addi %a, 1
-  %u = addi %v, 2
-  %v = addi %a, 3
-  %w = add %v, %u
-  ret %w
-}
-)");
-  CFG Cfg(*F);
-  Liveness LV(Cfg);
-  BasicBlock *E = &F->entry();
-  RegId V = F->findValue("v");
-  auto It = E->instructions().begin();
-  ++It; // first def of v
-  EXPECT_TRUE(LV.isLiveAfter(V, E, It));
-  ++It; // u = addi v, 2: v dead until redefined
-  EXPECT_FALSE(LV.isLiveAfter(V, E, It));
-}

@@ -233,32 +233,6 @@ entry:
   EXPECT_GE(countMoves(*F), 1u);
 }
 
-TEST(Coalescer, AmortizedRebuildMatchesRebuildEveryRound) {
-  // The worklist schedule builds the graph once and repairs it in place;
-  // both schedules must reach the same fixpoint move count on every
-  // workload, and the worklist side must never build more graphs.
-  auto CheckSuite = [](const std::vector<Workload> &Suite,
-                       const char *Preset) {
-    for (const Workload &W : Suite) {
-      auto A = cloneFunction(*W.F);
-      runPipeline(*A, pipelinePreset(Preset));
-      auto B = cloneFunction(*A);
-
-      CoalescerStats Fast = coalesceAggressively(*A);
-      CoalescerStats Slow = coalesceRebuildingEveryRound(*B);
-
-      EXPECT_EQ(countMoves(*A), countMoves(*B)) << W.Name;
-      EXPECT_EQ(Fast.NumMovesRemoved, Slow.NumMovesRemoved) << W.Name;
-      EXPECT_LE(Fast.NumRebuilds, Slow.NumRebuilds)
-          << W.Name << ": the amortized schedule must never rebuild more";
-    }
-  };
-  // "Lphi,ABI" / "Sphi" leave residual moves without running the cleanup
-  // coalescer themselves, so both schedules get real work.
-  CheckSuite(makeExamplesSuite(), "Lphi,ABI");
-  CheckSuite(makeValccSuite(1), "Sphi");
-}
-
 namespace {
 
 /// The seven Table 1 presets that end in the aggressive coalescer.
