@@ -55,6 +55,10 @@ import sys
 
 CHECKED_COUNTERS = (
     "liveness.analyses",
+    # Per-variable solves of the liveness query engine, which answers
+    # every SSA liveness question (pin-analysis, Sreedhar): work moved
+    # off the dense solver is gated like dense solves are.
+    "liveness.var_solves",
     "interference.graphs_built",
     "analysis.cfg_builds",
     "analysis.domtree_builds",

@@ -95,6 +95,12 @@ class TestCounterFailures(CheckerHarness):
         self.assert_fails_naming(base, fresh, "liveness.analyses",
                                  "regressed 5 -> 6")
 
+    def test_var_solves_increase_fails(self):
+        base = bench_doc([record(counters={"liveness.var_solves": 40})])
+        fresh = bench_doc([record(counters={"liveness.var_solves": 41})])
+        self.assert_fails_naming(base, fresh, "liveness.var_solves",
+                                 "regressed 40 -> 41")
+
     def test_counter_missing_from_fresh_fails(self):
         # The bug this selftest exists for: a counter the baseline has
         # but the fresh run lost must fail by name, not default to 0
