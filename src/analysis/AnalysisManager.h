@@ -17,9 +17,10 @@
 ///   Liveness dropped   -> InterferenceGraph dropped
 ///
 /// A debug verifier (`verify()`, optionally run on every invalidation of
-/// one manager via setVerifyOnInvalidate) recomputes the retained analyses from scratch
-/// and diffs them against the cache, catching passes that lie about what
-/// they preserve. See docs/ANALYSIS.md for the full contract.
+/// one manager via setVerifyOnInvalidate) recomputes the retained
+/// analyses from scratch and diffs them against the cache, catching
+/// passes that lie about what they preserve. See docs/ANALYSIS.md for the
+/// full contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,7 +117,7 @@ public:
   uint64_t epoch() const { return Epoch; }
 
   /// Drops every cached analysis the pass did not preserve, plus the
-  /// dependency closure. When verify-on-invalidate is on, then
+  /// dependency closure. With verify-on-invalidate set, it then
   /// cross-checks the surviving entries against fresh recomputation
   /// and aborts on a mismatch (a pass lied about preservation).
   void invalidate(const PreservedAnalyses &PA);

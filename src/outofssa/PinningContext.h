@@ -169,8 +169,6 @@ public:
   /// then its representative).
   bool hasPhysical(RegId R) const { return F.isPhysical(Classes.find(R)); }
 
-  InterferenceMode mode() const { return Mode; }
-
   /// Called with every verdict resourceInterfere returns from the
   /// engine: the context, the two class representatives and the answer.
   /// Null outside tests, which install one to check each verdict of a
