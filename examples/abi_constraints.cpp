@@ -41,7 +41,7 @@ int main() {
   DominatorTree DT(Cfg);
   LivenessQuery LV(Cfg, DT);
   PinningContext Ctx(*F, Cfg, DT, LV);
-  OutOfSSAStats Stats = translateOutOfSSA(*F, Ctx, Cfg);
+  OutOfSSAStats Stats = translateOutOfSSA(*F, Ctx);
   sequentializeParallelCopies(*F);
 
   std::printf("=== Figure 1: after out-of-pinned-SSA ===\n%s\n",

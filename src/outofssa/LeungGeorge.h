@@ -21,15 +21,34 @@
 ///    *repaired*: a copy into a fresh variable placed right after its
 ///    definition, with post-kill uses reading the repair (Figure 3).
 ///
-/// The mark phase is a forward dataflow per resource class: "which SSA
-/// variable's value does this resource hold here". The reconstruct phase
-/// replays it, rewriting operands and materializing the copies. Parallel
-/// copies are left as ParCopy instructions; run
-/// sequentializeParallelCopies afterwards to lower them to moves (this
-/// separation keeps the swap problem visible in tests).
+/// The mark phase asks, at each copy site, "which SSA variable's value
+/// does this resource hold here". That is a forward dataflow problem per
+/// resource class, solved sparsely as SSA construction applied to
+/// resource slots (Cytron et al., TOPLAS 1991):
+///
+///  * the blocks that write a slot are its definitions, and its *meet
+///    nodes* are their iterated dominance frontier (the entry block is
+///    never one: nothing is held on entry);
+///  * one dominator-tree walk keeps a single flat current-holder array
+///    plus an undo stack, and records, at each predecessor's end, the
+///    (possibly symbolic) holder flowing into each successor meet node;
+///  * the meet nodes alone are solved to the optimistic fixpoint (the
+///    sparse evaluation graph of Choi, Cytron and Ferrante, POPL 1991);
+///    "never written" and "conflicting values" are one NoHolder value;
+///  * the mark and the reconstruct (rewrite) phases replay every block
+///    on the same walk, updating the holder array in place.
+///
+/// Memory is O(slots + deltas + meet-node operands); no per-block holder
+/// state exists. The dense per-block solver this replaced is kept as the
+/// tests' oracle (tests/ReferenceTranslator.h) and must give
+/// byte-identical output. Parallel copies are left as ParCopy
+/// instructions; run sequentializeParallelCopies afterwards to lower
+/// them to moves (this separation keeps the swap problem visible in
+/// tests).
 ///
 /// Requires: SSA input, critical edges split (splitCriticalEdges), and a
-/// PinningContext carrying all pins.
+/// PinningContext carrying all pins, whose CFG and dominator tree are
+/// still current.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,9 +72,9 @@ struct OutOfSSAStats {
   unsigned NumInserts = 0;        ///< Instructions inserted (all kinds).
 };
 
-/// Translates \p F out of SSA under the pinning in \p Ctx. Mutates F.
-OutOfSSAStats translateOutOfSSA(Function &F, PinningContext &Ctx,
-                                const CFG &Cfg);
+/// Translates \p F out of SSA under the pinning in \p Ctx, walking the
+/// CFG and dominator tree \p Ctx was built from. Mutates F.
+OutOfSSAStats translateOutOfSSA(Function &F, PinningContext &Ctx);
 
 /// One parallel-copy entry: (destination, source).
 using CopyPair = std::pair<RegId, RegId>;

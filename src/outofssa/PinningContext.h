@@ -114,6 +114,10 @@ public:
   ~PinningContext();
 
   const Function &func() const { return F; }
+  /// The CFG and dominator tree the context was built from; the
+  /// out-of-pinned-SSA translation walks them too.
+  const CFG &cfg() const { return Cfg; }
+  const DominatorTree &domTree() const { return DT; }
 
   /// Resource of \p V: the representative of its pinning class
   /// (the paper's Resource_def, transitively resolved).

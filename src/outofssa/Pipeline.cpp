@@ -207,7 +207,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
     (void)CtxEpoch;
     {
       ScopedTimer T(R.Timings, "translate");
-      translateOutOfSSA(F, Ctx, AM.cfg());
+      translateOutOfSSA(F, Ctx);
     }
   }
   // Translation replaced the instruction lists (blocks and branch targets

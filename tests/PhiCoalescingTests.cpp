@@ -49,7 +49,7 @@ unsigned fullTranslate(Function &F, PhiCoalescingStats *StatsOut = nullptr,
   PhiCoalescingStats Stats = coalescePhis(F, S.Ctx, S.Cfg, S.LI, Opts);
   if (StatsOut)
     *StatsOut = Stats;
-  translateOutOfSSA(F, S.Ctx, S.Cfg);
+  translateOutOfSSA(F, S.Ctx);
   sequentializeParallelCopies(F);
   return countMoves(F);
 }
@@ -116,7 +116,7 @@ TEST(PhiCoalescing, Figure7TwoClassesEmerge) {
               X2Res == S.Ctx.resourceOf(X3));
   EXPECT_GE(Stats.NumMerges, 2u);
 
-  translateOutOfSSA(*F, S.Ctx, S.Cfg);
+  translateOutOfSSA(*F, S.Ctx);
   sequentializeParallelCopies(*F);
   expectEquivalent(*Before, *F, {6});
   expectEquivalent(*Before, *F, {1});
