@@ -13,7 +13,8 @@ speed, deterministic, and they fail the build whenever a change
      work into the pipeline (decrease-only counters: dense liveness
      solves, interference-graph constructions, CFG/dominator builds,
      coalescer graph rebuilds and confirm scans, phi-coalescer pair
-     queries, class-interference sweep probes);
+     queries, class-interference sweep probes, out-of-SSA copy inserts
+     and holder-analysis meet nodes);
   2. alters any pipeline *measurement* (moves, weighted moves,
      pre-coalesce moves, coalescer merges must be bit-identical — the
      class-interference engine is an exact replacement for the pairwise
@@ -73,6 +74,10 @@ CHECKED_COUNTERS = (
     # and nothing else; growth means elision (or the repair analysis)
     # regressed.
     "translate.inserts",
+    # The (slot, block) pairs the sparse holder analysis solves: the
+    # iterated dominance frontiers of each slot's writers. Growth means
+    # meets crept back in where dominance already decides the holder.
+    "translate.meet_nodes",
 )
 
 # Must match the baseline exactly: the tentpole engine work (and any

@@ -101,6 +101,12 @@ class TestCounterFailures(CheckerHarness):
         self.assert_fails_naming(base, fresh, "liveness.var_solves",
                                  "regressed 40 -> 41")
 
+    def test_meet_nodes_increase_fails(self):
+        base = bench_doc([record(counters={"translate.meet_nodes": 90})])
+        fresh = bench_doc([record(counters={"translate.meet_nodes": 91})])
+        self.assert_fails_naming(base, fresh, "translate.meet_nodes",
+                                 "regressed 90 -> 91")
+
     def test_counter_missing_from_fresh_fails(self):
         # The bug this selftest exists for: a counter the baseline has
         # but the fresh run lost must fail by name, not default to 0
