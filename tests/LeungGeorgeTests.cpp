@@ -15,6 +15,7 @@
 #include "outofssa/LeungGeorge.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/Pipeline.h"
+#include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 #include "workloads/Generator.h"
 #include "workloads/PaperExamples.h"
@@ -339,8 +340,7 @@ std::string statsDifference(const OutOfSSAStats &A, const OutOfSSAStats &B) {
   std::string D;
   auto Field = [&](const char *Name, unsigned X, unsigned Y) {
     if (D.empty() && X != Y)
-      D = std::string(Name) + ": sparse " + std::to_string(X) +
-          ", dense " + std::to_string(Y);
+      D = formatStr("%s: sparse %u, dense %u", Name, X, Y);
   };
   Field("NumRepairs", A.NumRepairs, B.NumRepairs);
   Field("NumPhiCopies", A.NumPhiCopies, B.NumPhiCopies);
@@ -412,14 +412,15 @@ std::unique_ptr<Function> makeLadderFunction(unsigned Target, uint64_t Seed) {
   P.NumStatements = Target / 2;
   P.MaxNesting = 2;
   P.CallPercent = 20;
-  auto F = generateProgram(P, "ladder" + std::to_string(Target));
+  auto F = generateProgram(P, formatStr("ladder%u", Target));
   EXPECT_TRUE(normalizeToOptimizedSSA(*F));
   return F;
 }
 
+/// The ten Table 1 presets.
 const char *const AllPresets[] = {
-    "Lphi+C",       "C",        "Sphi+C", "Lphi,ABI+C", "Sphi+LABI+C",
-    "LABI+C",       "C,naiveABI+C", "Lphi,ABI", "Sphi",   "LABI"};
+    "Lphi+C", "C",        "Sphi+C", "Lphi,ABI+C",   "Sphi+LABI+C",
+    "LABI+C", "Lphi,ABI", "Sphi",   "C,naiveABI+C", "LABI"};
 
 } // namespace
 
@@ -447,14 +448,14 @@ TEST(LeungGeorge, SparseMatchesDenseReferenceOnEverySuite) {
     P.UsePsi = Seed % 5 == 0;
     P.ExtraCopies = Seed % 3 == 0;
     Workload W;
-    W.Name = "generated/g" + std::to_string(Seed);
+    W.Name = formatStr("generated/g%u", unsigned(Seed));
     W.F = generateProgram(P, W.Name);
     ASSERT_TRUE(normalizeToOptimizedSSA(*W.F)) << W.Name;
     Functions.push_back(std::move(W));
   }
   for (unsigned Target : {200u, 800u}) {
     Workload W;
-    W.Name = "ladder/b" + std::to_string(Target);
+    W.Name = formatStr("ladder/b%u", Target);
     W.F = makeLadderFunction(Target, 0x1adde5 + Target);
     Functions.push_back(std::move(W));
   }
@@ -685,15 +686,11 @@ TEST(LeungGeorge, LongStraightLineChainWalksIteratively) {
   constexpr unsigned NumBlocks = 60000;
   std::string Text = "func @chain {\nentry:\n  input %v0\n  jump b1\n";
   for (unsigned K = 1; K < NumBlocks; ++K) {
-    std::string V = "%v" + std::to_string(K);
-    std::string Prev = "%v" + std::to_string(K - 1);
-    Text += "b" + std::to_string(K) + ":\n";
-    if (K % 100 == 0)
-      Text += "  " + V + "^R0 = call @g(" + Prev + "^R0)\n";
-    else
-      Text += "  " + V + " = addi " + Prev + ", 1\n";
-    Text += K + 1 < NumBlocks ? "  jump b" + std::to_string(K + 1) + "\n"
-                              : "  ret " + V + "^R0\n";
+    Text += formatStr(K % 100 == 0 ? "b%u:\n  %%v%u^R0 = call @g(%%v%u^R0)\n"
+                                   : "b%u:\n  %%v%u = addi %%v%u, 1\n",
+                      K, K, K - 1);
+    Text += K + 1 < NumBlocks ? formatStr("  jump b%u\n", K + 1)
+                              : formatStr("  ret %%v%u^R0\n", K);
   }
   Text += "}\n";
   auto F = parse(Text);
