@@ -8,6 +8,7 @@
 
 #include "support/Stats.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace lao;
@@ -16,6 +17,8 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV) {
   ++LAO_STAT(interference, graphs_built);
   size_t NV = F.numValues();
   Adj.resize(NV);
+  Alias.assign(NV, InvalidReg);
+  StaleMask.resize(NV);
   Matrix.resize(NV < 2 ? 0 : NV * (NV - 1) / 2);
 
   // During construction, append edges unsorted (the bit matrix already
@@ -46,67 +49,59 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV) {
     std::sort(List.begin(), List.end());
 }
 
-namespace {
-
-/// Replaces \p Old by \p New in the sorted vector \p Vec with a single
-/// element shift, instead of an erase followed by a binary-search insert.
-/// \p New must not already be present.
-void replaceSorted(std::vector<RegId> &Vec, RegId Old, RegId New) {
-  auto OldIt = std::lower_bound(Vec.begin(), Vec.end(), Old);
-  assert(OldIt != Vec.end() && *OldIt == Old && "replacing a missing entry");
-  if (New > Old) {
-    auto Pos = std::lower_bound(OldIt + 1, Vec.end(), New);
-    std::move(OldIt + 1, Pos, OldIt);
-    *(Pos - 1) = New;
-  } else {
-    auto Pos = std::lower_bound(Vec.begin(), OldIt, New);
-    std::move_backward(Pos, OldIt, OldIt + 1);
-    *Pos = New;
+RegId InterferenceGraph::find(RegId V) {
+  RegId Root = V;
+  while (Alias[Root] != InvalidReg)
+    Root = Alias[Root];
+  while (Alias[V] != InvalidReg) {
+    RegId Next = Alias[V];
+    Alias[V] = Root;
+    V = Next;
   }
+  return Root;
 }
-
-} // namespace
 
 void InterferenceGraph::mergeNodes(RegId Rep, RegId Dead) {
   assert(Rep != Dead && "merging a node into itself");
+  assert(Alias[Rep] == InvalidReg && Alias[Dead] == InvalidReg &&
+         "merging a node that was merged away");
 
-  // New Rep row first, while both old rows are intact: one merge-join of
-  // the two sorted lists, dropping the endpoints themselves (a Rep-Dead
-  // edge dies with the merge, and there are no self-edges).
-  std::vector<RegId> Merged;
-  Merged.reserve(Adj[Rep].size() + Adj[Dead].size());
-  {
-    auto A = Adj[Rep].begin(), AE = Adj[Rep].end();
-    auto B = Adj[Dead].begin(), BE = Adj[Dead].end();
-    while (A != AE || B != BE) {
-      RegId V;
-      if (B == BE || (A != AE && *A <= *B)) {
-        V = *A;
-        if (B != BE && *B == V)
-          ++B;
-        ++A;
-      } else {
-        V = *B++;
-      }
-      if (V != Dead && V != Rep)
-        Merged.push_back(V);
-    }
-  }
-
-  // Retire Dead's edges in the matrix and patch its neighbors' lists.
-  std::vector<RegId> DeadNbrs = std::move(Adj[Dead]);
-  Adj[Dead].clear();
-  for (RegId N : DeadNbrs) {
-    Matrix.reset(triIndex(Dead, N));
-    if (N == Rep)
+  // Dead's row may name merged-away nodes and repeat a neighbor; the
+  // Dead-N matrix bit, reset on first sight, visits each neighbor once.
+  for (RegId Entry : Adj[Dead]) {
+    RegId N = find(Entry);
+    if (N == Dead)
       continue;
+    size_t DeadN = triIndex(Dead, N);
+    if (!Matrix.test(DeadN))
+      continue;
+    Matrix.reset(DeadN);
+    if (N == Rep)
+      continue; // The Rep-Dead edge dies with the merge.
+    // N's row keeps Dead's id, which now resolves to Rep.
+    markStale(N);
     size_t RepN = triIndex(Rep, N);
-    if (Matrix.test(RepN))
-      sortedErase(Adj[N], Dead); // Rep already present in Adj[N].
-    else {
+    if (!Matrix.test(RepN)) {
       Matrix.set(RepN);
-      replaceSorted(Adj[N], Dead, Rep);
+      Adj[Rep].push_back(N);
     }
   }
-  Adj[Rep] = std::move(Merged);
+  std::vector<RegId>().swap(Adj[Dead]);
+  Alias[Dead] = Rep;
+  markStale(Rep);
+}
+
+void InterferenceGraph::compact() {
+  for (RegId V : StaleList) {
+    StaleMask.reset(V);
+    if (Alias[V] != InvalidReg)
+      continue; // Merged away after it went stale: its row is empty.
+    std::vector<RegId> &Row = Adj[V];
+    for (RegId &N : Row)
+      N = find(N);
+    Row.erase(std::remove(Row.begin(), Row.end(), V), Row.end());
+    std::sort(Row.begin(), Row.end());
+    Row.erase(std::unique(Row.begin(), Row.end()), Row.end());
+  }
+  StaleList.clear();
 }

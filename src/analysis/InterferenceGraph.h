@@ -15,8 +15,17 @@
 /// triangular bit matrix answers `interfere(A, B)` in O(1), while sorted
 /// per-node adjacency vectors give cache-friendly, *deterministic*
 /// neighbor iteration — `neighbors()` always enumerates in ascending
-/// RegId order, so every order-sensitive client (coalescer merge loops,
+/// RegId order, so every order-sensitive client (coalescer repair scan,
 /// allocator color scans) behaves identically run to run.
+///
+/// Merges are lazy, after the alias union-find of George and Appel's
+/// iterated coalescing: `mergeNodes` moves the victim's matrix bits to
+/// the survivor at once (so `interfere` stays exact over the current
+/// representatives) but leaves the rows stale — the victim's id stays in
+/// its neighbors' rows and resolves through the alias array. `compact()`
+/// resolves, sorts and deduplicates every stale row in one pass; the
+/// coalescer calls it once per round, and `neighbors()` and `removeEdge`
+/// may only be used on a compact graph.
 ///
 /// The edge rule itself lives in one place, forEachInterference: the
 /// graph constructor and the coalescer's graph-free confirm and repair
@@ -91,28 +100,39 @@ public:
   /// Builds the graph for non-SSA code (no phis; parallel copies allowed).
   InterferenceGraph(const Function &F, const Liveness &LV);
 
+  /// Exact for any two current representatives, stale rows or not.
   bool interfere(RegId A, RegId B) const {
     if (A == B)
       return false;
     return Matrix.test(triIndex(A, B));
   }
 
-  /// Merges \p Dead into \p Rep in place — the vertex merge after
-  /// coalescing a move (Section 3.5): Rep's neighborhood becomes the
-  /// union of both, Dead's row empties, and every third node's adjacency
-  /// list is patched. O(deg(Rep) + deg(Dead)) — the new Rep row is one
-  /// merge-join of two sorted lists, and each of Dead's neighbors gets a
-  /// single in-place shift (no per-edge binary-search insert). The
-  /// `neighbors()` sortedness invariant is preserved throughout, so
-  /// order-sensitive clients see the same deterministic iteration they
-  /// would after a rebuild.
+  /// Merges \p Dead into \p Rep, both current representatives — the
+  /// vertex merge after coalescing a move (Section 3.5). Rep's
+  /// neighborhood becomes the union of both; a Rep-Dead edge dies with the
+  /// merge. O(deg(Dead)): Dead's matrix bits move to Rep, Dead's neighbors
+  /// that Rep lacked are appended to Rep's row, Dead is aliased to Rep,
+  /// and Rep and Dead's neighbors are marked stale. Their rows are left
+  /// unsorted, with Dead's id (now an alias of Rep) in place, until the
+  /// next compact().
   void mergeNodes(RegId Rep, RegId Dead);
+
+  /// Resolves every stale row through the alias array, drops self entries,
+  /// sorts and deduplicates it: afterwards each row of a representative
+  /// lists its neighbors in ascending order, and a merged-away node's row
+  /// is empty. O(Σ |row| log |row|) over the rows merged into since the
+  /// last call.
+  void compact();
+
+  /// True when no row is stale (no merge since the last compact()).
+  bool isCompact() const { return StaleList.empty(); }
 
   /// Removes the edge {A, B}. The incremental coalescer uses this when
   /// its round-boundary repair scan proves a unioned edge is not present
   /// in the exact graph of the rewritten program.
   void removeEdge(RegId A, RegId B) {
     assert(A != B && "no self-edges");
+    assert(isCompact() && "removeEdge on stale rows; call compact() first");
     size_t Idx = triIndex(A, B);
     if (!Matrix.test(Idx))
       return;
@@ -124,7 +144,10 @@ public:
   size_t numNodes() const { return Adj.size(); }
 
   /// A's neighbors in ascending RegId order (deterministic).
-  const std::vector<RegId> &neighbors(RegId A) const { return Adj[A]; }
+  const std::vector<RegId> &neighbors(RegId A) const {
+    assert(isCompact() && "neighbors() of stale rows; call compact() first");
+    return Adj[A];
+  }
 
 private:
   /// Index of the unordered pair {A, B} in the lower-triangular matrix.
@@ -141,8 +164,24 @@ private:
     Vec.erase(It);
   }
 
+  /// The representative \p V was merged into (V itself if never merged),
+  /// compressing the alias path on the way.
+  RegId find(RegId V);
+
+  void markStale(RegId V) {
+    if (!StaleMask.test(V)) {
+      StaleMask.set(V);
+      StaleList.push_back(V);
+    }
+  }
+
   BitVector Matrix; ///< Lower-triangular adjacency bits.
   std::vector<std::vector<RegId>> Adj;
+  /// Merged-away node -> the node it was merged into; InvalidReg for a
+  /// representative.
+  std::vector<RegId> Alias;
+  BitVector StaleMask; ///< Rows changed by a merge since the last compact().
+  std::vector<RegId> StaleList;
 };
 
 } // namespace lao

@@ -315,7 +315,9 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
     LV.applyRenames(RenameTo);
     LV.recomputeValues(Survivors);
 
-    // Restore G = exact graph of the rewritten program (dirty rows only).
+    // Settle this round's lazy merges into sorted rows, then restore
+    // G = exact graph of the rewritten program (dirty rows only).
+    IG.compact();
     repairDirtyRows(F, LV, IG, DirtyList, Stats);
 
     // Re-enqueue exactly the deferred moves whose operands alias a node

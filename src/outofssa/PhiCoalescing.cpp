@@ -94,27 +94,54 @@ void initialPruning(AffinityGraph &G, PinningContext &Ctx,
   }
 }
 
-/// BipartiteGraph_pruning: weight, then greedily delete heaviest edges.
-void bipartitePruning(Function &F, AffinityGraph &G, PinningContext &Ctx,
-                      PruneHeuristic Heuristic,
-                      PhiCoalescingStats &Stats) {
-  // Tie bonuses: a use pinned to a resource of one endpoint whose
-  // variable lives in the other endpoint makes the edge more valuable.
+/// A pinned use of a non-phi instruction (a 2-operand tie or an argument
+/// register): (pin, used variable).
+using UsePin = std::pair<RegId, RegId>;
+
+/// Every UsePin of \p F, in program order. Phi coalescing changes def
+/// pins only, so one collection serves every block of a coalescePhis
+/// call.
+std::vector<UsePin> collectUsePins(const Function &F) {
+  std::vector<UsePin> Pins;
   for (const auto &BB : F.blocks())
     for (const Instruction &I : BB->instructions())
-      for (unsigned K = 0; K < I.numUses(); ++K) {
-        if (I.usePin(K) == InvalidReg || I.isPhi())
-          continue;
-        RegId RPin = Ctx.resourceOf(I.usePin(K));
-        RegId RVar = Ctx.resourceOf(I.use(K));
-        if (RPin == RVar)
-          continue;
-        for (Edge &E : G.Edges)
-          if (!E.Deleted && ((E.DefRes == RPin && E.ArgRes == RVar) ||
-                             (E.DefRes == RVar && E.ArgRes == RPin)))
-            ++E.TieBonus;
-      }
+      if (!I.isPhi())
+        for (unsigned K = 0; K < I.numUses(); ++K)
+          if (I.usePin(K) != InvalidReg)
+            Pins.emplace_back(I.usePin(K), I.use(K));
+  return Pins;
+}
 
+/// Tie bonuses: a use pinned to a resource of one endpoint whose
+/// variable lives in the other endpoint makes the edge more valuable.
+void addTieBonuses(AffinityGraph &G, PinningContext &Ctx,
+                   const std::vector<UsePin> &UsePins) {
+  std::vector<RegId> Endpoints;
+  for (const Edge &E : G.Edges)
+    if (!E.Deleted) {
+      Endpoints.push_back(E.DefRes);
+      Endpoints.push_back(E.ArgRes);
+    }
+  std::sort(Endpoints.begin(), Endpoints.end());
+  for (auto [Pin, Var] : UsePins) {
+    RegId RPin = Ctx.resourceOf(Pin);
+    if (!std::binary_search(Endpoints.begin(), Endpoints.end(), RPin))
+      continue;
+    RegId RVar = Ctx.resourceOf(Var);
+    if (RPin == RVar)
+      continue;
+    for (Edge &E : G.Edges)
+      if (!E.Deleted && ((E.DefRes == RPin && E.ArgRes == RVar) ||
+                         (E.DefRes == RVar && E.ArgRes == RPin)))
+        ++E.TieBonus;
+  }
+}
+
+/// BipartiteGraph_pruning: weight, then greedily delete heaviest edges.
+void bipartitePruning(AffinityGraph &G, PinningContext &Ctx,
+                      const std::vector<UsePin> &UsePins,
+                      PruneHeuristic Heuristic,
+                      PhiCoalescingStats &Stats) {
   // Weight each edge: for every pair of live edges sharing a vertex whose
   // far endpoints interfere, each edge gains the other's multiplicity.
   for (size_t A = 0; A < G.Edges.size(); ++A) {
@@ -150,6 +177,14 @@ void bipartitePruning(Function &F, AffinityGraph &G, PinningContext &Ctx,
       EB.Weight += static_cast<int>(EA.Multiplicity);
     }
   }
+
+  // The greedy pick compares tie bonuses only between two live edges of
+  // positive weight, and weights only fall from here on.
+  unsigned NumPositive = 0;
+  for (const Edge &E : G.Edges)
+    NumPositive += !E.Deleted && E.Weight > 0;
+  if (NumPositive >= 2)
+    addTieBonuses(G, Ctx, UsePins);
 
   // Greedy deletion: heaviest first; ties prune the edge with the
   // fewest use-pin ties (keep the ABI-profitable edges).
@@ -307,12 +342,12 @@ PhiCoalescingStats lao::coalescePhis(Function &F, PinningContext &Ctx,
       }
   }
 
-
+  const std::vector<UsePin> UsePins = collectUsePins(F);
   auto ProcessBlock = [&](BasicBlock *BB, int DepthFilter) {
     AffinityGraph G =
         createAffinityGraph(*BB, Ctx, LI, DepthFilter, Stats);
     initialPruning(G, Ctx, Stats);
-    bipartitePruning(F, G, Ctx, Opts.Heuristic, Stats);
+    bipartitePruning(G, Ctx, UsePins, Opts.Heuristic, Stats);
     mergeComponents(F, G, Ctx, Opts.PhysMergeMinMult, Stats);
   };
 

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ReferenceCoalescer.h"
+#include "ReferenceInterferenceGraph.h"
 #include "TestUtil.h"
 
 #include "analysis/AnalysisManager.h"
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
 using namespace lao;
 using namespace lao::test;
@@ -85,6 +87,8 @@ entry:
   EXPECT_FALSE(IG.interfere(U, B));
   IG.mergeNodes(U, A); // u absorbs a; a interfered with b.
   EXPECT_TRUE(IG.interfere(U, B));
+  EXPECT_FALSE(IG.isCompact());
+  IG.compact(); // Rows are read only after the merges settle.
   EXPECT_TRUE(IG.neighbors(A).empty());
 }
 
@@ -273,9 +277,10 @@ std::string compareSchedules(const Function &Input,
 TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
   // The header's exactness claim, checked literally: on the coalescer
   // input of every +C preset (the preset run with its coalescer off) and
-  // of "Sphi" (Sreedhar plus naive ABI lowering), for every suite function
-  // and a few generated ones, the zero-rebuild worklist schedule performs
-  // the *same merges in the same order* as rebuilding the analyses after
+  // of "Sphi" (Sreedhar plus naive ABI lowering), for every suite function,
+  // a few generated ones and an 800-block ladder point (a large graph with
+  // high-degree hubs), the zero-rebuild worklist schedule performs the
+  // *same merges in the same order* as rebuilding the analyses after
   // every sweep. The runs share nothing, so they go to a pool of up to
   // four threads, largest function first.
   std::vector<Workload> Functions;
@@ -301,6 +306,12 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
     W.Name.insert(0, "generated/");
     Functions.push_back(std::move(W));
   }
+  {
+    Workload W;
+    W.Name = "ladder/b800";
+    W.F = makeLadderFunction(800, 0x1adde5 + 800);
+    Functions.push_back(std::move(W));
+  }
   std::stable_sort(Functions.begin(), Functions.end(),
                    [](const Workload &A, const Workload &B) {
                      return A.F->numValues() > B.F->numValues();
@@ -319,6 +330,143 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
   Pool.parallelFor(Failure.size(), [&](size_t I) {
     Failure[I] =
         compareSchedules(*Functions[I / NumConfigs].F, Configs[I % NumConfigs]);
+  });
+  for (size_t I = 0; I < Failure.size(); ++I)
+    EXPECT_EQ(Failure[I], "") << Functions[I / NumConfigs].Name << " under "
+                              << Configs[I % NumConfigs].Name;
+}
+
+namespace {
+
+/// Applies \p Merges — resolved (survivor, victim) pairs, cut into rounds
+/// of \p RoundSizes merges — to the production graph and to the eagerly
+/// merged reference, both built for \p F. Before each merge both graphs
+/// must give the same interfere() answer for each endpoint against the
+/// other endpoint and against every reference neighbor of either one;
+/// after each round the production graph is compacted and every row must
+/// equal the reference's. Returns "" or the first difference.
+std::string replayMerges(Function &F, const MergeTrace &Merges,
+                         const std::vector<unsigned> &RoundSizes) {
+  CFG Cfg(F);
+  Liveness LV(Cfg);
+  InterferenceGraph Lazy(F, LV);
+  ReferenceInterferenceGraph Eager(F, LV);
+  auto RowsDiffer = [&]() -> std::string {
+    for (RegId V = 0; V < F.numValues(); ++V)
+      if (Lazy.neighbors(V) != Eager.neighbors(V))
+        return formatStr("rows of v%u differ", unsigned(V));
+    return "";
+  };
+  if (std::string D = RowsDiffer(); !D.empty())
+    return "fresh graphs: " + D;
+
+  size_t Next = 0;
+  for (size_t Round = 0; Round < RoundSizes.size(); ++Round) {
+    for (unsigned K = 0; K < RoundSizes[Round]; ++K, ++Next) {
+      auto [Rep, Dead] = Merges[Next];
+      std::vector<RegId> Queried = Eager.neighbors(Rep);
+      Queried.insert(Queried.end(), Eager.neighbors(Dead).begin(),
+                     Eager.neighbors(Dead).end());
+      Queried.push_back(Rep);
+      Queried.push_back(Dead);
+      for (RegId X : {Rep, Dead})
+        for (RegId Y : Queried)
+          if (Lazy.interfere(X, Y) != Eager.interfere(X, Y))
+            return formatStr("merge %zu: interfere(v%u, v%u) differs", Next,
+                             unsigned(X), unsigned(Y));
+      Lazy.mergeNodes(Rep, Dead);
+      Eager.mergeNodes(Rep, Dead);
+    }
+    Lazy.compact();
+    if (std::string D = RowsDiffer(); !D.empty())
+      return formatStr("after round %zu: ", Round) + D;
+  }
+  return "";
+}
+
+/// The coalescer's own merges on the input \p Config leaves, in its
+/// rounds, then seeded merges of non-interfering pairs of representatives
+/// (physical victims excluded) in rounds of 1 to 64, on the same input.
+std::string compareLazyMerges(const Function &Input,
+                              const PipelineConfig &Config) {
+  auto F = cloneFunction(Input);
+  runPipeline(*F, Config);
+
+  MergeTrace Trace;
+  CoalescerOptions Opts;
+  Opts.TraceOut = &Trace;
+  auto G = cloneFunction(*F);
+  CoalescerStats S = coalesceAggressively(*G, Opts);
+  if (std::string D = replayMerges(*F, Trace, S.RoundMerges); !D.empty())
+    return "coalescer trace, " + D;
+
+  CFG Cfg(*F);
+  Liveness LV(Cfg);
+  ReferenceInterferenceGraph Eager(*F, LV);
+  std::mt19937_64 Rng(F->numValues());
+  std::vector<RegId> Reps;
+  for (RegId V = 0; V < F->numValues(); ++V)
+    Reps.push_back(V);
+  MergeTrace Seeded;
+  std::vector<unsigned> Rounds;
+  unsigned InRound = 0, RoundSize = 1;
+  for (unsigned Try = 0; Try < 4 * F->numValues() && Reps.size() > 1; ++Try) {
+    size_t IA = Rng() % Reps.size(), IB = Rng() % Reps.size();
+    RegId A = Reps[IA], B = Reps[IB];
+    if (A == B || F->isPhysical(B) || Eager.interfere(A, B))
+      continue;
+    Eager.mergeNodes(A, B);
+    Seeded.emplace_back(A, B);
+    Reps.erase(Reps.begin() + IB);
+    if (++InRound == RoundSize) {
+      Rounds.push_back(InRound);
+      InRound = 0;
+      RoundSize = 1 + Rng() % 64;
+    }
+  }
+  if (InRound)
+    Rounds.push_back(InRound);
+  if (std::string D = replayMerges(*F, Seeded, Rounds); !D.empty())
+    return "seeded merges, " + D;
+  return "";
+}
+
+} // namespace
+
+TEST(InterferenceGraph, LazyMergesMatchEagerReferenceOnEverySuite) {
+  // The lazy merge (alias array, stale rows, one compaction per round)
+  // against the eager one it replaced (tests/ReferenceInterferenceGraph.h):
+  // the coalescer's merge sequence and a seeded one, on the coalescer
+  // input of the naive and the ABI-aware preset, for every suite function
+  // and an 800-block ladder point.
+  std::vector<Workload> Functions;
+  for (const SuiteSpec &Spec : allSuites())
+    for (Workload &W : Spec.Make()) {
+      W.Name = std::string(Spec.Name) + "/" + W.Name;
+      Functions.push_back(std::move(W));
+    }
+  {
+    Workload W;
+    W.Name = "ladder/b800";
+    W.F = makeLadderFunction(800, 0x1adde5 + 800);
+    Functions.push_back(std::move(W));
+  }
+  std::stable_sort(Functions.begin(), Functions.end(),
+                   [](const Workload &A, const Workload &B) {
+                     return A.F->numValues() > B.F->numValues();
+                   });
+  std::vector<PipelineConfig> Configs;
+  for (const char *Preset : {"C,naiveABI+C", "Lphi,ABI+C"}) {
+    Configs.push_back(pipelinePreset(Preset));
+    Configs.back().Coalesce = false;
+  }
+
+  size_t NumConfigs = Configs.size();
+  std::vector<std::string> Failure(Functions.size() * NumConfigs);
+  ThreadPool Pool(std::min(4u, ThreadPool::defaultConcurrency()));
+  Pool.parallelFor(Failure.size(), [&](size_t I) {
+    Failure[I] = compareLazyMerges(*Functions[I / NumConfigs].F,
+                                   Configs[I % NumConfigs]);
   });
   for (size_t I = 0; I < Failure.size(); ++I)
     EXPECT_EQ(Failure[I], "") << Functions[I / NumConfigs].Name << " under "
@@ -453,15 +601,21 @@ TEST(InterferenceGraph, NeighborsSortedAndMatrixConsistent) {
     Liveness LV(Cfg);
     InterferenceGraph IG(*F, LV);
     CheckGraph(IG, F->numValues(), "fresh");
-    // Merge a few non-interfering pairs and re-check the invariants.
+    // Merge a few non-interfering pairs of representatives (a merged-away
+    // node is never merged again) and re-check the invariants once the
+    // rows are compacted.
     unsigned Merged = 0;
+    std::vector<bool> Gone(F->numValues());
     for (RegId A = 0; A < F->numValues() && Merged < 4; ++A)
-      for (RegId B = A + 1; B < F->numValues() && Merged < 4; ++B)
-        if (!IG.interfere(A, B) && !F->isPhysical(B)) {
+      for (RegId B = A + 1; B < F->numValues() && Merged < 4 && !Gone[A];
+           ++B)
+        if (!Gone[B] && !IG.interfere(A, B) && !F->isPhysical(B)) {
           IG.mergeNodes(A, B);
+          Gone[B] = true;
           ++Merged;
           break;
         }
+    IG.compact();
     CheckGraph(IG, F->numValues(), "post-merge");
   }
 }

@@ -403,20 +403,6 @@ std::string compareWithDense(Function &F) {
   return compareWithDense(F, Ctx);
 }
 
-/// A size-ladder point: one generated function of about \p Target
-/// blocks, shaped like the ladder points the benchmark compiles (nesting
-/// depth 2, 20% calls, a statement budget of half the target).
-std::unique_ptr<Function> makeLadderFunction(unsigned Target, uint64_t Seed) {
-  GeneratorParams P;
-  P.Seed = Seed;
-  P.NumStatements = Target / 2;
-  P.MaxNesting = 2;
-  P.CallPercent = 20;
-  auto F = generateProgram(P, formatStr("ladder%u", Target));
-  EXPECT_TRUE(normalizeToOptimizedSSA(*F));
-  return F;
-}
-
 /// The ten Table 1 presets.
 const char *const AllPresets[] = {
     "Lphi+C", "C",        "Sphi+C", "Lphi,ABI+C",   "Sphi+LABI+C",

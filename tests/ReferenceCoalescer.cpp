@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ReferenceCoalescer.h"
+#include "ReferenceInterferenceGraph.h"
 
-#include "analysis/InterferenceGraph.h"
 #include "analysis/Liveness.h"
 #include "ir/CFG.h"
 
@@ -21,7 +21,7 @@ CoalescerStats lao::test::coalesceRebuildingEveryRound(Function &F,
     ++Stats.NumRebuilds;
     CFG Cfg(F);
     Liveness LV(Cfg);
-    InterferenceGraph IG(F, LV);
+    ReferenceInterferenceGraph IG(F, LV);
 
     std::vector<RegId> RenameTo(F.numValues(), InvalidReg);
     auto Resolve = [&](RegId V) {

@@ -7,7 +7,9 @@
 /// \file
 /// The paper's [C] "repeated register coalescing" as literally described:
 /// rebuild CFG, liveness and the interference graph before every sweep,
-/// stop after the first sweep that merges nothing. Test-only; the
+/// stop after the first sweep that merges nothing. The graph is the
+/// eagerly merged ReferenceInterferenceGraph, so the comparison also
+/// holds the production graph's lazy merges to it. Test-only; the
 /// coalescer tests (CoalescerTests.cpp) require the production
 /// zero-rebuild worklist schedule (outofssa/Coalescer.h) to perform the
 /// same merges in the same order and to leave byte-identical IR.

@@ -13,6 +13,9 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "support/StringUtils.h"
+#include "workloads/Generator.h"
+#include "workloads/Suites.h"
 
 #include <gtest/gtest.h>
 
@@ -49,6 +52,23 @@ inline void expectEquivalent(const Function &Before, const Function &After,
   EXPECT_EQ(RB.Outputs, RA.Outputs)
       << "output traces differ\n--- before ---\n"
       << printFunction(Before) << "--- after ---\n" << printFunction(After);
+}
+
+/// A size-ladder point: one generated function of about \p Target
+/// blocks, shaped like the ladder points the benchmark compiles (nesting
+/// depth 2, 20% calls, a statement budget of half the target), in SSA.
+/// Its variables live across the whole function, so its interference
+/// graph is dense and hub-heavy.
+inline std::unique_ptr<Function> makeLadderFunction(unsigned Target,
+                                                    uint64_t Seed) {
+  GeneratorParams P;
+  P.Seed = Seed;
+  P.NumStatements = Target / 2;
+  P.MaxNesting = 2;
+  P.CallPercent = 20;
+  auto F = generateProgram(P, formatStr("ladder%u", Target));
+  EXPECT_TRUE(normalizeToOptimizedSSA(*F));
+  return F;
 }
 
 } // namespace test
