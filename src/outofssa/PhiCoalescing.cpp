@@ -116,17 +116,8 @@ std::vector<UsePin> collectUsePins(const Function &F) {
 /// variable lives in the other endpoint makes the edge more valuable.
 void addTieBonuses(AffinityGraph &G, PinningContext &Ctx,
                    const std::vector<UsePin> &UsePins) {
-  std::vector<RegId> Endpoints;
-  for (const Edge &E : G.Edges)
-    if (!E.Deleted) {
-      Endpoints.push_back(E.DefRes);
-      Endpoints.push_back(E.ArgRes);
-    }
-  std::sort(Endpoints.begin(), Endpoints.end());
   for (auto [Pin, Var] : UsePins) {
     RegId RPin = Ctx.resourceOf(Pin);
-    if (!std::binary_search(Endpoints.begin(), Endpoints.end(), RPin))
-      continue;
     RegId RVar = Ctx.resourceOf(Var);
     if (RPin == RVar)
       continue;
