@@ -239,6 +239,30 @@ entry:
 
 namespace {
 
+/// Every suite function, named "<suite>/<function>", and an 800-block
+/// size-ladder point (a large graph with high-degree hubs).
+std::vector<Workload> suiteAndLadderFunctions() {
+  std::vector<Workload> Functions;
+  for (const SuiteSpec &Spec : allSuites())
+    for (Workload &W : Spec.Make()) {
+      W.Name = std::string(Spec.Name) + "/" + W.Name;
+      Functions.push_back(std::move(W));
+    }
+  Workload W;
+  W.Name = "ladder/b800";
+  W.F = makeLadderFunction(800, 0x1adde5 + 800);
+  Functions.push_back(std::move(W));
+  return Functions;
+}
+
+/// Largest function first, so a thread pool does not end on a long run.
+void sortLargestFirst(std::vector<Workload> &Functions) {
+  std::stable_sort(Functions.begin(), Functions.end(),
+                   [](const Workload &A, const Workload &B) {
+                     return A.F->numValues() > B.F->numValues();
+                   });
+}
+
 /// The seven Table 1 presets that end in the aggressive coalescer.
 const char *const CoalescingPresets[] = {
     "Lphi+C", "C", "Sphi+C", "Lphi,ABI+C", "Sphi+LABI+C", "LABI+C",
@@ -283,12 +307,7 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
   // *same merges in the same order* as rebuilding the analyses after
   // every sweep. The runs share nothing, so they go to a pool of up to
   // four threads, largest function first.
-  std::vector<Workload> Functions;
-  for (const SuiteSpec &Spec : allSuites())
-    for (Workload &W : Spec.Make()) {
-      W.Name = std::string(Spec.Name) + "/" + W.Name;
-      Functions.push_back(std::move(W));
-    }
+  std::vector<Workload> Functions = suiteAndLadderFunctions();
   // Redundant copies and long phi webs: many moves, cascading merges.
   for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
     GeneratorParams P;
@@ -306,16 +325,7 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
     W.Name.insert(0, "generated/");
     Functions.push_back(std::move(W));
   }
-  {
-    Workload W;
-    W.Name = "ladder/b800";
-    W.F = makeLadderFunction(800, 0x1adde5 + 800);
-    Functions.push_back(std::move(W));
-  }
-  std::stable_sort(Functions.begin(), Functions.end(),
-                   [](const Workload &A, const Workload &B) {
-                     return A.F->numValues() > B.F->numValues();
-                   });
+  sortLargestFirst(Functions);
 
   std::vector<PipelineConfig> Configs;
   for (const char *Preset : CoalescingPresets) {
@@ -439,22 +449,8 @@ TEST(InterferenceGraph, LazyMergesMatchEagerReferenceOnEverySuite) {
   // the coalescer's merge sequence and a seeded one, on the coalescer
   // input of the naive and the ABI-aware preset, for every suite function
   // and an 800-block ladder point.
-  std::vector<Workload> Functions;
-  for (const SuiteSpec &Spec : allSuites())
-    for (Workload &W : Spec.Make()) {
-      W.Name = std::string(Spec.Name) + "/" + W.Name;
-      Functions.push_back(std::move(W));
-    }
-  {
-    Workload W;
-    W.Name = "ladder/b800";
-    W.F = makeLadderFunction(800, 0x1adde5 + 800);
-    Functions.push_back(std::move(W));
-  }
-  std::stable_sort(Functions.begin(), Functions.end(),
-                   [](const Workload &A, const Workload &B) {
-                     return A.F->numValues() > B.F->numValues();
-                   });
+  std::vector<Workload> Functions = suiteAndLadderFunctions();
+  sortLargestFirst(Functions);
   std::vector<PipelineConfig> Configs;
   for (const char *Preset : {"C,naiveABI+C", "Lphi,ABI+C"}) {
     Configs.push_back(pipelinePreset(Preset));
