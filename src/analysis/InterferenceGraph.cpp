@@ -17,7 +17,7 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV) {
   ++LAO_STAT(interference, graphs_built);
   size_t NV = F.numValues();
   Adj.resize(NV);
-  Alias.assign(NV, InvalidReg);
+  Merged.grow(NV);
   StaleMask.resize(NV);
   Matrix.resize(NV < 2 ? 0 : NV * (NV - 1) / 2);
 
@@ -49,27 +49,15 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV) {
     std::sort(List.begin(), List.end());
 }
 
-RegId InterferenceGraph::find(RegId V) {
-  RegId Root = V;
-  while (Alias[Root] != InvalidReg)
-    Root = Alias[Root];
-  while (Alias[V] != InvalidReg) {
-    RegId Next = Alias[V];
-    Alias[V] = Root;
-    V = Next;
-  }
-  return Root;
-}
-
 void InterferenceGraph::mergeNodes(RegId Rep, RegId Dead) {
   assert(Rep != Dead && "merging a node into itself");
-  assert(Alias[Rep] == InvalidReg && Alias[Dead] == InvalidReg &&
+  assert(representative(Rep) == Rep && representative(Dead) == Dead &&
          "merging a node that was merged away");
 
   // Dead's row may name merged-away nodes and repeat a neighbor; the
   // Dead-N matrix bit, reset on first sight, visits each neighbor once.
   for (RegId Entry : Adj[Dead]) {
-    RegId N = find(Entry);
+    RegId N = representative(Entry);
     if (N == Dead)
       continue;
     size_t DeadN = triIndex(Dead, N);
@@ -87,18 +75,18 @@ void InterferenceGraph::mergeNodes(RegId Rep, RegId Dead) {
     }
   }
   std::vector<RegId>().swap(Adj[Dead]);
-  Alias[Dead] = Rep;
+  Merged.merge(Rep, Dead, /*PreferA=*/true);
   markStale(Rep);
 }
 
 void InterferenceGraph::compact() {
   for (RegId V : StaleList) {
     StaleMask.reset(V);
-    if (Alias[V] != InvalidReg)
+    if (representative(V) != V)
       continue; // Merged away after it went stale: its row is empty.
     std::vector<RegId> &Row = Adj[V];
     for (RegId &N : Row)
-      N = find(N);
+      N = representative(N);
     Row.erase(std::remove(Row.begin(), Row.end(), V), Row.end());
     std::sort(Row.begin(), Row.end());
     Row.erase(std::unique(Row.begin(), Row.end()), Row.end());

@@ -22,7 +22,9 @@
 /// iterated coalescing: `mergeNodes` moves the victim's matrix bits to
 /// the survivor at once (so `interfere` stays exact over the current
 /// representatives) but leaves the rows stale — the victim's id stays in
-/// its neighbors' rows and resolves through the alias array. `compact()`
+/// its neighbors' rows and resolves through the graph's UnionFind.
+/// `representative(V)` reads that union-find; it is the one merge map of
+/// the coalescer, which resolves every operand through it. `compact()`
 /// resolves, sorts and deduplicates every stale row in one pass; the
 /// coalescer calls it once per round, and `neighbors()` and `removeEdge`
 /// may only be used on a compact graph.
@@ -39,6 +41,7 @@
 #include "analysis/Liveness.h"
 #include "ir/Function.h"
 #include "support/BitVector.h"
+#include "support/UnionFind.h"
 
 #include <algorithm>
 #include <cassert>
@@ -107,21 +110,25 @@ public:
     return Matrix.test(triIndex(A, B));
   }
 
+  /// The node \p V has been merged into, through any chain of merges
+  /// (V itself if it was never merged away).
+  RegId representative(RegId V) const { return Merged.find(V); }
+
   /// Merges \p Dead into \p Rep, both current representatives — the
   /// vertex merge after coalescing a move (Section 3.5). Rep's
   /// neighborhood becomes the union of both; a Rep-Dead edge dies with the
   /// merge. O(deg(Dead)): Dead's matrix bits move to Rep, Dead's neighbors
-  /// that Rep lacked are appended to Rep's row, Dead is aliased to Rep,
-  /// and Rep and Dead's neighbors are marked stale. Their rows are left
-  /// unsorted, with Dead's id (now an alias of Rep) in place, until the
-  /// next compact().
+  /// that Rep lacked are appended to Rep's row, Dead's set joins Rep's
+  /// (Rep stays its representative), and Rep and Dead's neighbors are
+  /// marked stale. Their rows are left unsorted, with Dead's id (now
+  /// resolving to Rep) in place, until the next compact().
   void mergeNodes(RegId Rep, RegId Dead);
 
-  /// Resolves every stale row through the alias array, drops self entries,
-  /// sorts and deduplicates it: afterwards each row of a representative
-  /// lists its neighbors in ascending order, and a merged-away node's row
-  /// is empty. O(Σ |row| log |row|) over the rows merged into since the
-  /// last call.
+  /// Replaces every entry of each stale row by its representative, drops
+  /// self entries, sorts and deduplicates the row: afterwards each row of
+  /// a representative lists its neighbors in ascending order, and a
+  /// merged-away node's row is empty. O(Σ |row| log |row|) over the rows
+  /// merged into since the last call.
   void compact();
 
   /// True when no row is stale (no merge since the last compact()).
@@ -164,10 +171,6 @@ private:
     Vec.erase(It);
   }
 
-  /// The representative \p V was merged into (V itself if never merged),
-  /// compressing the alias path on the way.
-  RegId find(RegId V);
-
   void markStale(RegId V) {
     if (!StaleMask.test(V)) {
       StaleMask.set(V);
@@ -177,9 +180,7 @@ private:
 
   BitVector Matrix; ///< Lower-triangular adjacency bits.
   std::vector<std::vector<RegId>> Adj;
-  /// Merged-away node -> the node it was merged into; InvalidReg for a
-  /// representative.
-  std::vector<RegId> Alias;
+  UnionFind Merged; ///< Which nodes have been merged into which.
   BitVector StaleMask; ///< Rows changed by a merge since the last compact().
   std::vector<RegId> StaleList;
 };

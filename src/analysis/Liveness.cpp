@@ -89,44 +89,11 @@ Liveness::Liveness(const CFG &Cfg) : Cfg(Cfg) {
       [](RegId V) { return static_cast<uint32_t>(V); }, LiveIn, LiveOut);
 }
 
-void Liveness::applyRenames(const std::vector<RegId> &RenameTo) {
-  ++LAO_STAT(liveness, incremental_renames);
-  size_t NV = Cfg.func().numValues();
-  // Resolve chains (a -> b -> c) so every victim maps to its final
-  // survivor.
-  auto Resolve = [&](RegId V) {
-    while (V < RenameTo.size() && RenameTo[V] != InvalidReg)
-      V = RenameTo[V];
-    return V;
-  };
-  // Victim list once, then O(blocks x victims) instead of scanning every
-  // value id per block — merge rounds rename a handful of victims out of
-  // hundreds of values.
-  std::vector<std::pair<RegId, RegId>> Victims; // (victim, final survivor)
-  for (RegId V = 0; V < RenameTo.size() && V < NV; ++V)
-    if (RenameTo[V] != InvalidReg)
-      Victims.emplace_back(V, Resolve(V));
-  if (Victims.empty())
-    return;
-  for (size_t B = 0, NB = LiveIn.size(); B < NB; ++B) {
-    for (auto [V, S] : Victims) {
-      if (LiveIn[B].test(V)) {
-        LiveIn[B].reset(V);
-        LiveIn[B].set(S);
-      }
-      if (LiveOut[B].test(V)) {
-        LiveOut[B].reset(V);
-        LiveOut[B].set(S);
-      }
-    }
-  }
-}
-
 void Liveness::recomputeValues(const std::vector<RegId> &Vars) {
   if (Vars.empty())
     return;
   ++LAO_STAT(liveness, partial_recomputes);
-  size_t NB = LiveIn.size();
+  clearValues(Vars);
   size_t K = Vars.size();
 
   // Dense slot assignment for just the requested variables.
@@ -137,18 +104,21 @@ void Liveness::recomputeValues(const std::vector<RegId> &Vars) {
   std::vector<BitVector> In, Out;
   solve(Cfg, K, [&](RegId V) { return Slot[V]; }, In, Out);
 
-  // Write the restricted solution back into the full-width sets.
-  for (size_t B = 0; B < NB; ++B) {
-    for (size_t I = 0; I < K; ++I) {
-      RegId V = Vars[I];
-      if (In[B].test(I))
-        LiveIn[B].set(V);
-      else
-        LiveIn[B].reset(V);
-      if (Out[B].test(I))
-        LiveOut[B].set(V);
-      else
-        LiveOut[B].reset(V);
-    }
+  // Set the restricted solution's bits in the full-width sets.
+  for (size_t B = 0, NB = LiveIn.size(); B < NB; ++B) {
+    In[B].forEach([&](size_t I) { LiveIn[B].set(Vars[I]); });
+    Out[B].forEach([&](size_t I) { LiveOut[B].set(Vars[I]); });
+  }
+}
+
+void Liveness::clearValues(const std::vector<RegId> &Vars) {
+  if (Vars.empty())
+    return;
+  BitVector Mask(Cfg.func().numValues());
+  for (RegId V : Vars)
+    Mask.set(V);
+  for (size_t B = 0, NB = LiveIn.size(); B < NB; ++B) {
+    LiveIn[B].subtract(Mask);
+    LiveOut[B].subtract(Mask);
   }
 }

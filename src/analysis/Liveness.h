@@ -51,19 +51,18 @@ public:
 
   const CFG &cfg() const { return Cfg; }
 
-  /// Incremental maintenance for the coalescer: projects a victim ->
-  /// survivor rename map (`RenameTo[v] != InvalidReg` marks a victim;
-  /// chains are chased) onto the block-level sets. Victim bits are
-  /// cleared and OR-ed into their survivor — exact for the rename itself;
-  /// callers that also *delete* instructions (identity copies) must
-  /// follow up with recomputeValues on the affected survivors.
-  void applyRenames(const std::vector<RegId> &RenameTo);
-
-  /// Recomputes the block-level sets of \p Vars exactly, from the
-  /// function's current instructions, leaving every other variable's
-  /// bits untouched. A restricted |Vars|-bit fixpoint: one scan of the
-  /// function plus a small iteration, instead of a full dense analysis.
+  /// Incremental maintenance, for passes that rename or delete values
+  /// (the coalescer): recomputes the block-level sets of \p Vars exactly,
+  /// from the function's current instructions, leaving every other
+  /// variable's bits untouched. Clears the Vars' bits, then sets those of
+  /// a restricted |Vars|-bit fixpoint: one scan of the function plus a
+  /// small iteration, instead of a full dense analysis.
   void recomputeValues(const std::vector<RegId> &Vars);
+
+  /// Clears the block-level bits of \p Vars, values that no longer occur
+  /// in the function (a merge's victims): one mask subtract per set,
+  /// O(blocks x values/64).
+  void clearValues(const std::vector<RegId> &Vars);
 
 private:
   const CFG &Cfg;

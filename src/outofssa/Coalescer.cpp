@@ -27,13 +27,31 @@ uint64_t pairKey(RegId A, RegId B) {
   return (static_cast<uint64_t>(A) << 32) | B;
 }
 
+/// The copies the coalescer may merge: every move that is not an identity
+/// and does not join two physical registers, in instruction order.
+std::vector<Instruction *> candidateCopies(Function &F) {
+  std::vector<Instruction *> Copies;
+  for (const auto &BB : F.blocks()) {
+    for (Instruction &I : BB->instructions()) {
+      if (!I.isCopy())
+        continue;
+      RegId D = I.def(0), S = I.use(0);
+      if (D == S)
+        continue;
+      if (F.isPhysical(D) && F.isPhysical(S))
+        continue;
+      Copies.push_back(&I);
+    }
+  }
+  return Copies;
+}
+
 /// Graph-free fixpoint check: would a freshly built exact interference
-/// graph let the sweep merge at least one remaining copy?
+/// graph let the sweep merge at least one of \p Copies?
 ///
 /// A visitor of forEachInterference, the walk that builds the graph:
 /// instead of materializing edges it only *marks* the candidate pairs —
-/// the (def, use) pairs of the remaining copies (identities and
-/// physical/physical pairs excluded) — that would receive an edge. A
+/// the (def, use) pairs of the copies — that would receive an edge. A
 /// candidate left unmarked is exactly a copy the sweep would merge on a
 /// fresh graph, so "any candidate unmarked" <=> "a rebuild would be
 /// productive".
@@ -42,24 +60,15 @@ uint64_t pairKey(RegId A, RegId B) {
 /// sorted and uniqued once, then probed by binary search; marked pairs
 /// are appended freely and deduplicated once at the end. No per-element
 /// hashing or node allocation.
-bool anyCoalescableCopy(const Function &F, const Liveness &LV) {
+bool anyCoalescableCopy(const Function &F, const Liveness &LV,
+                        const std::vector<Instruction *> &Copies) {
   ++LAO_STAT(coalesce, confirm_scans);
 
   // Candidate pairs and, per register, its candidate partners (tiny
   // lists: only registers appearing in copies have any).
   std::vector<uint64_t> Candidates;
-  for (const auto &BB : F.blocks()) {
-    for (const Instruction &I : BB->instructions()) {
-      if (!I.isCopy())
-        continue;
-      RegId D = I.def(0), S = I.use(0);
-      if (D == S)
-        continue;
-      if (F.isPhysical(D) && F.isPhysical(S))
-        continue;
-      Candidates.push_back(pairKey(D, S));
-    }
-  }
+  for (const Instruction *I : Copies)
+    Candidates.push_back(pairKey(I->def(0), I->use(0)));
   if (Candidates.empty())
     return false;
   std::sort(Candidates.begin(), Candidates.end());
@@ -195,8 +204,9 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
 
   // Graph-free gate first: most calls after the phi-coalescing
   // configurations find nothing to merge and never build a graph.
+  std::vector<Instruction *> Copies = candidateCopies(F);
   ++Stats.NumConfirmScans;
-  if (!anyCoalescableCopy(F, LV))
+  if (!anyCoalescableCopy(F, LV, Copies))
     return;
 
   bool HadGraph = AM.isCached(AnalysisKind::Interference);
@@ -204,43 +214,25 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
   if (!HadGraph)
     ++Stats.NumRebuilds; // The one and only build of this call.
 
-  // The move worklist: every remaining candidate copy, in instruction
-  // order (matching the reference sweep order). Entries index Moves so
-  // deleted instructions can be retired without dangling pointers.
-  struct MoveRec {
-    Instruction *I;
-    bool Alive = true;
-  };
-  std::vector<MoveRec> Moves;
-  for (const auto &BB : F.blocks()) {
-    for (Instruction &I : BB->instructions()) {
-      if (!I.isCopy())
-        continue;
-      RegId D = I.def(0), S = I.use(0);
-      if (D == S)
-        continue;
-      if (F.isPhysical(D) && F.isPhysical(S))
-        continue;
-      Moves.push_back({&I});
-    }
-  }
-
-  std::vector<unsigned> Queue; // This round's pops, ascending move index.
-  Queue.reserve(Moves.size());
-  for (unsigned Idx = 0; Idx < Moves.size(); ++Idx)
+  // The move worklist: every candidate copy, in instruction order
+  // (matching the reference sweep order). Entries index Copies, and
+  // Retired marks the copies deleted as identities, so no entry is left
+  // dangling.
+  std::vector<bool> Retired(Copies.size());
+  std::vector<unsigned> Queue; // This round's pops, ascending copy index.
+  Queue.reserve(Copies.size());
+  for (unsigned Idx = 0; Idx < Copies.size(); ++Idx)
     Queue.push_back(Idx);
   Stats.NumWorklistPushes += static_cast<unsigned>(Queue.size());
 
-  std::vector<unsigned> Deferred; // Blocked moves, ascending move index.
-  size_t NV = F.numValues();
-  std::vector<RegId> RenameTo(NV, InvalidReg);
-  auto Resolve = [&](RegId V) {
-    while (RenameTo[V] != InvalidReg)
-      V = RenameTo[V];
-    return V;
-  };
-  BitVector DirtyMask(NV);
+  std::vector<unsigned> Deferred; // Blocked moves, ascending copy index.
+  // Operands resolve through the graph's merge map. Each merge marks its
+  // survivor dirty, so DirtyList holds every victim's final
+  // representative; a survivor merged away later in the round is also in
+  // Victims.
+  BitVector DirtyMask(F.numValues());
   std::vector<RegId> DirtyList;
+  std::vector<RegId> Victims;
 
   while (!Queue.empty()) {
     ++Stats.NumRounds;
@@ -250,10 +242,9 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
 
     for (unsigned Idx : Queue) {
       ++Stats.NumWorklistPops;
-      const MoveRec &M = Moves[Idx];
-      assert(M.Alive && "a dead move stayed enqueued");
-      RegId D = Resolve(M.I->def(0));
-      RegId S = Resolve(M.I->use(0));
+      assert(!Retired[Idx] && "a dead move stayed enqueued");
+      RegId D = IG.representative(Copies[Idx]->def(0));
+      RegId S = IG.representative(Copies[Idx]->use(0));
       if (D == S)
         continue; // Became an identity; deleted at the boundary.
       if (F.isPhysical(D) && F.isPhysical(S))
@@ -265,7 +256,7 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
       RegId Survivor = F.isPhysical(S) ? S : D;
       RegId Victim = Survivor == D ? S : D;
       IG.mergeNodes(Survivor, Victim);
-      RenameTo[Victim] = Survivor;
+      Victims.push_back(Victim);
       if (!DirtyMask.test(Survivor)) {
         DirtyMask.set(Survivor);
         DirtyList.push_back(Survivor);
@@ -281,28 +272,22 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
 
     // Round boundary: apply the renames, drop identity moves (retiring
     // their worklist entries), and maintain the dense liveness exactly.
-    std::vector<RegId> Survivors;
-    for (RegId V = 0; V < NV; ++V)
-      if (RenameTo[V] != InvalidReg)
-        Survivors.push_back(Resolve(V));
-    std::sort(Survivors.begin(), Survivors.end());
-    Survivors.erase(std::unique(Survivors.begin(), Survivors.end()),
-                    Survivors.end());
-
+    //
     // Retire the records whose copies the rewrite below will erase as
     // identities BEFORE touching the instructions: resolving the recorded
     // operands needs no pointer map, and the erase loop then never has to
     // map an instruction back to its record.
-    for (MoveRec &M : Moves)
-      if (M.Alive && Resolve(M.I->def(0)) == Resolve(M.I->use(0)))
-        M.Alive = false;
+    for (unsigned Idx = 0; Idx < Copies.size(); ++Idx)
+      if (!Retired[Idx] && IG.representative(Copies[Idx]->def(0)) ==
+                               IG.representative(Copies[Idx]->use(0)))
+        Retired[Idx] = true;
     for (const auto &BB : F.blocks()) {
       auto &Insts = BB->instructions();
       for (auto It = Insts.begin(); It != Insts.end();) {
         for (unsigned K = 0; K < It->numDefs(); ++K)
-          It->setDef(K, Resolve(It->def(K)));
+          It->setDef(K, IG.representative(It->def(K)));
         for (unsigned K = 0; K < It->numUses(); ++K)
-          It->setUse(K, Resolve(It->use(K)));
+          It->setUse(K, IG.representative(It->use(K)));
         if (It->isCopy() && It->def(0) == It->use(0)) {
           It = Insts.erase(It);
           ++Stats.NumMovesRemoved;
@@ -312,8 +297,10 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
       }
     }
 
-    LV.applyRenames(RenameTo);
-    LV.recomputeValues(Survivors);
+    // Only the dirty values' ranges changed (the victims' joined their
+    // final representatives); the victims no longer occur anywhere.
+    LV.recomputeValues(DirtyList);
+    LV.clearValues(Victims);
 
     // Settle this round's lazy merges into sorted rows, then restore
     // G = exact graph of the rewritten program (dirty rows only).
@@ -327,10 +314,10 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
     Queue.clear();
     std::vector<unsigned> StillDeferred;
     for (unsigned Idx : Deferred) {
-      const MoveRec &M = Moves[Idx];
-      if (!M.Alive)
+      if (Retired[Idx])
         continue; // Deleted as an identity above.
-      RegId D = M.I->def(0), S = M.I->use(0); // Rewritten: already resolved.
+      // Rewritten: already resolved.
+      RegId D = Copies[Idx]->def(0), S = Copies[Idx]->use(0);
       assert(D != S && "identity copies are deleted, not deferred");
       if (F.isPhysical(D) && F.isPhysical(S))
         continue; // Permanently unmergeable.
@@ -344,9 +331,9 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
     }
     Deferred.swap(StillDeferred);
 
-    std::fill(RenameTo.begin(), RenameTo.end(), InvalidReg);
     DirtyMask.clear();
     DirtyList.clear();
+    Victims.clear();
   }
   // Worklist dry: every surviving copy pair carries an exact interference
   // edge — the rebuild-every-round fixpoint condition.

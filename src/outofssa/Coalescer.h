@@ -18,17 +18,20 @@
 /// calls find nothing and never build a graph); then a FIFO worklist of
 /// the remaining copies drives merge *rounds*:
 ///
-///  1. pop each copy, resolve its operands through this round's rename
-///     map, and either merge it or defer it when the current graph
-///     carries an edge between the operands. InterferenceGraph::mergeNodes
-///     unions the two neighborhoods lazily, in O(deg(victim)): the bit
-///     matrix, which answers every mid-round query, moves the victim's
-///     edges to the survivor at once, while the adjacency rows only gain
-///     the victim's new neighbors and are marked stale (the victim's id
-///     stays in them, resolved through an alias array);
-///  2. at the round boundary, apply the renames to the instructions,
-///     delete the moves that became identities, maintain the dense
-///     liveness exactly (Liveness::applyRenames + recomputeValues),
+///  1. pop each copy, resolve its operands through the graph's merge map
+///     (InterferenceGraph::representative, a union-find: the schedule
+///     keeps no rename map of its own), and either merge it or defer it
+///     when the current graph carries an edge between the operands.
+///     InterferenceGraph::mergeNodes unions the two neighborhoods lazily,
+///     in O(deg(victim)): the bit matrix, which answers every mid-round
+///     query, moves the victim's edges to the survivor at once, while the
+///     adjacency rows only gain the victim's new neighbors and are marked
+///     stale (the victim's id stays in them and resolves to the survivor);
+///  2. at the round boundary, rewrite every operand to its
+///     representative, delete the moves that became identities, maintain
+///     the dense liveness exactly (Liveness::recomputeValues on the
+///     round's survivors, which include every victim's final
+///     representative, then Liveness::clearValues on its victims),
 ///     compact the stale rows once (resolve, sort, deduplicate), and run
 ///     one *repair scan* that restores the graph to exactness (see
 ///     below); then re-enqueue exactly the deferred copies whose operands

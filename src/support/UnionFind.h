@@ -7,7 +7,8 @@
 ///
 /// \file
 /// A small disjoint-set forest with union by size and path compression,
-/// used to maintain resource classes during pinning-based coalescing.
+/// used to maintain resource classes during pinning-based coalescing and
+/// the merged nodes of the interference graph (analysis/InterferenceGraph.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,10 @@
 #include "TestUtil.h"
 
 #include "analysis/AnalysisManager.h"
+#include "analysis/Dominators.h"
 #include "analysis/InterferenceGraph.h"
 #include "analysis/Liveness.h"
+#include "analysis/LoopInfo.h"
 #include "ir/CFG.h"
 #include "outofssa/Coalescer.h"
 #include "outofssa/LeungGeorge.h"
@@ -25,6 +27,7 @@
 
 #include <algorithm>
 #include <random>
+#include <sstream>
 
 using namespace lao;
 using namespace lao::test;
@@ -268,13 +271,73 @@ const char *const CoalescingPresets[] = {
     "Lphi+C", "C", "Sphi+C", "Lphi,ABI+C", "Sphi+LABI+C", "LABI+C",
     "C,naiveABI+C"};
 
+/// A generated SSA program with exemption switches (tests/TestUtil.h)
+/// spliced in at seeded points: whole gadgets before the terminator of
+/// loop-body blocks, and gadgets split across a conditional branch, the
+/// head before the branch and the tail in a successor that only the
+/// branch reaches. Every gadget reads the function's first input, which
+/// dominates every block.
+std::unique_ptr<Function> makeSplicedRequeueProgram(uint64_t Seed) {
+  GeneratorParams P;
+  P.Seed = Seed;
+  P.NumStatements = 40;
+  P.MaxNesting = 3;
+  P.ExtraCopies = Seed % 2 == 0;
+  auto F = generateProgram(P, formatStr("spliced%u", unsigned(Seed)));
+  EXPECT_TRUE(normalizeToOptimizedSSA(*F));
+
+  CFG Cfg(*F);
+  DominatorTree DT(Cfg);
+  LoopInfo LI(Cfg, DT);
+  std::mt19937_64 Rng(Seed);
+  std::vector<std::string> BeforeTerminator(F->numBlocks());
+  std::string Input = "%" + F->valueName(F->entry().front().def(0));
+  unsigned Tags = 0;
+  auto Gadget = [&] {
+    std::string Tag = formatStr("g%u", Tags++);
+    return exemptionSwitch(Input, Tag, "%k" + Tag);
+  };
+  for (const auto &BB : F->blocks()) {
+    if (LI.depth(BB.get()) > 0 && Rng() % 2 == 0) {
+      ExemptionSwitch G = Gadget();
+      BeforeTerminator[BB->id()] += G.Head + G.Tail;
+    }
+    if (BB->terminator().op() != Opcode::Branch)
+      continue;
+    for (BasicBlock *Succ : Cfg.succs(BB.get())) {
+      if (Cfg.preds(Succ).size() != 1 || Rng() % 2 != 0)
+        continue;
+      ExemptionSwitch G = Gadget();
+      BeforeTerminator[BB->id()] += G.Head;
+      BeforeTerminator[Succ->id()] += G.Tail;
+    }
+  }
+
+  // Splice into the printed program, in front of each block's
+  // terminator line.
+  std::istringstream Lines(printFunction(*F));
+  std::string Text, Line, Pending;
+  while (std::getline(Lines, Line)) {
+    if (!Line.empty() && Line.back() == ':')
+      Pending = BeforeTerminator[F->blockByName(Line.substr(0, Line.size() - 1))
+                                     ->id()];
+    if (Line.rfind("  jump ", 0) == 0 || Line.rfind("  branch ", 0) == 0 ||
+        Line.rfind("  ret", 0) == 0)
+      Text += Pending;
+    Text += Line + "\n";
+  }
+  return parse(Text);
+}
+
 /// Runs \p Config on a clone of \p Input, then coalesces the result under
 /// the worklist schedule and a clone of it under the rebuild-every-round
 /// reference. Returns "" when both perform the same merges in the same
 /// order and leave byte-identical IR, with at most one graph build and one
-/// confirm scan on the worklist side; else what differs.
+/// confirm scan on the worklist side; else what differs. The worklist
+/// side's statistics go to \p Fast.
 std::string compareSchedules(const Function &Input,
-                             const PipelineConfig &Config) {
+                             const PipelineConfig &Config,
+                             CoalescerStats &Fast) {
   auto A = cloneFunction(Input);
   runPipeline(*A, Config);
   auto B = cloneFunction(*A);
@@ -282,7 +345,7 @@ std::string compareSchedules(const Function &Input,
   MergeTrace FastTrace, RefTrace;
   CoalescerOptions FastOpts;
   FastOpts.TraceOut = &FastTrace;
-  CoalescerStats Fast = coalesceAggressively(*A, FastOpts);
+  Fast = coalesceAggressively(*A, FastOpts);
   coalesceRebuildingEveryRound(*B, &RefTrace);
 
   if (std::string D = firstTraceDivergence(FastTrace, RefTrace); !D.empty())
@@ -325,6 +388,16 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
     W.Name.insert(0, "generated/");
     Functions.push_back(std::move(W));
   }
+  // Exemption switches spliced into generated programs, in loop bodies
+  // and across branches: merges that need a second round.
+  const std::string Spliced = "spliced/";
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    Workload W;
+    W.F = makeSplicedRequeueProgram(Seed);
+    ASSERT_TRUE(W.F != nullptr) << Seed;
+    W.Name = Spliced + W.F->name();
+    Functions.push_back(std::move(W));
+  }
   sortLargestFirst(Functions);
 
   std::vector<PipelineConfig> Configs;
@@ -336,14 +409,27 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
 
   size_t NumConfigs = Configs.size();
   std::vector<std::string> Failure(Functions.size() * NumConfigs);
+  std::vector<CoalescerStats> Stats(Failure.size());
   ThreadPool Pool(std::min(4u, ThreadPool::defaultConcurrency()));
   Pool.parallelFor(Failure.size(), [&](size_t I) {
-    Failure[I] =
-        compareSchedules(*Functions[I / NumConfigs].F, Configs[I % NumConfigs]);
+    Failure[I] = compareSchedules(*Functions[I / NumConfigs].F,
+                                  Configs[I % NumConfigs], Stats[I]);
   });
-  for (size_t I = 0; I < Failure.size(); ++I)
-    EXPECT_EQ(Failure[I], "") << Functions[I / NumConfigs].Name << " under "
-                              << Configs[I % NumConfigs].Name;
+  unsigned SplicedRequeues = 0, SplicedRounds = 0;
+  for (size_t I = 0; I < Failure.size(); ++I) {
+    const std::string &Name = Functions[I / NumConfigs].Name;
+    const std::string &Config = Configs[I % NumConfigs].Name;
+    EXPECT_EQ(Failure[I], "") << Name << " under " << Config;
+    if (Name.rfind(Spliced, 0) != 0)
+      continue;
+    // The spliced family reaches the multi-round path under every preset.
+    EXPECT_GE(Stats[I].NumRounds, 2u) << Name << " under " << Config;
+    EXPECT_GE(Stats[I].NumRequeues, 1u) << Name << " under " << Config;
+    SplicedRequeues += Stats[I].NumRequeues;
+    SplicedRounds += Stats[I].NumRounds;
+  }
+  RecordProperty("SplicedRequeues", static_cast<int>(SplicedRequeues));
+  RecordProperty("SplicedRounds", static_cast<int>(SplicedRounds));
 }
 
 namespace {
@@ -471,26 +557,19 @@ TEST(InterferenceGraph, LazyMergesMatchEagerReferenceOnEverySuite) {
 
 namespace {
 
-/// Adversarial input for the worklist schedule: \p Gadgets copies of the
-/// exemption-switch pattern
-///
-///   s = ...; d = mov s; x = mov s; k = add x, d
-///
-/// where (x, d) interfere exactly until round 1 merges s into d and the
-/// rewritten `x = mov d` falls under Chaitin's source exemption — every
-/// gadget's second copy must be *re-enqueued* after the round boundary.
-/// A long copy chain follows (merges cascade through mergeNodes within a
-/// round, repeatedly victimizing the previous survivor), and a diamond
-/// whose left leg carries the same deferred pattern across a branch.
+/// Adversarial input for the worklist schedule: \p Gadgets chained
+/// exemption switches (exemptionSwitch, tests/TestUtil.h), every one of
+/// which forces a re-enqueue. A long copy chain follows (merges cascade
+/// through mergeNodes within a round, repeatedly victimizing the previous
+/// survivor), and a diamond whose left leg carries the same deferred
+/// pattern across a branch.
 std::unique_ptr<Function> makeRequeueForcer(unsigned Gadgets) {
   std::string Text = "func @adv {\nentry:\n  input %p\n";
   std::string Prev = "%p";
   for (unsigned G = 0; G < Gadgets; ++G) {
     std::string N = std::to_string(G);
-    Text += "  %s" + N + " = addi " + Prev + ", 1\n";
-    Text += "  %d" + N + " = mov %s" + N + "\n";
-    Text += "  %x" + N + " = mov %s" + N + "\n";
-    Text += "  %k" + N + " = add %x" + N + ", %d" + N + "\n";
+    ExemptionSwitch Gadget = exemptionSwitch(Prev, N, "%k" + N);
+    Text += Gadget.Head + Gadget.Tail;
     Prev = "%k" + N;
   }
   // Copy chain: all of it coalesces in one round, survivor after
@@ -501,14 +580,11 @@ std::unique_ptr<Function> makeRequeueForcer(unsigned Gadgets) {
             "\n";
   // Diamond: the deferred pattern with the blocking liveness flowing
   // through a branch.
-  Text += R"(  %ds = addi %c5, 1
-  %dd = mov %ds
-  %cond = cmplt %c5, %p
-  branch %cond, left, right
-left:
-  %dx = mov %ds
-  %m = add %dx, %dd
-  jump join
+  ExemptionSwitch Diamond = exemptionSwitch("%c5", "d", "%m");
+  Text += Diamond.Head;
+  Text += "  %cond = cmplt %c5, %p\n  branch %cond, left, right\nleft:\n";
+  Text += Diamond.Tail;
+  Text += R"(  jump join
 right:
   %m = add %dd, %dd
   jump join

@@ -23,10 +23,10 @@ CoalescerStats lao::test::coalesceRebuildingEveryRound(Function &F,
     Liveness LV(Cfg);
     ReferenceInterferenceGraph IG(F, LV);
 
-    std::vector<RegId> RenameTo(F.numValues(), InvalidReg);
+    std::vector<RegId> MergedInto(F.numValues(), InvalidReg);
     auto Resolve = [&](RegId V) {
-      while (RenameTo[V] != InvalidReg)
-        V = RenameTo[V];
+      while (MergedInto[V] != InvalidReg)
+        V = MergedInto[V];
       return V;
     };
 
@@ -47,7 +47,7 @@ CoalescerStats lao::test::coalesceRebuildingEveryRound(Function &F,
         RegId Survivor = F.isPhysical(S) ? S : D;
         RegId Victim = Survivor == D ? S : D;
         IG.mergeNodes(Survivor, Victim);
-        RenameTo[Victim] = Survivor;
+        MergedInto[Victim] = Survivor;
         if (TraceOut)
           TraceOut->emplace_back(Survivor, Victim);
         ++Stats.NumMerges;

@@ -71,6 +71,32 @@ inline std::unique_ptr<Function> makeLadderFunction(unsigned Target,
   return F;
 }
 
+/// The exemption-switch gadget of the coalescer tests, in two halves:
+///
+///   head: %s<Tag> = addi <Prev>, 1
+///         %d<Tag> = mov %s<Tag>
+///   tail: %x<Tag> = mov %s<Tag>
+///         <Result> = add %x<Tag>, %d<Tag>
+///
+/// (x, d) interfere until the coalescer merges s into d; the rewritten
+/// `x = mov d` then falls under Chaitin's source exemption, so the second
+/// copy, deferred in its first round, must be re-enqueued after the round
+/// boundary, where the first round's survivor d is merged away. The
+/// halves may sit in different blocks when the head's block dominates the
+/// tail's.
+struct ExemptionSwitch {
+  std::string Head, Tail;
+};
+inline ExemptionSwitch exemptionSwitch(const std::string &Prev,
+                                       const std::string &Tag,
+                                       const std::string &Result) {
+  const char *T = Tag.c_str();
+  return {formatStr("  %%s%s = addi %s, 1\n  %%d%s = mov %%s%s\n", T,
+                    Prev.c_str(), T, T),
+          formatStr("  %%x%s = mov %%s%s\n  %s = add %%x%s, %%d%s\n", T, T,
+                    Result.c_str(), T, T)};
+}
+
 } // namespace test
 } // namespace lao
 
