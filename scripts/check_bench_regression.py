@@ -70,6 +70,9 @@ CHECKED_COUNTERS = (
     # reconstruction crept back in.
     "coalesce.rebuilds",
     "coalesce.confirm_scans",
+    # Restricted liveness solves: one per productive coalescer round.
+    # Growth means a per-merge recompute crept back in.
+    "liveness.partial_recomputes",
     # Out-of-SSA copy insertion: the replay emits repair/phi/pin copies
     # and nothing else; growth means elision (or the repair analysis)
     # regressed.

@@ -101,6 +101,14 @@ class TestCounterFailures(CheckerHarness):
         self.assert_fails_naming(base, fresh, "liveness.var_solves",
                                  "regressed 40 -> 41")
 
+    def test_partial_recomputes_increase_fails(self):
+        base = bench_doc(
+            [record(counters={"liveness.partial_recomputes": 41})])
+        fresh = bench_doc(
+            [record(counters={"liveness.partial_recomputes": 42})])
+        self.assert_fails_naming(base, fresh, "liveness.partial_recomputes",
+                                 "regressed 41 -> 42")
+
     def test_meet_nodes_increase_fails(self):
         base = bench_doc([record(counters={"translate.meet_nodes": 90})])
         fresh = bench_doc([record(counters={"translate.meet_nodes": 91})])
