@@ -105,8 +105,7 @@ bool anyCoalescableCopy(const Function &F, const Liveness &LV,
 }
 
 /// Round-boundary repair: recomputes the rows of the dirty nodes — the
-/// survivors (and since-victimized survivors) of this round's merges —
-/// exactly, by one forEachInterference walk over the already-maintained
+/// nodes this round's merges left as representatives — exactly, by one forEachInterference walk over the already-maintained
 /// liveness of the rewritten program. Staleness is confined to those
 /// rows (see the header's confinement lemmas), so removing each dirty
 /// row's unconfirmed edges restores the whole graph to exactness.
@@ -228,8 +227,7 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
   std::vector<unsigned> Deferred; // Blocked moves, ascending copy index.
   // Operands resolve through the graph's merge map. Each merge marks its
   // survivor dirty, so DirtyList holds every victim's final
-  // representative; a survivor merged away later in the round is also in
-  // Victims.
+  // representative.
   BitVector DirtyMask(F.numValues());
   std::vector<RegId> DirtyList;
   std::vector<RegId> Victims;
@@ -269,6 +267,14 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
     assert(MergesThisRound > 0 &&
            "every scheduled round must merge at least once");
     Stats.RoundMerges.push_back(MergesThisRound);
+    // A survivor merged away later in the round is one of its victims:
+    // only the final representatives stay dirty.
+    std::erase_if(DirtyList, [&](RegId V) {
+      if (IG.representative(V) == V)
+        return false;
+      DirtyMask.reset(V);
+      return true;
+    });
 
     // Round boundary: apply the renames, drop identity moves (retiring
     // their worklist entries), and maintain the dense liveness exactly.
@@ -297,8 +303,8 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
       }
     }
 
-    // Only the dirty values' ranges changed (the victims' joined their
-    // final representatives); the victims no longer occur anywhere.
+    // Only the dirty values' ranges changed (each victim's joined its
+    // final representative's); the victims no longer occur anywhere.
     LV.recomputeValues(DirtyList);
     LV.clearValues(Victims);
 
