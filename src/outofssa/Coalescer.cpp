@@ -105,10 +105,11 @@ bool anyCoalescableCopy(const Function &F, const Liveness &LV,
 }
 
 /// Round-boundary repair: recomputes the rows of the dirty nodes — the
-/// nodes this round's merges left as representatives — exactly, by one forEachInterference walk over the already-maintained
-/// liveness of the rewritten program. Staleness is confined to those
-/// rows (see the header's confinement lemmas), so removing each dirty
-/// row's unconfirmed edges restores the whole graph to exactness.
+/// nodes this round's merges left as representatives — exactly, by one
+/// forEachInterference walk over the already-maintained liveness of the
+/// rewritten program. Staleness is confined to those rows (see the
+/// header's confinement lemmas), so removing each dirty row's
+/// unconfirmed edges restores the whole graph to exactness.
 void repairDirtyRows(const Function &F, const Liveness &LV,
                      InterferenceGraph &IG,
                      const std::vector<RegId> &DirtyList,
@@ -268,13 +269,10 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
            "every scheduled round must merge at least once");
     Stats.RoundMerges.push_back(MergesThisRound);
     // A survivor merged away later in the round is one of its victims:
-    // only the final representatives stay dirty.
-    std::erase_if(DirtyList, [&](RegId V) {
-      if (IG.representative(V) == V)
-        return false;
-      DirtyMask.reset(V);
-      return true;
-    });
+    // only the final representatives stay dirty (DirtyMask is only ever
+    // tested on representatives).
+    std::erase_if(DirtyList,
+                  [&](RegId V) { return IG.representative(V) != V; });
 
     // Round boundary: apply the renames, drop identity moves (retiring
     // their worklist entries), and maintain the dense liveness exactly.

@@ -316,14 +316,14 @@ std::unique_ptr<Function> makeSplicedRequeueProgram(uint64_t Seed) {
   // Splice into the printed program, in front of each block's
   // terminator line.
   std::istringstream Lines(printFunction(*F));
-  std::string Text, Line, Pending;
+  std::string Text, Line;
+  const BasicBlock *Block = nullptr;
   while (std::getline(Lines, Line)) {
     if (!Line.empty() && Line.back() == ':')
-      Pending = BeforeTerminator[F->blockByName(Line.substr(0, Line.size() - 1))
-                                     ->id()];
-    if (Line.rfind("  jump ", 0) == 0 || Line.rfind("  branch ", 0) == 0 ||
-        Line.rfind("  ret", 0) == 0)
-      Text += Pending;
+      Block = F->blockByName(Line.substr(0, Line.size() - 1));
+    else if (Line.starts_with("  jump ") || Line.starts_with("  branch ") ||
+             Line.starts_with("  ret"))
+      Text += BeforeTerminator[Block->id()];
     Text += Line + "\n";
   }
   return parse(Text);
