@@ -51,17 +51,16 @@ public:
 
   const CFG &cfg() const { return Cfg; }
 
-  /// Incremental maintenance, for passes that rename or delete values
-  /// (the coalescer): recomputes the block-level sets of \p Vars exactly,
-  /// from the function's current instructions, leaving every other
-  /// variable's bits untouched. Clears the Vars' bits, then sets those of
-  /// a restricted |Vars|-bit fixpoint: one scan of the function plus a
+  /// Incremental maintenance after an edit that changed the live ranges
+  /// of \p Vars only: recomputes their block-level sets exactly, from the
+  /// function's current instructions, leaving every other variable's
+  /// bits untouched. Clears the Vars' bits, then sets those of a
+  /// restricted |Vars|-bit fixpoint: one scan of the function plus a
   /// small iteration, instead of a full dense analysis.
   void recomputeValues(const std::vector<RegId> &Vars);
 
   /// Clears the block-level bits of \p Vars, values that no longer occur
-  /// in the function (a merge's victims): one mask subtract per set,
-  /// O(blocks x values/64).
+  /// in the function: one mask subtract per set, O(blocks x values/64).
   void clearValues(const std::vector<RegId> &Vars);
 
 private:
