@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Dominator tree built with the Cooper-Harvey-Kennedy "simple, fast
-/// dominance" algorithm, plus dominance frontiers (Cytron et al.) used by
-/// SSA construction. Instruction-level dominance queries (needed by the
-/// interference tests of the paper's Variable_kills) are provided through
-/// dominatesAt.
+/// dominance" algorithm, plus dominance frontiers (Cytron et al.) and the
+/// two pieces every SSA-construction-shaped pass shares: a scoped,
+/// non-recursive dominator-tree walk (walkDominatorTree) and iterated
+/// dominance-frontier placement (PhiPlacement). SSA construction, value
+/// numbering and the Leung-George holder analysis run on them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,10 @@
 #include "ir/CFG.h"
 #include "ir/Function.h"
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace lao {
@@ -96,6 +101,76 @@ public:
 
 private:
   std::vector<std::vector<BasicBlock *>> Frontier;
+};
+
+/// Visits the reachable blocks of \p DT in preorder (children in
+/// children() order) without recursion: the dominator tree of a chain
+/// of blocks is as deep as the chain. \p Enter(BB) returns an undo mark
+/// (say, the length of the visitor's undo log before BB's writes);
+/// \p Leave(Mark) gets it back once BB's whole subtree has been
+/// visited, innermost block first. A visitor that rolls its state back
+/// to the mark therefore enters every block with exactly the effects of
+/// the block's dominators in place.
+template <typename EnterFn, typename LeaveFn>
+void walkDominatorTree(const DominatorTree &DT, EnterFn Enter,
+                       LeaveFn Leave) {
+  std::vector<std::pair<const BasicBlock *, size_t>> Open;
+  for (BasicBlock *BB : DT.preorderBlocks()) {
+    while (!Open.empty() && !DT.dominates(Open.back().first, BB)) {
+      Leave(Open.back().second);
+      Open.pop_back();
+    }
+    Open.push_back({BB, Enter(BB)});
+  }
+  for (; !Open.empty(); Open.pop_back())
+    Leave(Open.back().second);
+}
+
+/// Cytron et al.'s phi placement: the iterated dominance frontier of a
+/// set of definition blocks. One object serves every variable of a
+/// function; generation stamps replace per-variable visited sets, so a
+/// place() call costs only the blocks it touches.
+class PhiPlacement {
+public:
+  PhiPlacement(const CFG &Cfg, const DominatorTree &DT)
+      : DF(Cfg, DT), Placed(Cfg.func().numBlocks(), 0),
+        Queued(Cfg.func().numBlocks(), 0) {}
+
+  /// Calls \p Place(Y) once for every join Y of the iterated dominance
+  /// frontier of \p Defs (a block may repeat) for which \p Keep(Y)
+  /// holds. A placed join defines the variable too, so its own frontier
+  /// is searched; a join Keep refuses is neither placed nor searched.
+  template <typename KeepFn, typename PlaceFn>
+  void place(std::span<const BasicBlock *const> Defs, KeepFn Keep,
+             PlaceFn Place) {
+    ++Gen;
+    for (const BasicBlock *BB : Defs)
+      queue(BB);
+    while (!Work.empty()) {
+      const BasicBlock *X = Work.back();
+      Work.pop_back();
+      for (BasicBlock *Y : DF.frontier(X)) {
+        if (Placed[Y->id()] == Gen || !Keep(Y))
+          continue;
+        Placed[Y->id()] = Gen;
+        Place(Y);
+        queue(Y);
+      }
+    }
+  }
+
+private:
+  void queue(const BasicBlock *BB) {
+    if (Queued[BB->id()] == Gen)
+      return;
+    Queued[BB->id()] = Gen;
+    Work.push_back(BB);
+  }
+
+  DominanceFrontier DF;
+  uint32_t Gen = 0;
+  std::vector<uint32_t> Placed, Queued;
+  std::vector<const BasicBlock *> Work;
 };
 
 } // namespace lao

@@ -123,8 +123,9 @@ void compile(CompileOutcome &O, const std::string &Text,
     O.WeightedMoves = weightedMoveCount(F, AM);
   }
 
-  // Allocation, the one long step after the pipeline, polls first.
-  if (Cancelled || (RA && Cancel && Cancel()))
+  // One poll after the pipeline, whatever follows: a deadline that
+  // expired in its last phase fails the job instead of answering late.
+  if (Cancelled || (Cancel && Cancel()))
     return fail(O, RequestOutcome::Timeout,
                 "deadline exceeded during compilation");
   if (RA) {

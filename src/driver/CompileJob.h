@@ -127,8 +127,9 @@ struct CompileOutcome {
 };
 
 /// Compiles \p Text under \p Opts, leaving the function in \p Ctx.
-/// \p Cancel, when set, is polled between pipeline phases and before
-/// allocation; once true, the job stops with a Timeout outcome.
+/// \p Cancel, when set, is polled between pipeline phases and once after
+/// the pipeline (before allocation, printing and execution); once true,
+/// the job stops with a Timeout outcome.
 CompileOutcome runCompileJob(const std::string &Text,
                              const RequestOptions &Opts, WorkerContext &Ctx,
                              const std::function<bool()> &Cancel = {});

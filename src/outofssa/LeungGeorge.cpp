@@ -11,6 +11,7 @@
 #include "support/Stats.h"
 
 #include <cassert>
+#include <span>
 
 using namespace lao;
 
@@ -98,7 +99,7 @@ private:
   std::vector<std::pair<uint32_t, RegId>> Deltas;
 
   /// W_s, flat: the blocks that write slot S are
-  /// Writers[WriterBegin[S] .. WriterBegin[S + 1]).
+  /// Writers[WriterBegin[S] .. WriterBegin[S + 1]), once per write.
   std::vector<size_t> WriterBegin;
   std::vector<const BasicBlock *> Writers;
 
@@ -136,13 +137,6 @@ private:
   void write(uint32_t Slot, RegId H) {
     Undo.push_back({Slot, Cur[Slot]});
     Cur[Slot] = H;
-  }
-
-  void rollback(size_t Mark) {
-    while (Undo.size() > Mark) {
-      Cur[Undo.back().first] = Undo.back().second;
-      Undo.pop_back();
-    }
   }
 
   /// Location of \p V's value under Cur: its resource if the resource
@@ -214,69 +208,40 @@ private:
     }
     DeltaBegin[F.numBlocks()] = Deltas.size();
 
-    // Group the (slot, block) write pairs by slot. Blocks are scanned in
-    // id order, so a stamp of the last block recorded per slot dedups.
+    // Group the (slot, block) write pairs by slot. A block that writes
+    // a slot more than once repeats; PhiPlacement takes repeats.
     WriterBegin.assign(NumSlots + 1, 0);
-    std::vector<uint32_t> LastWriter(NumSlots, ~0u);
-    auto ForEachWrite = [&](auto Fn) {
-      for (const auto &BBPtr : F.blocks()) {
-        uint32_t B = BBPtr->id();
-        for (size_t K = DeltaBegin[B]; K < DeltaBegin[B + 1]; ++K) {
-          uint32_t Slot = Deltas[K].first;
-          if (LastWriter[Slot] != B) {
-            LastWriter[Slot] = B;
-            Fn(Slot, BBPtr.get());
-          }
-        }
-      }
-    };
-    ForEachWrite([&](uint32_t Slot, const BasicBlock *) {
-      ++WriterBegin[Slot + 1];
-    });
+    for (const auto &D : Deltas)
+      ++WriterBegin[D.first + 1];
     for (uint32_t S = 0; S < NumSlots; ++S)
       WriterBegin[S + 1] += WriterBegin[S];
     Writers.assign(WriterBegin[NumSlots], nullptr);
     std::vector<size_t> Fill(WriterBegin.begin(), WriterBegin.end() - 1);
-    LastWriter.assign(NumSlots, ~0u);
-    ForEachWrite([&](uint32_t Slot, const BasicBlock *BB) {
-      Writers[Fill[Slot]++] = BB;
-    });
+    for (const auto &BBPtr : F.blocks()) {
+      uint32_t B = BBPtr->id();
+      for (size_t K = DeltaBegin[B]; K < DeltaBegin[B + 1]; ++K)
+        Writers[Fill[Deltas[K].first]++] = BBPtr.get();
+    }
   }
 
   /// The meet nodes of slot S are the iterated dominance frontier of
   /// W_s (Cytron et al.'s phi placement), minus the entry block: the
   /// entry merges a "function start" path on which nothing is held, so
-  /// its holders are always NoHolder. Generation stamps (the slot index
-  /// + 1) replace per-slot visited sets.
+  /// its holders are always NoHolder.
   void placeMeetNodes() {
-    DominanceFrontier DF(Cfg, DT);
     size_t NB = F.numBlocks();
     const BasicBlock *Entry = NB ? &F.entry() : nullptr;
-    std::vector<uint32_t> Placed(NB, 0), Queued(NB, 0);
-    std::vector<const BasicBlock *> Work;
+    PhiPlacement Placement(Cfg, DT);
     std::vector<std::pair<uint32_t, uint32_t>> Nodes; // (block, slot)
-    for (uint32_t S = 0; S < NumSlots; ++S) {
-      uint32_t Gen = S + 1;
-      for (size_t K = WriterBegin[S]; K < WriterBegin[S + 1]; ++K) {
-        Queued[Writers[K]->id()] = Gen;
-        Work.push_back(Writers[K]);
-      }
-      while (!Work.empty()) {
-        const BasicBlock *X = Work.back();
-        Work.pop_back();
-        for (const BasicBlock *Y : DF.frontier(X)) {
-          if (Placed[Y->id()] == Gen)
-            continue;
-          Placed[Y->id()] = Gen;
-          if (Y != Entry)
-            Nodes.push_back({Y->id(), S});
-          if (Queued[Y->id()] != Gen) {
-            Queued[Y->id()] = Gen;
-            Work.push_back(Y);
-          }
-        }
-      }
-    }
+    for (uint32_t S = 0; S < NumSlots; ++S)
+      Placement.place(
+          std::span(Writers).subspan(WriterBegin[S],
+                                     WriterBegin[S + 1] - WriterBegin[S]),
+          [](const BasicBlock *) { return true; },
+          [&](const BasicBlock *Y) {
+            if (Y != Entry)
+              Nodes.push_back({Y->id(), S});
+          });
     assert(Nodes.size() < MeetTag - 2 && "too many meet nodes to tag");
 
     MeetBegin.assign(NB + 1, 0);
@@ -294,23 +259,22 @@ private:
   /// to \p Visit, Cur holds the holders at the end of the block's
   /// immediate dominator (NoHolder everywhere for the entry); whatever
   /// the visitor writes is undone once the walk leaves the block's
-  /// subtree. The open blocks live on an explicit stack: ladder
-  /// dominator trees are thousands of blocks deep. Unreachable blocks
-  /// are empty (a PinningContext precondition), so there is nothing to
-  /// visit there.
-  template <typename VisitFn> void walkDominatorTree(VisitFn Visit) {
+  /// subtree. Unreachable blocks are empty (a PinningContext
+  /// precondition), so there is nothing to visit there.
+  template <typename VisitFn> void walk(VisitFn Visit) {
     Cur.assign(NumSlots, NoHolder);
     Undo.clear();
-    std::vector<std::pair<const BasicBlock *, size_t>> Open;
-    for (BasicBlock *BB : DT.preorderBlocks()) {
-      while (!Open.empty() && !DT.dominates(Open.back().first, BB)) {
-        rollback(Open.back().second);
-        Open.pop_back();
-      }
-      Open.push_back({BB, Undo.size()});
-      Visit(BB);
-    }
-    rollback(0);
+    walkDominatorTree(
+        DT,
+        [&](BasicBlock *BB) {
+          size_t Mark = Undo.size();
+          Visit(BB);
+          return Mark;
+        },
+        [&](size_t Mark) {
+          for (; Undo.size() > Mark; Undo.pop_back())
+            Cur[Undo.back().first] = Undo.back().second;
+        });
   }
 
   /// Walk 1 gives each meet node its operands: the symbolic holder of its
@@ -324,7 +288,7 @@ private:
   void solveMeetNodes() {
     size_t NumMeets = MeetSlot.size();
     std::vector<std::pair<uint32_t, RegId>> Operands; // (meet node, holder)
-    walkDominatorTree([&](const BasicBlock *BB) {
+    walk([&](const BasicBlock *BB) {
       uint32_t B = BB->id();
       for (size_t M = MeetBegin[B]; M < MeetBegin[B + 1]; ++M)
         write(MeetSlot[M], MeetTag | static_cast<RegId>(M));
@@ -386,7 +350,7 @@ private:
       for (size_t I = 0; I < F.numBlocks(); ++I)
         NewLists.emplace_back(&F);
     }
-    walkDominatorTree([&](BasicBlock *BB) {
+    walk([&](BasicBlock *BB) {
       uint32_t B = BB->id();
       for (size_t M = MeetBegin[B]; M < MeetBegin[B + 1]; ++M) {
         assert(MeetHolder[M] != TopHolder && "unsolved meet node");

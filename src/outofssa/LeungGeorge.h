@@ -27,11 +27,14 @@
 /// resource slots (Cytron et al., TOPLAS 1991):
 ///
 ///  * the blocks that write a slot are its definitions, and its *meet
-///    nodes* are their iterated dominance frontier (the entry block is
+///    nodes* are their iterated dominance frontier, found by the
+///    PhiPlacement that SSA construction uses too (the entry block is
 ///    never one: nothing is held on entry);
-///  * one dominator-tree walk keeps a single flat current-holder array
-///    plus an undo stack, and records, at each predecessor's end, the
-///    (possibly symbolic) holder flowing into each successor meet node;
+///  * one dominator-tree walk (walkDominatorTree, non-recursive, shared
+///    with SSA construction and value numbering) keeps a single flat
+///    current-holder array plus an undo log, and records, at each
+///    predecessor's end, the (possibly symbolic) holder flowing into
+///    each successor meet node;
 ///  * the meet nodes alone are solved to the optimistic fixpoint (the
 ///    sparse evaluation graph of Choi, Cytron and Ferrante, POPL 1991);
 ///    "never written" and "conflicting values" are one NoHolder value;

@@ -140,16 +140,15 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
   PipelineResult R;
   auto Start = Clock::now();
   ++LAO_STAT(pipeline, runs);
-  auto CancelledAt = [&](const char *Phase) {
+  auto CancelRequested = [&] {
     if (!Config.CancelCheck || !Config.CancelCheck())
       return false;
     ++LAO_STAT(pipeline, cancellations);
-    (void)Phase;
     R.Cancelled = true;
     R.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
     return true;
   };
-  if (CancelledAt("start"))
+  if (CancelRequested())
     return R;
 
   {
@@ -181,7 +180,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
     convertToCSSA(F, AM);
     pinCSSAWebs(F);
   }
-  if (CancelledAt("front-phases"))
+  if (CancelRequested())
     return R;
 
   {
@@ -213,7 +212,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
   // Translation replaced the instruction lists (blocks and branch targets
   // are untouched): anything instruction-derived is stale.
   AM.invalidate(PreservedAnalyses::cfgOnly());
-  if (CancelledAt("translate"))
+  if (CancelRequested())
     return R;
   {
     ScopedTimer T(R.Timings, "sequentialize");
@@ -229,7 +228,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
   }
 
   R.MovesBeforeCoalesce = countMoves(F);
-  if (CancelledAt("sequentialize"))
+  if (CancelRequested())
     return R;
 
   if (Config.Coalesce) {

@@ -12,93 +12,11 @@
 #include "support/StringUtils.h"
 
 #include <cassert>
-#include <map>
-#include <set>
+#include <numeric>
+#include <span>
 #include <vector>
 
 using namespace lao;
-
-namespace {
-
-/// Renaming state: one definition stack per original variable.
-class Renamer {
-public:
-  Renamer(Function &F, const DominatorTree &DT, const CFG &Cfg,
-          const std::map<const Instruction *, RegId> &PhiOriginal,
-          SSAStats &Stats)
-      : F(F), DT(DT), Cfg(Cfg), PhiOriginal(PhiOriginal), Stats(Stats) {
-    Stacks.resize(F.numValues());
-  }
-
-  void run() { renameBlock(&F.entry()); }
-
-private:
-  Function &F;
-  const DominatorTree &DT;
-  const CFG &Cfg;
-  const std::map<const Instruction *, RegId> &PhiOriginal;
-  SSAStats &Stats;
-  std::vector<std::vector<RegId>> Stacks;
-
-  RegId top(RegId Orig) const {
-    assert(!Stacks[Orig].empty() && "use of undefined variable");
-    return Stacks[Orig].back();
-  }
-
-  void renameBlock(BasicBlock *BB) {
-    // Record the variables this block pushes a name for, one entry per
-    // push, so they can be popped on exit.
-    std::vector<RegId> Pushed;
-
-    auto pushDef = [&](Instruction &I, unsigned DefIdx) {
-      RegId Orig = I.def(DefIdx);
-      if (F.isPhysical(Orig))
-        return;
-      RegId New = F.makeVirtual(F.valueName(Orig));
-      Stacks[Orig].push_back(New);
-      Pushed.push_back(Orig);
-      ++Stats.NumVarsRenamed;
-      I.setDef(DefIdx, New);
-    };
-
-    for (Instruction &I : BB->instructions()) {
-      if (I.isPhi()) {
-        // Phi defs are renamed here; args are filled from predecessors.
-        pushDef(I, 0);
-        continue;
-      }
-      for (unsigned K = 0; K < I.numUses(); ++K) {
-        RegId Orig = I.use(K);
-        if (!F.isPhysical(Orig))
-          I.setUse(K, top(Orig));
-      }
-      for (unsigned K = 0; K < I.numDefs(); ++K)
-        pushDef(I, K);
-    }
-
-    // Fill phi arguments of successors with the current reaching names.
-    for (BasicBlock *S : Cfg.succs(BB)) {
-      for (Instruction &I : S->instructions()) {
-        if (!I.isPhi())
-          break;
-        auto It = PhiOriginal.find(&I);
-        assert(It != PhiOriginal.end() && "phi without original variable");
-        RegId Orig = It->second;
-        for (unsigned K = 0; K < I.numUses(); ++K)
-          if (I.incomingBlock(K) == BB && I.use(K) == Orig)
-            I.setUse(K, top(Orig));
-      }
-    }
-
-    for (BasicBlock *Child : DT.children(BB))
-      renameBlock(Child);
-
-    for (RegId Orig : Pushed)
-      Stacks[Orig].pop_back();
-  }
-};
-
-} // namespace
 
 SSAStats lao::buildSSA(Function &F, std::string *Error) {
   SSAStats Stats;
@@ -109,12 +27,12 @@ SSAStats lao::buildSSA(Function &F, std::string *Error) {
   };
   CFG Cfg(F);
   DominatorTree DT(Cfg);
-  DominanceFrontier DF(Cfg, DT);
   Liveness LV(Cfg);
 
-  // Definition sites per virtual variable.
+  // Definition blocks per virtual variable, grouped: those of V are
+  // DefSites[DefBegin[V] .. DefBegin[V + 1]) (a block may repeat).
   size_t NumOrigValues = F.numValues();
-  std::vector<std::set<BasicBlock *>> DefBlocks(NumOrigValues);
+  std::vector<size_t> DefBegin(NumOrigValues + 1, 0);
   for (const auto &BB : F.blocks())
     for (const Instruction &I : BB->instructions()) {
       if (I.isPhi())
@@ -123,8 +41,17 @@ SSAStats lao::buildSSA(Function &F, std::string *Error) {
                                 BB->name().c_str()));
       for (RegId D : I.defs())
         if (!F.isPhysical(D))
-          DefBlocks[D].insert(BB.get());
+          ++DefBegin[D + 1];
     }
+  std::partial_sum(DefBegin.begin(), DefBegin.end(), DefBegin.begin());
+  std::vector<const BasicBlock *> DefSites(DefBegin.back());
+  std::vector<size_t> Fill(DefBegin.begin(), DefBegin.end() - 1);
+  for (const auto &BB : F.blocks())
+    for (const Instruction &I : BB->instructions())
+      for (RegId D : I.defs())
+        if (!F.isPhysical(D))
+          DefSites[Fill[D]++] = BB.get();
+
   // A variable live into the entry block is read on some path before
   // any definition: renaming would find no reaching name for it.
   for (RegId V = Target::NumPhysRegs; V < NumOrigValues; ++V)
@@ -134,38 +61,69 @@ SSAStats lao::buildSSA(Function &F, std::string *Error) {
                               F.valueName(V).c_str()));
 
   // Place phis at the iterated dominance frontier, pruned by liveness.
-  // Remember each phi's original variable for argument filling.
-  std::map<const Instruction *, RegId> PhiOriginal;
+  // Each goes to the top of its block, so a block's phis end up in
+  // descending variable order. Every operand names the phi's variable
+  // until renaming visits that predecessor.
+  PhiPlacement Placement(Cfg, DT);
   for (RegId V = Target::NumPhysRegs; V < NumOrigValues; ++V) {
-    if (DefBlocks[V].empty())
-      continue;
-    std::vector<BasicBlock *> Work(DefBlocks[V].begin(), DefBlocks[V].end());
-    std::set<BasicBlock *> HasPhi;
-    while (!Work.empty()) {
-      BasicBlock *BB = Work.back();
-      Work.pop_back();
-      for (BasicBlock *Join : DF.frontier(BB)) {
-        if (HasPhi.count(Join))
-          continue;
-        if (!LV.isLiveIn(V, Join))
-          continue; // Pruned SSA: dead at the join point.
-        HasPhi.insert(Join);
-        Instruction Phi(Opcode::Phi);
-        Phi.addDef(V);
-        for (BasicBlock *P : Cfg.preds(Join))
-          Phi.addIncoming(V, P);
-        auto Pos = Join->instructions().begin();
-        auto Inserted = Join->insert(Pos, std::move(Phi));
-        PhiOriginal[&*Inserted] = V;
-        ++Stats.NumPhisInserted;
-        if (!DefBlocks[V].count(Join)) {
-          DefBlocks[V].insert(Join);
-          Work.push_back(Join);
-        }
-      }
-    }
+    std::span<const BasicBlock *const> Defs(DefSites.data() + DefBegin[V],
+                                            DefSites.data() + DefBegin[V + 1]);
+    Placement.place(
+        Defs, [&](const BasicBlock *Join) { return LV.isLiveIn(V, Join); },
+        [&](BasicBlock *Join) {
+          Instruction Phi(Opcode::Phi);
+          Phi.addDef(V);
+          for (BasicBlock *P : Cfg.preds(Join))
+            Phi.addIncoming(V, P);
+          Join->insert(Join->instructions().begin(), std::move(Phi));
+          ++Stats.NumPhisInserted;
+        });
   }
 
-  Renamer(F, DT, Cfg, PhiOriginal, Stats).run();
+  // Rename along the dominator tree. Cur[V] is the name of original
+  // variable V that reaches the current point; the undo log restores
+  // it when the walk leaves a block's subtree.
+  std::vector<RegId> Cur(NumOrigValues, InvalidReg);
+  std::vector<std::pair<RegId, RegId>> Undo; // (variable, previous name)
+  auto Reaching = [&](RegId Orig) {
+    assert(Cur[Orig] != InvalidReg && "use of undefined variable");
+    return Cur[Orig];
+  };
+  walkDominatorTree(
+      DT,
+      [&](BasicBlock *BB) {
+        size_t Mark = Undo.size();
+        for (Instruction &I : BB->instructions()) {
+          // Phi operands are filled from the predecessors.
+          for (unsigned K = 0; !I.isPhi() && K < I.numUses(); ++K)
+            if (!F.isPhysical(I.use(K)))
+              I.setUse(K, Reaching(I.use(K)));
+          for (unsigned K = 0; K < I.numDefs(); ++K) {
+            RegId Orig = I.def(K);
+            if (F.isPhysical(Orig))
+              continue;
+            RegId New = F.makeVirtual(F.valueName(Orig));
+            Undo.push_back({Orig, Cur[Orig]});
+            Cur[Orig] = New;
+            ++Stats.NumVarsRenamed;
+            I.setDef(K, New);
+          }
+        }
+        // An operand still holding an original id is one this edge has
+        // not filled yet (a branch may list one successor twice).
+        for (BasicBlock *S : Cfg.succs(BB))
+          for (Instruction &Phi : S->instructions()) {
+            if (!Phi.isPhi())
+              break;
+            for (unsigned K = 0; K < Phi.numUses(); ++K)
+              if (Phi.incomingBlock(K) == BB && Phi.use(K) < NumOrigValues)
+                Phi.setUse(K, Reaching(Phi.use(K)));
+          }
+        return Mark;
+      },
+      [&](size_t Mark) {
+        for (; Undo.size() > Mark; Undo.pop_back())
+          Cur[Undo.back().first] = Undo.back().second;
+      });
   return Stats;
 }

@@ -7,9 +7,14 @@
 /// \file
 /// Pruned SSA construction after Cytron et al. (TOPLAS 1991), the flavour
 /// the paper uses. Phi instructions are placed at the iterated dominance
-/// frontier of each variable's definition blocks, restricted to blocks
-/// where the variable is live-in (pruning), then definitions are renamed
-/// along a dominator-tree walk.
+/// frontier of each variable's definition blocks (PhiPlacement), restricted
+/// to blocks where the variable is live-in (pruning), then definitions are
+/// renamed along the non-recursive dominator-tree walk of
+/// analysis/Dominators.h: one flat array holds each variable's reaching
+/// name and an undo log restores it as the walk leaves a subtree, so the
+/// depth of the dominator tree costs no stack. Leung-George's holder
+/// analysis (outofssa/LeungGeorge.h) is the same construction over
+/// resource slots and uses the same two pieces.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -80,9 +80,11 @@ unsigned lao::valueNumber(Function &F) {
   unsigned NumRemoved = 0;
 
   // Key: opcode, operands, immediate. Scoped map along the dominator tree
-  // walk: entries added in a block are removed when the walk leaves it.
+  // walk: Added lists its entries in insertion order, and leaving a
+  // block's subtree erases those the block added.
   using Key = std::tuple<Opcode, std::vector<RegId>, int64_t>;
   std::map<Key, RegId> Table;
+  std::vector<std::map<Key, RegId>::iterator> Added;
   std::vector<RegId> Replacement(F.numValues(), InvalidReg);
 
   auto IsPure = [](Opcode Op) {
@@ -112,50 +114,38 @@ unsigned lao::valueNumber(Function &F) {
     return V;
   };
 
-  // Recursive dominator-tree walk with scope cleanup.
-  struct Walker {
-    Function &F;
-    const DominatorTree &DT;
-    std::map<Key, RegId> &Table;
-    std::vector<RegId> &Replacement;
-    unsigned &NumRemoved;
-    decltype(IsPure) &Pure;
-    decltype(Resolve) &Res;
-
-    void visit(BasicBlock *BB) {
-      std::vector<Key> Added;
-      auto &Insts = BB->instructions();
-      for (auto It = Insts.begin(); It != Insts.end();) {
-        Instruction &I = *It;
-        for (unsigned K = 0; K < I.numUses(); ++K)
-          I.setUse(K, Res(I.use(K)));
-        if (!Pure(I.op()) || I.numDefs() != 1 ||
-            I.defPin(0) != InvalidReg) {
+  walkDominatorTree(
+      DT,
+      [&](BasicBlock *BB) {
+        size_t Mark = Added.size();
+        auto &Insts = BB->instructions();
+        for (auto It = Insts.begin(); It != Insts.end();) {
+          Instruction &I = *It;
+          for (unsigned K = 0; K < I.numUses(); ++K)
+            I.setUse(K, Resolve(I.use(K)));
+          if (!IsPure(I.op()) || I.numDefs() != 1 ||
+              I.defPin(0) != InvalidReg) {
+            ++It;
+            continue;
+          }
+          Key K{I.op(), std::vector<RegId>(I.uses().begin(), I.uses().end()),
+                I.imm()};
+          auto Found = Table.find(K);
+          if (Found != Table.end()) {
+            Replacement[I.def(0)] = Found->second;
+            It = Insts.erase(It);
+            ++NumRemoved;
+            continue;
+          }
+          Added.push_back(Table.emplace(std::move(K), I.def(0)).first);
           ++It;
-          continue;
         }
-        Key K{I.op(), std::vector<RegId>(I.uses().begin(), I.uses().end()),
-              I.imm()};
-        auto Found = Table.find(K);
-        if (Found != Table.end()) {
-          Replacement[I.def(0)] = Found->second;
-          It = Insts.erase(It);
-          ++NumRemoved;
-          continue;
-        }
-        Table.emplace(K, I.def(0));
-        Added.push_back(std::move(K));
-        ++It;
-      }
-      for (BasicBlock *Child : DT.children(BB))
-        visit(Child);
-      for (const Key &K : Added)
-        Table.erase(K);
-    }
-  };
-
-  Walker W{F, DT, Table, Replacement, NumRemoved, IsPure, Resolve};
-  W.visit(&F.entry());
+        return Mark;
+      },
+      [&](size_t Mark) {
+        for (; Added.size() > Mark; Added.pop_back())
+          Table.erase(Added.back());
+      });
   // Resolve any uses reached before their replacement was recorded
   // (back edges / phi arguments filled from dominated blocks).
   replaceAllUses(F, Replacement);

@@ -57,20 +57,7 @@ ChunkCache &cache() {
 
 void *Arena::allocSlow(size_t Size, size_t Align) {
   assert(Align <= alignof(std::max_align_t) && "over-aligned arena request");
-  // Advance through already-owned chunks first (after a reset()).
-  while (CurIdx + 1 < Chunks.size()) {
-    ++CurIdx;
-    Cur = Chunks[CurIdx].Mem;
-    End = Cur + Chunks[CurIdx].Size;
-    uintptr_t P =
-        (reinterpret_cast<uintptr_t>(Cur) + Align - 1) & ~(Align - 1);
-    if (P + Size <= reinterpret_cast<uintptr_t>(End)) {
-      Cur = reinterpret_cast<char *>(P + Size);
-      Allocated += Size;
-      return reinterpret_cast<void *>(P);
-    }
-  }
-  // Need a new chunk: standard size unless the request is larger.
+  // A new chunk: standard size unless the request is larger.
   // Standard chunks come from the thread's bound recycler first (the
   // worker's own just-released chunks, no lock), then the global cache.
   size_t ChunkSize = Size + Align <= ChunkBytes ? ChunkBytes : Size + Align;
@@ -85,7 +72,6 @@ void *Arena::allocSlow(size_t Size, size_t Align) {
   if (!Mem)
     Mem = static_cast<char *>(::operator new(ChunkSize));
   Chunks.push_back({Mem, ChunkSize});
-  CurIdx = Chunks.size() - 1;
   Reserved += ChunkSize;
   LAO_STAT(ir, arena_bytes) += ChunkSize;
   Cur = Mem;
@@ -95,19 +81,6 @@ void *Arena::allocSlow(size_t Size, size_t Align) {
   Cur = reinterpret_cast<char *>(P + Size);
   Allocated += Size;
   return reinterpret_cast<void *>(P);
-}
-
-void Arena::reset() {
-  if (Allocated > HighWaterMark)
-    HighWaterMark = Allocated;
-  Allocated = 0;
-  CurIdx = 0;
-  if (Chunks.empty()) {
-    Cur = End = nullptr;
-    return;
-  }
-  Cur = Chunks.front().Mem;
-  End = Cur + Chunks.front().Size;
 }
 
 Arena::~Arena() {

@@ -21,8 +21,8 @@
 /// exact chunks the previous request on that worker just released
 /// (request-scoped arena reuse, measured by server.arena_reuse_bytes).
 ///
-/// Allocation and high-water statistics are kept per arena (see
-/// Arena::stats) and aggregated into the ir.arena_* registry counters.
+/// Allocation statistics are kept per arena (see Arena::stats); the
+/// chunk bytes reserved are summed into the ir.arena_bytes counter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +38,7 @@
 namespace lao {
 
 /// Bump allocator over recycled chunks. Memory is never freed piecemeal;
-/// reset() (or destruction) releases everything at once.
+/// destruction releases everything at once.
 class Arena {
 public:
   /// Standard chunk size. Oversized requests get a dedicated chunk.
@@ -66,23 +66,16 @@ public:
     return static_cast<T *>(alloc(N * sizeof(T), alignof(T)));
   }
 
-  /// Releases all allocations but keeps the chunks for reuse by this
-  /// arena. The compile service resets a worker's arena between
-  /// requests instead of paying malloc/free per request.
-  void reset();
-
   /// Per-arena allocation statistics.
   struct StatsInfo {
     size_t BytesAllocated = 0; ///< Bytes handed out since construction.
     size_t BytesReserved = 0;  ///< Sum of live chunk sizes.
-    size_t HighWater = 0;      ///< Max BytesAllocated between resets.
     size_t NumChunks = 0;      ///< Live chunks.
   };
   StatsInfo stats() const {
     StatsInfo S;
     S.BytesAllocated = Allocated;
     S.BytesReserved = Reserved;
-    S.HighWater = Allocated > HighWaterMark ? Allocated : HighWaterMark;
     S.NumChunks = Chunks.size();
     return S;
   }
@@ -99,13 +92,11 @@ private:
 
   void *allocSlow(size_t Size, size_t Align);
 
-  std::vector<Chunk> Chunks;
-  size_t CurIdx = 0; ///< Chunk currently bumped (when Chunks non-empty).
+  std::vector<Chunk> Chunks; ///< The last one is bumped.
   char *Cur = nullptr;
   char *End = nullptr;
   size_t Allocated = 0;
   size_t Reserved = 0;
-  size_t HighWaterMark = 0;
 };
 
 /// A private store of standard-size chunks for one worker. Not

@@ -580,3 +580,50 @@ TEST(Pipeline, PhiMutantsOfEverySuiteAreParseErrors) {
   }
   EXPECT_GT(NumMutants, 400u);
 }
+
+TEST(CompileJob, CancelIsPolledOnceAfterThePipeline) {
+  // The job polled after the pipeline only when an allocator followed,
+  // so a deadline that expired in the pipeline's last phase was answered
+  // ok. Count the pipeline's own polls, then cancel from the next one.
+  const std::string Text =
+      diamond("  input %a\n", "  %x = phi [%x1, t], [%x2, e]\n");
+  unsigned PipelinePolls = 0;
+  PipelineConfig Config = pipelinePreset("Lphi,ABI+C");
+  Config.CancelCheck = [&] {
+    ++PipelinePolls;
+    return false;
+  };
+  EXPECT_FALSE(runPipeline(*parse(Text), Config).Cancelled);
+  ASSERT_GT(PipelinePolls, 0u);
+
+  RequestOptions Opts; // Lphi,ABI+C; no allocator, no execution.
+  WorkerContext Ctx;
+  unsigned Polls = 0;
+  CompileOutcome Job = runCompileJob(Text, Opts, Ctx, [&] {
+    return ++Polls > PipelinePolls;
+  });
+  EXPECT_EQ(Job.Outcome, RequestOutcome::Timeout) << Job.Error;
+  EXPECT_EQ(Polls, PipelinePolls + 1);
+  EXPECT_TRUE(Job.IR.empty());
+
+  // Without a pipeline the one poll still comes.
+  Opts.Pipeline.clear();
+  Job = runCompileJob(Text, Opts, Ctx, [] { return true; });
+  EXPECT_EQ(Job.Outcome, RequestOutcome::Timeout) << Job.Error;
+}
+
+TEST(CompileJob, DeepDominatorTreeCompiles) {
+  // A 60,000-block chain has a dominator tree 60,000 blocks deep. SSA
+  // construction and value numbering walked it recursively and
+  // overflowed the stack.
+  RequestOptions Opts;
+  Opts.BuildSSA = true;
+  Opts.Pipeline = "Lphi,ABI";
+  Opts.Exec = "vm";
+  WorkerContext Ctx;
+  CompileOutcome Job = runCompileJob(chainFunctionText(60000), Opts, Ctx);
+  ASSERT_TRUE(Job.ok()) << Job.Error;
+  EXPECT_EQ(Ctx.F->numBlocks(), 60000u);
+  EXPECT_EQ(Job.ExecStatus, "ok") << Job.ExecError;
+  EXPECT_EQ(Job.ExecRet, 59999u);
+}

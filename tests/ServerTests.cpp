@@ -657,6 +657,30 @@ TEST(Server, FunctionWithoutBlocksIsParseErrorAndServingContinues) {
   EXPECT_EQ(S.report().NumParseErrors, 2u);
 }
 
+TEST(Server, DeepChainUnderSsaIsServedAndServingContinues) {
+  // "ssa: 1" on a 60,000-block chain overflowed a worker's stack in SSA
+  // construction's recursive dominator-tree walk and killed the daemon.
+  Request Chain;
+  Chain.Id = 1;
+  Chain.Text = chainFunctionText(60000);
+  Chain.BuildSSA = true;
+  Chain.Pipeline = "Lphi,ABI";
+  Request Good;
+  Good.Id = 2;
+  Good.Text = SimpleFunc;
+  ServerOptions Opts;
+  Opts.NumWorkers = 2;
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts, encodeRequest(Chain) + encodeRequest(Good),
+                        Responses),
+            0);
+  ASSERT_EQ(Responses.size(), 2u);
+  EXPECT_TRUE(Responses[0].Ok) << Responses[0].RecordJson;
+  EXPECT_FALSE(Responses[0].IR.empty());
+  EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
+  EXPECT_EQ(Responses[1].IR, oneShot(SimpleFunc));
+}
+
 TEST(Server, MalformedPhiIsParseErrorAndServingContinues) {
   // A phi below a non-phi instruction parses, and reached an assertion
   // of the Leung-George translator that killed the daemon and left the

@@ -71,6 +71,20 @@ inline std::unique_ptr<Function> makeLadderFunction(unsigned Target,
   return F;
 }
 
+/// A chain of \p NumBlocks blocks (at least 2), each adding 1 to one
+/// variable, as non-SSA text: its dominator tree is a path as deep as the
+/// chain. 60,000 blocks overflowed the recursive dominator-tree walks
+/// that SSA construction and value numbering once made.
+inline std::string chainFunctionText(unsigned NumBlocks) {
+  std::string Text = "func @chain {\nb0:\n  %v = make 0\n  jump b1\n";
+  for (unsigned B = 1; B < NumBlocks; ++B) {
+    Text += formatStr("b%u:\n  %%v = addi %%v, 1\n", B);
+    Text += B + 1 < NumBlocks ? formatStr("  jump b%u\n", B + 1)
+                              : std::string("  ret %v\n");
+  }
+  return Text + "}\n";
+}
+
 /// The exemption-switch gadget of the coalescer tests, in two halves:
 ///
 ///   head: %s<Tag> = addi <Prev>, 1
