@@ -70,6 +70,9 @@ CHECKED_COUNTERS = (
     # reconstruction crept back in.
     "coalesce.rebuilds",
     "coalesce.confirm_scans",
+    # Partner probes of the gate scan: each drops its entry once the pair
+    # is settled, so growth means pairs are probed again after settling.
+    "coalesce.gate_probes",
     # Restricted liveness solves: one per productive coalescer round.
     # Growth means a per-merge recompute crept back in.
     "liveness.partial_recomputes",

@@ -115,6 +115,12 @@ class TestCounterFailures(CheckerHarness):
         self.assert_fails_naming(base, fresh, "translate.meet_nodes",
                                  "regressed 90 -> 91")
 
+    def test_gate_probes_increase_fails(self):
+        base = bench_doc([record(counters={"coalesce.gate_probes": 700})])
+        fresh = bench_doc([record(counters={"coalesce.gate_probes": 701})])
+        self.assert_fails_naming(base, fresh, "coalesce.gate_probes",
+                                 "regressed 700 -> 701")
+
     def test_counter_missing_from_fresh_fails(self):
         # The bug this selftest exists for: a counter the baseline has
         # but the fresh run lost must fail by name, not default to 0

@@ -8,45 +8,73 @@
 
 #include "support/Stats.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace lao;
+
+namespace {
+
+/// Calls \p Fn(A, B) for every set bit (A, B), B < A, of the
+/// lower-triangular \p Matrix over \p NV nodes: A ascending, and B
+/// ascending within each A.
+template <typename Callable>
+void forEachTriangleBit(const BitVector &Matrix, size_t NV, Callable Fn) {
+  for (RegId A = 1; A < NV; ++A) {
+    size_t Base = static_cast<size_t>(A) * (A - 1) / 2;
+    Matrix.forEachInRange(Base, Base + A, [&](size_t Idx) {
+      Fn(A, static_cast<RegId>(Idx - Base));
+    });
+  }
+}
+
+} // namespace
 
 InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV) {
   ++LAO_STAT(interference, graphs_built);
   size_t NV = F.numValues();
   Adj.resize(NV);
   Merged.grow(NV);
-  StaleMask.resize(NV);
   Matrix.resize(NV < 2 ? 0 : NV * (NV - 1) / 2);
 
-  // During construction, append edges unsorted (the bit matrix already
-  // dedups); one sort per node at the end beats a binary-search insert
-  // per edge.
-  auto AddRaw = [&](RegId A, RegId B) {
-    if (A == B)
-      return;
-    size_t Idx = triIndex(A, B);
-    if (Matrix.test(Idx))
-      return;
-    Matrix.set(Idx);
-    Adj[A].push_back(B);
-    Adj[B].push_back(A);
+  // The walk only sets matrix bits (which also dedup); the rows are
+  // emitted from the matrix afterwards, already sorted.
+  auto AddEdge = [&](RegId A, RegId B) {
+    if (A != B)
+      Matrix.set(triIndex(A, B));
   };
-
   forEachInterference(
       F, LV,
       [&](RegId D, const BitVector &Live, RegId ExemptSrc) {
         Live.forEach([&](size_t L) {
           if (static_cast<RegId>(L) != ExemptSrc)
-            AddRaw(D, static_cast<RegId>(L));
+            AddEdge(D, static_cast<RegId>(L));
         });
       },
-      AddRaw);
+      AddEdge);
 
-  for (auto &List : Adj)
-    std::sort(List.begin(), List.end());
+  // Size every row exactly before the first emission: no row regrows or
+  // keeps slack. compact() re-emits a row into no more entries than it
+  // held before, so later emissions fit too.
+  std::vector<uint32_t> Degree(NV);
+  forEachTriangleBit(Matrix, NV, [&](RegId A, RegId B) {
+    ++Degree[A];
+    ++Degree[B];
+  });
+  for (RegId V = 0; V < NV; ++V)
+    Adj[V].reserve(Degree[V]);
+  emitRows();
+}
+
+void InterferenceGraph::emitRows() {
+  for (std::vector<RegId> &Row : Adj)
+    Row.clear();
+  // Row A receives its lower neighbors in ascending order during its own
+  // turn and each higher neighbor at that neighbor's turn, so every row
+  // comes out ascending.
+  forEachTriangleBit(Matrix, Adj.size(), [&](RegId A, RegId B) {
+    Adj[A].push_back(B);
+    Adj[B].push_back(A);
+  });
 }
 
 void InterferenceGraph::mergeNodes(RegId Rep, RegId Dead) {
@@ -66,8 +94,6 @@ void InterferenceGraph::mergeNodes(RegId Rep, RegId Dead) {
     Matrix.reset(DeadN);
     if (N == Rep)
       continue; // The Rep-Dead edge dies with the merge.
-    // N's row keeps Dead's id, which now resolves to Rep.
-    markStale(N);
     size_t RepN = triIndex(Rep, N);
     if (!Matrix.test(RepN)) {
       Matrix.set(RepN);
@@ -76,20 +102,12 @@ void InterferenceGraph::mergeNodes(RegId Rep, RegId Dead) {
   }
   std::vector<RegId>().swap(Adj[Dead]);
   Merged.merge(Rep, Dead, /*PreferA=*/true);
-  markStale(Rep);
+  Stale = true;
 }
 
 void InterferenceGraph::compact() {
-  for (RegId V : StaleList) {
-    StaleMask.reset(V);
-    if (representative(V) != V)
-      continue; // Merged away after it went stale: its row is empty.
-    std::vector<RegId> &Row = Adj[V];
-    for (RegId &N : Row)
-      N = representative(N);
-    Row.erase(std::remove(Row.begin(), Row.end(), V), Row.end());
-    std::sort(Row.begin(), Row.end());
-    Row.erase(std::unique(Row.begin(), Row.end()), Row.end());
-  }
-  StaleList.clear();
+  if (!Stale)
+    return;
+  emitRows();
+  Stale = false;
 }

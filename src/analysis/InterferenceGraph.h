@@ -16,7 +16,12 @@
 /// per-node adjacency vectors give cache-friendly, *deterministic*
 /// neighbor iteration — `neighbors()` always enumerates in ascending
 /// RegId order, so every order-sensitive client (coalescer repair scan,
-/// allocator color scans) behaves identically run to run.
+/// allocator color scans) behaves identically run to run. The rows are
+/// never sorted: they are emitted from the matrix (after Cooper, Harvey
+/// and Torczon, "How to Build an Interference Graph", SP&E 1998). One
+/// walk over the lower triangle, row A ascending, appends B to row A and
+/// A to row B for every set bit (A, B) with B < A, so each row comes out
+/// ascending in O(V²/64 + E), the order of zeroing the matrix.
 ///
 /// Merges are lazy, after the alias union-find of George and Appel's
 /// iterated coalescing: `mergeNodes` moves the victim's matrix bits to
@@ -25,9 +30,9 @@
 /// its neighbors' rows and resolves through the graph's UnionFind.
 /// `representative(V)` reads that union-find; it is the one merge map of
 /// the coalescer, which resolves every operand through it. `compact()`
-/// resolves, sorts and deduplicates every stale row in one pass; the
-/// coalescer calls it once per round, and `neighbors()` and `removeEdge`
-/// may only be used on a compact graph.
+/// re-emits every row from the exact matrix; the coalescer calls it once
+/// per round, and `neighbors()` and `removeEdge` may only be used on a
+/// compact graph.
 ///
 /// The edge rule itself lives in one place, forEachInterference: the
 /// graph constructor and the coalescer's graph-free confirm and repair
@@ -118,21 +123,20 @@ public:
   /// vertex merge after coalescing a move (Section 3.5). Rep's
   /// neighborhood becomes the union of both; a Rep-Dead edge dies with the
   /// merge. O(deg(Dead)): Dead's matrix bits move to Rep, Dead's neighbors
-  /// that Rep lacked are appended to Rep's row, Dead's set joins Rep's
-  /// (Rep stays its representative), and Rep and Dead's neighbors are
-  /// marked stale. Their rows are left unsorted, with Dead's id (now
-  /// resolving to Rep) in place, until the next compact().
+  /// that Rep lacked are appended to Rep's row (so a later merge of Rep
+  /// in the same round still finds them), and Dead's set joins Rep's (Rep
+  /// stays its representative). The other rows are left as they are, with
+  /// Dead's id (now resolving to Rep) in place, until the next compact().
   void mergeNodes(RegId Rep, RegId Dead);
 
-  /// Replaces every entry of each stale row by its representative, drops
-  /// self entries, sorts and deduplicates the row: afterwards each row of
-  /// a representative lists its neighbors in ascending order, and a
-  /// merged-away node's row is empty. O(Σ |row| log |row|) over the rows
-  /// merged into since the last call.
+  /// Re-emits every row from the matrix, which is exact over the current
+  /// representatives: afterwards each row of a representative lists its
+  /// neighbors in ascending order, and a merged-away node's row is empty.
+  /// O(V²/64 + E) after a merge, O(1) on a compact graph.
   void compact();
 
   /// True when no row is stale (no merge since the last compact()).
-  bool isCompact() const { return StaleList.empty(); }
+  bool isCompact() const { return !Stale; }
 
   /// Removes the edge {A, B}. The incremental coalescer uses this when
   /// its round-boundary repair scan proves a unioned edge is not present
@@ -171,18 +175,13 @@ private:
     Vec.erase(It);
   }
 
-  void markStale(RegId V) {
-    if (!StaleMask.test(V)) {
-      StaleMask.set(V);
-      StaleList.push_back(V);
-    }
-  }
+  /// Clears every row and refills it from the matrix, in ascending order.
+  void emitRows();
 
   BitVector Matrix; ///< Lower-triangular adjacency bits.
   std::vector<std::vector<RegId>> Adj;
   UnionFind Merged; ///< Which nodes have been merged into which.
-  BitVector StaleMask; ///< Rows changed by a merge since the last compact().
-  std::vector<RegId> StaleList;
+  bool Stale = false; ///< A merge since the last compact().
 };
 
 } // namespace lao

@@ -20,13 +20,6 @@ using namespace lao;
 
 namespace {
 
-/// Packs an unordered RegId pair into one sortable/searchable key.
-uint64_t pairKey(RegId A, RegId B) {
-  if (A < B)
-    std::swap(A, B);
-  return (static_cast<uint64_t>(A) << 32) | B;
-}
-
 /// The copies the coalescer may merge: every move that is not an identity
 /// and does not join two physical registers, in instruction order.
 std::vector<Instruction *> candidateCopies(Function &F) {
@@ -51,57 +44,89 @@ std::vector<Instruction *> candidateCopies(Function &F) {
 ///
 /// A visitor of forEachInterference, the walk that builds the graph:
 /// instead of materializing edges it only *marks* the candidate pairs —
-/// the (def, use) pairs of the copies — that would receive an edge. A
-/// candidate left unmarked is exactly a copy the sweep would merge on a
-/// fresh graph, so "any candidate unmarked" <=> "a rebuild would be
+/// the distinct (def, use) pairs of the copies — that would receive an
+/// edge. A candidate left unmarked is exactly a copy the sweep would merge
+/// on a fresh graph, so "any candidate unmarked" <=> "a rebuild would be
 /// productive".
 ///
-/// Both working sets are sorted flat vectors: candidates are collected,
-/// sorted and uniqued once, then probed by binary search; marked pairs
-/// are appended freely and deduplicated once at the end. No per-element
-/// hashing or node allocation.
+/// Each register keeps a list of its candidate partners, every entry
+/// naming its candidate. A def probes its own list; a hit marks the
+/// candidate and drops the entry, and an entry whose candidate the other
+/// operand's list already marked is dropped on sight. A partner is thus
+/// probed only while its pair is still unsettled, and a count of marked
+/// candidates is the whole answer: no pair keys, no sort.
 bool anyCoalescableCopy(const Function &F, const Liveness &LV,
                         const std::vector<Instruction *> &Copies) {
   ++LAO_STAT(coalesce, confirm_scans);
-
-  // Candidate pairs and, per register, its candidate partners (tiny
-  // lists: only registers appearing in copies have any).
-  std::vector<uint64_t> Candidates;
-  for (const Instruction *I : Copies)
-    Candidates.push_back(pairKey(I->def(0), I->use(0)));
-  if (Candidates.empty())
+  if (Copies.empty())
     return false;
-  std::sort(Candidates.begin(), Candidates.end());
-  Candidates.erase(std::unique(Candidates.begin(), Candidates.end()),
-                   Candidates.end());
 
-  std::vector<std::vector<RegId>> Partners(F.numValues());
-  for (uint64_t Key : Candidates) {
-    RegId A = static_cast<RegId>(Key >> 32);
-    RegId B = static_cast<RegId>(Key & 0xffffffffu);
-    Partners[A].push_back(B);
-    Partners[B].push_back(A);
+  struct Partner {
+    RegId Reg;
+    unsigned Cand;
+  };
+  size_t NV = F.numValues();
+  std::vector<std::vector<Partner>> Partners(NV);
+  // Number each distinct pair once (a repeated pair would be settled
+  // with its twin, but would double its probes). The copies first go to
+  // the list of their larger operand; then, larger operand ascending,
+  // Owner[Lo] == Hi marks (Hi, Lo) as numbered, and a numbered pair
+  // enters Lo's list too.
+  for (const Instruction *I : Copies) {
+    RegId D = I->def(0), S = I->use(0);
+    Partners[std::max(D, S)].push_back({std::min(D, S), 0});
+  }
+  std::vector<RegId> Owner(NV, InvalidReg);
+  unsigned NumCandidates = 0;
+  for (RegId Hi = 0; Hi < NV; ++Hi) {
+    std::vector<Partner> &List = Partners[Hi];
+    size_t Kept = 0;
+    for (Partner P : List) {
+      if (Owner[P.Reg] == Hi)
+        continue;
+      Owner[P.Reg] = Hi;
+      Partners[P.Reg].push_back({Hi, NumCandidates});
+      List[Kept++] = {P.Reg, NumCandidates++};
+    }
+    List.resize(Kept);
   }
 
+  BitVector Marked(NumCandidates);
+  unsigned NumMarked = 0;
+  uint64_t Probes = 0;
+  // Probes \p List for the partners \p Hit accepts, marking and dropping
+  // each hit.
+  auto Settle = [&](std::vector<Partner> &List, auto &&Hit) {
+    for (size_t K = 0; K < List.size();) {
+      ++Probes;
+      Partner P = List[K];
+      if (!Marked.test(P.Cand)) {
+        if (!Hit(P.Reg)) {
+          ++K;
+          continue;
+        }
+        Marked.set(P.Cand);
+        ++NumMarked;
+      }
+      List[K] = List.back();
+      List.pop_back();
+    }
+  };
   // The graph's edge rule, restricted to a def's candidate partners
   // (everything else cannot affect the answer).
-  std::vector<uint64_t> Interfering;
   forEachInterference(
       F, LV,
       [&](RegId D, const BitVector &Live, RegId ExemptSrc) {
-        for (RegId P : Partners[D])
-          if (P != D && P != ExemptSrc && Live.test(P))
-            Interfering.push_back(pairKey(D, P));
+        Settle(Partners[D],
+               [&](RegId P) { return P != ExemptSrc && Live.test(P); });
       },
       [&](RegId A, RegId B) {
-        if (std::binary_search(Candidates.begin(), Candidates.end(),
-                               pairKey(A, B)))
-          Interfering.push_back(pairKey(A, B));
+        if (Partners[B].size() < Partners[A].size())
+          std::swap(A, B);
+        Settle(Partners[A], [&](RegId P) { return P == B; });
       });
-  std::sort(Interfering.begin(), Interfering.end());
-  Interfering.erase(std::unique(Interfering.begin(), Interfering.end()),
-                    Interfering.end());
-  return Interfering.size() < Candidates.size();
+  LAO_STAT(coalesce, gate_probes) += Probes;
+  return NumMarked < NumCandidates;
 }
 
 /// Round-boundary repair: recomputes the rows of the dirty nodes — the

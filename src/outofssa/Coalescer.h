@@ -15,8 +15,10 @@
 /// ---------------------
 /// The interference graph is built exactly once per call. A graph-free
 /// *confirm scan* first proves a merge exists (most post-phi-coalescing
-/// calls find nothing and never build a graph); then a FIFO worklist of
-/// the remaining copies drives merge *rounds*:
+/// calls find nothing and never build a graph). It probes each register's
+/// list of copy partners and drops a partner once its pair interferes, so
+/// it is linear in the walk plus the probes. Then a FIFO worklist of the
+/// remaining copies drives merge *rounds*:
 ///
 ///  1. pop each copy, resolve its operands through the graph's merge map
 ///     (InterferenceGraph::representative, a union-find: the schedule
@@ -25,14 +27,15 @@
 ///     InterferenceGraph::mergeNodes unions the two neighborhoods lazily,
 ///     in O(deg(victim)): the bit matrix, which answers every mid-round
 ///     query, moves the victim's edges to the survivor at once, while the
-///     adjacency rows only gain the victim's new neighbors and are marked
-///     stale (the victim's id stays in them and resolves to the survivor);
+///     survivor's row only gains the victim's new neighbors and the other
+///     rows go stale (the victim's id stays in them and resolves to the
+///     survivor);
 ///  2. at the round boundary, rewrite every operand to its
 ///     representative, delete the moves that became identities, maintain
 ///     the dense liveness exactly (Liveness::recomputeValues on the
 ///     round's survivors, which include every victim's final
 ///     representative, then Liveness::clearValues on its victims),
-///     compact the stale rows once (resolve, sort, deduplicate), and run
+///     re-emit the rows once from the exact bit matrix, and run
 ///     one *repair scan* that restores the graph to exactness (see
 ///     below); then re-enqueue exactly the deferred copies whose operands
 ///     alias a node merged this round and whose repaired pair no longer

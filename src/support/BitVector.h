@@ -96,6 +96,28 @@ public:
     }
   }
 
+  /// Calls \p Fn for each set bit index in [Begin, End), in increasing
+  /// order. Costs O((End - Begin) / 64) plus the set bits.
+  template <typename Callable>
+  void forEachInRange(size_t Begin, size_t End, Callable Fn) const {
+    assert(Begin <= End && End <= NumBits && "bit range out of bounds");
+    if (Begin == End)
+      return;
+    size_t Last = (End - 1) / 64;
+    for (size_t WI = Begin / 64; WI <= Last; ++WI) {
+      uint64_t W = Words[WI];
+      if (WI == Begin / 64)
+        W &= ~uint64_t(0) << (Begin % 64);
+      if (WI == Last && End % 64 != 0)
+        W &= (uint64_t(1) << (End % 64)) - 1;
+      while (W) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
+        Fn(WI * 64 + Bit);
+        W &= W - 1;
+      }
+    }
+  }
+
 private:
   void clearPadding() {
     if (NumBits % 64 != 0 && !Words.empty())

@@ -434,6 +434,96 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
 
 namespace {
 
+/// The gate's question answered on a freshly built graph of non-SSA \p F:
+/// does some candidate copy (no identity, at most one physical operand)
+/// join two registers that do not interfere? \p MaxPartners receives the
+/// largest number of distinct copy partners of one register.
+bool freshGraphHasMergeableCopy(Function &F, size_t &MaxPartners) {
+  CFG Cfg(F);
+  Liveness LV(Cfg);
+  InterferenceGraph IG(F, LV);
+  std::vector<std::vector<RegId>> Partners(F.numValues());
+  bool Mergeable = false;
+  for (const auto &BB : F.blocks())
+    for (const Instruction &I : BB->instructions()) {
+      if (!I.isCopy())
+        continue;
+      RegId D = I.def(0), S = I.use(0);
+      if (D == S || (F.isPhysical(D) && F.isPhysical(S)))
+        continue;
+      Mergeable |= !IG.interfere(D, S);
+      Partners[D].push_back(S);
+      Partners[S].push_back(D);
+    }
+  MaxPartners = 0;
+  for (std::vector<RegId> &List : Partners) {
+    std::sort(List.begin(), List.end());
+    List.erase(std::unique(List.begin(), List.end()), List.end());
+    MaxPartners = std::max(MaxPartners, List.size());
+  }
+  return Mergeable;
+}
+
+} // namespace
+
+TEST(Coalescer, GateBuildsTheGraphExactlyWhenACopyIsMergeable) {
+  // The graph-free confirm gate against a freshly built graph: a call
+  // builds its one graph (NumRebuilds == 1) exactly when that graph has
+  // a candidate copy whose operands do not interfere. Checked on the
+  // coalescer input of every +C preset for every suite function and an
+  // 800-block ladder point, and of C,naiveABI+C for a call-heavy function
+  // whose R0 has ~2,000 copy partners.
+  std::vector<Workload> Functions = suiteAndLadderFunctions();
+  std::vector<std::pair<size_t, PipelineConfig>> Cases;
+  for (size_t I = 0; I < Functions.size(); ++I)
+    for (const char *Preset : CoalescingPresets) {
+      Cases.emplace_back(I, pipelinePreset(Preset));
+      Cases.back().second.Coalesce = false;
+    }
+  Workload Heavy;
+  Heavy.Name = "callheavy";
+  Heavy.F = makeCallHeavyFunction();
+  Functions.push_back(std::move(Heavy));
+  Cases.emplace_back(Functions.size() - 1, pipelinePreset("C,naiveABI+C"));
+  Cases.back().second.Coalesce = false;
+  std::stable_sort(Cases.begin(), Cases.end(),
+                   [&](const auto &A, const auto &B) {
+                     return Functions[A.first].F->numValues() >
+                            Functions[B.first].F->numValues();
+                   });
+
+  std::vector<std::string> Failure(Cases.size());
+  std::vector<char> Built(Cases.size());
+  std::vector<size_t> MaxPartners(Cases.size());
+  ThreadPool Pool(std::min(4u, ThreadPool::defaultConcurrency()));
+  Pool.parallelFor(Cases.size(), [&](size_t I) {
+    auto F = cloneFunction(*Functions[Cases[I].first].F);
+    runPipeline(*F, Cases[I].second);
+    bool Mergeable = freshGraphHasMergeableCopy(*F, MaxPartners[I]);
+    CoalescerStats S = coalesceAggressively(*F);
+    Built[I] = S.NumRebuilds == 1;
+    if (S.NumRebuilds > 1)
+      Failure[I] = "more than one graph build";
+    else if (Built[I] != Mergeable)
+      Failure[I] = Mergeable ? "gated off, but a fresh graph can merge"
+                             : "built a graph that cannot merge";
+  });
+  unsigned NumBuilt = 0, NumGated = 0;
+  for (size_t I = 0; I < Cases.size(); ++I) {
+    const std::string &Name = Functions[Cases[I].first].Name;
+    EXPECT_EQ(Failure[I], "") << Name << " under " << Cases[I].second.Name;
+    ++(Built[I] ? NumBuilt : NumGated);
+    if (Name == "callheavy") {
+      EXPECT_GE(MaxPartners[I], 2000u) << "R0 should have ~2,000 partners";
+    }
+  }
+  // Both verdicts occur.
+  EXPECT_GT(NumBuilt, 0u);
+  EXPECT_GT(NumGated, 0u);
+}
+
+namespace {
+
 /// Applies \p Merges — resolved (survivor, victim) pairs, cut into rounds
 /// of \p RoundSizes merges — to the production graph and to the eagerly
 /// merged reference, both built for \p F. Before each merge both graphs
@@ -530,12 +620,18 @@ std::string compareLazyMerges(const Function &Input,
 } // namespace
 
 TEST(InterferenceGraph, LazyMergesMatchEagerReferenceOnEverySuite) {
-  // The lazy merge (alias array, stale rows, one compaction per round)
-  // against the eager one it replaced (tests/ReferenceInterferenceGraph.h):
-  // the coalescer's merge sequence and a seeded one, on the coalescer
-  // input of the naive and the ABI-aware preset, for every suite function
-  // and an 800-block ladder point.
+  // The lazy merge (union-find, stale rows, rows re-emitted once per
+  // round) against the eager one it replaced
+  // (tests/ReferenceInterferenceGraph.h): the coalescer's merge sequence
+  // and a seeded one, on the coalescer input of the naive and the
+  // ABI-aware preset, for every suite function, an 800-block ladder point
+  // and the call-heavy function whose R0 has ~2,000 copy partners under
+  // naive lowering.
   std::vector<Workload> Functions = suiteAndLadderFunctions();
+  Workload Heavy;
+  Heavy.Name = "callheavy";
+  Heavy.F = makeCallHeavyFunction();
+  Functions.push_back(std::move(Heavy));
   sortLargestFirst(Functions);
   std::vector<PipelineConfig> Configs;
   for (const char *Preset : {"C,naiveABI+C", "Lphi,ABI+C"}) {

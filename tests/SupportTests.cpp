@@ -107,6 +107,37 @@ TEST(BitVector, ForEachVisitsAscending) {
   EXPECT_EQ(Seen, Expected);
 }
 
+TEST(BitVector, ForEachInRangeVisitsOnlyTheRange) {
+  // 200 bits: three full words and a last partial word of 8 bits.
+  BitVector BV(200);
+  for (size_t I : {0, 5, 6, 63, 64, 100, 127, 128, 191, 192, 199})
+    BV.set(I);
+  auto InRange = [&](size_t Begin, size_t End) {
+    std::vector<size_t> Seen;
+    BV.forEachInRange(Begin, End, [&](size_t I) { Seen.push_back(I); });
+    return Seen;
+  };
+  using Bits = std::vector<size_t>;
+  // Empty ranges, at a set bit and at the end.
+  EXPECT_EQ(InRange(5, 5), Bits{});
+  EXPECT_EQ(InRange(200, 200), Bits{});
+  // One bit, set or not, and a range within one word.
+  EXPECT_EQ(InRange(5, 6), Bits{5});
+  EXPECT_EQ(InRange(7, 8), Bits{});
+  EXPECT_EQ(InRange(1, 63), (Bits{5, 6}));
+  // Ranges spanning words: bounds inside words, on word edges, and the
+  // whole vector.
+  EXPECT_EQ(InRange(6, 101), (Bits{6, 63, 64, 100}));
+  EXPECT_EQ(InRange(64, 128), (Bits{64, 100, 127}));
+  EXPECT_EQ(InRange(63, 129), (Bits{63, 64, 100, 127, 128}));
+  EXPECT_EQ(InRange(0, 200),
+            (Bits{0, 5, 6, 63, 64, 100, 127, 128, 191, 192, 199}));
+  // The last, partial word.
+  EXPECT_EQ(InRange(192, 200), (Bits{192, 199}));
+  EXPECT_EQ(InRange(193, 199), Bits{});
+  EXPECT_EQ(InRange(150, 200), (Bits{191, 192, 199}));
+}
+
 TEST(BitVector, EqualityIncludesSize) {
   BitVector A(10), B(11);
   EXPECT_FALSE(A == B);

@@ -71,6 +71,21 @@ inline std::unique_ptr<Function> makeLadderFunction(unsigned Target,
   return F;
 }
 
+/// A call-heavy generated function of 844 blocks, in SSA: 940 statements
+/// at nesting depth 1, 80% of them calls. Naive ABI lowering routes
+/// thousands of values through R0, so under `C,naiveABI+C` the coalescer
+/// sees one physical register with about 2,000 copy partners.
+inline std::unique_ptr<Function> makeCallHeavyFunction() {
+  GeneratorParams P;
+  P.Seed = 0x1adde5 + 800;
+  P.NumStatements = 940;
+  P.MaxNesting = 1;
+  P.CallPercent = 80;
+  auto F = generateProgram(P, "callheavy");
+  EXPECT_TRUE(normalizeToOptimizedSSA(*F));
+  return F;
+}
+
 /// A chain of \p NumBlocks blocks (at least 2), each adding 1 to one
 /// variable, as non-SSA text: its dominator tree is a path as deep as the
 /// chain. 60,000 blocks overflowed the recursive dominator-tree walks
