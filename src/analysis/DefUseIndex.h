@@ -72,10 +72,6 @@ public:
   const std::vector<uint32_t> &ueBlocks(RegId V) const {
     return Vars[V].UE;
   }
-  /// Blocks (by id, ascending) containing a def of \p V (phi defs count).
-  const std::vector<uint32_t> &defBlocks(RegId V) const {
-    return Vars[V].DefB;
-  }
   /// Predecessor blocks into whose live-out \p V flows as a phi argument.
   const std::vector<uint32_t> &phiOutBlocks(RegId V) const {
     return Vars[V].PhiOut;

@@ -9,7 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <map>
 
 using namespace lao;
@@ -60,21 +60,37 @@ public:
     return Text.substr(Start, Pos - Start);
   }
 
-  /// Reads a signed integer (decimal or 0x-hex).
-  bool integer(int64_t &Out) {
+  /// Reads a signed integer: decimal, 0x-hex or (after a leading 0)
+  /// octal, as strtoll reads them with base 0. Returns invalid_argument
+  /// for a token that is no such number and result_out_of_range for one
+  /// outside int64_t.
+  std::errc integer(int64_t &Out) {
     skipSpace();
-    size_t Start = Pos;
+    bool Neg = false;
     if (Pos < Text.size() && (Text[Pos] == '-' || Text[Pos] == '+'))
-      ++Pos;
+      Neg = Text[Pos++] == '-';
+    const char *First = Text.data() + Pos;
     while (Pos < Text.size() &&
            std::isalnum(static_cast<unsigned char>(Text[Pos])))
       ++Pos;
-    if (Pos == Start)
-      return false;
-    std::string Tok = Text.substr(Start, Pos - Start);
-    char *End = nullptr;
-    Out = std::strtoll(Tok.c_str(), &End, 0);
-    return End != nullptr && *End == '\0';
+    const char *Last = Text.data() + Pos;
+    int Base = 10;
+    if (Last - First > 1 && First[0] == '0') {
+      Base = 8;
+      if (First[1] == 'x' || First[1] == 'X') {
+        Base = 16;
+        First += 2;
+      }
+    }
+    uint64_t Mag = 0;
+    auto [Stop, Ec] = std::from_chars(First, Last, Mag, Base);
+    if (Ec == std::errc::invalid_argument || Stop != Last)
+      return std::errc::invalid_argument;
+    uint64_t Max = Neg ? uint64_t{1} << 63 : INT64_MAX;
+    if (Ec == std::errc::result_out_of_range || Mag > Max)
+      return std::errc::result_out_of_range;
+    Out = static_cast<int64_t>(Neg ? 0 - Mag : Mag);
+    return std::errc();
   }
 
 private:
@@ -141,129 +157,94 @@ private:
     return true;
   }
 
+  /// Reads an immediate into \p I; \p Missing is the diagnostic for
+  /// text that is no number.
+  bool immediate(LineCursor &C, Instruction &I, const char *Missing) {
+    int64_t Imm;
+    std::errc Ec = C.integer(Imm);
+    if (Ec == std::errc::result_out_of_range)
+      return fail("immediate out of range");
+    if (Ec != std::errc())
+      return fail(Missing);
+    I.setImm(Imm);
+    return true;
+  }
+
+  /// Reads a label into \p BB; it must name a block of the function.
+  bool label(LineCursor &C, BasicBlock *&BB) {
+    std::string Label = C.ident();
+    BB = blockFor(Label);
+    return BB || fail("unknown block '" + Label + "'");
+  }
+
   bool parseInstruction(LineCursor &C, BasicBlock *BB);
+  bool parseOperands(LineCursor &C, const OpcodeInfo &Info, Instruction &I);
 };
 
+/// Returns the row whose mnemonic is \p Name, or nullptr.
+const OpcodeInfo *findOpcode(const std::string &Name) {
+  for (const OpcodeInfo &Info : OpcodeTable)
+    if (Name == Info.Name)
+      return &Info;
+  return nullptr;
+}
+
 bool Parser::parseInstruction(LineCursor &C, BasicBlock *BB) {
-  bool HasDef = false;
+  bool HasDef = C.peek() == '%';
   RegId Def = InvalidReg, DefPin = InvalidReg;
-  std::string OpName;
-  if (C.peek() == '%') {
+  if (HasDef) {
     if (!operand(C, Def, DefPin))
       return false;
     if (!C.consume('='))
       return fail("expected '=' after def operand");
-    HasDef = true;
-    OpName = C.ident();
-  } else {
-    OpName = C.ident();
   }
+  std::string OpName = C.ident();
   if (OpName.empty())
     return fail("expected opcode");
+  const OpcodeInfo *Info = findOpcode(OpName);
+  if (!Info)
+    return fail("unknown opcode '" + OpName + "'");
+  // Only a row with exactly one def writes it before the mnemonic.
+  if (HasDef && Info->Defs != 1)
+    return fail(OpName + " takes no def operand");
+  if (!HasDef && Info->Defs == 1)
+    return fail(OpName + " needs a def operand");
 
-  auto finishDef = [&](Instruction &I) {
+  Instruction I(Info->Op);
+  if (HasDef) {
     I.addDef(Def);
     if (DefPin != InvalidReg)
       I.pinDef(0, DefPin);
-  };
-
-  static const std::map<std::string, Opcode> BinaryOps = {
-      {"add", Opcode::Add},     {"sub", Opcode::Sub},
-      {"mul", Opcode::Mul},     {"and", Opcode::And},
-      {"or", Opcode::Or},       {"xor", Opcode::Xor},
-      {"shl", Opcode::Shl},     {"shr", Opcode::Shr},
-      {"cmplt", Opcode::CmpLT}, {"cmpeq", Opcode::CmpEQ}};
-  static const std::map<std::string, Opcode> ImmOps = {
-      {"addi", Opcode::AddI},
-      {"more", Opcode::More},
-      {"autoadd", Opcode::AutoAdd},
-      {"spadjust", Opcode::SpAdjust}};
-
-  if (auto It = BinaryOps.find(OpName); It != BinaryOps.end()) {
-    if (!HasDef)
-      return fail(OpName + " needs a def operand");
-    Instruction I(It->second);
-    finishDef(I);
-    if (!parseUse(C, I) || !C.consume(',') || !parseUse(C, I))
-      return Error.empty() ? fail("expected two use operands") : false;
-    BB->append(std::move(I));
-    return true;
   }
+  if (!parseOperands(C, *Info, I))
+    return false;
+  BB->append(std::move(I));
+  return true;
+}
 
-  if (auto It = ImmOps.find(OpName); It != ImmOps.end()) {
-    if (!HasDef)
-      return fail(OpName + " needs a def operand");
-    Instruction I(It->second);
-    finishDef(I);
-    int64_t Imm;
-    if (!parseUse(C, I) || !C.consume(',') || !C.integer(Imm))
-      return Error.empty() ? fail("expected use operand and immediate")
-                           : false;
-    I.setImm(Imm);
-    BB->append(std::move(I));
+bool Parser::parseOperands(LineCursor &C, const OpcodeInfo &Info,
+                           Instruction &I) {
+  switch (Info.Form) {
+  case OpForm::Imm:
+    return immediate(C, I, "expected immediate");
+
+  case OpForm::Uses:
+    for (unsigned K = 0; K < Info.Uses; ++K) {
+      if (K != 0 && !C.consume(','))
+        return fail(formatStr("expected %u use operands", Info.Uses));
+      if (!parseUse(C, I))
+        return false;
+    }
     return true;
-  }
 
-  if (OpName == "make") {
-    if (!HasDef)
-      return fail("make needs a def operand");
-    Instruction I(Opcode::Make);
-    finishDef(I);
-    int64_t Imm;
-    if (!C.integer(Imm))
-      return fail("expected immediate");
-    I.setImm(Imm);
-    BB->append(std::move(I));
-    return true;
-  }
-
-  if (OpName == "mov") {
-    if (!HasDef)
-      return fail("mov needs a def operand");
-    Instruction I(Opcode::Mov);
-    finishDef(I);
+  case OpForm::UseImm:
     if (!parseUse(C, I))
       return false;
-    BB->append(std::move(I));
-    return true;
-  }
+    if (!C.consume(','))
+      return fail("expected use operand and immediate");
+    return immediate(C, I, "expected use operand and immediate");
 
-  if (OpName == "load") {
-    if (!HasDef)
-      return fail("load needs a def operand");
-    Instruction I(Opcode::Load);
-    finishDef(I);
-    if (!parseUse(C, I))
-      return false;
-    BB->append(std::move(I));
-    return true;
-  }
-
-  if (OpName == "psi") {
-    if (!HasDef)
-      return fail("psi needs a def operand");
-    Instruction I(Opcode::Psi);
-    finishDef(I);
-    if (!parseUse(C, I) || !C.consume(',') || !parseUse(C, I) ||
-        !C.consume(',') || !parseUse(C, I))
-      return Error.empty() ? fail("expected three use operands") : false;
-    BB->append(std::move(I));
-    return true;
-  }
-
-  if (OpName == "store") {
-    Instruction I(Opcode::Store);
-    if (!parseUse(C, I) || !C.consume(',') || !parseUse(C, I))
-      return Error.empty() ? fail("expected address and value") : false;
-    BB->append(std::move(I));
-    return true;
-  }
-
-  if (OpName == "call") {
-    if (!HasDef)
-      return fail("call needs a def operand");
-    Instruction I(Opcode::Call);
-    finishDef(I);
+  case OpForm::Call: {
     if (!C.consume('@'))
       return fail("expected '@callee'");
     std::string Callee = C.ident();
@@ -272,20 +253,16 @@ bool Parser::parseInstruction(LineCursor &C, BasicBlock *BB) {
     I.setCallee(Callee);
     if (!C.consume('('))
       return fail("expected '('");
-    if (!C.consume(')')) {
-      do {
-        if (!parseUse(C, I))
-          return false;
-      } while (C.consume(','));
-      if (!C.consume(')'))
-        return fail("expected ')'");
-    }
-    BB->append(std::move(I));
-    return true;
+    if (C.consume(')'))
+      return true;
+    do {
+      if (!parseUse(C, I))
+        return false;
+    } while (C.consume(','));
+    return C.consume(')') || fail("expected ')'");
   }
 
-  if (OpName == "input") {
-    Instruction I(Opcode::Input);
+  case OpForm::Input:
     do {
       RegId R, Pin;
       if (!operand(C, R, Pin))
@@ -294,51 +271,32 @@ bool Parser::parseInstruction(LineCursor &C, BasicBlock *BB) {
       if (Pin != InvalidReg)
         I.pinDef(I.numDefs() - 1, Pin);
     } while (C.consume(','));
-    BB->append(std::move(I));
+    return true;
+
+  case OpForm::Jump: {
+    BasicBlock *T;
+    if (!label(C, T))
+      return false;
+    I.setTarget(0, T);
     return true;
   }
 
-  if (OpName == "output" || OpName == "ret") {
-    Instruction I(OpName == "output" ? Opcode::Output : Opcode::Ret);
+  case OpForm::Branch:
     if (!parseUse(C, I))
       return false;
-    BB->append(std::move(I));
-    return true;
-  }
-
-  if (OpName == "jump") {
-    std::string Label = C.ident();
-    BasicBlock *T = blockFor(Label);
-    if (!T)
-      return fail("unknown block '" + Label + "'");
-    Instruction I(Opcode::Jump);
-    I.setTarget(0, T);
-    BB->append(std::move(I));
-    return true;
-  }
-
-  if (OpName == "branch") {
-    Instruction I(Opcode::Branch);
-    if (!parseUse(C, I) || !C.consume(','))
-      return Error.empty() ? fail("expected condition operand") : false;
+    if (!C.consume(','))
+      return fail("expected condition operand");
     for (unsigned K = 0; K < 2; ++K) {
-      std::string Label = C.ident();
-      BasicBlock *T = blockFor(Label);
-      if (!T)
-        return fail("unknown block '" + Label + "'");
+      BasicBlock *T;
+      if (!label(C, T))
+        return false;
       I.setTarget(K, T);
       if (K == 0 && !C.consume(','))
         return fail("expected ',' between branch targets");
     }
-    BB->append(std::move(I));
     return true;
-  }
 
-  if (OpName == "phi") {
-    if (!HasDef)
-      return fail("phi needs a def operand");
-    Instruction I(Opcode::Phi);
-    finishDef(I);
+  case OpForm::Phi:
     do {
       if (!C.consume('['))
         return fail("expected '[' in phi");
@@ -347,22 +305,18 @@ bool Parser::parseInstruction(LineCursor &C, BasicBlock *BB) {
         return false;
       if (!C.consume(','))
         return fail("expected ',' in phi entry");
-      std::string Label = C.ident();
-      BasicBlock *Pred = blockFor(Label);
-      if (!Pred)
-        return fail("unknown block '" + Label + "'");
+      BasicBlock *Pred;
+      if (!label(C, Pred))
+        return false;
       if (!C.consume(']'))
         return fail("expected ']' in phi entry");
       I.addIncoming(R, Pred);
       if (Pin != InvalidReg)
         I.pinUse(I.numUses() - 1, Pin);
     } while (C.consume(','));
-    BB->append(std::move(I));
     return true;
-  }
 
-  if (OpName == "parcopy") {
-    Instruction I(Opcode::ParCopy);
+  case OpForm::ParCopy:
     do {
       RegId D, DPin;
       if (!operand(C, D, DPin))
@@ -379,11 +333,9 @@ bool Parser::parseInstruction(LineCursor &C, BasicBlock *BB) {
       if (SPin != InvalidReg)
         I.pinUse(I.numUses() - 1, SPin);
     } while (C.consume(','));
-    BB->append(std::move(I));
     return true;
   }
-
-  return fail("unknown opcode '" + OpName + "'");
+  return false;
 }
 
 std::unique_ptr<Function> Parser::run(const std::string &Text,

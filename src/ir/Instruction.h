@@ -28,6 +28,7 @@
 #ifndef LAO_IR_INSTRUCTION_H
 #define LAO_IR_INSTRUCTION_H
 
+#include "ir/Opcode.h"
 #include "ir/Target.h"
 
 #include <cassert>
@@ -44,60 +45,6 @@ class InstrList;
 /// Stable index of an instruction within its Function's table.
 using InstrRef = uint32_t;
 constexpr InstrRef InvalidInstrRef = ~0u;
-
-/// Opcodes of the mini-LAI instruction set. Each renaming-constraint class
-/// of the paper is represented: ABI registers (Call/Ret/Input/Output),
-/// 2-operand instructions (More/AutoAdd), the dedicated SP register
-/// (SpAdjust), and predication (Psi).
-enum class Opcode : uint8_t {
-  // Data movement.
-  Mov,      ///< d = s
-  Make,     ///< d = imm
-  ParCopy,  ///< (d1, d2, ...) = (s1, s2, ...) executed in parallel
-
-  // Three-address arithmetic.
-  Add,      ///< d = a + b
-  Sub,      ///< d = a - b
-  Mul,      ///< d = a * b
-  And,      ///< d = a & b
-  Or,       ///< d = a | b
-  Xor,      ///< d = a ^ b
-  Shl,      ///< d = a << (b & 63)
-  Shr,      ///< d = a >> (b & 63)
-  AddI,     ///< d = a + imm
-  CmpLT,    ///< d = (a < b) ? 1 : 0  (signed)
-  CmpEQ,    ///< d = (a == b) ? 1 : 0
-
-  // 2-operand ISA constraints: the def must be assigned the same resource
-  // as the first use (paper Figure 1, statements S1 and S6).
-  More,     ///< d = s | (imm << 16); constraint res(d) == res(s)
-  AutoAdd,  ///< d = s + imm (post-modified address); res(d) == res(s)
-
-  // Dedicated-register constraint: SP-relative adjustment. Both operands
-  // must live in SP (paper Figure 2).
-  SpAdjust, ///< d = s + imm; res(d) == res(s) == SP
-
-  // Memory.
-  Load,     ///< d = mem[a]
-  Store,    ///< mem[a] = s ; uses = {a, s}
-
-  // Calls and function boundary (ABI constraints).
-  Call,     ///< d = call @callee(args...); args in R0..R3, result in R0
-  Input,    ///< defs = function parameters (entry block only)
-  Output,   ///< emit value to the observable output trace
-  Ret,      ///< return value in R0
-
-  // Control flow.
-  Jump,     ///< unconditional branch
-  Branch,   ///< if (cond != 0) goto Targets[0] else Targets[1]
-
-  // SSA-only instructions.
-  Phi,      ///< d = phi([v, pred]...) ; parallel at block entry
-  Psi,      ///< d = psi(p, a, b): p != 0 ? a : b (predicated, psi-SSA)
-};
-
-/// Returns a stable lower-case mnemonic for \p Op.
-const char *opcodeName(Opcode Op);
 
 /// Returns true if \p Op ends a basic block.
 inline bool isTerminatorOpcode(Opcode Op) {

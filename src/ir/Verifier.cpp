@@ -13,64 +13,6 @@
 
 using namespace lao;
 
-namespace {
-
-/// Expected operand arity per opcode; ~0u means "variable".
-struct Arity {
-  unsigned Defs;
-  unsigned Uses;
-};
-
-Arity arityOf(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov:
-    return {1, 1};
-  case Opcode::Make:
-    return {1, 0};
-  case Opcode::ParCopy:
-    return {~0u, ~0u};
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::CmpLT:
-  case Opcode::CmpEQ:
-    return {1, 2};
-  case Opcode::AddI:
-  case Opcode::More:
-  case Opcode::AutoAdd:
-  case Opcode::SpAdjust:
-    return {1, 1};
-  case Opcode::Load:
-    return {1, 1};
-  case Opcode::Store:
-    return {0, 2};
-  case Opcode::Call:
-    return {1, ~0u};
-  case Opcode::Input:
-    return {~0u, 0};
-  case Opcode::Output:
-    return {0, 1};
-  case Opcode::Ret:
-    return {0, 1};
-  case Opcode::Jump:
-    return {0, 0};
-  case Opcode::Branch:
-    return {0, 1};
-  case Opcode::Phi:
-    return {1, ~0u};
-  case Opcode::Psi:
-    return {1, 3};
-  }
-  return {0, 0};
-}
-
-} // namespace
-
 std::vector<std::string> lao::verifyStructure(const Function &F) {
   std::vector<std::string> Diags;
   auto Report = [&](const std::string &Msg) { Diags.push_back(Msg); };
@@ -98,15 +40,15 @@ std::vector<std::string> lao::verifyStructure(const Function &F) {
       if (I.isTerminator() && &I != &BB->back())
         Report(formatStr("block %s: terminator not last", BB->name().c_str()));
 
-      Arity A = arityOf(I.op());
-      if (A.Defs != ~0u && I.numDefs() != A.Defs)
+      const OpcodeInfo &Info = opcodeInfo(I.op());
+      if (Info.Defs != VarArity && I.numDefs() != Info.Defs)
         Report(formatStr("block %s: %s has %u defs, expected %u",
-                         BB->name().c_str(), opcodeName(I.op()), I.numDefs(),
-                         A.Defs));
-      if (A.Uses != ~0u && I.numUses() != A.Uses)
+                         BB->name().c_str(), Info.Name, I.numDefs(),
+                         Info.Defs));
+      if (Info.Uses != VarArity && I.numUses() != Info.Uses)
         Report(formatStr("block %s: %s has %u uses, expected %u",
-                         BB->name().c_str(), opcodeName(I.op()), I.numUses(),
-                         A.Uses));
+                         BB->name().c_str(), Info.Name, I.numUses(),
+                         Info.Uses));
       if (I.isParCopy() && I.numDefs() != I.numUses())
         Report(formatStr("block %s: parcopy def/use count mismatch",
                          BB->name().c_str()));

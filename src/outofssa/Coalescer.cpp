@@ -227,8 +227,9 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
                           std::vector<std::pair<RegId, RegId>> *TraceOut) {
   Liveness &LV = AM.liveness();
 
-  // Graph-free gate first: most calls after the phi-coalescing
-  // configurations find nothing to merge and never build a graph.
+  // Graph-free gate first: after phi coalescing without ABI pinning
+  // (Lphi+C, Sphi+C) nearly every call finds nothing to merge and never
+  // builds a graph; under ABI pinning nearly every call builds one.
   std::vector<Instruction *> Copies = candidateCopies(F);
   ++Stats.NumConfirmScans;
   if (!anyCoalescableCopy(F, LV, Copies))

@@ -14,10 +14,11 @@
 /// Zero-rebuild schedule
 /// ---------------------
 /// The interference graph is built exactly once per call. A graph-free
-/// *confirm scan* first proves a merge exists (most post-phi-coalescing
-/// calls find nothing and never build a graph). It probes each register's
-/// list of copy partners and drops a partner once its pair interferes, so
-/// it is linear in the walk plus the probes. Then a FIFO worklist of the
+/// *confirm scan* first proves a merge exists (after phi coalescing
+/// without ABI pinning nearly every call finds nothing and never builds
+/// a graph; under ABI pinning nearly every call builds one). It probes
+/// each register's list of copy partners and drops a partner once its
+/// pair interferes, so it is linear in the walk plus the probes. Then a FIFO worklist of the
 /// remaining copies drives merge *rounds*:
 ///
 ///  1. pop each copy, resolve its operands through the graph's merge map

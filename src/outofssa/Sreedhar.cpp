@@ -298,18 +298,10 @@ lao::findCSSAViolations(Function &F, AnalysisManager &AM) {
       for (RegId D : I.defs())
         if (!F.isPhysical(D))
           Members[Webs.find(D)].push_back(D);
+  // Only phis join webs, so in SSA every web of two or more members
+  // holds a phi def.
   for (auto &[Root, List] : Members) {
     if (List.size() < 2)
-      continue;
-    // Only webs containing a phi matter.
-    bool HasPhi = false;
-    for (const auto &BB : F.blocks())
-      for (const Instruction &I : BB->instructions()) {
-        if (!I.isPhi())
-          break;
-        HasPhi |= Webs.find(I.def(0)) == Root;
-      }
-    if (!HasPhi)
       continue;
     for (size_t A = 0; A < List.size(); ++A)
       for (size_t B = A + 1; B < List.size(); ++B)

@@ -55,8 +55,8 @@ unsigned pinCSSAWebs(Function &F);
 
 /// Checks the defining property of Conventional SSA: within every phi
 /// web (result and arguments, transitively across phis), no two members
-/// interfere, per \p AM (bound to \p F). Returns the interfering pairs
-/// found (empty = CSSA).
+/// interfere, per \p AM (bound to \p F). \p F must be SSA. Returns the
+/// interfering pairs found (empty = CSSA).
 std::vector<std::pair<RegId, RegId>> findCSSAViolations(Function &F,
                                                         AnalysisManager &AM);
 

@@ -77,8 +77,8 @@ TEST(Printer, RendersPins) {
 }
 
 TEST(Parser, RoundTripsAllOpcodes) {
-  const char *Text = R"(
-func @all {
+  // Canonical text: the printer must reproduce it byte for byte.
+  const std::string Text = R"(func @all {
 entry:
   input %a^R0, %b^R1
   %c = make -12
@@ -114,8 +114,15 @@ fin:
   auto F = parse(Text);
   ASSERT_TRUE(F);
   expectWellFormed(*F);
-  // Round trip: print, reparse, print again; the two prints must agree.
+  // Every row of the opcode table appears in the text.
+  std::vector<bool> Seen(std::size(OpcodeTable));
+  for (const auto &BB : F->blocks())
+    for (const Instruction &I : BB->instructions())
+      Seen[static_cast<size_t>(I.op())] = true;
+  for (const OpcodeInfo &Info : OpcodeTable)
+    EXPECT_TRUE(Seen[static_cast<size_t>(Info.Op)]) << Info.Name;
   std::string P1 = printFunction(*F);
+  EXPECT_EQ(P1, Text);
   auto F2 = parse(P1);
   ASSERT_TRUE(F2);
   EXPECT_EQ(P1, printFunction(*F2));
@@ -149,6 +156,117 @@ TEST(Parser, ReportsErrors) {
   EXPECT_EQ(parseFunction("func @f {\nentry:\n  jump nowhere\n}", &Error),
             nullptr);
   EXPECT_NE(Error.find("nowhere"), std::string::npos);
+
+  // A def on an opcode that has none used to be dropped in silence.
+  const std::pair<const char *, const char *> NoDef[] = {
+      {"%x = store %a, %b", "store"},
+      {"%y = output %a", "output"},
+      {"%w = ret %b", "ret"},
+      {"%z = jump next", "jump"},
+      {"%v = branch %a, next, next", "branch"},
+      {"%u = input %a, %b", "input"},
+      {"%t = parcopy %a = %b", "parcopy"},
+  };
+  for (const auto &[Line, Op] : NoDef) {
+    std::string Text = std::string("func @f {\nentry:\n  input %a, %b\n  ") +
+                       Line + "\n  ret %a\nnext:\n  ret %b\n}\n";
+    EXPECT_EQ(parseFunction(Text, &Error), nullptr) << Line;
+    EXPECT_EQ(Error, std::string("line 4: ") + Op + " takes no def operand");
+  }
+
+  // Immediates outside int64_t used to be clamped by strtoll.
+  for (const char *Line : {"%x = make 99999999999999999999",
+                           "%x = make 0x1ffffffffffffffff",
+                           "%x = make 9223372036854775808",
+                           "%x = make -9223372036854775809",
+                           "%x = addi %a, -99999999999999999999"}) {
+    std::string Text = std::string("func @f {\nentry:\n  input %a\n  ") +
+                       Line + "\n  ret %a\n}\n";
+    EXPECT_EQ(parseFunction(Text, &Error), nullptr) << Line;
+    EXPECT_EQ(Error, "line 4: immediate out of range") << Line;
+  }
+}
+
+TEST(Parser, ReadsImmediatesAtTheEdgesOfTheRange) {
+  auto F = parse("func @f {\nentry:\n  %a = make 9223372036854775807\n"
+                 "  %b = make -9223372036854775808\n"
+                 "  %c = make -0x8000000000000000\n"
+                 "  %d = addi %a, 0x7FFFFFFFFFFFFFFF\n  ret %a\n}\n");
+  ASSERT_TRUE(F);
+  std::vector<int64_t> Imms;
+  for (const Instruction &I : F->entry().instructions())
+    if (I.op() == Opcode::Make || I.op() == Opcode::AddI)
+      Imms.push_back(I.imm());
+  EXPECT_EQ(Imms, (std::vector<int64_t>{INT64_MAX, INT64_MIN, INT64_MIN,
+                                         INT64_MAX}));
+}
+
+TEST(Parser, MalformedLinesNameTheirLineByForm) {
+  // One list per syntax form of the opcode table. Each line is the third
+  // of "func @f { / entry: / <line> / ret %a / }".
+  const std::pair<const char *, const char *> Cases[] = {
+      // Any form: the def and the mnemonic.
+      {"%x = bogus %a", "unknown opcode 'bogus'"},
+      {"%x add %a, %a", "expected '=' after def operand"},
+      {"%x =", "expected opcode"},
+      {"%x = mov %a %a", "trailing characters after instruction"},
+      // <imm>
+      {"make 5", "make needs a def operand"},
+      {"%x = make", "expected immediate"},
+      {"%x = make 12z", "expected immediate"},
+      {"%x = make 0x", "expected immediate"},
+      {"%x = make 08", "expected immediate"},
+      {"%x = make 18446744073709551616", "immediate out of range"},
+      // %u, ... (with and without a def)
+      {"%x = mov", "expected '%' operand"},
+      {"%x = mov %", "expected value name"},
+      {"%x = mov %a^", "expected pin resource name"},
+      {"%x = add %a", "expected 2 use operands"},
+      {"%x = add %a, a", "expected '%' operand"},
+      {"%x = psi %a, %a", "expected 3 use operands"},
+      {"store %a", "expected 2 use operands"},
+      {"%x = load", "expected '%' operand"},
+      {"output", "expected '%' operand"},
+      {"%x = output %a", "output takes no def operand"},
+      // %u, <imm>
+      {"%x = addi %a", "expected use operand and immediate"},
+      {"%x = addi %a, %a", "expected use operand and immediate"},
+      {"%x = more %a, 0x10000000000000000", "immediate out of range"},
+      {"addi %a, 1", "addi needs a def operand"},
+      // call
+      {"call @f()", "call needs a def operand"},
+      {"%x = call f()", "expected '@callee'"},
+      {"%x = call @()", "expected callee name"},
+      {"%x = call @f", "expected '('"},
+      {"%x = call @f(%a", "expected ')'"},
+      // input
+      {"input", "expected '%' operand"},
+      {"%x = input %a", "input takes no def operand"},
+      // jump
+      {"jump nowhere", "unknown block 'nowhere'"},
+      {"%x = jump entry", "jump takes no def operand"},
+      // branch
+      {"branch %a", "expected condition operand"},
+      {"branch %a, entry", "expected ',' between branch targets"},
+      {"branch %a, entry, nowhere", "unknown block 'nowhere'"},
+      // phi
+      {"phi [%a, entry]", "phi needs a def operand"},
+      {"%x = phi %a", "expected '[' in phi"},
+      {"%x = phi [%a entry]", "expected ',' in phi entry"},
+      {"%x = phi [%a, nowhere]", "unknown block 'nowhere'"},
+      {"%x = phi [%a, entry", "expected ']' in phi entry"},
+      // parcopy
+      {"parcopy %a %a", "expected '=' in parcopy"},
+      {"parcopy %a =", "expected '%' operand"},
+      {"%x = parcopy %a = %a", "parcopy takes no def operand"},
+  };
+  for (const auto &[Line, Diag] : Cases) {
+    std::string Error;
+    std::string Text = std::string("func @f {\nentry:\n  ") + Line +
+                       "\n  ret %a\n}\n";
+    EXPECT_EQ(parseFunction(Text, &Error), nullptr) << Line;
+    EXPECT_EQ(Error, std::string("line 3: ") + Diag) << Line;
+  }
 }
 
 TEST(Parser, RejectsInstructionAfterTerminator) {

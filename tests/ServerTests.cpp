@@ -581,7 +581,9 @@ TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
   // Both inputs reach an assertion unless refused first: an instruction
   // after a terminator (BasicBlock::append's, in the parser) and, with
   // "ssa: 0", a use nothing defines (the translator's slot assertion).
-  // Each gets a parse_error record; the frame after them compiles.
+  // A def on an opcode without one used to be dropped, leaving a
+  // phantom value. Each gets a parse_error record; the frame after them
+  // compiles.
   Request AfterRet;
   AfterRet.Id = 1;
   AfterRet.Text = "func @f {\nentry:\n  input %a\n  ret %a\n"
@@ -590,8 +592,12 @@ TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
   Undefined.Id = 2;
   Undefined.Text = "func @f {\nentry:\n  input %a\n  %b = add %u, %u\n"
                    "  ret %b\n}\n";
+  Request DefOnStore;
+  DefOnStore.Id = 3;
+  DefOnStore.Text = "func @f {\nentry:\n  input %a\n  %x = store %a, %a\n"
+                    "  ret %a\n}\n";
   Request Good;
-  Good.Id = 3;
+  Good.Id = 4;
   Good.Text = SimpleFunc;
   ServerOptions Opts;
   Opts.NumWorkers = 2;
@@ -600,11 +606,11 @@ TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts,
                         encodeRequest(AfterRet) + encodeRequest(Undefined) +
-                            encodeRequest(Good),
+                            encodeRequest(DefOnStore) + encodeRequest(Good),
                         Responses, &S),
             0);
-  ASSERT_EQ(Responses.size(), 3u);
-  ASSERT_EQ(S.records().size(), 3u);
+  ASSERT_EQ(Responses.size(), 4u);
+  ASSERT_EQ(S.records().size(), 4u);
   EXPECT_EQ(S.records()[0].Outcome, RequestOutcome::ParseError);
   EXPECT_EQ(S.records()[0].Error,
             "parse error: line 5: instruction after the terminator of block "
@@ -612,11 +618,15 @@ TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
   EXPECT_EQ(S.records()[1].Outcome, RequestOutcome::ParseError);
   EXPECT_EQ(S.records()[1].Error, "ssa error: %u is used but never defined; "
                                   "the pipeline needs SSA input");
+  EXPECT_EQ(S.records()[2].Outcome, RequestOutcome::ParseError);
+  EXPECT_EQ(S.records()[2].Error,
+            "parse error: line 4: store takes no def operand");
   EXPECT_TRUE(Responses[0].IR.empty());
   EXPECT_TRUE(Responses[1].IR.empty());
-  EXPECT_TRUE(Responses[2].Ok) << Responses[2].RecordJson;
-  EXPECT_EQ(Responses[2].IR, oneShot(SimpleFunc));
-  EXPECT_EQ(S.report().NumParseErrors, 2u);
+  EXPECT_TRUE(Responses[2].IR.empty());
+  EXPECT_TRUE(Responses[3].Ok) << Responses[3].RecordJson;
+  EXPECT_EQ(Responses[3].IR, oneShot(SimpleFunc));
+  EXPECT_EQ(S.report().NumParseErrors, 3u);
 }
 
 TEST(Server, FunctionWithoutBlocksIsParseErrorAndServingContinues) {

@@ -17,8 +17,9 @@ Runs the lao-opt binary on tests/lao_opt_input.lai and checks that
     instruction after a terminator; a use nothing defines, without
     --ssa) exit 1 with the job's error text, which the server answers
     verbatim;
-  * a function without blocks, and text before the function header or
-    after its closing brace, exit 1 with a parse error;
+  * a function without blocks, text before the function header or
+    after its closing brace, and a def on an opcode that has none exit
+    1 with a parse error;
   * the four malformed phis that parse but reached an assertion of the
     translator (a phi below a non-phi, too few incoming values, an
     incoming block that is no predecessor, a predecessor listed twice)
@@ -306,6 +307,16 @@ class LaoOptCli(unittest.TestCase):
                                   capture_output=True, text=True, timeout=60)
             self.assertEqual(proc.returncode, 1, proc.stderr)
             self.assertEqual(proc.stderr, "parse error: " + error + "\n")
+
+    def test_def_on_a_no_def_opcode_exits_1(self):
+        # The def used to be dropped in silence and the run exited 0.
+        text = ("func @f {\nentry:\n  input %a\n  %x = store %a, %a\n"
+                "  ret %a\n}\n")
+        proc = subprocess.run([LAO_OPT, "-"], input=text,
+                              capture_output=True, text=True, timeout=60)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual(proc.stderr,
+                         "parse error: line 4: store takes no def operand\n")
 
     def test_selftest_fails_when_a_reference_fails(self):
         # A one-register pool fails every reference job; the selftest
