@@ -163,34 +163,6 @@ bool PinningContext::variableKills(RegId A, RegId B) const {
   return false;
 }
 
-bool PinningContext::stronglyInterfere(RegId A, RegId B) const {
-  if (A == B)
-    return false;
-  const DefSite &DA = Defs[A], &DB = Defs[B];
-  if (!DA.Valid || !DB.Valid)
-    return false;
-
-  if (DA.I->isPhi() && DB.I->isPhi()) {
-    // Case 4 (and same-block Case 3 degenerate): parallel phis of one
-    // block can never share a resource.
-    if (DA.BB == DB.BB)
-      return true;
-    // Case 3: a common predecessor would carry two parallel copies into
-    // one resource; legal only if the flowing values coincide.
-    const Instruction &PA = *DA.I, &PB = *DB.I;
-    for (unsigned I = 0; I < PA.numUses(); ++I) {
-      const BasicBlock *Shared = PA.incomingBlock(I);
-      for (unsigned J = 0; J < PB.numUses(); ++J)
-        if (PB.incomingBlock(J) == Shared && PA.use(I) != PB.use(J))
-          return true;
-    }
-    return false;
-  }
-
-  // Two results of one instruction are written in parallel.
-  return DA.I == DB.I;
-}
-
 bool PinningContext::resourceInterfere(RegId A, RegId B) const {
   RegId RA = Classes.find(A), RB = Classes.find(B);
   if (RA == RB)

@@ -7,9 +7,10 @@
 /// \file
 /// The pinning machinery of the paper's Section 3: resources as sets of
 /// variables pinned together (kept in a union-find), the Variable_kills /
-/// Variable_stronglyInterfere / Resource_killed / Resource_interfere
-/// procedures of Algorithm 2, and the optimistic / pessimistic kill
-/// variants of Algorithm 4 used in the Table 5 experiments.
+/// Resource_killed / Resource_interfere procedures of Algorithm 2, and
+/// the optimistic / pessimistic kill variants of Algorithm 4 used in the
+/// Table 5 experiments. Variable_stronglyInterfere is answered inside
+/// the class-interference engine; its paper-literal form is test code.
 ///
 /// Resource_interfere has one production path, the dominance-ordered
 /// class-interference engine (outofssa/ClassInterference.h), which is
@@ -136,9 +137,6 @@ public:
   /// the old per-class hashed sets on the resourceInterfere hot path.
   bool isKilled(RegId V) const { return KilledMask.test(V); }
 
-  /// The flat killed mask over all values (bit V == isKilled(V)).
-  const BitVector &killedMask() const { return KilledMask; }
-
   /// Merges the classes of \p A and \p B. The caller must have verified
   /// the merge (resourceInterfere(A, B) == false) unless the pinning is
   /// mandatory (ABI/SP), in which case new kills are absorbed into the
@@ -156,9 +154,6 @@ public:
   /// dominates Killer's.
   bool liveAcrossDef(RegId Victim, RegId Killer) const;
 
-  /// Paper: Variable_stronglyInterfere(a, b) — unrepairable conflicts.
-  bool stronglyInterfere(RegId A, RegId B) const;
-
   /// Paper: Resource_interfere(A, B) — true if merging the two classes
   /// would create a new simple interference or any strong interference.
   /// Answered by the dominance-ordered sweep engine
@@ -168,10 +163,6 @@ public:
   /// Definition site of \p V (Valid == false for physical registers and
   /// never-defined values).
   const DefSite &defSite(RegId V) const { return Defs[V]; }
-
-  /// True if the class of \p R contains a physical register (which is
-  /// then its representative).
-  bool hasPhysical(RegId R) const { return F.isPhysical(Classes.find(R)); }
 
   /// Called with every verdict resourceInterfere returns from the
   /// engine: the context, the two class representatives and the answer.

@@ -15,8 +15,10 @@ using namespace lao;
 /// Stop-aware reads re-check the flag at this granularity.
 static constexpr int PollTickMs = 200;
 
-FdStreamBuf::FdStreamBuf(int Fd, const std::atomic<bool> *Stop,
-                         size_t BufBytes)
+/// Each direction stages this many bytes per read or write call.
+static constexpr size_t BufBytes = 1u << 16;
+
+FdStreamBuf::FdStreamBuf(int Fd, const std::atomic<bool> *Stop)
     : Fd(Fd), Stop(Stop), InBuf(BufBytes), OutBuf(BufBytes) {
   setg(InBuf.data(), InBuf.data(), InBuf.data());
   setp(OutBuf.data(), OutBuf.data() + OutBuf.size());

@@ -36,8 +36,7 @@ public:
   /// Wraps \p Fd without taking ownership (the creator closes it).
   /// \p Stop, when non-null, makes reads give up — as a clean EOF —
   /// once the flag is set and the fd has nothing buffered or pending.
-  explicit FdStreamBuf(int Fd, const std::atomic<bool> *Stop = nullptr,
-                       size_t BufBytes = 1u << 16);
+  explicit FdStreamBuf(int Fd, const std::atomic<bool> *Stop = nullptr);
 
   FdStreamBuf(const FdStreamBuf &) = delete;
   FdStreamBuf &operator=(const FdStreamBuf &) = delete;

@@ -12,6 +12,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -118,8 +119,7 @@ Response responseOf(RequestRecord &Rec, bool KeepIR) {
 
 RequestRecord Server::compileRequest(const Request &Req, WorkerContext &Ctx,
                                      Clock::time_point Arrival,
-                                     const ServerOptions &Opts,
-                                     bool PerRequestCounters) {
+                                     const ServerOptions &Opts) {
   RequestRecord Rec;
   Rec.Id = Req.Id;
   Rec.Pipeline = Req.Pipeline;
@@ -136,16 +136,11 @@ RequestRecord Server::compileRequest(const Request &Req, WorkerContext &Ctx,
   auto Expired = [&] { return DeadlineMs && Clock::now() >= Deadline; };
 
   // Everything below attributes its counter bumps to this request alone,
-  // however many sibling workers are running. Batch items skip the
-  // scope — that is the lean path batching exists for — and report an
-  // empty counters object instead.
-  std::optional<StatsScope> Scope;
-  if (PerRequestCounters)
-    Scope.emplace();
+  // however many sibling workers are running.
+  StatsScope Scope;
   ++LAO_STAT(server, requests);
   auto Finish = [&]() -> RequestRecord & {
-    if (Scope)
-      Rec.Counters = Scope->takeAndReset();
+    Rec.Counters = Scope.snapshot();
     Rec.Seconds =
         std::chrono::duration<double>(Clock::now() - Start).count();
     return Rec;
@@ -242,12 +237,11 @@ void Server::releaseSlot(unsigned Slot) {
   FreeSlots.push_back(Slot);
 }
 
-/// Renders the answer to one frame from its records, accounts them in
-/// the shared report and hands the frame to the connection's writer
-/// under its sequence number. A REQ is answered by a RSP carrying its
-/// one record. A BAT is answered by a RSB: a summary, then one body per
-/// item; a BAT refused as a whole has a single record without an item
-/// position, and only the summary reports it.
+/// Renders the answer to one frame from its records and hands it to the
+/// connection's writer under its sequence number. A REQ is answered by a
+/// RSP carrying its one record. A BAT is answered by a RSB: a summary,
+/// then one body per item; a BAT refused as a whole has a single record
+/// without an item position, and only the summary reports it.
 void Server::complete(Connection &C, uint64_t Seq, FrameKind Kind,
                       uint64_t Id, std::vector<RequestRecord> Recs,
                       Clock::time_point Arrival) {
@@ -272,38 +266,6 @@ void Server::complete(Connection &C, uint64_t Seq, FrameKind Kind,
                                          Recs.size(), OkCount, Seconds);
     }
     Encoded = encodeBatchResponse(Rsp);
-  }
-  {
-    std::lock_guard<std::mutex> G(ReportM);
-    for (const RequestRecord &Rec : Recs) {
-      ++Report.NumRequests;
-      switch (Rec.Outcome) {
-      case RequestOutcome::Ok:
-        ++Report.NumOk;
-        break;
-      case RequestOutcome::Timeout:
-        ++Report.NumTimeouts;
-        break;
-      case RequestOutcome::ParseError:
-      case RequestOutcome::UnknownPreset:
-        ++Report.NumParseErrors;
-        break;
-      case RequestOutcome::Oversized:
-        ++Report.NumOversized;
-        break;
-      case RequestOutcome::PipelineError:
-        ++Report.NumPipelineErrors;
-        break;
-      case RequestOutcome::BatchError:
-        ++Report.NumBatchErrors;
-        break;
-      case RequestOutcome::Protocol:
-        break;
-      }
-      if (Rec.Outcome != RequestOutcome::Ok)
-        ++Report.NumErrors;
-      mergeSnapshot(Report.MergedCounters, Rec.Counters);
-    }
   }
   std::lock_guard<std::mutex> G(C.M);
   if (Opts.CollectRecords)
@@ -331,10 +293,6 @@ void Server::dispatch(Connection &C, FrameKind Kind, BatchRequest Frame,
   St->Items.resize(N);
   St->Remaining.store(N, std::memory_order_relaxed);
   if (Kind == FrameKind::Batch) {
-    {
-      std::lock_guard<std::mutex> G(ReportM);
-      ++Report.NumBatches;
-    }
     ++LAO_STAT(server, batches);
     LAO_STAT(server, batch_items) += N;
   }
@@ -348,7 +306,6 @@ void Server::dispatch(Connection &C, FrameKind Kind, BatchRequest Frame,
 
   for (size_t K = 0; K < N; ++K)
     Pool->async([this, St, K, Finish] {
-      bool Batch = St->Kind == FrameKind::Batch;
       // Each item's text is read exactly once, so it moves out.
       Request R{St->Req, St->Req.Id, std::move(St->Req.Texts[K])};
       unsigned Slot = acquireSlot();
@@ -356,10 +313,7 @@ void Server::dispatch(Connection &C, FrameKind Kind, BatchRequest Frame,
       RequestRecord Rec;
       try {
         ArenaRecycler::Bind Bind(Ctx.Recycler);
-        // Batch items take the lean path: no StatsScope, so their
-        // records carry an empty counters object.
-        Rec = compileRequest(R, Ctx, St->Arrival, Opts,
-                             /*PerRequestCounters=*/!Batch);
+        Rec = compileRequest(R, Ctx, St->Arrival, Opts);
       } catch (...) {
         // compileRequest catches compile-path exceptions itself; this is
         // the belt-and-braces backstop that keeps the connection's
@@ -370,7 +324,7 @@ void Server::dispatch(Connection &C, FrameKind Kind, BatchRequest Frame,
         Rec.Outcome = RequestOutcome::PipelineError;
         Rec.Error = "pipeline error: exception escaped the worker";
       }
-      if (Batch)
+      if (St->Kind == FrameKind::Batch)
         Rec.Item = static_cast<int64_t>(K);
       flushRecyclerStats(Ctx);
       releaseSlot(Slot);
@@ -421,14 +375,12 @@ int Server::serve(std::istream &In, std::ostream &Out) {
   for (;;) {
     // Bounded in-flight window: a client pipelining faster than the
     // pool drains stalls here (its own connection only) instead of
-    // ballooning the reorder buffer.
+    // ballooning the reorder buffer. The writer wakes it after every
+    // flush.
     if (Opts.MaxInFlightFrames) {
       std::unique_lock<std::mutex> L(C.M);
-      while (C.InFlight >= Opts.MaxInFlightFrames && !shutdownRequested())
-        C.Cv.wait_for(L, std::chrono::milliseconds(50));
+      C.Cv.wait(L, [&] { return C.InFlight < Opts.MaxInFlightFrames; });
     }
-    if (shutdownRequested())
-      break;
 
     FrameKind Kind;
     Request Req;
@@ -448,6 +400,7 @@ int Server::serve(std::istream &In, std::ostream &Out) {
       // The stream cannot be resynchronized: answer with a final id-0
       // protocol record and stop reading. Everything already dispatched
       // still completes and flushes in order below.
+      ++LAO_STAT(server, protocol_errors);
       RequestRecord Rec;
       Rec.Outcome = RequestOutcome::Protocol;
       Rec.Error = "protocol error: " + Error;

@@ -20,11 +20,11 @@
 ///    (kept alive exactly as long as the manager is bound to it), and an
 ///    ArenaRecycler so the next request on the slot bump-allocates into
 ///    the chunks the previous one just released;
-///  * one StatsScope per REQ, so the per-request counter deltas in the
-///    response record are exact no matter how many workers run
-///    concurrently (the process-global registry stays monotonic). BAT
-///    items skip the scope — the lean path — and their records carry an
-///    empty counters object plus their "item" position;
+///  * one StatsScope per item, REQ or BAT, so the counter deltas in
+///    every response record are exact no matter how many workers run
+///    concurrently. The process-global registry stays monotonic and is
+///    the daemon's only tally: its server.* counters count frames and
+///    outcomes, and lao-server --stats prints its snapshot;
 ///  * cooperative deadlines: measured from frame arrival, enforced
 ///    before compilation, during diagnostic sleeps, and inside the
 ///    compile job via its cancel callback;
@@ -59,7 +59,6 @@
 #include "server/Protocol.h"
 #include "support/Stats.h"
 
-#include <atomic>
 #include <chrono>
 #include <iosfwd>
 #include <memory>
@@ -97,26 +96,16 @@ struct RequestRecord : CompileOutcome {
   std::string Pipeline;
   int64_t Item = -1;       ///< Position inside a batch; -1 = not batched.
   double Seconds = 0;      ///< Wall time inside the worker.
-  StatsSnapshot Counters;  ///< Exact per-request deltas (StatsScope);
-                           ///< empty on the lean batch-item path.
+  StatsSnapshot Counters;  ///< Exact per-request deltas (StatsScope).
 };
 
 /// Renders the one-line JSON record of a response body.
 std::string requestRecordJson(const RequestRecord &Rec);
 
-/// Service-lifetime aggregate, merged from the per-request records.
+/// What the server.* registry counters cannot say: the high-water of
+/// any connection's in-flight window.
 struct ServerReport {
-  uint64_t NumRequests = 0; ///< REQ frames + BAT items.
-  uint64_t NumOk = 0;
-  uint64_t NumErrors = 0;   ///< Every non-Ok outcome, timeouts included.
-  uint64_t NumTimeouts = 0;
-  uint64_t NumParseErrors = 0;
-  uint64_t NumOversized = 0;
-  uint64_t NumPipelineErrors = 0;
-  uint64_t NumBatchErrors = 0; ///< Malformed BAT bodies (whole frame).
-  uint64_t NumBatches = 0;     ///< Well-formed BAT frames dispatched.
-  uint64_t MaxInFlight = 0;    ///< High-water of any connection's window.
-  StatsSnapshot MergedCounters; ///< Sum of per-request deltas.
+  uint64_t MaxInFlight = 0;
 };
 
 class Server {
@@ -128,32 +117,24 @@ public:
   /// and sleep checks, then one runCompileJob call. \p Arrival anchors
   /// the deadline. This is the whole per-item path — serve() calls it
   /// from pool workers for REQ and BAT items alike, tests call it
-  /// directly. With \p PerRequestCounters off (the lean batch-item path)
-  /// no StatsScope is opened and the record's Counters stay empty.
+  /// directly. A StatsScope around the call fills the record's Counters.
   static RequestRecord compileRequest(const Request &Req, WorkerContext &Ctx,
                                       std::chrono::steady_clock::time_point
                                           Arrival,
-                                      const ServerOptions &Opts,
-                                      bool PerRequestCounters = true);
+                                      const ServerOptions &Opts);
 
-  /// Serves framed requests from \p In until EOF (or requestShutdown),
-  /// writing responses to \p Out in arrival order. Returns 0 on clean
-  /// EOF, 1 after an unrecoverable framing error (a final id-0 error
-  /// response is still emitted). Callable concurrently — one call per
-  /// connection, all sharing the worker pool.
+  /// Serves framed requests from \p In until EOF, writing responses to
+  /// \p Out in arrival order. Returns 0 on clean EOF, 1 after an
+  /// unrecoverable framing error (a final id-0 error response is still
+  /// emitted). Callable concurrently — one call per connection, all
+  /// sharing the worker pool. To wind a loop down, set the stop flag of
+  /// the stream's FdStreamBuf: the reader sees EOF, in-flight requests
+  /// complete and the reorder buffer flushes.
   int serve(std::istream &In, std::ostream &Out);
 
-  /// Asks every serve() loop to wind down: in-flight requests complete,
-  /// reorder buffers flush, then serve returns as if on EOF. Safe from
-  /// any thread; a signal handler may instead set the stop flag of the
-  /// stream's FdStreamBuf, which drains identically.
-  void requestShutdown() { Stop.store(true, std::memory_order_release); }
-  bool shutdownRequested() const {
-    return Stop.load(std::memory_order_acquire);
-  }
-
-  /// Aggregate over all connections. Read it only while no serve() call
-  /// is running (after the accept loop drained, or between tests).
+  /// Window high-water over all connections. Read it only while no
+  /// serve() call is running (after the accept loop drained, or between
+  /// tests).
   const ServerReport &report() const { return Report; }
 
   /// Arrival-ordered per-request records; only filled when
@@ -179,7 +160,6 @@ private:
   std::vector<WorkerContext> Contexts;
   std::vector<unsigned> FreeSlots;
   std::mutex SlotM;
-  std::atomic<bool> Stop{false};
   std::mutex ReportM;
   ServerReport Report;
   std::vector<RequestRecord> Records;

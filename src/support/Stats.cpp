@@ -22,17 +22,6 @@ StatsSnapshot StatsScope::snapshot() const {
   return Snap;
 }
 
-StatsSnapshot StatsScope::takeAndReset() {
-  StatsSnapshot Snap = snapshot();
-  Local.clear();
-  return Snap;
-}
-
-void lao::mergeSnapshot(StatsSnapshot &Into, const StatsSnapshot &From) {
-  for (const auto &[Key, V] : From)
-    Into[Key] += V;
-}
-
 void lao::printSnapshot(std::FILE *Out, const char *Title,
                         const StatsSnapshot &Snap) {
   std::fprintf(Out, "=== %s ===\n", Title);

@@ -31,8 +31,7 @@
 /// server worker wraps each request in a scope and reads an exact
 /// per-request delta no matter what the other workers are doing. The
 /// global counters keep their monotonic process-lifetime semantics
-/// untouched; per-request snapshots are merged into service totals with
-/// mergeSnapshot.
+/// untouched and stay the service's totals.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,10 +54,6 @@ class StatsRegistry;
 /// deterministic (sorted) iteration order, which the JSON emitters rely
 /// on for schema-stable output.
 using StatsSnapshot = std::map<std::string, uint64_t>;
-
-/// Adds every entry of \p From into \p Into — the merge-on-report step
-/// for per-worker / per-request snapshots.
-void mergeSnapshot(StatsSnapshot &Into, const StatsSnapshot &From);
 
 /// Prints \p Snap's non-zero entries under a "=== <Title> ===" line,
 /// LLVM `-stats` style: the value right-aligned, then the key.
@@ -83,13 +78,10 @@ public:
   /// Called from StatCounter::operator+= on the owning thread.
   void record(const StatCounter *C, uint64_t Delta) { Local[C] += Delta; }
 
-  /// Deltas recorded since construction (or the last takeAndReset),
-  /// keyed "pass.name" like StatsRegistry snapshots; zero entries and
-  /// entries from other threads never appear.
+  /// Deltas recorded since construction, keyed "pass.name" like
+  /// StatsRegistry snapshots; zero entries and entries from other
+  /// threads never appear.
   StatsSnapshot snapshot() const;
-
-  /// snapshot(), then clears the scope for the next request.
-  StatsSnapshot takeAndReset();
 
 private:
   /// The innermost scope on this thread. A function-local thread_local

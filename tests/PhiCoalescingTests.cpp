@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceClassInterference.h"
 #include "TestUtil.h"
 
 #include "analysis/AnalysisManager.h"
@@ -142,7 +143,7 @@ TEST(PhiCoalescing, NoStrongInterferenceInAnyClass) {
       const auto &Members = S.Ctx.members(V);
       for (size_t A = 0; A < Members.size(); ++A)
         for (size_t B = A + 1; B < Members.size(); ++B)
-          EXPECT_FALSE(S.Ctx.stronglyInterfere(Members[A], Members[B]))
+          EXPECT_FALSE(stronglyInterfere(S.Ctx, Members[A], Members[B]))
               << F->name() << ": " << F->valueName(Members[A]) << " vs "
               << F->valueName(Members[B]);
     }

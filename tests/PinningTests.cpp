@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceClassInterference.h"
 #include "TestUtil.h"
 
 #include "analysis/Dominators.h"
@@ -306,7 +307,7 @@ j:
 )");
   Ctx C(*F);
   RegId X = F->findValue("x"), Y = F->findValue("y");
-  EXPECT_TRUE(C.P.stronglyInterfere(X, Y));
+  EXPECT_TRUE(stronglyInterfere(C.P, X, Y));
   EXPECT_TRUE(C.P.resourceInterfere(X, Y));
 }
 
@@ -334,7 +335,7 @@ j2:
 )");
   Ctx C(*F);
   RegId X = F->findValue("x"), Y = F->findValue("y");
-  EXPECT_TRUE(C.P.stronglyInterfere(X, Y));
+  EXPECT_TRUE(stronglyInterfere(C.P, X, Y));
 }
 
 TEST(StrongInterference, Case3SameArgsIsWeak) {
@@ -358,7 +359,7 @@ j2:
 )");
   Ctx C(*F);
   RegId X = F->findValue("x"), Y = F->findValue("y");
-  EXPECT_FALSE(C.P.stronglyInterfere(X, Y));
+  EXPECT_FALSE(stronglyInterfere(C.P, X, Y));
 }
 
 TEST(StrongInterference, SameInstructionDefs) {
@@ -373,7 +374,7 @@ TEST(StrongInterference, SameInstructionDefs) {
   Ret.addUse(X);
   BB->append(std::move(Ret));
   Ctx C(F);
-  EXPECT_TRUE(C.P.stronglyInterfere(X, Y));
+  EXPECT_TRUE(stronglyInterfere(C.P, X, Y));
 }
 
 TEST(ResourceInterfere, DistinctPhysicalsAlwaysInterfere) {
@@ -452,7 +453,7 @@ entry:
   RegId X = F->findValue("x");
   RegId Rep = C.P.pinTogether(X, Target::R5);
   EXPECT_EQ(Rep, static_cast<RegId>(Target::R5));
-  EXPECT_TRUE(C.P.hasPhysical(X));
+  EXPECT_TRUE(F->isPhysical(C.P.resourceOf(X)));
 }
 
 TEST(ResourceInterfere, ABIClassesBuiltFromPins) {

@@ -186,13 +186,14 @@ TEST_P(PropertySweep, PinningContextInvariants) {
     }
   }
 
-  // Every killed bit of the flat mask marks a member of its own class.
-  Ctx.killedMask().forEach([&](size_t Kd) {
-    RegId V = static_cast<RegId>(Kd);
+  // Every killed value is a member of its own class.
+  for (RegId V = 0; V < F->numValues(); ++V) {
+    if (!Ctx.isKilled(V))
+      continue;
     const auto &M = Ctx.members(Ctx.resourceOf(V));
     EXPECT_NE(std::find(M.begin(), M.end(), V), M.end())
         << "killed value outside its class: " << F->valueName(V);
-  });
+  }
 
   // Interference is symmetric over a sample of class pairs.
   std::vector<RegId> Reps;

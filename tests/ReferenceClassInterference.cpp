@@ -14,6 +14,35 @@
 
 using namespace lao;
 
+bool lao::test::stronglyInterfere(const PinningContext &Ctx, RegId A,
+                                  RegId B) {
+  if (A == B)
+    return false;
+  const DefSite &DA = Ctx.defSite(A), &DB = Ctx.defSite(B);
+  if (!DA.Valid || !DB.Valid)
+    return false;
+
+  if (DA.I->isPhi() && DB.I->isPhi()) {
+    // Case 4 (and same-block Case 3 degenerate): parallel phis of one
+    // block can never share a resource.
+    if (DA.BB == DB.BB)
+      return true;
+    // Case 3: a common predecessor would carry two parallel copies into
+    // one resource; legal only if the flowing values coincide.
+    const Instruction &PA = *DA.I, &PB = *DB.I;
+    for (unsigned I = 0; I < PA.numUses(); ++I) {
+      const BasicBlock *Shared = PA.incomingBlock(I);
+      for (unsigned J = 0; J < PB.numUses(); ++J)
+        if (PB.incomingBlock(J) == Shared && PA.use(I) != PB.use(J))
+          return true;
+    }
+    return false;
+  }
+
+  // Two results of one instruction are written in parallel.
+  return DA.I == DB.I;
+}
+
 bool lao::test::pairwiseResourceInterfere(const PinningContext &Ctx, RegId A,
                                           RegId B) {
   RegId RA = Ctx.resourceOf(A), RB = Ctx.resourceOf(B);
@@ -32,7 +61,7 @@ bool lao::test::pairwiseResourceInterfere(const PinningContext &Ctx, RegId A,
         return true;
       if (!Ctx.isKilled(Y) && Ctx.variableKills(X, Y))
         return true;
-      if (Ctx.stronglyInterfere(X, Y))
+      if (stronglyInterfere(Ctx, X, Y))
         return true;
     }
   }

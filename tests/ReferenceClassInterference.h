@@ -7,7 +7,10 @@
 /// \file
 /// The paper's Algorithm 2 Resource_interfere as literally described: an
 /// O(|A|*|B|) scan over the member pairs of two pinning classes, built on
-/// PinningContext's public per-variable tests. Test-only; it is the
+/// PinningContext's public per-variable tests and on
+/// Variable_stronglyInterfere, which only this scan needs (production
+/// answers strong interference from ClassInterference's digests).
+/// Test-only; it is the
 /// reference the dominance-ordered class-interference engine
 /// (outofssa/ClassInterference.h) is held to, per query and, through
 /// PairwiseVerdictCheck, over every verdict of whole runs.
@@ -22,6 +25,12 @@
 #include <cstdint>
 
 namespace lao::test {
+
+/// Paper: Variable_stronglyInterfere(a, b) of \p Ctx — unrepairable
+/// conflicts: two phis of one block, two phis whose shared predecessor
+/// would carry different values into one resource, or two results of
+/// one instruction.
+bool stronglyInterfere(const PinningContext &Ctx, RegId A, RegId B);
 
 /// Resource_interfere(A, B) of \p Ctx by the member-pair scan: false for
 /// one class, true for two physical registers, else true iff some member

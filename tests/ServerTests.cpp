@@ -82,6 +82,22 @@ std::vector<AnyResponse> readAllResponses(const std::string &Bytes) {
   return Out;
 }
 
+/// How far the server.* registry counters moved since construction: the
+/// daemon's tally, as lao-server's exit line prints it. Exact while
+/// nothing else in the process bumps them.
+class ServerTally {
+public:
+  uint64_t moved(const std::string &Name) const {
+    StatsSnapshot D =
+        StatsRegistry::delta(Before, StatsRegistry::instance().snapshot());
+    auto It = D.find("server." + Name);
+    return It == D.end() ? 0 : It->second;
+  }
+
+private:
+  StatsSnapshot Before = StatsRegistry::instance().snapshot();
+};
+
 /// Drives a fresh server over the concatenated request frames and
 /// returns (exit code, RSP responses in stream order).
 int serveFrames(const ServerOptions &Opts, const std::string &Frames,
@@ -359,6 +375,7 @@ TEST(Server, OutOfRangeRegAllocRegsIsParseError) {
   ServerOptions Opts;
   Opts.NumWorkers = 1;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts, Frames + encodeRequest(Default), Responses, &S),
@@ -379,7 +396,7 @@ TEST(Server, OutOfRangeRegAllocRegsIsParseError) {
   EXPECT_TRUE(Responses.back().Ok) << Responses.back().RecordJson;
   ASSERT_EQ(S.records().size(), std::size(Bad) + 1);
   EXPECT_EQ(S.records().back().NumRegs, 12u);
-  EXPECT_EQ(S.report().NumParseErrors, std::size(Bad));
+  EXPECT_EQ(Tally.moved("parse_errors"), std::size(Bad));
 }
 
 TEST(Server, DefaultRegAllocAppliesAndRequestOverrides) {
@@ -473,6 +490,7 @@ TEST(Server, ErrorRequestsDegradeGracefully) {
   ServerOptions Opts;
   Opts.NumWorkers = 4;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts, Frames, Responses, &S), 0);
@@ -492,10 +510,11 @@ TEST(Server, ErrorRequestsDegradeGracefully) {
             std::string::npos)
       << Responses[3].RecordJson;
 
-  EXPECT_EQ(S.report().NumRequests, 4u);
-  EXPECT_EQ(S.report().NumOk, 1u);
-  EXPECT_EQ(S.report().NumErrors, 3u);
-  EXPECT_EQ(S.report().NumTimeouts, 1u);
+  EXPECT_EQ(Tally.moved("requests"), 4u);
+  EXPECT_EQ(Tally.moved("requests_ok"), 1u);
+  EXPECT_EQ(Tally.moved("preset_errors"), 1u);
+  EXPECT_EQ(Tally.moved("parse_errors"), 1u);
+  EXPECT_EQ(Tally.moved("timeouts"), 1u);
 }
 
 TEST(Server, SsaOnSsaInputIsParseErrorAndServingContinues) {
@@ -512,6 +531,7 @@ TEST(Server, SsaOnSsaInputIsParseErrorAndServingContinues) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts, encodeRequest(Bad) + encodeRequest(Good),
@@ -528,7 +548,7 @@ TEST(Server, SsaOnSsaInputIsParseErrorAndServingContinues) {
   EXPECT_TRUE(Responses[0].IR.empty());
   EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
   EXPECT_EQ(Responses[1].IR, oneShot(SimpleFunc));
-  EXPECT_EQ(S.report().NumParseErrors, 1u);
+  EXPECT_EQ(Tally.moved("parse_errors"), 1u);
 }
 
 TEST(Server, NonSsaInputIsParseErrorAndServingContinues) {
@@ -558,6 +578,7 @@ j:
   ServerOptions Opts;
   Opts.NumWorkers = 2;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts, encodeRequest(Bad) + encodeRequest(Good),
@@ -574,7 +595,7 @@ j:
   EXPECT_TRUE(Responses[0].IR.empty());
   EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
   EXPECT_EQ(Responses[1].IR, oneShot(SimpleFunc));
-  EXPECT_EQ(S.report().NumParseErrors, 1u);
+  EXPECT_EQ(Tally.moved("parse_errors"), 1u);
 }
 
 TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
@@ -602,6 +623,7 @@ TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts,
@@ -626,7 +648,7 @@ TEST(Server, AbortInputsAreParseErrorsAndServingContinues) {
   EXPECT_TRUE(Responses[2].IR.empty());
   EXPECT_TRUE(Responses[3].Ok) << Responses[3].RecordJson;
   EXPECT_EQ(Responses[3].IR, oneShot(SimpleFunc));
-  EXPECT_EQ(S.report().NumParseErrors, 3u);
+  EXPECT_EQ(Tally.moved("parse_errors"), 3u);
 }
 
 TEST(Server, FunctionWithoutBlocksIsParseErrorAndServingContinues) {
@@ -647,6 +669,7 @@ TEST(Server, FunctionWithoutBlocksIsParseErrorAndServingContinues) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts,
@@ -664,7 +687,7 @@ TEST(Server, FunctionWithoutBlocksIsParseErrorAndServingContinues) {
   }
   EXPECT_TRUE(Responses[2].Ok) << Responses[2].RecordJson;
   EXPECT_EQ(Responses[2].IR, oneShot(SimpleFunc));
-  EXPECT_EQ(S.report().NumParseErrors, 2u);
+  EXPECT_EQ(Tally.moved("parse_errors"), 2u);
 }
 
 TEST(Server, DeepChainUnderSsaIsServedAndServingContinues) {
@@ -705,6 +728,7 @@ TEST(Server, MalformedPhiIsParseErrorAndServingContinues) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts, encodeRequest(Bad) + encodeRequest(Good),
@@ -718,7 +742,7 @@ TEST(Server, MalformedPhiIsParseErrorAndServingContinues) {
   EXPECT_TRUE(Responses[0].IR.empty());
   EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
   EXPECT_EQ(Responses[1].IR, oneShot(SimpleFunc));
-  EXPECT_EQ(S.report().NumParseErrors, 1u);
+  EXPECT_EQ(Tally.moved("parse_errors"), 1u);
 }
 
 TEST(Server, OversizedFrameThenGoodFrame) {
@@ -734,6 +758,7 @@ TEST(Server, OversizedFrameThenGoodFrame) {
   Good.Text = SimpleFunc;
   Frames << encodeRequest(Good);
 
+  ServerTally Tally;
   Server S(Opts);
   std::vector<Response> Responses;
   EXPECT_EQ(serveFrames(Opts, Frames.str(), Responses, &S), 0);
@@ -742,7 +767,7 @@ TEST(Server, OversizedFrameThenGoodFrame) {
   EXPECT_EQ(Responses[0].Id, 1u);
   EXPECT_EQ(S.records()[0].Outcome, RequestOutcome::Oversized);
   EXPECT_TRUE(Responses[1].Ok) << Responses[1].RecordJson;
-  EXPECT_EQ(S.report().NumOversized, 1u);
+  EXPECT_EQ(Tally.moved("oversized"), 1u);
 }
 
 TEST(Server, MalformedHeaderIsFatalWithFinalRecord) {
@@ -818,50 +843,74 @@ TEST(Server, ConcurrentStressIsDeterministic) {
   // Every suite function, pipelined into a 4-worker server, must yield
   // byte-identical IR, identical outcomes, and *identical per-request
   // counter deltas* to a serial 1-worker run — the StatsScope exactness
-  // gate. Response order must equal arrival order both times.
+  // gate — sent once as REQ frames and once as BAT frames of 8. Response
+  // order must equal arrival order every time.
   std::vector<std::string> Texts;
   for (const SuiteSpec &Spec : allSuites())
     for (Workload &W : Spec.Make())
       Texts.push_back(printFunction(*W.F));
   ASSERT_GT(Texts.size(), 50u);
 
-  std::string Frames;
+  std::string Frames, BatchFrames;
   for (size_t K = 0; K < Texts.size(); ++K) {
     Request R;
     R.Id = K + 1;
     R.Text = Texts[K];
     Frames += encodeRequest(R);
   }
+  for (size_t K = 0; K < Texts.size(); K += 8) {
+    BatchRequest B;
+    B.Id = K / 8 + 1;
+    B.Texts.assign(Texts.begin() + K,
+                   Texts.begin() + std::min(K + 8, Texts.size()));
+    BatchFrames += encodeBatchRequest(B);
+  }
 
-  auto Run = [&](unsigned Workers, std::vector<RequestRecord> &Records) {
+  auto Run = [&](unsigned Workers, const std::string &Bytes) {
     ServerOptions Opts;
     Opts.NumWorkers = Workers;
     Opts.CollectRecords = true;
+    ServerTally Tally;
     Server S(Opts);
-    std::vector<Response> Responses;
-    EXPECT_EQ(serveFrames(Opts, Frames, Responses, &S), 0);
-    EXPECT_EQ(Responses.size(), Texts.size());
-    for (size_t K = 0; K < Responses.size(); ++K)
-      EXPECT_EQ(Responses[K].Id, K + 1) << "response order broke";
-    Records = S.records();
-    EXPECT_EQ(S.report().NumOk, Texts.size());
+    std::istringstream In(Bytes);
+    std::ostringstream Out;
+    EXPECT_EQ(S.serve(In, Out), 0);
+    std::vector<AnyResponse> Responses = readAllResponses(Out.str());
+    for (size_t K = 0; K < Responses.size(); ++K) {
+      const AnyResponse &A = Responses[K];
+      EXPECT_EQ(A.Kind == FrameKind::Single ? A.Single.Id : A.Batch.Id, K + 1)
+          << "response order broke";
+    }
+    EXPECT_EQ(Tally.moved("requests_ok"), Texts.size());
+    return S.records();
   };
 
-  std::vector<RequestRecord> Serial, Sharded;
-  Run(1, Serial);
-  Run(4, Sharded);
-  ASSERT_EQ(Serial.size(), Sharded.size());
-  for (size_t K = 0; K < Serial.size(); ++K) {
-    EXPECT_EQ(Sharded[K].Id, Serial[K].Id);
-    EXPECT_EQ(Sharded[K].Outcome, Serial[K].Outcome);
-    EXPECT_EQ(Sharded[K].IR, Serial[K].IR) << "request " << Serial[K].Id;
-    EXPECT_EQ(Sharded[K].Moves, Serial[K].Moves);
-    EXPECT_EQ(Sharded[K].WeightedMoves, Serial[K].WeightedMoves);
-    // The per-request counter snapshot is exact: no worker sees another
-    // request's bumps, so 4-way sharding changes nothing.
-    EXPECT_EQ(Sharded[K].Counters, Serial[K].Counters)
-        << "per-request stat deltas diverged for request "
-        << Serial[K].Id;
+  std::vector<RequestRecord> Req = Run(1, Frames);
+  std::vector<RequestRecord> Bat = Run(1, BatchFrames);
+  ASSERT_EQ(Req.size(), Texts.size());
+  ASSERT_EQ(Bat.size(), Texts.size());
+  for (size_t K = 0; K < Texts.size(); ++K) {
+    EXPECT_EQ(Bat[K].Item, static_cast<int64_t>(K % 8));
+    // A BAT item keeps its scope like a REQ: the same counters.
+    EXPECT_EQ(Bat[K].Counters, Req[K].Counters) << "function " << K;
+  }
+  for (auto [Serial, Bytes] :
+       {std::pair{&Req, &Frames}, {&Bat, &BatchFrames}}) {
+    std::vector<RequestRecord> Sharded = Run(4, *Bytes);
+    ASSERT_EQ(Serial->size(), Sharded.size());
+    for (size_t K = 0; K < Sharded.size(); ++K) {
+      const RequestRecord &Ref = (*Serial)[K];
+      EXPECT_EQ(Sharded[K].Id, Ref.Id);
+      EXPECT_EQ(Sharded[K].Item, Ref.Item);
+      EXPECT_EQ(Sharded[K].Outcome, Ref.Outcome);
+      EXPECT_EQ(Sharded[K].IR, Ref.IR) << "function " << K;
+      EXPECT_EQ(Sharded[K].Moves, Ref.Moves);
+      EXPECT_EQ(Sharded[K].WeightedMoves, Ref.WeightedMoves);
+      // The per-request counter snapshot is exact: no worker sees
+      // another request's bumps, so 4-way sharding changes nothing.
+      EXPECT_EQ(Sharded[K].Counters, Ref.Counters)
+          << "per-request stat deltas diverged for function " << K;
+    }
   }
 }
 
@@ -1021,6 +1070,7 @@ TEST(Server, BatchServedIRMatchesOneShot) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::istringstream In(encodeBatchRequest(B));
   std::ostringstream OutBytes;
@@ -1038,9 +1088,10 @@ TEST(Server, BatchServedIRMatchesOneShot) {
     EXPECT_EQ(R.Items[K].IR, Expected) << "batch item " << K;
   }
   // One batch, three compiled functions, items tagged with positions.
-  EXPECT_EQ(S.report().NumBatches, 1u);
-  EXPECT_EQ(S.report().NumRequests, 3u);
-  EXPECT_EQ(S.report().NumOk, 3u);
+  EXPECT_EQ(Tally.moved("batches"), 1u);
+  EXPECT_EQ(Tally.moved("batch_items"), 3u);
+  EXPECT_EQ(Tally.moved("requests"), 3u);
+  EXPECT_EQ(Tally.moved("requests_ok"), 3u);
   ASSERT_EQ(S.records().size(), 3u);
   for (size_t K = 0; K < 3; ++K)
     EXPECT_EQ(S.records()[K].Item, static_cast<int64_t>(K));
@@ -1049,8 +1100,7 @@ TEST(Server, BatchServedIRMatchesOneShot) {
 TEST(Server, RequestMatchesBatchOfOne) {
   // One request path: the same function sent as a REQ and as a BAT of
   // one compiles identically. The records differ only where the frame
-  // kind says they must — "item" and "counters" (BAT items take the
-  // lean path) — and in the timing.
+  // kind says they must — "item" — and in the timing.
   RequestOptions Shared;
   Shared.RegAlloc = "chordal/load-store-opt";
   Shared.RegAllocRegs = 8;
@@ -1061,6 +1111,7 @@ TEST(Server, RequestMatchesBatchOfOne) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::istringstream In(encodeRequest(R) + encodeBatchRequest(B));
   std::ostringstream OutBytes;
@@ -1080,10 +1131,8 @@ TEST(Server, RequestMatchesBatchOfOne) {
   // Blank out the fields the frame kind or the clock decide.
   auto Normalize = [](std::string Json) {
     Json = std::regex_replace(Json, std::regex("\"item\":[0-9]+,"), "");
-    Json = std::regex_replace(Json, std::regex("\"seconds\":[^,}]*"),
+    return std::regex_replace(Json, std::regex("\"seconds\":[^,}]*"),
                               "\"seconds\":0");
-    return std::regex_replace(Json, std::regex("\"counters\":\\{.*\\}\\}$"),
-                              "\"counters\":{}}");
   };
   EXPECT_NE(Item.RecordJson.find("\"item\":0,"), std::string::npos)
       << Item.RecordJson;
@@ -1099,10 +1148,10 @@ TEST(Server, RequestMatchesBatchOfOne) {
   EXPECT_EQ(Req.Item, -1);
   EXPECT_EQ(Bat.Item, 0);
   EXPECT_FALSE(Req.Counters.empty()) << "a REQ keeps its StatsScope";
-  EXPECT_TRUE(Bat.Counters.empty()) << "a BAT item takes the lean path";
-  EXPECT_EQ(S.report().NumBatches, 1u) << "only the BAT counts as a batch";
-  EXPECT_EQ(S.report().NumRequests, 2u);
-  EXPECT_EQ(S.report().NumOk, 2u);
+  EXPECT_EQ(Bat.Counters, Req.Counters) << "so does a BAT item";
+  EXPECT_EQ(Tally.moved("batches"), 1u) << "only the BAT counts as a batch";
+  EXPECT_EQ(Tally.moved("requests"), 2u);
+  EXPECT_EQ(Tally.moved("requests_ok"), 2u);
 }
 
 TEST(Server, MalformedBatchDegradesAndKeepsServing) {
@@ -1119,6 +1168,7 @@ TEST(Server, MalformedBatchDegradesAndKeepsServing) {
   ServerOptions Opts;
   Opts.NumWorkers = 2;
   Opts.CollectRecords = true;
+  ServerTally Tally;
   Server S(Opts);
   std::istringstream In(Frames.str());
   std::ostringstream OutBytes;
@@ -1134,7 +1184,7 @@ TEST(Server, MalformedBatchDegradesAndKeepsServing) {
       << Responses[0].Batch.SummaryJson;
   EXPECT_EQ(Responses[1].Kind, FrameKind::Single);
   EXPECT_TRUE(Responses[1].Single.Ok);
-  EXPECT_EQ(S.report().NumBatchErrors, 1u);
+  EXPECT_EQ(Tally.moved("batch_errors"), 1u);
   ASSERT_EQ(S.records().size(), 2u);
   EXPECT_EQ(S.records()[0].Outcome, RequestOutcome::BatchError);
 }
@@ -1305,6 +1355,7 @@ TEST(ServerSocket, ConcurrentConnectionsStayDeterministic) {
   }
   ASSERT_EQ(Serial.records().size(), Texts.size());
 
+  ServerTally Tally;
   ServerOptions Opts;
   Opts.NumWorkers = 4;
   Opts.CollectRecords = true;
@@ -1364,9 +1415,9 @@ TEST(ServerSocket, ConcurrentConnectionsStayDeterministic) {
   CheckStream(Even, 0);
   CheckStream(Odd, 1);
 
-  // The shared report merged both connections; per-request counter
-  // deltas are identical to the serial run's, matched by id.
-  EXPECT_EQ(S.report().NumOk, Texts.size());
+  // The registry tallied both connections; per-request counter deltas
+  // are identical to the serial run's, matched by id.
+  EXPECT_EQ(Tally.moved("requests_ok"), Texts.size());
   ASSERT_EQ(S.records().size(), Texts.size());
   std::map<uint64_t, const RequestRecord *> ById;
   for (const RequestRecord &Rec : S.records())
@@ -1656,9 +1707,10 @@ TEST(Server, BatchItemsInheritExecOptions) {
   for (const RequestRecord &Rec : S.records()) {
     EXPECT_TRUE(Rec.HasExec);
     EXPECT_EQ(Rec.ExecRet, 6u);
-    // Batch items ride the lean path: dyn counters come from the record
-    // fields, not a per-item StatsScope.
-    EXPECT_TRUE(Rec.Counters.empty());
+    // Each item keeps its own StatsScope: the VM's dyn counters in it
+    // are the record's.
     EXPECT_GT(Rec.DynInstrs, 0u);
+    ASSERT_TRUE(Rec.Counters.count("exec.dyn_instrs"));
+    EXPECT_EQ(Rec.Counters.at("exec.dyn_instrs"), Rec.DynInstrs);
   }
 }

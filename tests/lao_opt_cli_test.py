@@ -26,7 +26,11 @@ Runs the lao-opt binary on tests/lao_opt_input.lai and checks that
     and an entry-block phi exit 1 with the job's error text, which the
     server answers verbatim before it serves the next frame.
 It also checks that lao-server and lao-client reject malformed numeric
-flags with exit 2 and the usage line.
+flags with exit 2 and the usage line, that lao-server --stats prints the
+same registry counters after a batched selftest as after an unbatched
+one (every item keeps its counters), and that lao-client reports a
+spawned server that exits before answering instead of waiting on the
+pipe a descendant still holds.
 
 Usage: lao_opt_cli_test.py <lao-opt> <lao-server> <lao-client> (ctest
 passes them); stdlib only.
@@ -35,9 +39,11 @@ passes them); stdlib only.
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import unittest
 
 LAO_OPT = LAO_SERVER = LAO_CLIENT = None
@@ -326,6 +332,60 @@ class LaoOptCli(unittest.TestCase):
                    "--selftest")
         self.assertEqual(proc.returncode, 1, proc.stderr)
         self.assertIn("regalloc_regs must be 2..12, got 1", proc.stderr)
+
+    def server_stats(self, *args):
+        """Runs a pipes selftest against lao-server --stats and returns
+        the counters the daemon printed on exit."""
+        proc = run(LAO_CLIENT, "--server=%s --workers=2 --stats" % LAO_SERVER,
+                   "--selftest", "--quiet", *args)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        section = proc.stderr.split("=== counters ===\n", 1)[1]
+        return {key: int(value) for value, key in
+                re.findall(r"^ *(\d+)  (\S+)$", section, re.M)}
+
+    def test_server_stats_cover_batched_requests(self):
+        # Every batch item keeps its StatsScope, so only the framing
+        # counters (and the scheduling-dependent arena reuse) may differ
+        # from the unbatched run.
+        framing = {"server.frames", "server.batches", "server.batch_items",
+                   "server.arena_reuse_bytes"}
+        single = self.server_stats()
+        batched = self.server_stats("--batch=24")
+        self.assertGreater(single.get("coalesce.merges", 0), 0)
+        self.assertEqual(batched["coalesce.merges"], single["coalesce.merges"])
+        self.assertEqual(
+            {k: v for k, v in batched.items() if k not in framing},
+            {k: v for k, v in single.items() if k not in framing})
+        self.assertEqual(batched["server.batch_items"],
+                         single["server.requests"])
+
+    def test_client_reports_a_server_that_exits_before_answering(self):
+        # The shell exits at once while its background sleep keeps the
+        # response pipe open: only watching the child ends the wait. The
+        # client leads a session of its own, so the orphaned sleep can be
+        # killed with its process group.
+        with tempfile.TemporaryFile() as err:
+            start = time.monotonic()
+            proc = subprocess.Popen(
+                [LAO_CLIENT, "--server=sh -c 'sleep 30 & exit 3'", INPUT],
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                stderr=err, start_new_session=True)
+            try:
+                rc = proc.wait(timeout=5)
+            finally:
+                proc.kill()
+                proc.wait()
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            elapsed = time.monotonic() - start
+            err.seek(0)
+            stderr = err.read().decode()
+        self.assertEqual(rc, 1, stderr)
+        self.assertLess(elapsed, 5)
+        self.assertIn("server process exited before answering all requests",
+                      stderr)
 
     def test_regalloc_on_phis_exits_1(self):
         proc = lao_opt("--ssa", "--regalloc", INPUT)

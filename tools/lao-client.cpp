@@ -8,10 +8,10 @@
 // over a socket, streams compile requests into it — singly or packed
 // into BAT batch frames — and collects the framed responses. All
 // frames are pipelined before the first response is read (a reader
-// loop drains the server concurrently), so a multi-worker server
-// really does compile them interleaved. The reader polls the spawned
-// server process while it waits, so a server that dies mid-run is
-// reported as a clear error instead of a hang.
+// thread parses each response frame as it arrives), so a multi-worker
+// server really does compile them interleaved. The client watches the
+// spawned server process while the reader waits, so a server that dies
+// mid-run is reported as a clear error instead of a hang.
 //
 //   lao-client [transport] [options] <file.lai>...
 //     --server="cmd"      server command line, run via /bin/sh -c
@@ -59,32 +59,36 @@
 
 #include "ir/IRPrinter.h"
 #include "outofssa/Pipeline.h"
+#include "server/FdStream.h"
 #include "server/Protocol.h"
 #include "server/SocketTransport.h"
 #include "support/StringUtils.h"
 #include "workloads/Suites.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
+#include <istream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 using namespace lao;
+using Clock = std::chrono::steady_clock;
 
 namespace {
 
@@ -302,40 +306,6 @@ std::vector<Frame> buildFrames(const Options &Opts,
   return Frames;
 }
 
-/// Incremental frame-boundary detector over the raw response bytes.
-/// The reader thread feeds it after every read(); whenever the bytes
-/// now cover one more complete frame (header line + declared body + the
-/// frame newline) it stamps that frame's id with the arrival time. This
-/// is a timestamping overlay only — the authoritative parse of the same
-/// bytes happens after the drain — so on anything unframeable it simply
-/// stops measuring instead of guessing.
-struct ArrivalScanner {
-  using Clock = std::chrono::steady_clock;
-  size_t Pos = 0;
-  bool Dead = false;
-  std::map<uint64_t, Clock::time_point> Arrivals; ///< First arrival per id.
-
-  void feed(const std::string &Bytes) {
-    Clock::time_point Now = Clock::now();
-    while (!Dead) {
-      size_t Nl = Bytes.find('\n', Pos);
-      if (Nl == std::string::npos)
-        return;
-      unsigned long long Id = 0, BodyBytes = 0;
-      if (std::sscanf(Bytes.c_str() + Pos, "LAO1 %*3s %llu %llu", &Id,
-                      &BodyBytes) != 2) {
-        Dead = true;
-        return;
-      }
-      size_t End = Nl + 1 + static_cast<size_t>(BodyBytes) + 1;
-      if (End > Bytes.size())
-        return; // The frame's body is still in flight.
-      Arrivals.emplace(Id, Now);
-      Pos = End;
-    }
-  }
-};
-
 /// Nearest-rank percentile of \p Sorted (ascending), P in [0,100].
 double percentileMs(const std::vector<double> &Sorted, double P) {
   if (Sorted.empty())
@@ -447,59 +417,86 @@ int main(int Argc, char **Argv) {
     T.WriteFd = T.ReadFd = Fd;
   }
 
-  // Drain the responses concurrently with the writes below, so
+  // Read the responses concurrently with the writes below, so
   // pipelining every frame up front cannot deadlock on a full pipe or
-  // the server's backpressure window. The reader polls rather than
-  // blocks so a server that dies before answering becomes a clear
-  // error, not a hang: every idle tick checks whether the spawned
-  // child is still alive. It owns T.Pid until joined.
-  std::string ResponseBytes;
-  ArrivalScanner Scanner; ///< Owned by the reader thread until joined.
-  std::thread Reader([&] {
+  // the server's backpressure window: RSP frames for single requests,
+  // RSB for batches, arriving in request order. Batch items map back to
+  // jobs by position; each frame is stamped when it is parsed. Until it
+  // is joined, the reader owns everything it fills in.
+  FrameLimits Limits;
+  Limits.MaxBodyBytes = Opts.MaxBodyBytes;
+  std::vector<Response> JobRsp(Jobs.size());
+  std::vector<bool> HaveRsp(Jobs.size(), false);
+  std::map<uint64_t, const Frame *> FrameById;
+  for (const Frame &F : Frames)
+    FrameById[F.Id] = &F;
+  std::map<uint64_t, Clock::time_point> Arrivals; ///< First arrival per id.
+  uint64_t Failures = 0, FrameCount = 0;
+  bool OrderOk = true;
+  std::atomic<bool> StopReading{false};
+  std::future<void> Reader = std::async(std::launch::async, [&] {
+    FdStreamBuf Buf(T.ReadFd, &StopReading);
+    std::istream In(&Buf);
     for (;;) {
-      pollfd P{T.ReadFd, POLLIN, 0};
-      int R = poll(&P, 1, 100);
-      if (R < 0) {
-        if (errno == EINTR)
-          continue;
+      FrameKind Kind = FrameKind::Single;
+      Response Rsp;
+      BatchResponse Batch;
+      std::string Error;
+      FrameStatus S = readResponseFrame(In, Limits, Kind, Rsp, Batch, Error);
+      if (S == FrameStatus::Eof)
+        return;
+      if (S != FrameStatus::Ok) {
+        std::fprintf(stderr, "response stream: %s\n", Error.c_str());
+        ++Failures;
+        // Keep draining, so the server's writer never blocks on us.
+        In.ignore(std::numeric_limits<std::streamsize>::max());
         return;
       }
-      if (R > 0) {
-        char Buf[65536];
-        ssize_t N = read(T.ReadFd, Buf, sizeof(Buf));
-        if (N > 0) {
-          ResponseBytes.append(Buf, static_cast<size_t>(N));
-          Scanner.feed(ResponseBytes);
-          continue;
+      uint64_t Id = Kind == FrameKind::Single ? Rsp.Id : Batch.Id;
+      Arrivals.emplace(Id, Clock::now());
+      ++FrameCount;
+      OrderOk &= FrameCount > Frames.size() ||
+                 Id == Frames[FrameCount - 1].Id;
+      auto It = FrameById.find(Id);
+      const Frame *F = It == FrameById.end() ? nullptr : It->second;
+      if (Kind == FrameKind::Single) {
+        if (Opts.PrintRecords)
+          std::printf("%s\n", Rsp.RecordJson.c_str());
+        if (F && F->JobIdx.size() == 1 && !HaveRsp[F->JobIdx[0]]) {
+          JobRsp[F->JobIdx[0]] = std::move(Rsp);
+          HaveRsp[F->JobIdx[0]] = true;
         }
-        return; // EOF (or a hard error): the response stream is over.
-      }
-      if (!reapIfDead(T, ChildStatus))
         continue;
-      ChildDead = true;
-      // The child is gone; salvage whatever it managed to flush, then
-      // stop waiting for responses that can no longer arrive.
-      for (;;) {
-        pollfd P2{T.ReadFd, POLLIN, 0};
-        if (poll(&P2, 1, 0) <= 0 || !(P2.revents & POLLIN))
-          return;
-        char Buf[65536];
-        ssize_t N = read(T.ReadFd, Buf, sizeof(Buf));
-        if (N <= 0)
-          return;
-        ResponseBytes.append(Buf, static_cast<size_t>(N));
-        Scanner.feed(ResponseBytes);
       }
+      if (Opts.PrintRecords) {
+        std::printf("%s\n", Batch.SummaryJson.c_str());
+        for (const Response &Item : Batch.Items)
+          std::printf("%s\n", Item.RecordJson.c_str());
+      }
+      if (!F || Batch.Items.size() != F->JobIdx.size()) {
+        // A summary-only error RSB (malformed/oversized batch) or an id
+        // we never sent: the member jobs stay unanswered.
+        std::fprintf(stderr, "batch %llu failed: %s\n",
+                     static_cast<unsigned long long>(Id),
+                     Batch.SummaryJson.c_str());
+        ++Failures;
+        continue;
+      }
+      for (size_t K = 0; K < Batch.Items.size(); ++K)
+        if (!HaveRsp[F->JobIdx[K]]) {
+          JobRsp[F->JobIdx[K]] = std::move(Batch.Items[K]);
+          HaveRsp[F->JobIdx[K]] = true;
+        }
     }
   });
 
   // Submit every frame, stamping each submission so the exit report can
   // pair it with the frame's arrival, then half-close our sending
   // direction so the server sees EOF once it drains.
-  std::map<uint64_t, ArrivalScanner::Clock::time_point> SendTimes;
+  std::map<uint64_t, Clock::time_point> SendTimes;
   bool WriteFailed = false;
   for (const Frame &F : Frames) {
-    SendTimes.emplace(F.Id, ArrivalScanner::Clock::now());
+    SendTimes.emplace(F.Id, Clock::now());
     if (!writeAll(T.WriteFd, F.Encoded)) {
       WriteFailed = true;
       break;
@@ -509,7 +506,16 @@ int main(int Argc, char **Argv) {
     shutdown(T.WriteFd, SHUT_WR);
   else
     close(T.WriteFd);
-  Reader.join();
+  // Watch the spawned child while the reader works. Once it is gone no
+  // more responses can come, even if a descendant still holds the pipe
+  // open: the stop flag ends the reader once the fd goes quiet.
+  while (Reader.wait_for(std::chrono::milliseconds(50)) !=
+         std::future_status::ready)
+    if (reapIfDead(T, ChildStatus)) {
+      ChildDead = true;
+      StopReading.store(true, std::memory_order_release);
+    }
+  Reader.get();
   close(T.ReadFd);
 
   // Settle the child. A pipe server exits on its own after EOF; a
@@ -521,16 +527,16 @@ int main(int Argc, char **Argv) {
     waitpid(T.Pid, &ChildStatus, 0);
     T.Pid = -1;
   }
+  // A socket server only leaves on our SIGTERM, and a pipe server
+  // answers every frame before it exits: a child that left sooner died.
+  ChildDead &= T.IsSocket || FrameCount < Frames.size();
   bool Spawned = !Opts.ServerCmd.empty();
   bool ServerClean =
       !Spawned ||
       (!ChildDead && WIFEXITED(ChildStatus) && WEXITSTATUS(ChildStatus) == 0);
 
-  if (WriteFailed) {
-    std::fprintf(stderr, "server went away while submitting requests%s\n",
-                 ChildDead ? " (process died)" : "");
-    return 1;
-  }
+  if (WriteFailed)
+    std::fprintf(stderr, "server went away while submitting requests\n");
   if (ChildDead)
     std::fprintf(stderr,
                  "server process %s before answering all requests\n",
@@ -540,68 +546,9 @@ int main(int Argc, char **Argv) {
   else if (Spawned && !ServerClean)
     std::fprintf(stderr, "server exited with status %d\n",
                  WIFEXITED(ChildStatus) ? WEXITSTATUS(ChildStatus) : -1);
+  if (WriteFailed)
+    return 1;
 
-  // Parse the response stream: RSP frames for single requests, RSB for
-  // batches, arriving in request order. Batch items map back to jobs by
-  // position.
-  std::istringstream In(ResponseBytes);
-  FrameLimits Limits;
-  Limits.MaxBodyBytes = Opts.MaxBodyBytes;
-  std::vector<Response> JobRsp(Jobs.size());
-  std::vector<bool> HaveRsp(Jobs.size(), false);
-  std::map<uint64_t, const Frame *> FrameById;
-  for (const Frame &F : Frames)
-    FrameById[F.Id] = &F;
-  uint64_t Failures = 0, FrameCount = 0;
-  bool OrderOk = true;
-  for (;;) {
-    FrameKind Kind = FrameKind::Single;
-    Response Rsp;
-    BatchResponse Batch;
-    std::string Error;
-    FrameStatus S = readResponseFrame(In, Limits, Kind, Rsp, Batch, Error);
-    if (S == FrameStatus::Eof)
-      break;
-    if (S != FrameStatus::Ok) {
-      std::fprintf(stderr, "response stream: %s\n", Error.c_str());
-      ++Failures;
-      break;
-    }
-    uint64_t Id = Kind == FrameKind::Single ? Rsp.Id : Batch.Id;
-    ++FrameCount;
-    OrderOk &= FrameCount > Frames.size() ||
-               Id == Frames[FrameCount - 1].Id;
-    auto It = FrameById.find(Id);
-    const Frame *F = It == FrameById.end() ? nullptr : It->second;
-    if (Kind == FrameKind::Single) {
-      if (Opts.PrintRecords)
-        std::printf("%s\n", Rsp.RecordJson.c_str());
-      if (F && F->JobIdx.size() == 1 && !HaveRsp[F->JobIdx[0]]) {
-        JobRsp[F->JobIdx[0]] = std::move(Rsp);
-        HaveRsp[F->JobIdx[0]] = true;
-      }
-      continue;
-    }
-    if (Opts.PrintRecords) {
-      std::printf("%s\n", Batch.SummaryJson.c_str());
-      for (const Response &Item : Batch.Items)
-        std::printf("%s\n", Item.RecordJson.c_str());
-    }
-    if (!F || Batch.Items.size() != F->JobIdx.size()) {
-      // A summary-only error RSB (malformed/oversized batch) or an id
-      // we never sent: the member jobs stay unanswered.
-      std::fprintf(stderr, "batch %llu failed: %s\n",
-                   static_cast<unsigned long long>(Id),
-                   Batch.SummaryJson.c_str());
-      ++Failures;
-      continue;
-    }
-    for (size_t K = 0; K < Batch.Items.size(); ++K)
-      if (!HaveRsp[F->JobIdx[K]]) {
-        JobRsp[F->JobIdx[K]] = std::move(Batch.Items[K]);
-        HaveRsp[F->JobIdx[K]] = true;
-      }
-  }
   if (!OrderOk) {
     std::fprintf(stderr, "responses arrived out of request order\n");
     ++Failures;
@@ -636,14 +583,13 @@ int main(int Argc, char **Argv) {
   // Per-request latency, measured frame submission -> response-frame
   // arrival — what a fully pipelining client actually experiences, so
   // queueing behind earlier frames counts. Batch items inherit their
-  // frame's latency. Best-effort: frames whose response the scanner
-  // never saw complete (dead server, unframeable bytes) are not
-  // counted.
+  // frame's latency. Best-effort: frames whose response never parsed
+  // (dead server, unframeable bytes) are not counted.
   std::vector<double> LatMs;
   for (const Frame &F : Frames) {
     auto SendIt = SendTimes.find(F.Id);
-    auto ArrIt = Scanner.Arrivals.find(F.Id);
-    if (SendIt == SendTimes.end() || ArrIt == Scanner.Arrivals.end())
+    auto ArrIt = Arrivals.find(F.Id);
+    if (SendIt == SendTimes.end() || ArrIt == Arrivals.end())
       continue;
     double Ms = std::chrono::duration<double, std::milli>(ArrIt->second -
                                                           SendIt->second)

@@ -27,8 +27,8 @@
 //                             stdin/stdout
 //     --listen-tcp=SPEC       serve TCP ("port" or "host:port"; a bare
 //                             port binds loopback only)
-//     --stats                 print the merged per-request counter
-//                             deltas with the exit report
+//     --stats                 print the stats registry snapshot with
+//                             the exit report
 //
 // SIGINT/SIGTERM request a graceful shutdown: the daemon stops taking
 // new frames, drains everything in flight, flushes the reorder
@@ -164,25 +164,31 @@ int main(int Argc, char **Argv) {
     Out.flush();
   }
 
-  const ServerReport &R = S.report();
+  // The server.* registry counters are the daemon's tally of frames
+  // and outcomes; --stats prints the whole registry.
+  StatsSnapshot Counters = StatsRegistry::instance().snapshot();
+  auto Count = [&](const char *Name) {
+    auto It = Counters.find(std::string("server.") + Name);
+    return static_cast<unsigned long long>(It == Counters.end() ? 0
+                                                                : It->second);
+  };
   std::fprintf(stderr,
                "lao-server: %llu requests (%llu ok, %llu errors: "
-               "%llu timeout, %llu parse, %llu oversized, %llu pipeline, "
-               "%llu batch), %llu batches, max in-flight %llu%s\n",
-               static_cast<unsigned long long>(R.NumRequests),
-               static_cast<unsigned long long>(R.NumOk),
-               static_cast<unsigned long long>(R.NumErrors),
-               static_cast<unsigned long long>(R.NumTimeouts),
-               static_cast<unsigned long long>(R.NumParseErrors),
-               static_cast<unsigned long long>(R.NumOversized),
-               static_cast<unsigned long long>(R.NumPipelineErrors),
-               static_cast<unsigned long long>(R.NumBatchErrors),
-               static_cast<unsigned long long>(R.NumBatches),
-               static_cast<unsigned long long>(R.MaxInFlight),
+               "%llu timeout, %llu parse, %llu preset, %llu oversized, "
+               "%llu pipeline, %llu exec divergence, %llu batch), "
+               "%llu protocol errors, %llu frames, %llu batches, "
+               "max in-flight %llu%s\n",
+               Count("requests"), Count("requests_ok"),
+               Count("requests") - Count("requests_ok"), Count("timeouts"),
+               Count("parse_errors"), Count("preset_errors"),
+               Count("oversized"), Count("pipeline_errors"),
+               Count("exec_divergences"), Count("batch_errors"),
+               Count("protocol_errors"), Count("frames"), Count("batches"),
+               static_cast<unsigned long long>(S.report().MaxInFlight),
                GStop.load(std::memory_order_acquire)
                    ? " (drained after shutdown signal)"
                    : "");
   if (PrintStats)
-    printSnapshot(stderr, "merged per-request counters", R.MergedCounters);
+    printSnapshot(stderr, "counters", Counters);
   return Rc;
 }
