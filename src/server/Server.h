@@ -117,7 +117,8 @@ public:
   /// and sleep checks, then one runCompileJob call. \p Arrival anchors
   /// the deadline. This is the whole per-item path — serve() calls it
   /// from pool workers for REQ and BAT items alike, tests call it
-  /// directly. A StatsScope around the call fills the record's Counters.
+  /// directly. The record's Counters are the deltas of a StatsScope open
+  /// for the whole call.
   static RequestRecord compileRequest(const Request &Req, WorkerContext &Ctx,
                                       std::chrono::steady_clock::time_point
                                           Arrival,
