@@ -125,12 +125,18 @@ struct SuiteTotals {
   uint64_t Moves = 0;
   uint64_t WeightedMoves = 0;
   uint64_t MovesBeforeCoalesce = 0;
-  uint64_t CoalescerMerges = 0;
+  /// The pipelines' timed phases, summed over the suite.
   double Seconds = 0.0;
   /// Per-phase seconds summed over the suite, pipeline phase order.
   TimerGroup PerPass;
   /// StatsRegistry movement during the run ("pass.name" -> delta).
   StatsSnapshot Counters;
+
+  /// The coalescer's node merges (the coalesce.merges delta).
+  uint64_t coalescerMerges() const {
+    auto It = Counters.find("coalesce.merges");
+    return It == Counters.end() ? 0 : It->second;
+  }
 };
 
 /// Runs \p Config on a fresh clone of one workload and checks the result
@@ -177,8 +183,7 @@ inline SuiteTotals runOnSuite(const std::vector<Workload> &Suite,
     Totals.Moves += R.NumMoves;
     Totals.WeightedMoves += R.WeightedMoves;
     Totals.MovesBeforeCoalesce += R.MovesBeforeCoalesce;
-    Totals.CoalescerMerges += R.Coalescer.NumMerges;
-    Totals.Seconds += R.Seconds;
+    Totals.Seconds += R.Timings.total();
     Totals.PerPass.addAll(R.Timings);
   }
   Totals.Counters =
@@ -246,7 +251,7 @@ public:
       W.key("moves").value(R.Totals.Moves);
       W.key("weighted_moves").value(R.Totals.WeightedMoves);
       W.key("moves_before_coalesce").value(R.Totals.MovesBeforeCoalesce);
-      W.key("coalescer_merges").value(R.Totals.CoalescerMerges);
+      W.key("coalescer_merges").value(R.Totals.coalescerMerges());
       if (IncludeTimings) {
         W.key("seconds").value(R.Totals.Seconds);
         W.key("coalesce_seconds").value(R.Totals.PerPass.seconds("coalesce"));

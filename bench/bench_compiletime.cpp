@@ -54,9 +54,9 @@ void printCompileTimeTable() {
     SuiteTotals Naive =
         Report.totals(Name, Suite, pipelinePreset("C,naiveABI+C"));
     std::printf("%-14s %11llu /%9llu %11llu /%9llu\n", Name.c_str(),
-                static_cast<unsigned long long>(Pinned.CoalescerMerges),
+                static_cast<unsigned long long>(Pinned.coalescerMerges()),
                 static_cast<unsigned long long>(Pinned.MovesBeforeCoalesce),
-                static_cast<unsigned long long>(Naive.CoalescerMerges),
+                static_cast<unsigned long long>(Naive.coalescerMerges()),
                 static_cast<unsigned long long>(Naive.MovesBeforeCoalesce));
   }
   std::fflush(stdout);

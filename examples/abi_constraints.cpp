@@ -20,6 +20,7 @@
 #include "outofssa/Constraints.h"
 #include "outofssa/LeungGeorge.h"
 #include "outofssa/MoveStats.h"
+#include "support/Stats.h"
 #include "workloads/PaperExamples.h"
 
 #include <cstdio>
@@ -41,13 +42,17 @@ int main() {
   DominatorTree DT(Cfg);
   LivenessQuery LV(Cfg, DT);
   PinningContext Ctx(*F, Cfg, DT, LV);
-  OutOfSSAStats Stats = translateOutOfSSA(*F, Ctx);
+  StatsScope Scope; // Records the translate.* counts of this call.
+  translateOutOfSSA(*F, Ctx);
   sequentializeParallelCopies(*F);
+  StatsSnapshot Counters = Scope.snapshot();
 
   std::printf("=== Figure 1: after out-of-pinned-SSA ===\n%s\n",
               printFunction(*F).c_str());
-  std::printf("moves: %u, elided copies: %u, repairs: %u\n\n",
-              countMoves(*F), Stats.NumElidedCopies, Stats.NumRepairs);
+  std::printf("moves: %u, elided copies: %llu, repairs: %llu\n\n",
+              countMoves(*F),
+              (unsigned long long)Counters["translate.elided_copies"],
+              (unsigned long long)Counters["translate.repairs"]);
 
   ExecResult RB = interpret(*Before, {10, 0x2000});
   ExecResult RA = interpret(*F, {10, 0x2000});

@@ -47,28 +47,27 @@ int main(int argc, char **argv) {
       "LABI",       "Sphi"};
 
   for (const char *Preset : Presets) {
-    uint64_t Moves = 0, Weighted = 0, Removed = 0;
+    uint64_t Moves = 0, Weighted = 0;
     unsigned Miscompiles = 0;
-    StatsScope Scope; // The translate.* copy counts of this preset.
+    StatsScope Scope; // The translate.* and coalesce.* counts of this preset.
     for (const Workload &W : Suite) {
       auto F = cloneFunction(*W.F);
       PipelineResult R = runPipeline(*F, pipelinePreset(Preset));
       Moves += R.NumMoves;
       Weighted += R.WeightedMoves;
-      Removed += R.Coalescer.NumMovesRemoved;
       for (const auto &Args : W.Inputs)
         if (!interpret(*W.F, Args).sameObservable(interpret(*F, Args)))
           ++Miscompiles;
     }
-    StatsSnapshot Translate = Scope.snapshot();
+    StatsSnapshot Counters = Scope.snapshot();
     std::printf("%-14s %8llu %9llu %8llu %8llu %8llu %8llu %9llu",
                 Preset, (unsigned long long)Moves,
                 (unsigned long long)Weighted,
-                (unsigned long long)Translate["translate.phi_copies"],
-                (unsigned long long)Translate["translate.pin_copies"],
-                (unsigned long long)Translate["translate.repairs"],
-                (unsigned long long)Translate["translate.elided_copies"],
-                (unsigned long long)Removed);
+                (unsigned long long)Counters["translate.phi_copies"],
+                (unsigned long long)Counters["translate.pin_copies"],
+                (unsigned long long)Counters["translate.repairs"],
+                (unsigned long long)Counters["translate.elided_copies"],
+                (unsigned long long)Counters["coalesce.moves_removed"]);
     if (Miscompiles)
       std::printf("  [%u MISCOMPILED input sets]", Miscompiles);
     std::printf("\n");

@@ -12,9 +12,12 @@
 #include "ir/IRPrinter.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/Pipeline.h"
+#include "ssa/IfConversion.h"
 #include "ssa/SSAVerifier.h"
 #include "support/StringUtils.h"
 #include "workloads/Suites.h"
+
+#include <optional>
 
 using namespace lao;
 
@@ -96,7 +99,7 @@ void compile(CompileOutcome &O, const std::string &Text,
     // pipeline's entry step guarantees, so that step runs first.
     if (!prepareInput(F, Error))
       return fail(O, RequestOutcome::ParseError, "ssa error: " + Error);
-    O.IfConversion = convertIfsToPsi(F);
+    convertIfsToPsi(F);
   }
 
   // One manager from the pipeline to the last allocation round: the
@@ -114,9 +117,6 @@ void compile(CompileOutcome &O, const std::string &Text,
     O.Moves = R.NumMoves;
     O.WeightedMoves = R.WeightedMoves;
     O.Timings = std::move(R.Timings);
-    O.Interference = R.Interference;
-    if (Config->Coalesce)
-      O.Coalescer = std::move(R.Coalescer);
   } else {
     AM.reset(F);
     O.Moves = countMoves(F);

@@ -21,17 +21,13 @@
 #define LAO_DRIVER_COMPILEJOB_H
 
 #include "exec/Interpreter.h"
-#include "outofssa/Coalescer.h"
-#include "outofssa/PinningContext.h"
 #include "regalloc/RegAlloc.h"
-#include "ssa/IfConversion.h"
 #include "support/Arena.h"
 #include "support/Timer.h"
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,12 +112,11 @@ struct CompileOutcome {
   uint64_t InterpSteps = 0;    ///< "both": the interpreter's step count.
   bool ExecDiverged = false;   ///< "both": the engines disagreed.
   std::string IR;              ///< The printed result; empty on failure.
-  /// Per-phase wall time: the pipeline's phases, then "regalloc".
+  /// Per-phase wall time: the pipeline's phases, then "regalloc". The
+  /// passes' counts (SSA construction, if-conversion, the pipeline's
+  /// passes, the allocator) are registry counters: a caller reads them
+  /// from a StatsScope around the job, as Server::compileRequest does.
   TimerGroup Timings;
-  /// Class-size histogram after phi-coalescing (pipeline runs only).
-  PinningContext::InterferenceReport Interference;
-  std::optional<CoalescerStats> Coalescer; ///< When the preset coalesces.
-  std::optional<IfConversionStats> IfConversion;
   /// With Verify and BuildSSA: verifySSA's findings, as "ssa: ..." lines.
   std::vector<std::string> Diagnostics;
 };

@@ -14,21 +14,10 @@
 
 using namespace lao;
 
-// Computed goto keeps one indirect jump per instruction at each handler's
-// tail (separate branch-predictor slots per opcode); the switch fallback
-// funnels every dispatch through a single jump. Handler bodies are shared
-// between the two via VM_CASE / VM_NEXT so they cannot diverge.
-#if (defined(__GNUC__) || defined(__clang__)) && !defined(LAO_VM_FORCE_SWITCH)
-#define LAO_VM_COMPUTED_GOTO 1
-#else
-#define LAO_VM_COMPUTED_GOTO 0
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
+// Computed goto (a GCC/Clang extension, like __builtin_expect) keeps one
+// indirect jump per instruction at each handler's tail: separate
+// branch-predictor slots per opcode.
 #define LAO_VM_UNLIKELY(X) __builtin_expect(!!(X), 0)
-#else
-#define LAO_VM_UNLIKELY(X) (X)
-#endif
 
 namespace {
 
@@ -51,9 +40,7 @@ thread_local VMScratch Scratch;
 
 /// Cold error path for undefined-register reads. Kept out of line so the
 /// hot handlers carry only a compare and a jump, not string assembly.
-#if defined(__GNUC__) || defined(__clang__)
 __attribute__((cold, noinline))
-#endif
 void failUndef(ExecResult &R, const BytecodeFunction &BF, uint32_t Reg) {
   if (R.ok())
     R.Status = ExecStatus::Error;
@@ -117,7 +104,6 @@ ExecResult lao::runBytecode(const BytecodeFunction &BF,
     Frame[W_] = VMSlot{static_cast<uint64_t>(Val), Epoch};                                        \
   } while (0)
 
-#if LAO_VM_COMPUTED_GOTO
   // Must match the BcOp declaration order exactly.
   static const void *Table[] = {
       &&vm_Input, &&vm_Make,   &&vm_Mov,   &&vm_CheckDef, &&vm_Add,
@@ -134,14 +120,6 @@ ExecResult lao::runBytecode(const BytecodeFunction &BF,
   } while (0)
 
   VM_NEXT();
-#else
-#define VM_CASE(Name) case BcOp::Name
-#define VM_NEXT() continue
-  for (;;) {
-    if (LAO_VM_UNLIKELY(++Steps > MaxSteps))
-      goto vm_timeout;
-    switch (VM_I.Op) {
-#endif
 
   VM_CASE(Input) : {
     if (VM_I.B != Args.size()) {
@@ -340,11 +318,6 @@ ExecResult lao::runBytecode(const BytecodeFunction &BF,
     Fail(BF.Errors[static_cast<size_t>(VM_I.Imm)]);
     goto vm_done;
   }
-
-#if !LAO_VM_COMPUTED_GOTO
-    }
-  }
-#endif
 
 vm_timeout:
   // The interpreter discovers control-flow errors ("fell off the end of

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Register-machine executor for the bytecode in Bytecode.h. The dispatch
-/// loop uses computed goto on GCC/Clang (define LAO_VM_FORCE_SWITCH to get
-/// the portable `switch` fallback everywhere); both paths share the same
-/// handler bodies, so semantics cannot drift between them.
+/// loop uses computed goto, a GCC/Clang extension (the only compilers the
+/// tree builds with).
 ///
 /// The VM observes the same machine model as `interpret()` — dense
 /// register frame with definedness tracking, SP preinitialized, sparse

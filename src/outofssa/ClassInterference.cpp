@@ -69,12 +69,12 @@ ClassInterference::ClassInterference(const PinningContext &Ctx,
 }
 
 ClassInterference::~ClassInterference() {
-  LAO_STAT(classinterf, queries) += Stats.Queries;
-  LAO_STAT(classinterf, cache_hits) += Stats.CacheHits;
-  LAO_STAT(classinterf, cache_evictions) += Stats.CacheEvictions;
-  LAO_STAT(classinterf, sweeps) += Stats.Sweeps;
-  LAO_STAT(classinterf, probes) += Stats.Probes;
-  LAO_STAT(classinterf, pair_cost) += Stats.PairCost;
+  LAO_STAT(classinterf, queries) += NumQueries;
+  LAO_STAT(classinterf, cache_hits) += NumCacheHits;
+  LAO_STAT(classinterf, cache_evictions) += NumCacheEvictions;
+  LAO_STAT(classinterf, sweeps) += NumSweeps;
+  LAO_STAT(classinterf, probes) += NumProbes;
+  LAO_STAT(classinterf, pair_cost) += PairCost;
 }
 
 void ClassInterference::buildSummaries() {
@@ -166,7 +166,7 @@ void ClassInterference::VictimStack::popTo(uint32_t PreIn, uint32_t SubKey,
 bool ClassInterference::class1Probe(RegId Victim, RegId Killer) {
   // The Class 1 probe of variableKills(Killer, Victim), with
   // defDominates(Victim, Killer) already guaranteed by the stack.
-  ++Stats.Probes;
+  ++NumProbes;
   return Ctx.liveAcrossDef(Victim, Killer);
 }
 
@@ -199,8 +199,8 @@ bool ClassInterference::strongInterfere(const ClassData &A,
 bool ClassInterference::sweep(RegId RA, RegId RB) {
   const ClassData &A = Data[RA];
   const ClassData &B = Data[RB];
-  ++Stats.Sweeps;
-  Stats.PairCost += uint64_t(A.Items.size()) * B.Items.size();
+  ++NumSweeps;
+  PairCost += uint64_t(A.Items.size()) * B.Items.size();
 
   StackA.clear();
   StackB.clear();
@@ -222,7 +222,7 @@ bool ClassInterference::sweep(RegId RA, RegId RB) {
       RegId X = Victims.Vals[K];
       if (X == S.Incoming)
         continue;
-      ++Stats.Probes;
+      ++NumProbes;
       if (LV.isLiveOut(X, S.Pred))
         return true;
     }
@@ -316,10 +316,10 @@ bool ClassInterference::interfere(RegId RA, RegId RB) {
   uint64_t Key = pairKey(RA, RB);
   auto It = Cache.find(Key);
   if (It != Cache.end()) {
-    ++Stats.CacheHits;
+    ++NumCacheHits;
     return It->second;
   }
-  ++Stats.Queries;
+  ++NumQueries;
   size_t QSize = Data[RA].Items.size() + Data[RB].Items.size();
   if (QSize <= 4)
     ++LAO_STAT(classinterf, qsize_le4);
@@ -340,7 +340,7 @@ bool ClassInterference::interfere(RegId RA, RegId RB) {
 void ClassInterference::evict(RegId R) {
   for (RegId P : Partners[R]) {
     if (Cache.erase(pairKey(R, P)))
-      ++Stats.CacheEvictions;
+      ++NumCacheEvictions;
     // The back-reference in Partners[P] goes stale; a later evict(P)
     // erases the already-gone key, which is harmless.
   }

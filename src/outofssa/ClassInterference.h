@@ -90,19 +90,6 @@ public:
   /// either and merges the loser's summaries into the survivor's.
   void onMerge(RegId OldA, RegId OldB);
 
-  /// Engine-local counters (process-wide totals go to the stats
-  /// registry; these feed PinningContext::interferenceReport).
-  struct Counters {
-    uint64_t Queries = 0;      ///< Uncached interfere() computations.
-    uint64_t CacheHits = 0;
-    uint64_t CacheEvictions = 0;
-    uint64_t Sweeps = 0;       ///< Queries that reached the sweep.
-    uint64_t Probes = 0;       ///< Liveness probes issued by sweeps.
-    uint64_t PairCost = 0;     ///< Sum of |A|*|B| over swept queries:
-                               ///< the pairwise scan's probe bound.
-  };
-  const Counters &counters() const { return Stats; }
-
 private:
   /// One member definition, keyed for the dominance-order walk. Key =
   /// (dom-tree preorder of the defining block) << 32 | intra-block key,
@@ -189,7 +176,15 @@ private:
   std::vector<std::vector<RegId>> Partners; ///< Cached partners per rep.
 
   VictimStack StackA, StackB; ///< Reused across sweeps.
-  Counters Stats;
+
+  // The engine's tally, added to the classinterf.* counters when it dies.
+  uint64_t NumQueries = 0;      ///< Uncached interfere() computations.
+  uint64_t NumCacheHits = 0;
+  uint64_t NumCacheEvictions = 0;
+  uint64_t NumSweeps = 0;       ///< Queries that reached the sweep.
+  uint64_t NumProbes = 0;       ///< Liveness probes issued by sweeps.
+  uint64_t PairCost = 0;        ///< Sum of |A|*|B| over swept queries:
+                                ///< the pairwise scan's probe bound.
 };
 
 } // namespace lao

@@ -20,6 +20,20 @@ using namespace lao;
 
 namespace {
 
+/// One coalesceAggressively call's tally, added to the coalesce.*
+/// counters at its end.
+struct Tally {
+  unsigned NumMovesRemoved = 0;
+  unsigned NumRounds = 0;
+  unsigned NumMerges = 0;
+  unsigned NumRebuilds = 0;
+  unsigned NumRepairScans = 0;
+  unsigned NumWorklistPushes = 0;
+  unsigned NumWorklistPops = 0;
+  unsigned NumRequeues = 0;
+  unsigned NumStaleEdgesRemoved = 0;
+};
+
 /// The copies the coalescer may merge: every move that is not an identity
 /// and does not join two physical registers, in instruction order.
 std::vector<Instruction *> candidateCopies(Function &F) {
@@ -137,8 +151,7 @@ bool anyCoalescableCopy(const Function &F, const Liveness &LV,
 /// unconfirmed edges restores the whole graph to exactness.
 void repairDirtyRows(const Function &F, const Liveness &LV,
                      InterferenceGraph &IG,
-                     const std::vector<RegId> &DirtyList,
-                     CoalescerStats &Stats) {
+                     const std::vector<RegId> &DirtyList, Tally &Stats) {
   ++Stats.NumRepairScans;
   size_t NV = F.numValues();
   size_t ND = DirtyList.size();
@@ -222,16 +235,14 @@ void repairDirtyRows(const Function &F, const Liveness &LV,
 
 /// The zero-rebuild worklist schedule (see the header for the exactness
 /// argument).
-void coalesceWithWorklist(Function &F, AnalysisManager &AM,
-                          CoalescerStats &Stats,
-                          std::vector<std::pair<RegId, RegId>> *TraceOut) {
+void coalesceWithWorklist(Function &F, AnalysisManager &AM, Tally &Stats,
+                          std::vector<MergeRound> *TraceOut) {
   Liveness &LV = AM.liveness();
 
   // Graph-free gate first: after phi coalescing without ABI pinning
   // (Lphi+C, Sphi+C) nearly every call finds nothing to merge and never
   // builds a graph; under ABI pinning nearly every call builds one.
   std::vector<Instruction *> Copies = candidateCopies(F);
-  ++Stats.NumConfirmScans;
   if (!anyCoalescableCopy(F, LV, Copies))
     return;
 
@@ -261,8 +272,8 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
 
   while (!Queue.empty()) {
     ++Stats.NumRounds;
-    Stats.MaxWorklistDepth = std::max(
-        Stats.MaxWorklistDepth, static_cast<unsigned>(Queue.size()));
+    if (TraceOut)
+      TraceOut->emplace_back();
     unsigned MergesThisRound = 0;
 
     for (unsigned Idx : Queue) {
@@ -287,13 +298,13 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
         DirtyList.push_back(Survivor);
       }
       if (TraceOut)
-        TraceOut->emplace_back(Survivor, Victim);
+        TraceOut->back().emplace_back(Survivor, Victim);
       ++Stats.NumMerges;
       ++MergesThisRound;
     }
     assert(MergesThisRound > 0 &&
            "every scheduled round must merge at least once");
-    Stats.RoundMerges.push_back(MergesThisRound);
+    (void)MergesThisRound;
     // A survivor merged away later in the round is one of its victims:
     // only the final representatives stay dirty (DirtyMask is only ever
     // tested on representatives).
@@ -371,10 +382,9 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
 
 } // namespace
 
-CoalescerStats lao::coalesceAggressively(Function &F,
-                                         const CoalescerOptions &Opts,
-                                         AnalysisManager *AM) {
-  CoalescerStats Stats;
+void lao::coalesceAggressively(Function &F, const CoalescerOptions &Opts,
+                               AnalysisManager *AM) {
+  Tally Stats;
   std::optional<AnalysisManager> LocalAM;
   if (!AM) {
     LocalAM.emplace(F);
@@ -392,6 +402,8 @@ CoalescerStats lao::coalesceAggressively(Function &F,
                        .preserve(AnalysisKind::Liveness)
                        .preserve(AnalysisKind::Interference));
   }
+  assert((Stats.NumMerges == 0 || AM->isCached(AnalysisKind::Interference)) &&
+         "a call that merged leaves its repaired graph cached");
 
   LAO_STAT(coalesce, runs) += 1;
   LAO_STAT(coalesce, rounds) += Stats.NumRounds;
@@ -403,5 +415,4 @@ CoalescerStats lao::coalesceAggressively(Function &F,
   LAO_STAT(coalesce, worklist_pops) += Stats.NumWorklistPops;
   LAO_STAT(coalesce, worklist_requeues) += Stats.NumRequeues;
   LAO_STAT(coalesce, stale_edges_removed) += Stats.NumStaleEdgesRemoved;
-  return Stats;
 }

@@ -95,41 +95,15 @@ namespace lao {
 
 class AnalysisManager;
 
-struct CoalescerOptions {
-  /// When set, every merge appends its resolved (survivor, victim) pair —
-  /// the exact trace the tests compare against the reference schedule.
-  std::vector<std::pair<RegId, RegId>> *TraceOut = nullptr;
-};
+/// The resolved (survivor, victim) pairs of one merge round, in merge
+/// order.
+using MergeRound = std::vector<std::pair<RegId, RegId>>;
 
-struct CoalescerStats {
-  unsigned NumMovesRemoved = 0;
-  /// Merge rounds (worklist passes, or sweeps of the reference).
-  unsigned NumRounds = 0;
-  /// Total interference-graph node merges (proportional to the cost the
-  /// paper's compile-time discussion attributes to this phase).
-  unsigned NumMerges = 0;
-  /// Full interference-graph constructions. The zero-rebuild schedule
-  /// performs at most one (the initial exact build; zero when the confirm
-  /// scan proves there is nothing to merge).
-  unsigned NumRebuilds = 0;
-  /// Graph-free fixpoint checks over the remaining copy pairs. The
-  /// worklist schedule runs exactly one, as the initial gate.
-  unsigned NumConfirmScans = 0;
-  /// Round-boundary dirty-row repair scans (one per productive round).
-  unsigned NumRepairScans = 0;
-  /// Worklist traffic: every enqueue (initial population + re-enqueues),
-  /// every pop, and the re-enqueues alone — a measure of how much work
-  /// cascading merges actually wake up.
-  unsigned NumWorklistPushes = 0;
-  unsigned NumWorklistPops = 0;
-  unsigned NumRequeues = 0;
-  /// Stale unioned edges the repair scans removed.
-  unsigned NumStaleEdgesRemoved = 0;
-  /// High-water mark of pending worklist entries.
-  unsigned MaxWorklistDepth = 0;
-  /// Merges performed in each round, in round order (lao-opt --stats
-  /// reports these).
-  std::vector<unsigned> RoundMerges;
+struct CoalescerOptions {
+  /// When set, receives one MergeRound per merge round, in round order:
+  /// the exact trace the tests compare against the reference schedule,
+  /// cut at the round boundaries.
+  std::vector<MergeRound> *TraceOut = nullptr;
 };
 
 /// Runs aggressive repeated coalescing on non-SSA \p F (no phis; parallel
@@ -141,9 +115,16 @@ struct CoalescerStats {
 /// happened, the repaired interference graph — exact for the final
 /// program — stays cached too; only the liveness-query engine is
 /// invalidated. Passing nullptr uses a private manager.
-CoalescerStats coalesceAggressively(Function &F,
-                                    const CoalescerOptions &Opts = {},
-                                    AnalysisManager *AM = nullptr);
+///
+/// The call's work is counted by the coalesce.* counters: rounds,
+/// merges (interference-graph node merges, the cost the paper's
+/// compile-time discussion attributes to this phase), moves removed,
+/// graph builds (rebuilds: at most one, none when the confirm scan finds
+/// nothing to merge), confirm scans and their partner probes, repair
+/// scans (one per round), stale edges those scans removed, and the
+/// worklist's pushes, pops and re-enqueues.
+void coalesceAggressively(Function &F, const CoalescerOptions &Opts = {},
+                          AnalysisManager *AM = nullptr);
 
 } // namespace lao
 

@@ -10,7 +10,7 @@
 
 using namespace lao;
 
-unsigned lao::collectSPConstraints(Function &F) {
+void lao::collectSPConstraints(Function &F) {
   unsigned NumPinned = 0;
   for (const auto &BB : F.blocks())
     for (Instruction &I : BB->instructions()) {
@@ -26,10 +26,9 @@ unsigned lao::collectSPConstraints(Function &F) {
       }
     }
   LAO_STAT(constraints, sp_pins) += NumPinned;
-  return NumPinned;
 }
 
-unsigned lao::collectABIConstraints(Function &F) {
+void lao::collectABIConstraints(Function &F) {
   unsigned NumPinned = 0;
   auto PinDef = [&](Instruction &I, unsigned K, RegId Res) {
     if (Res != InvalidReg && I.defPin(K) == InvalidReg &&
@@ -78,5 +77,4 @@ unsigned lao::collectABIConstraints(Function &F) {
       }
     }
   LAO_STAT(constraints, abi_pins) += NumPinned;
-  return NumPinned;
 }

@@ -22,8 +22,8 @@
 namespace lao {
 
 /// Pins SP-derived variables (SpAdjust defs and uses) to the physical SP.
-/// Returns the number of operands pinned.
-unsigned collectSPConstraints(Function &F);
+/// The operands pinned are counted by the constraints.sp_pins counter.
+void collectSPConstraints(Function &F);
 
 /// Pins ABI-constrained operands:
 ///  * `input` parameter k (k < NumArgRegs) defs to R0..R3
@@ -34,8 +34,8 @@ unsigned collectSPConstraints(Function &F);
 ///  * `psi`: the else-operand pinned to the destination (the
 ///    psi-conventional conversion; predicated code overwrites its else
 ///    value in place)
-/// Returns the number of operands pinned.
-unsigned collectABIConstraints(Function &F);
+/// The operands pinned are counted by the constraints.abi_pins counter.
+void collectABIConstraints(Function &F);
 
 } // namespace lao
 

@@ -56,7 +56,9 @@ public:
       : F(F), Ctx(Ctx), Cfg(Ctx.cfg()), DT(Ctx.domTree()),
         NumOrigValues(F.numValues()) {}
 
-  OutOfSSAStats run() {
+  /// Translates, then adds this call's tally to the translate.*
+  /// counters.
+  void run() {
     buildSlotsAndDeltas();
     placeMeetNodes();
     solveMeetNodes();
@@ -66,14 +68,19 @@ public:
     RepairVar.assign(NumOrigValues, InvalidReg);
     RepairNeeded.forEach([&](size_t V) {
       RepairVar[V] = F.makeVirtual(F.valueName(static_cast<RegId>(V)) + ".r");
-      ++Stats.NumRepairs;
+      ++NumRepairs;
     });
     replay(/*Rewrite=*/true);
-    return Stats;
+    LAO_STAT(translate, runs) += 1;
+    LAO_STAT(translate, repairs) += NumRepairs;
+    LAO_STAT(translate, phi_copies) += NumPhiCopies;
+    LAO_STAT(translate, pin_copies) += NumPinCopies;
+    LAO_STAT(translate, elided_copies) += NumElidedCopies;
+    LAO_STAT(translate, phis_removed) += NumPhisRemoved;
+    LAO_STAT(translate, inserts) += NumInserts;
+    // The (slot, block) pairs whose entry holder the fixpoint solved.
+    LAO_STAT(translate, meet_nodes) += MeetSlot.size();
   }
-
-  /// (slot, block) pairs whose entry holder the fixpoint solved.
-  size_t numMeetNodes() const { return MeetSlot.size(); }
 
 private:
   Function &F;
@@ -81,7 +88,14 @@ private:
   const CFG &Cfg;
   const DominatorTree &DT;
   size_t NumOrigValues;
-  OutOfSSAStats Stats;
+
+  // The call's tally.
+  unsigned NumRepairs = 0;      ///< Repair copies inserted.
+  unsigned NumPhiCopies = 0;    ///< Parallel-copy entries for phis.
+  unsigned NumPinCopies = 0;    ///< Copies satisfying use pins.
+  unsigned NumElidedCopies = 0; ///< Copies avoided (value in place).
+  unsigned NumPhisRemoved = 0;
+  unsigned NumInserts = 0;      ///< Instructions inserted (all kinds).
 
   /// Compact renumbering of written resource slots: SlotOf[Res] is the
   /// index of resource representative Res, or NoSlot if no instruction
@@ -370,7 +384,7 @@ private:
     Copy.addDef(RepairVar[V]);
     Copy.addUse(repOf(V));
     NewList.push_back(std::move(Copy));
-    ++Stats.NumInserts;
+    ++NumInserts;
   }
 
   /// Replays \p BB from the holders in Cur, updating Cur as it goes.
@@ -390,7 +404,7 @@ private:
         if (Rewrite) {
           if (RepairNeeded.test(I.def(0)))
             PendingPhiRepairs.push_back(I.def(0));
-          ++Stats.NumPhisRemoved;
+          ++NumPhisRemoved;
         }
         It = Next;
         continue;
@@ -423,13 +437,13 @@ private:
               // The destination resource already carries the flowing
               // value: elide the copy (paper Section 2.3, second bullet).
               if (Rewrite)
-                ++Stats.NumElidedCopies;
+                ++NumElidedCopies;
               continue;
             }
             RegId Src = locOf(Arg, Rewrite);
             if (Src == Dst) {
               if (Rewrite)
-                ++Stats.NumElidedCopies;
+                ++NumElidedCopies;
               continue;
             }
             ParCopy.addDef(Dst);
@@ -438,9 +452,9 @@ private:
         }
         applyPhiCopyUpdates(BB);
         if (Rewrite && ParCopy.numDefs() != 0) {
-          Stats.NumPhiCopies += ParCopy.numDefs();
+          NumPhiCopies += ParCopy.numDefs();
           NewList->push_back(std::move(ParCopy));
-          ++Stats.NumInserts;
+          ++NumInserts;
         }
       }
 
@@ -460,7 +474,7 @@ private:
         RegId Loc = F.isPhysical(V) ? V : locOf(V, Rewrite);
         if (holderOf(PinRes) == V || Loc == PinRes) {
           if (Rewrite)
-            ++Stats.NumElidedCopies;
+            ++NumElidedCopies;
           continue;
         }
         // Copy the value into the pinned resource.
@@ -477,9 +491,9 @@ private:
         if (I.usePin(K) != InvalidReg)
           write(slotOf(repOf(I.usePin(K))), OrigUses[K]);
       if (Rewrite && PinCopy.numDefs() != 0) {
-        Stats.NumPinCopies += PinCopy.numDefs();
+        NumPinCopies += PinCopy.numDefs();
         NewList->push_back(std::move(PinCopy));
-        ++Stats.NumInserts;
+        ++NumInserts;
       }
       // Resolve operands under the post-copy state.
       for (unsigned K = 0; K < I.numUses(); ++K) {
@@ -536,18 +550,8 @@ private:
 
 } // namespace
 
-OutOfSSAStats lao::translateOutOfSSA(Function &F, PinningContext &Ctx) {
-  Translator T(F, Ctx);
-  OutOfSSAStats Stats = T.run();
-  LAO_STAT(translate, runs) += 1;
-  LAO_STAT(translate, repairs) += Stats.NumRepairs;
-  LAO_STAT(translate, phi_copies) += Stats.NumPhiCopies;
-  LAO_STAT(translate, pin_copies) += Stats.NumPinCopies;
-  LAO_STAT(translate, elided_copies) += Stats.NumElidedCopies;
-  LAO_STAT(translate, phis_removed) += Stats.NumPhisRemoved;
-  LAO_STAT(translate, inserts) += Stats.NumInserts;
-  LAO_STAT(translate, meet_nodes) += T.numMeetNodes();
-  return Stats;
+void lao::translateOutOfSSA(Function &F, PinningContext &Ctx) {
+  Translator(F, Ctx).run();
 }
 
 void lao::sequentializeCopyPairs(std::vector<CopyPair> Entries,
@@ -580,7 +584,7 @@ void lao::sequentializeCopyPairs(std::vector<CopyPair> Entries,
   }
 }
 
-unsigned lao::sequentializeParallelCopies(Function &F) {
+void lao::sequentializeParallelCopies(Function &F) {
   unsigned NumMoves = 0;
   for (const auto &BB : F.blocks()) {
     auto &Insts = BB->instructions();
@@ -610,5 +614,4 @@ unsigned lao::sequentializeParallelCopies(Function &F) {
     }
   }
   LAO_STAT(sequentialize, moves_emitted) += NumMoves;
-  return NumMoves;
 }

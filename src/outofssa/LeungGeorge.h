@@ -66,18 +66,11 @@
 
 namespace lao {
 
-struct OutOfSSAStats {
-  unsigned NumRepairs = 0;        ///< Repair copies inserted.
-  unsigned NumPhiCopies = 0;      ///< Parallel-copy entries for phis.
-  unsigned NumPinCopies = 0;      ///< Copies satisfying use pins.
-  unsigned NumElidedCopies = 0;   ///< Copies avoided (value in place).
-  unsigned NumPhisRemoved = 0;
-  unsigned NumInserts = 0;        ///< Instructions inserted (all kinds).
-};
-
 /// Translates \p F out of SSA under the pinning in \p Ctx, walking the
-/// CFG and dominator tree \p Ctx was built from. Mutates F.
-OutOfSSAStats translateOutOfSSA(Function &F, PinningContext &Ctx);
+/// CFG and dominator tree \p Ctx was built from. Mutates F. The repairs,
+/// phi copies, pin copies, elided copies, removed phis and inserted
+/// instructions are counted by the translate.* counters.
+void translateOutOfSSA(Function &F, PinningContext &Ctx);
 
 /// One parallel-copy entry: (destination, source).
 using CopyPair = std::pair<RegId, RegId>;
@@ -94,8 +87,9 @@ void sequentializeCopyPairs(std::vector<CopyPair> Entries,
 
 /// Lowers every ParCopy into a sequence of Mov instructions, inserting
 /// fresh temporaries to break copy cycles (the swap problem). Identity
-/// entries are dropped. Returns the number of moves emitted.
-unsigned sequentializeParallelCopies(Function &F);
+/// entries are dropped. The moves emitted are counted by the
+/// sequentialize.moves_emitted counter.
+void sequentializeParallelCopies(Function &F);
 
 } // namespace lao
 

@@ -12,7 +12,7 @@
 
 using namespace lao;
 
-unsigned lao::lowerABINaively(Function &F) {
+void lao::lowerABINaively(Function &F) {
   unsigned NumMoves = 0;
 
   auto MovInst = [](RegId Dst, RegId Src) {
@@ -105,5 +105,4 @@ unsigned lao::lowerABINaively(Function &F) {
     }
   }
   LAO_STAT(naiveabi, moves_inserted) += NumMoves;
-  return NumMoves;
 }

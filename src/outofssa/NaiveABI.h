@@ -24,9 +24,10 @@
 
 namespace lao {
 
-/// Inserts ABI moves on non-SSA code. Returns the number of moves
-/// (parallel-copy entries count individually) inserted.
-unsigned lowerABINaively(Function &F);
+/// Inserts ABI moves on non-SSA code. The moves inserted (parallel-copy
+/// entries count individually) are counted by the
+/// naiveabi.moves_inserted counter.
+void lowerABINaively(Function &F);
 
 } // namespace lao
 

@@ -17,6 +17,20 @@ using namespace lao;
 
 namespace {
 
+/// One coalescePhis call's tally, added to the phicoalesce.* counters at
+/// its end.
+struct Tally {
+  unsigned NumAffinityEdges = 0; ///< Total edges created (by multiplicity).
+  unsigned NumInitialPruned = 0; ///< Removed by Graph_InitialPruning.
+  unsigned NumWeightPruned = 0;  ///< Removed by BipartiteGraph_pruning.
+  unsigned NumMerges = 0;        ///< Resource merges performed.
+  unsigned NumSafetySkips = 0;   ///< Vertices skipped by the merge-time
+                                 ///< interference re-check.
+  uint64_t NumPairQueries = 0;   ///< resourceInterfere class-pair queries.
+  unsigned TotalGain = 0;        ///< Phi args sharing their result's
+                                 ///< resource after coalescing.
+};
+
 /// One affinity edge between a phi-result resource and an argument
 /// resource (vertices are class representatives at graph-build time).
 struct Edge {
@@ -50,7 +64,7 @@ struct AffinityGraph {
 /// \p DepthFilter of -1 disables the filter.
 AffinityGraph createAffinityGraph(const BasicBlock &BB, PinningContext &Ctx,
                                   const LoopInfo &LI, int DepthFilter,
-                                  PhiCoalescingStats &Stats) {
+                                  Tally &Stats) {
   AffinityGraph G;
   for (const Instruction &I : BB.instructions()) {
     if (!I.isPhi())
@@ -82,7 +96,7 @@ AffinityGraph createAffinityGraph(const BasicBlock &BB, PinningContext &Ctx,
 
 /// Graph_InitialPruning: delete edges whose resources interfere.
 void initialPruning(AffinityGraph &G, PinningContext &Ctx,
-                    PhiCoalescingStats &Stats) {
+                    Tally &Stats) {
   for (Edge &E : G.Edges) {
     if (E.Deleted)
       continue;
@@ -132,7 +146,7 @@ void addTieBonuses(AffinityGraph &G, PinningContext &Ctx,
 void bipartitePruning(AffinityGraph &G, PinningContext &Ctx,
                       const std::vector<UsePin> &UsePins,
                       PruneHeuristic Heuristic,
-                      PhiCoalescingStats &Stats) {
+                      Tally &Stats) {
   // Weight each edge: for every pair of live edges sharing a vertex whose
   // far endpoints interfere, each edge gains the other's multiplicity.
   for (size_t A = 0; A < G.Edges.size(); ++A) {
@@ -212,7 +226,7 @@ void bipartitePruning(AffinityGraph &G, PinningContext &Ctx,
 /// to the final representative, so the coalescing decision is visible in
 /// the printed IR (as in the paper's Figure 7).
 void mergeComponents(Function &F, AffinityGraph &G, PinningContext &Ctx,
-                     unsigned PhysMergeMinMult, PhiCoalescingStats &Stats) {
+                     unsigned PhysMergeMinMult, Tally &Stats) {
   // Adjacency over live edges (neighbour, edge multiplicity).
   std::map<RegId, std::vector<std::pair<RegId, unsigned>>> Adj;
   for (const Edge &E : G.Edges) {
@@ -279,10 +293,9 @@ void mergeComponents(Function &F, AffinityGraph &G, PinningContext &Ctx,
 
 } // namespace
 
-PhiCoalescingStats lao::coalescePhis(Function &F, PinningContext &Ctx,
-                                     const CFG &Cfg, const LoopInfo &LI,
-                                     const PhiCoalescingOptions &Opts) {
-  PhiCoalescingStats Stats;
+void lao::coalescePhis(Function &F, PinningContext &Ctx, const CFG &Cfg,
+                       const LoopInfo &LI, const PhiCoalescingOptions &Opts) {
+  Tally Stats;
 
   // Confluence blocks ordered inner-to-outer (deepest loop first; RPO
   // breaks ties deterministically).
@@ -373,5 +386,4 @@ PhiCoalescingStats lao::coalescePhis(Function &F, PinningContext &Ctx,
   LAO_STAT(phicoalesce, safety_skips) += Stats.NumSafetySkips;
   LAO_STAT(phicoalesce, pair_queries) += Stats.NumPairQueries;
   LAO_STAT(phicoalesce, gain) += Stats.TotalGain;
-  return Stats;
 }

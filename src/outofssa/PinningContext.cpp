@@ -178,8 +178,8 @@ bool PinningContext::resourceInterfere(RegId A, RegId B) const {
   return Verdict;
 }
 
-PinningContext::InterferenceReport PinningContext::interferenceReport() const {
-  InterferenceReport R;
+void PinningContext::countClassSizes() const {
+  uint64_t Hist[6] = {0, 0, 0, 0, 0, 0};
   size_t N = F.numValues();
   for (RegId V = 0; V < N; ++V) {
     if (Classes.find(V) != V || Members[V].empty())
@@ -189,21 +189,19 @@ PinningContext::InterferenceReport PinningContext::interferenceReport() const {
     // definition or a machine register; skip never-defined value slots.
     if (Size == 1 && !Defs[V].Valid && !F.isPhysical(V))
       continue;
-    ++R.NumClasses;
     unsigned Bucket = Size <= 2   ? static_cast<unsigned>(Size - 1)
                       : Size <= 4 ? 2u
                       : Size <= 8 ? 3u
                       : Size <= 16 ? 4u
                                    : 5u;
-    ++R.SizeHist[Bucket];
+    ++Hist[Bucket];
   }
-  if (Engine) {
-    const ClassInterference::Counters &C = Engine->counters();
-    R.Queries = C.Queries;
-    R.CacheHits = C.CacheHits;
-    R.CacheEvictions = C.CacheEvictions;
-    R.Probes = C.Probes;
-    R.PairCost = C.PairCost;
-  }
-  return R;
+  LAO_STAT(pinning, classes) +=
+      Hist[0] + Hist[1] + Hist[2] + Hist[3] + Hist[4] + Hist[5];
+  LAO_STAT(pinning, class_size_1) += Hist[0];
+  LAO_STAT(pinning, class_size_2) += Hist[1];
+  LAO_STAT(pinning, class_size_3_4) += Hist[2];
+  LAO_STAT(pinning, class_size_5_8) += Hist[3];
+  LAO_STAT(pinning, class_size_9_16) += Hist[4];
+  LAO_STAT(pinning, class_size_ge17) += Hist[5];
 }

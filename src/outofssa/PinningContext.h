@@ -173,20 +173,12 @@ public:
                                    RegId RB, bool Verdict);
   static void setVerdictObserver(VerdictObserver Fn) { Observer = Fn; }
 
-  /// Field-diagnosis summary for lao-opt --stats: the class-size
-  /// histogram of the current class partition plus the engine's
-  /// cache/probe counters.
-  struct InterferenceReport {
-    uint64_t NumClasses = 0;  ///< Classes counted in SizeHist.
-    uint64_t SizeHist[6] = {0, 0, 0, 0, 0, 0}; ///< Members: 1, 2, 3-4,
-                                               ///< 5-8, 9-16, >= 17.
-    uint64_t Queries = 0;       ///< Uncached engine computations.
-    uint64_t CacheHits = 0;
-    uint64_t CacheEvictions = 0;
-    uint64_t Probes = 0;        ///< Sweep liveness probes.
-    uint64_t PairCost = 0;      ///< Pairwise probe bound (sum |A|*|B|).
-  };
-  InterferenceReport interferenceReport() const;
+  /// Adds the class-size histogram of the current class partition to
+  /// the pinning.classes and pinning.class_size_{1,2,3_4,5_8,9_16,ge17}
+  /// counters (members per class; a class of one never-defined virtual
+  /// value is not counted). runPipeline calls it once, after
+  /// phi-coalescing.
+  void countClassSizes() const;
 
 private:
   /// A use operand pinned to (the class of) some resource: the

@@ -18,7 +18,6 @@
 #include "support/StringUtils.h"
 
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -136,16 +135,13 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config) {
 
 PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
                                 AnalysisManager &AM) {
-  using Clock = std::chrono::steady_clock;
   PipelineResult R;
-  auto Start = Clock::now();
   ++LAO_STAT(pipeline, runs);
   auto CancelRequested = [&] {
     if (!Config.CancelCheck || !Config.CancelCheck())
       return false;
     ++LAO_STAT(pipeline, cancellations);
     R.Cancelled = true;
-    R.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
     return true;
   };
   if (CancelRequested())
@@ -153,10 +149,8 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
 
   {
     ScopedTimer T(R.Timings, "split-critical-edges");
-    if (!prepareInput(F, R.InputError)) {
-      R.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
+    if (!prepareInput(F, R.InputError))
       return R;
-    }
     splitCriticalEdges(F);
   }
 
@@ -202,7 +196,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
              "phi-coalescing must preserve the analyses PinningContext and "
              "its interference cache were built from");
     }
-    R.Interference = Ctx.interferenceReport();
+    Ctx.countClassSizes();
     (void)CtxEpoch;
     {
       ScopedTimer T(R.Timings, "translate");
@@ -233,21 +227,16 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
 
   if (Config.Coalesce) {
     ScopedTimer T(R.Timings, "coalesce");
-    R.Coalescer = coalesceAggressively(F, {}, &AM);
+    coalesceAggressively(F, {}, &AM);
     // The zero-rebuild coalescer maintains AM's dense liveness exactly
     // through every merge round (and, when it merged, leaves its repaired
     // interference graph cached and exact) — weightedMoveCount below and
     // any later consumer keep riding the same cache.
     assert(AM.isCached(AnalysisKind::Liveness) &&
            "coalesceAggressively must preserve the managed liveness");
-    assert((R.Coalescer.NumMerges == 0 ||
-            AM.isCached(AnalysisKind::Interference)) &&
-           "coalesceAggressively must leave its repaired graph cached");
   }
 
   R.NumMoves = countMoves(F);
   R.WeightedMoves = weightedMoveCount(F, AM);
-
-  R.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
   return R;
 }

@@ -89,14 +89,11 @@ struct PipelineResult {
   std::string InputError;
   unsigned NumMoves = 0;        ///< Residual moves (Tables 2-4 metric).
   uint64_t WeightedMoves = 0;   ///< 5^depth-weighted (Table 5 metric).
-  double Seconds = 0.0;         ///< Wall time of the whole pipeline.
   TimerGroup Timings;           ///< Per-phase wall time (see above).
-  CoalescerStats Coalescer;
   unsigned MovesBeforeCoalesce = 0;
-  /// Class-size histogram + interference-cache counters, taken after
-  /// phi-coalescing. The translate, phi-coalescing and Sreedhar numbers
-  /// are translate.*, phicoalesce.* and sreedhar.* registry counters.
-  PinningContext::InterferenceReport Interference;
+  // Every other count of the run is a registry counter (support/Stats.h):
+  // the passes' own (translate.*, phicoalesce.*, coalesce.*, ...) and the
+  // class-size histogram after phi-coalescing (pinning.*).
 };
 
 /// The pipeline's entry step, also run by the compile job before

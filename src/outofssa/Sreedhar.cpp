@@ -11,7 +11,6 @@
 #include "support/Stats.h"
 #include "support/UnionFind.h"
 
-#include <algorithm>
 #include <cassert>
 #include <map>
 #include <set>
@@ -135,9 +134,13 @@ namespace {
 
 /// One pass of the per-phi conversion. Swap-shaped webs can need more
 /// than one pass: an inserted copy resolves the pair that triggered it
-/// but may itself interfere with another member merged later.
-SreedharStats convertToCSSAOnce(Function &F, AnalysisManager &AM) {
-  SreedharStats Stats;
+/// but may itself interfere with another member merged later. Returns
+/// the copies inserted; sets \p NumPhis to the phis processed (the same
+/// every pass: copies never add or remove phis) and adds the unresolved
+/// pairs to \p NumUnresolved.
+unsigned convertToCSSAOnce(Function &F, AnalysisManager &AM,
+                           unsigned &NumPhis, unsigned &NumUnresolved) {
+  unsigned NumCopies = 0;
   CSSAState St(AM);
 
   // Collect phis up front (in RPO-ish program order); copies never add
@@ -151,11 +154,11 @@ SreedharStats convertToCSSAOnce(Function &F, AnalysisManager &AM) {
       Phis.push_back(&I);
       PhiBlock.push_back(BB.get());
     }
+  NumPhis = static_cast<unsigned>(Phis.size());
 
   for (size_t PI = 0; PI < Phis.size(); ++PI) {
     Instruction &Phi = *Phis[PI];
     BasicBlock *L0 = PhiBlock[PI];
-    ++Stats.NumPhisProcessed;
 
     // Resources of this phi: operand index ~0u denotes the result.
     struct Res {
@@ -197,7 +200,7 @@ SreedharStats convertToCSSAOnce(Function &F, AnalysisManager &AM) {
           Marked.insert(B);
         } else {
           Unresolved.push_back({A, B});
-          ++Stats.NumUnresolvedPairs;
+          ++NumUnresolved;
         }
       }
 
@@ -244,7 +247,7 @@ SreedharStats convertToCSSAOnce(Function &F, AnalysisManager &AM) {
         Pred->insert(Pos, std::move(Copy));
         Phi.setUse(R.OperandIdx, NewArg);
       }
-      ++Stats.NumCopiesInserted;
+      ++NumCopies;
     }
     if (!Marked.empty())
       St.copiesInserted();
@@ -253,28 +256,24 @@ SreedharStats convertToCSSAOnce(Function &F, AnalysisManager &AM) {
     for (unsigned K = 0; K < Phi.numUses(); ++K)
       St.merge(Phi.def(0), Phi.use(K));
   }
-  return Stats;
+  return NumCopies;
 }
 
 } // namespace
 
-SreedharStats lao::convertToCSSA(Function &F, AnalysisManager &AM) {
+void lao::convertToCSSA(Function &F, AnalysisManager &AM) {
   assert(&AM.function() == &F && "the manager must be bound to F");
-  SreedharStats Total;
+  unsigned NumCopies = 0, NumPhis = 0, NumUnresolved = 0;
   for (unsigned Round = 0; Round < 5; ++Round) {
-    SreedharStats Stats = convertToCSSAOnce(F, AM);
-    Total.NumPhisProcessed =
-        std::max(Total.NumPhisProcessed, Stats.NumPhisProcessed);
-    Total.NumCopiesInserted += Stats.NumCopiesInserted;
-    Total.NumUnresolvedPairs += Stats.NumUnresolvedPairs;
-    if (Stats.NumCopiesInserted == 0 || findCSSAViolations(F, AM).empty())
+    unsigned Copies = convertToCSSAOnce(F, AM, NumPhis, NumUnresolved);
+    NumCopies += Copies;
+    if (Copies == 0 || findCSSAViolations(F, AM).empty())
       break;
   }
   LAO_STAT(sreedhar, runs) += 1;
-  LAO_STAT(sreedhar, copies_inserted) += Total.NumCopiesInserted;
-  LAO_STAT(sreedhar, phis_processed) += Total.NumPhisProcessed;
-  LAO_STAT(sreedhar, unresolved_pairs) += Total.NumUnresolvedPairs;
-  return Total;
+  LAO_STAT(sreedhar, copies_inserted) += NumCopies;
+  LAO_STAT(sreedhar, phis_processed) += NumPhis;
+  LAO_STAT(sreedhar, unresolved_pairs) += NumUnresolved;
 }
 
 std::vector<std::pair<RegId, RegId>>

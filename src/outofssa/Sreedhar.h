@@ -38,15 +38,11 @@ namespace lao {
 
 class AnalysisManager;
 
-struct SreedharStats {
-  unsigned NumCopiesInserted = 0;
-  unsigned NumPhisProcessed = 0;
-  unsigned NumUnresolvedPairs = 0;
-};
-
 /// Converts \p F (SSA, critical edges split) to CSSA by copy insertion,
-/// reading \p AM (bound to \p F), which keeps its cfgOnly() part.
-SreedharStats convertToCSSA(Function &F, AnalysisManager &AM);
+/// reading \p AM (bound to \p F), which keeps its cfgOnly() part. The
+/// copies, phis and unresolved interfering pairs are counted by the
+/// sreedhar.* counters.
+void convertToCSSA(Function &F, AnalysisManager &AM);
 
 /// Pins every phi web (result and arguments, transitively) to a common
 /// resource via def pins, preferring a member already pinned to a

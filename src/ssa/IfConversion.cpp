@@ -7,6 +7,7 @@
 #include "ssa/IfConversion.h"
 
 #include "ir/CFG.h"
+#include "support/Stats.h"
 
 #include <cassert>
 
@@ -118,8 +119,8 @@ bool threadTrivialJumps(Function &F, const CFG &Cfg) {
 
 } // namespace
 
-IfConversionStats lao::convertIfsToPsi(Function &F, unsigned MaxArmInsts) {
-  IfConversionStats Stats;
+void lao::convertIfsToPsi(Function &F, unsigned MaxArmInsts) {
+  unsigned NumDiamonds = 0, NumTriangles = 0, NumPsis = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;
@@ -211,7 +212,7 @@ IfConversionStats lao::convertIfsToPsi(Function &F, unsigned MaxArmInsts) {
         Psi.addUse(FromThen);
         Psi.addUse(FromElse);
         H->insert(BranchPos, std::move(Psi));
-        ++Stats.NumPsisCreated;
+        ++NumPsis;
         It = Join->instructions().erase(It);
       }
 
@@ -241,13 +242,12 @@ IfConversionStats lao::convertIfsToPsi(Function &F, unsigned MaxArmInsts) {
         NeuterArm(TriangleThen ? T : E);
       }
 
-      if (Diamond)
-        ++Stats.NumDiamondsConverted;
-      else
-        ++Stats.NumTrianglesConverted;
+      ++(Diamond ? NumDiamonds : NumTriangles);
       Changed = true;
       break; // CFG snapshot is stale; restart the scan.
     }
   }
-  return Stats;
+  LAO_STAT(ifconvert, diamonds) += NumDiamonds;
+  LAO_STAT(ifconvert, triangles) += NumTriangles;
+  LAO_STAT(ifconvert, psis) += NumPsis;
 }

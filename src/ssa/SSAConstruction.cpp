@@ -9,6 +9,7 @@
 #include "analysis/Dominators.h"
 #include "analysis/Liveness.h"
 #include "ir/CFG.h"
+#include "support/Stats.h"
 #include "support/StringUtils.h"
 
 #include <cassert>
@@ -18,12 +19,11 @@
 
 using namespace lao;
 
-SSAStats lao::buildSSA(Function &F, std::string *Error) {
-  SSAStats Stats;
+bool lao::buildSSA(Function &F, std::string *Error) {
   auto Reject = [&](std::string Why) {
     if (Error)
       *Error = std::move(Why);
-    return Stats;
+    return false;
   };
   CFG Cfg(F);
   DominatorTree DT(Cfg);
@@ -64,6 +64,7 @@ SSAStats lao::buildSSA(Function &F, std::string *Error) {
   // Each goes to the top of its block, so a block's phis end up in
   // descending variable order. Every operand names the phi's variable
   // until renaming visits that predecessor.
+  unsigned NumPhisInserted = 0;
   PhiPlacement Placement(Cfg, DT);
   for (RegId V = Target::NumPhysRegs; V < NumOrigValues; ++V) {
     std::span<const BasicBlock *const> Defs(DefSites.data() + DefBegin[V],
@@ -76,13 +77,14 @@ SSAStats lao::buildSSA(Function &F, std::string *Error) {
           for (BasicBlock *P : Cfg.preds(Join))
             Phi.addIncoming(V, P);
           Join->insert(Join->instructions().begin(), std::move(Phi));
-          ++Stats.NumPhisInserted;
+          ++NumPhisInserted;
         });
   }
 
   // Rename along the dominator tree. Cur[V] is the name of original
   // variable V that reaches the current point; the undo log restores
   // it when the walk leaves a block's subtree.
+  unsigned NumVarsRenamed = 0;
   std::vector<RegId> Cur(NumOrigValues, InvalidReg);
   std::vector<std::pair<RegId, RegId>> Undo; // (variable, previous name)
   auto Reaching = [&](RegId Orig) {
@@ -105,7 +107,7 @@ SSAStats lao::buildSSA(Function &F, std::string *Error) {
             RegId New = F.makeVirtual(F.valueName(Orig));
             Undo.push_back({Orig, Cur[Orig]});
             Cur[Orig] = New;
-            ++Stats.NumVarsRenamed;
+            ++NumVarsRenamed;
             I.setDef(K, New);
           }
         }
@@ -125,5 +127,7 @@ SSAStats lao::buildSSA(Function &F, std::string *Error) {
         for (; Undo.size() > Mark; Undo.pop_back())
           Cur[Undo.back().first] = Undo.back().second;
       });
-  return Stats;
+  LAO_STAT(ssa, phis_inserted) += NumPhisInserted;
+  LAO_STAT(ssa, vars_renamed) += NumVarsRenamed;
+  return true;
 }

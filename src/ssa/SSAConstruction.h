@@ -27,19 +27,15 @@
 
 namespace lao {
 
-/// Statistics returned by buildSSA.
-struct SSAStats {
-  unsigned NumPhisInserted = 0;
-  unsigned NumVarsRenamed = 0;
-};
-
 /// Converts \p F (non-SSA, virtual registers possibly multiply defined,
-/// no phis) into pruned SSA form, in place. Every use must have a
-/// definition on every path from the entry. An input that breaks either
-/// rule — it already has a phi, or some variable is live into the entry
-/// block — is rejected: \p F is left unchanged, the returned stats are
-/// zero and \p Error (when given) says why.
-SSAStats buildSSA(Function &F, std::string *Error = nullptr);
+/// no phis) into pruned SSA form, in place, and returns true. Every use
+/// must have a definition on every path from the entry. An input that
+/// breaks either rule — it already has a phi, or some variable is live
+/// into the entry block — is rejected: \p F is left unchanged, false is
+/// returned and \p Error (when given) says why. An accepted input adds
+/// its inserted phis and renamed definitions to the ssa.phis_inserted
+/// and ssa.vars_renamed counters.
+bool buildSSA(Function &F, std::string *Error = nullptr);
 
 } // namespace lao
 

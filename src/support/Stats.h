@@ -6,9 +6,11 @@
 ///
 /// \file
 /// A process-wide registry of named counters, in the spirit of LLVM's
-/// `-stats` machinery. A pass bumps a counter through the LAO_STAT macro:
+/// `-stats` machinery, and the only record of a pass's counts: no pass
+/// returns a statistics struct. A pass keeps its tally in locals and
+/// bumps each counter once per call through the LAO_STAT macro:
 ///
-///   LAO_STAT(coalesce, merges) += Stats.NumMerges;
+///   LAO_STAT(coalesce, merges) += NumMerges;
 ///   ++LAO_STAT(liveness, analyses);
 ///
 /// The macro expands to a function-local static StatCounter that

@@ -16,13 +16,8 @@
 using namespace lao;
 
 bool lao::normalizeToOptimizedSSA(Function &F, std::string *Error) {
-  std::string Rejected;
-  buildSSA(F, &Rejected);
-  if (!Rejected.empty()) {
-    if (Error)
-      *Error = std::move(Rejected);
+  if (!buildSSA(F, Error))
     return false;
-  }
   propagateCopies(F);
   valueNumber(F);
   propagateCopies(F);

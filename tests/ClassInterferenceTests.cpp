@@ -80,24 +80,29 @@ std::vector<RegId> interestingReps(const PinningContext &Ctx,
 /// engine and through the pairwise scan, expecting identical verdicts.
 void expectVerdictEquality(Function &F, InterferenceMode Mode,
                            size_t MaxPairs = 6000) {
-  Analyses S(F, Mode);
-
-  std::vector<RegId> Reps = interestingReps(S.Ctx, F);
-  size_t NumPairs = Reps.empty() ? 0 : Reps.size() * (Reps.size() - 1) / 2;
-  size_t Stride = NumPairs > MaxPairs ? NumPairs / MaxPairs + 1 : 1;
-  size_t Index = 0;
-  for (size_t I = 0; I < Reps.size(); ++I)
-    for (size_t J = I + 1; J < Reps.size(); ++J) {
-      if (Index++ % Stride != 0)
-        continue;
-      bool Engine = S.Ctx.resourceInterfere(Reps[I], Reps[J]);
-      bool Pairwise = pairwiseResourceInterfere(S.Ctx, Reps[I], Reps[J]);
-      ASSERT_EQ(Engine, Pairwise)
-          << F.name() << ": verdict mismatch for classes "
-          << F.valueName(Reps[I]) << " / " << F.valueName(Reps[J])
-          << " in mode " << static_cast<int>(Mode);
-    }
-  EXPECT_TRUE(S.Ctx.interferenceReport().Queries > 0 || Reps.size() < 2)
+  size_t NumReps = 0;
+  // The engine adds its tally to the classinterf.* counters when the
+  // context dies, inside the scope.
+  StatsSnapshot Counters = countersOf([&] {
+    Analyses S(F, Mode);
+    std::vector<RegId> Reps = interestingReps(S.Ctx, F);
+    NumReps = Reps.size();
+    size_t NumPairs = Reps.empty() ? 0 : Reps.size() * (Reps.size() - 1) / 2;
+    size_t Stride = NumPairs > MaxPairs ? NumPairs / MaxPairs + 1 : 1;
+    size_t Index = 0;
+    for (size_t I = 0; I < Reps.size(); ++I)
+      for (size_t J = I + 1; J < Reps.size(); ++J) {
+        if (Index++ % Stride != 0)
+          continue;
+        bool Engine = S.Ctx.resourceInterfere(Reps[I], Reps[J]);
+        bool Pairwise = pairwiseResourceInterfere(S.Ctx, Reps[I], Reps[J]);
+        ASSERT_EQ(Engine, Pairwise)
+            << F.name() << ": verdict mismatch for classes "
+            << F.valueName(Reps[I]) << " / " << F.valueName(Reps[J])
+            << " in mode " << static_cast<int>(Mode);
+      }
+  });
+  EXPECT_TRUE(Counters["classinterf.queries"] > 0 || NumReps < 2)
       << F.name();
 }
 
@@ -209,8 +214,7 @@ TEST(ClassInterference, AdversarialMergeTraces) {
 TEST(ClassInterference, CacheHitsOnRepeatedQueries) {
   auto F = adversarial(3, /*PhiWebs=*/true);
   prepare(*F);
-  Analyses S(*F);
-  std::vector<RegId> Reps = interestingReps(S.Ctx, *F);
+  std::vector<RegId> Reps = interestingReps(Analyses(*F).Ctx, *F);
   // Physical-physical pairs short-circuit before the engine; cache
   // behavior only shows on pairs with a virtual side.
   Reps.erase(std::remove_if(Reps.begin(), Reps.end(),
@@ -218,17 +222,29 @@ TEST(ClassInterference, CacheHitsOnRepeatedQueries) {
              Reps.end());
   ASSERT_GE(Reps.size(), 2u);
 
-  bool First = S.Ctx.resourceInterfere(Reps[0], Reps[1]);
-  auto R1 = S.Ctx.interferenceReport();
-  bool Second = S.Ctx.resourceInterfere(Reps[0], Reps[1]);
-  auto R2 = S.Ctx.interferenceReport();
-  EXPECT_EQ(First, Second);
-  EXPECT_EQ(R2.CacheHits, R1.CacheHits + 1) << "repeat query must hit";
-  EXPECT_EQ(R2.Queries, R1.Queries) << "repeat query must not recompute";
+  // The engine's tally reaches the registry when its context dies, so
+  // each prefix of the query sequence runs on a fresh context.
+  auto Queries = [&](std::vector<std::pair<RegId, RegId>> Pairs,
+                     std::vector<bool> &Verdicts) {
+    return countersOf([&] {
+      Analyses S(*F);
+      for (auto [A, B] : Pairs)
+        Verdicts.push_back(S.Ctx.resourceInterfere(A, B));
+    });
+  };
+  std::vector<bool> V1, V2, V3;
+  StatsSnapshot R1 = Queries({{Reps[0], Reps[1]}}, V1);
+  StatsSnapshot R2 = Queries({{Reps[0], Reps[1]}, {Reps[0], Reps[1]}}, V2);
+  EXPECT_EQ(V2[0], V2[1]);
+  EXPECT_EQ(R2["classinterf.cache_hits"], R1["classinterf.cache_hits"] + 1)
+      << "repeat query must hit";
+  EXPECT_EQ(R2["classinterf.queries"], R1["classinterf.queries"])
+      << "repeat query must not recompute";
   // Argument order and non-representative members resolve to the same
   // cache entry.
-  S.Ctx.resourceInterfere(Reps[1], Reps[0]);
-  EXPECT_EQ(S.Ctx.interferenceReport().CacheHits, R2.CacheHits + 1);
+  StatsSnapshot R3 = Queries(
+      {{Reps[0], Reps[1]}, {Reps[0], Reps[1]}, {Reps[1], Reps[0]}}, V3);
+  EXPECT_EQ(R3["classinterf.cache_hits"], R2["classinterf.cache_hits"] + 1);
 }
 
 TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
@@ -244,28 +260,31 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
   normalizeToOptimizedSSA(*F);
   prepare(*F);
 
-  Analyses S(*F);
-  std::vector<RegId> Before = interestingReps(S.Ctx, *F);
-  for (size_t I = 0; I < Before.size(); ++I)
-    for (size_t J = I + 1; J < Before.size(); ++J)
-      S.Ctx.resourceInterfere(Before[I], Before[J]);
+  // Only merges evict, so the evictions of the context's whole life are
+  // those of coalescePhis.
+  StatsSnapshot Counters = countersOf([&] {
+    Analyses S(*F);
+    std::vector<RegId> Before = interestingReps(S.Ctx, *F);
+    for (size_t I = 0; I < Before.size(); ++I)
+      for (size_t J = I + 1; J < Before.size(); ++J)
+        S.Ctx.resourceInterfere(Before[I], Before[J]);
 
-  PhiCoalescingStats St = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
-  auto R = S.Ctx.interferenceReport();
-  if (St.NumMerges > 0) {
-    EXPECT_GT(R.CacheEvictions, 0u)
+    coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+
+    std::vector<RegId> After = interestingReps(S.Ctx, *F);
+    for (size_t I = 0; I < After.size(); ++I)
+      for (size_t J = I + 1; J < After.size(); ++J) {
+        bool Engine = S.Ctx.resourceInterfere(After[I], After[J]);
+        bool Pairwise = pairwiseResourceInterfere(S.Ctx, After[I], After[J]);
+        ASSERT_EQ(Engine, Pairwise)
+            << "post-merge verdict diverged for " << F->valueName(After[I])
+            << " / " << F->valueName(After[J]);
+      }
+  });
+  if (Counters["phicoalesce.merges"] > 0) {
+    EXPECT_GT(Counters["classinterf.cache_evictions"], 0u)
         << "merging warmed classes must evict their cached verdicts";
   }
-
-  std::vector<RegId> After = interestingReps(S.Ctx, *F);
-  for (size_t I = 0; I < After.size(); ++I)
-    for (size_t J = I + 1; J < After.size(); ++J) {
-      bool Engine = S.Ctx.resourceInterfere(After[I], After[J]);
-      bool Pairwise = pairwiseResourceInterfere(S.Ctx, After[I], After[J]);
-      ASSERT_EQ(Engine, Pairwise)
-          << "post-merge verdict diverged for " << F->valueName(After[I])
-          << " / " << F->valueName(After[J]);
-    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -275,17 +294,23 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
 TEST(ClassInterference, ReportHistogramCoversClasses) {
   auto F = adversarial(5, /*PhiWebs=*/true);
   prepare(*F);
-  Analyses S(*F);
-  PhiCoalescingStats St = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
-  auto R = S.Ctx.interferenceReport();
+  StatsSnapshot C = countersOf([&] {
+    Analyses S(*F);
+    coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+    S.Ctx.countClassSizes();
+  });
   uint64_t Sum = 0;
-  for (uint64_t Bucket : R.SizeHist)
-    Sum += Bucket;
-  EXPECT_EQ(Sum, R.NumClasses);
-  EXPECT_GT(R.NumClasses, 0u);
-  if (St.NumPairQueries > 0) {
-    EXPECT_GT(R.Queries + R.CacheHits, 0u);
-    EXPECT_GT(R.PairCost, 0u) << "swept queries must record their bound";
+  for (const char *Bucket :
+       {"pinning.class_size_1", "pinning.class_size_2",
+        "pinning.class_size_3_4", "pinning.class_size_5_8",
+        "pinning.class_size_9_16", "pinning.class_size_ge17"})
+    Sum += C[Bucket];
+  EXPECT_EQ(Sum, C["pinning.classes"]);
+  EXPECT_GT(C["pinning.classes"], 0u);
+  if (C["phicoalesce.pair_queries"] > 0) {
+    EXPECT_GT(C["classinterf.queries"] + C["classinterf.cache_hits"], 0u);
+    EXPECT_GT(C["classinterf.pair_cost"], 0u)
+        << "swept queries must record their bound";
   }
 }
 

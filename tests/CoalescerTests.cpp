@@ -159,8 +159,8 @@ entry:
 }
 )");
   auto Before = cloneFunction(*F);
-  CoalescerStats Stats = coalesceAggressively(*F);
-  EXPECT_EQ(Stats.NumMovesRemoved, 1u);
+  StatsSnapshot C = countersOf([&] { coalesceAggressively(*F); });
+  EXPECT_EQ(C["coalesce.moves_removed"], 1u);
   EXPECT_EQ(countMoves(*F), 0u);
   expectEquivalent(*Before, *F, {4});
 }
@@ -179,8 +179,8 @@ entry:
 }
 )");
   auto Before = cloneFunction(*F);
-  CoalescerStats Stats = coalesceAggressively(*F);
-  EXPECT_EQ(Stats.NumMovesRemoved, 0u);
+  StatsSnapshot C = countersOf([&] { coalesceAggressively(*F); });
+  EXPECT_EQ(C["coalesce.moves_removed"], 0u);
   EXPECT_EQ(countMoves(*F), 1u);
   expectEquivalent(*Before, *F, {4});
 }
@@ -198,8 +198,8 @@ entry:
 }
 )");
   auto Before = cloneFunction(*F);
-  CoalescerStats Stats = coalesceAggressively(*F);
-  EXPECT_EQ(Stats.NumMovesRemoved, 3u);
+  StatsSnapshot C = countersOf([&] { coalesceAggressively(*F); });
+  EXPECT_EQ(C["coalesce.moves_removed"], 3u);
   expectEquivalent(*Before, *F, {9});
 }
 
@@ -334,27 +334,28 @@ std::unique_ptr<Function> makeSplicedRequeueProgram(uint64_t Seed) {
 /// reference. Returns "" when both perform the same merges in the same
 /// order and leave byte-identical IR, with at most one graph build and one
 /// confirm scan on the worklist side; else what differs. The worklist
-/// side's statistics go to \p Fast.
+/// side's counters go to \p Fast.
 std::string compareSchedules(const Function &Input,
                              const PipelineConfig &Config,
-                             CoalescerStats &Fast) {
+                             StatsSnapshot &Fast) {
   auto A = cloneFunction(Input);
   runPipeline(*A, Config);
   auto B = cloneFunction(*A);
 
-  MergeTrace FastTrace, RefTrace;
+  std::vector<MergeRound> FastTrace;
+  MergeTrace RefTrace;
   CoalescerOptions FastOpts;
   FastOpts.TraceOut = &FastTrace;
-  Fast = coalesceAggressively(*A, FastOpts);
+  Fast = countersOf([&] { coalesceAggressively(*A, FastOpts); });
   coalesceRebuildingEveryRound(*B, &RefTrace);
 
   if (std::string D = firstTraceDivergence(FastTrace, RefTrace); !D.empty())
     return D;
   if (printFunction(*A) != printFunction(*B))
     return "same merges, different final IR";
-  if (Fast.NumRebuilds > 1)
+  if (Fast["coalesce.rebuilds"] > 1)
     return "zero-rebuild means at most the initial graph build";
-  if (Fast.NumConfirmScans != 1)
+  if (Fast["coalesce.confirm_scans"] != 1)
     return "the confirm scan is a one-time gate";
   return "";
 }
@@ -409,7 +410,7 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
 
   size_t NumConfigs = Configs.size();
   std::vector<std::string> Failure(Functions.size() * NumConfigs);
-  std::vector<CoalescerStats> Stats(Failure.size());
+  std::vector<StatsSnapshot> Stats(Failure.size());
   ThreadPool Pool(std::min(4u, ThreadPool::defaultConcurrency()));
   Pool.parallelFor(Failure.size(), [&](size_t I) {
     Failure[I] = compareSchedules(*Functions[I / NumConfigs].F,
@@ -423,10 +424,12 @@ TEST(Coalescer, WorklistTraceMatchesRebuildEveryRoundOnEverySuite) {
     if (Name.rfind(Spliced, 0) != 0)
       continue;
     // The spliced family reaches the multi-round path under every preset.
-    EXPECT_GE(Stats[I].NumRounds, 2u) << Name << " under " << Config;
-    EXPECT_GE(Stats[I].NumRequeues, 1u) << Name << " under " << Config;
-    SplicedRequeues += Stats[I].NumRequeues;
-    SplicedRounds += Stats[I].NumRounds;
+    uint64_t Rounds = Stats[I]["coalesce.rounds"];
+    uint64_t Requeues = Stats[I]["coalesce.worklist_requeues"];
+    EXPECT_GE(Rounds, 2u) << Name << " under " << Config;
+    EXPECT_GE(Requeues, 1u) << Name << " under " << Config;
+    SplicedRequeues += Requeues;
+    SplicedRounds += Rounds;
   }
   RecordProperty("SplicedRequeues", static_cast<int>(SplicedRequeues));
   RecordProperty("SplicedRounds", static_cast<int>(SplicedRounds));
@@ -500,9 +503,11 @@ TEST(Coalescer, GateBuildsTheGraphExactlyWhenACopyIsMergeable) {
     auto F = cloneFunction(*Functions[Cases[I].first].F);
     runPipeline(*F, Cases[I].second);
     bool Mergeable = freshGraphHasMergeableCopy(*F, MaxPartners[I]);
-    CoalescerStats S = coalesceAggressively(*F);
-    Built[I] = S.NumRebuilds == 1;
-    if (S.NumRebuilds > 1)
+    uint64_t Rebuilds = countersOf([&] {
+      coalesceAggressively(*F);
+    })["coalesce.rebuilds"];
+    Built[I] = Rebuilds == 1;
+    if (Rebuilds > 1)
       Failure[I] = "more than one graph build";
     else if (Built[I] != Mergeable)
       Failure[I] = Mergeable ? "gated off, but a fresh graph can merge"
@@ -524,15 +529,14 @@ TEST(Coalescer, GateBuildsTheGraphExactlyWhenACopyIsMergeable) {
 
 namespace {
 
-/// Applies \p Merges — resolved (survivor, victim) pairs, cut into rounds
-/// of \p RoundSizes merges — to the production graph and to the eagerly
-/// merged reference, both built for \p F. Before each merge both graphs
-/// must give the same interfere() answer for each endpoint against the
-/// other endpoint and against every reference neighbor of either one;
-/// after each round the production graph is compacted and every row must
-/// equal the reference's. Returns "" or the first difference.
-std::string replayMerges(Function &F, const MergeTrace &Merges,
-                         const std::vector<unsigned> &RoundSizes) {
+/// Applies \p Rounds — rounds of resolved (survivor, victim) pairs — to
+/// the production graph and to the eagerly merged reference, both built
+/// for \p F. Before each merge both graphs must give the same
+/// interfere() answer for each endpoint against the other endpoint and
+/// against every reference neighbor of either one; after each round the
+/// production graph is compacted and every row must equal the
+/// reference's. Returns "" or the first difference.
+std::string replayMerges(Function &F, const std::vector<MergeRound> &Rounds) {
   CFG Cfg(F);
   Liveness LV(Cfg);
   InterferenceGraph Lazy(F, LV);
@@ -547,9 +551,8 @@ std::string replayMerges(Function &F, const MergeTrace &Merges,
     return "fresh graphs: " + D;
 
   size_t Next = 0;
-  for (size_t Round = 0; Round < RoundSizes.size(); ++Round) {
-    for (unsigned K = 0; K < RoundSizes[Round]; ++K, ++Next) {
-      auto [Rep, Dead] = Merges[Next];
+  for (size_t Round = 0; Round < Rounds.size(); ++Round) {
+    for (auto [Rep, Dead] : Rounds[Round]) {
       std::vector<RegId> Queried = Eager.neighbors(Rep);
       Queried.insert(Queried.end(), Eager.neighbors(Dead).begin(),
                      Eager.neighbors(Dead).end());
@@ -562,6 +565,7 @@ std::string replayMerges(Function &F, const MergeTrace &Merges,
                              unsigned(X), unsigned(Y));
       Lazy.mergeNodes(Rep, Dead);
       Eager.mergeNodes(Rep, Dead);
+      ++Next;
     }
     Lazy.compact();
     if (std::string D = RowsDiffer(); !D.empty())
@@ -578,12 +582,12 @@ std::string compareLazyMerges(const Function &Input,
   auto F = cloneFunction(Input);
   runPipeline(*F, Config);
 
-  MergeTrace Trace;
+  std::vector<MergeRound> Trace;
   CoalescerOptions Opts;
   Opts.TraceOut = &Trace;
   auto G = cloneFunction(*F);
-  CoalescerStats S = coalesceAggressively(*G, Opts);
-  if (std::string D = replayMerges(*F, Trace, S.RoundMerges); !D.empty())
+  coalesceAggressively(*G, Opts);
+  if (std::string D = replayMerges(*F, Trace); !D.empty())
     return "coalescer trace, " + D;
 
   CFG Cfg(*F);
@@ -593,26 +597,24 @@ std::string compareLazyMerges(const Function &Input,
   std::vector<RegId> Reps;
   for (RegId V = 0; V < F->numValues(); ++V)
     Reps.push_back(V);
-  MergeTrace Seeded;
-  std::vector<unsigned> Rounds;
-  unsigned InRound = 0, RoundSize = 1;
+  std::vector<MergeRound> Seeded(1);
+  unsigned RoundSize = 1;
   for (unsigned Try = 0; Try < 4 * F->numValues() && Reps.size() > 1; ++Try) {
     size_t IA = Rng() % Reps.size(), IB = Rng() % Reps.size();
     RegId A = Reps[IA], B = Reps[IB];
     if (A == B || F->isPhysical(B) || Eager.interfere(A, B))
       continue;
     Eager.mergeNodes(A, B);
-    Seeded.emplace_back(A, B);
+    Seeded.back().emplace_back(A, B);
     Reps.erase(Reps.begin() + IB);
-    if (++InRound == RoundSize) {
-      Rounds.push_back(InRound);
-      InRound = 0;
+    if (Seeded.back().size() == RoundSize) {
+      Seeded.emplace_back();
       RoundSize = 1 + Rng() % 64;
     }
   }
-  if (InRound)
-    Rounds.push_back(InRound);
-  if (std::string D = replayMerges(*F, Seeded, Rounds); !D.empty())
+  if (Seeded.back().empty())
+    Seeded.pop_back();
+  if (std::string D = replayMerges(*F, Seeded); !D.empty())
     return "seeded merges, " + D;
   return "";
 }
@@ -699,10 +701,12 @@ TEST(Coalescer, AdversarialRequeueForcerMatchesReference) {
     auto Before = cloneFunction(*F);
     auto Ref = cloneFunction(*F);
 
-    MergeTrace FastTrace, RefTrace;
+    std::vector<MergeRound> FastTrace;
+    MergeTrace RefTrace;
     CoalescerOptions FastOpts;
     FastOpts.TraceOut = &FastTrace;
-    CoalescerStats Fast = coalesceAggressively(*F, FastOpts);
+    StatsSnapshot Fast =
+        countersOf([&] { coalesceAggressively(*F, FastOpts); });
     coalesceRebuildingEveryRound(*Ref, &RefTrace);
 
     EXPECT_EQ(firstTraceDivergence(FastTrace, RefTrace), "")
@@ -710,10 +714,10 @@ TEST(Coalescer, AdversarialRequeueForcerMatchesReference) {
     EXPECT_EQ(printFunction(*F), printFunction(*Ref)) << Gadgets;
     // Every gadget defers its second copy in round 1 and must wake it up
     // after the boundary repair — with exactly one graph build total.
-    EXPECT_EQ(Fast.NumRebuilds, 1u) << Gadgets;
-    EXPECT_GE(Fast.NumRequeues, Gadgets) << Gadgets;
-    EXPECT_GE(Fast.NumRounds, 2u) << Gadgets;
-    EXPECT_GE(Fast.NumStaleEdgesRemoved, Gadgets)
+    EXPECT_EQ(Fast["coalesce.rebuilds"], 1u) << Gadgets;
+    EXPECT_GE(Fast["coalesce.worklist_requeues"], Gadgets) << Gadgets;
+    EXPECT_GE(Fast["coalesce.rounds"], 2u) << Gadgets;
+    EXPECT_GE(Fast["coalesce.stale_edges_removed"], Gadgets)
         << Gadgets << ": each exemption switch leaves a stale edge";
     // The merged program still computes the same thing.
     expectEquivalent(*Before, *F, {7});
@@ -735,9 +739,11 @@ TEST(Coalescer, MaintainsManagedLivenessExactly) {
       runPipeline(*F, pipelinePreset(Preset));
       AnalysisManager AM(*F);
       (void)AM.liveness();
-      CoalescerStats S = coalesceAggressively(*F, {}, &AM);
+      uint64_t Rebuilds = countersOf([&] {
+        coalesceAggressively(*F, {}, &AM);
+      })["coalesce.rebuilds"];
       EXPECT_TRUE(AM.isCached(AnalysisKind::Liveness)) << W.Name;
-      EXPECT_EQ(AM.isCached(AnalysisKind::Interference), S.NumRebuilds > 0)
+      EXPECT_EQ(AM.isCached(AnalysisKind::Interference), Rebuilds > 0)
           << W.Name << ": graph cached iff the gate scan built one";
       EXPECT_FALSE(AM.isCached(AnalysisKind::LivenessQuery)) << W.Name;
       EXPECT_EQ(AM.verify(), "") << W.Name;
@@ -798,7 +804,9 @@ entry:
 }
 )");
   auto Before = cloneFunction(*F);
-  unsigned Moves = lowerABINaively(*F);
+  uint64_t Moves = countersOf([&] {
+    lowerABINaively(*F);
+  })["naiveabi.moves_inserted"];
   sequentializeParallelCopies(*F);
   // input: 2 copies out of R0/R1; call: 2 copies in, 1 result copy out;
   // ret: 1 copy. Total 6.
@@ -849,7 +857,9 @@ entry:
 }
 )");
   auto Before = cloneFunction(*F);
-  unsigned Inserted = lowerABINaively(*F);
+  uint64_t Inserted = countersOf([&] {
+    lowerABINaively(*F);
+  })["naiveabi.moves_inserted"];
   sequentializeParallelCopies(*F);
   EXPECT_GE(Inserted, 8u);
   coalesceAggressively(*F);

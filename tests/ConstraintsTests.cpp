@@ -23,7 +23,9 @@ entry:
   ret %a
 }
 )");
-  unsigned Pinned = collectSPConstraints(*F);
+  uint64_t Pinned = countersOf([&] {
+    collectSPConstraints(*F);
+  })["constraints.sp_pins"];
   // sp1 def, sp2 def, sp2's use of sp1; the use of physical SP is not
   // pinned (it already names the register).
   EXPECT_EQ(Pinned, 3u);
@@ -44,8 +46,13 @@ entry:
   ret %a
 }
 )");
-  EXPECT_EQ(collectSPConstraints(*F), 1u);
-  EXPECT_EQ(collectSPConstraints(*F), 0u) << "already pinned";
+  auto Pins = [&] {
+    return countersOf([&] {
+      collectSPConstraints(*F);
+    })["constraints.sp_pins"];
+  };
+  EXPECT_EQ(Pins(), 1u);
+  EXPECT_EQ(Pins(), 0u) << "already pinned";
 }
 
 TEST(Constraints, ABIPinsCallOperands) {
@@ -124,7 +131,10 @@ entry:
   ret %a^R5
 }
 )");
-  EXPECT_EQ(collectABIConstraints(*F), 0u)
+  EXPECT_EQ(countersOf([&] {
+              collectABIConstraints(*F);
+            })["constraints.abi_pins"],
+            0u)
       << "explicit pins are never overwritten";
 }
 

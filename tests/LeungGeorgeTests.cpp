@@ -29,8 +29,8 @@ using namespace lao::test;
 namespace {
 
 /// Runs split + pinningSP + translate + sequentialize on \p F and
-/// returns the translation stats.
-OutOfSSAStats translate(Function &F,
+/// returns the counters the translation bumped (translate.*).
+StatsSnapshot translate(Function &F,
                         InterferenceMode Mode = InterferenceMode::Precise) {
   splitCriticalEdges(F);
   collectSPConstraints(F);
@@ -38,7 +38,7 @@ OutOfSSAStats translate(Function &F,
   DominatorTree DT(Cfg);
   LivenessQuery LV(Cfg, DT);
   PinningContext Ctx(F, Cfg, DT, LV, Mode);
-  OutOfSSAStats Stats = translateOutOfSSA(F, Ctx);
+  StatsSnapshot Stats = countersOf([&] { translateOutOfSSA(F, Ctx); });
   sequentializeParallelCopies(F);
   return Stats;
 }
@@ -64,10 +64,10 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_EQ(Stats.NumPhisRemoved, 1u);
-  EXPECT_EQ(Stats.NumPhiCopies, 2u) << "one copy per predecessor";
-  EXPECT_EQ(Stats.NumRepairs, 0u);
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_EQ(Stats["translate.phis_removed"], 1u);
+  EXPECT_EQ(Stats["translate.phi_copies"], 2u) << "one copy per predecessor";
+  EXPECT_EQ(Stats["translate.repairs"], 0u);
   expectWellFormed(*F);
   expectEquivalent(*Before, *F, {1});
   expectEquivalent(*Before, *F, {0});
@@ -93,9 +93,9 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
+  StatsSnapshot Stats = translate(*F);
   EXPECT_EQ(countMoves(*F), 0u);
-  EXPECT_GE(Stats.NumElidedCopies, 2u);
+  EXPECT_GE(Stats["translate.elided_copies"], 2u);
   expectEquivalent(*Before, *F, {1});
   expectEquivalent(*Before, *F, {0});
 }
@@ -108,15 +108,15 @@ TEST(LeungGeorge, Figure3RepairAndElision) {
   DominatorTree DT(Cfg);
   LivenessQuery LV(Cfg, DT);
   PinningContext Ctx(*F, Cfg, DT, LV);
-  OutOfSSAStats Stats = translateOutOfSSA(*F, Ctx);
+  StatsSnapshot Stats = countersOf([&] { translateOutOfSSA(*F, Ctx); });
   sequentializeParallelCopies(*F);
 
   // x2 is killed by the call result x4 (both in R0's class) and used at
   // the return: exactly one repair.
-  EXPECT_EQ(Stats.NumRepairs, 1u);
+  EXPECT_EQ(Stats["translate.repairs"], 1u);
   // The call's use of x2 pinned to R0 is elided (already in R0), as are
   // the phi copies whose values are produced in place.
-  EXPECT_GE(Stats.NumElidedCopies, 1u);
+  EXPECT_GE(Stats["translate.elided_copies"], 1u);
   expectWellFormed(*F);
   expectEquivalent(*Before, *F, {5, 9});
   expectEquivalent(*Before, *F, {0, 1});
@@ -141,8 +141,8 @@ TEST(LeungGeorge, Figure8PartialCoalescingMechanism) {
     for (Instruction &I : BB->instructions())
       if (I.isPhi())
         I.pinDef(0, Target::R0);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_EQ(Stats.NumRepairs, 1u) << "z killed by the f3 call result";
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_EQ(Stats["translate.repairs"], 1u) << "z killed by the f3 call result";
   EXPECT_EQ(countMoves(*F), 2u)
       << "partial coalescing trades two phi moves and the call-argument "
          "copy for one repair plus the return-value copy";
@@ -156,8 +156,8 @@ TEST(LeungGeorge, Figure12PinnedUseReadsOwnResource) {
   // no repair chain — matching the figure's "optimal" column.
   auto F = makeFigure12();
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_EQ(Stats.NumRepairs, 0u);
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_EQ(Stats["translate.repairs"], 0u);
   expectWellFormed(*F);
   expectEquivalent(*Before, *F, {3});
 }
@@ -173,11 +173,11 @@ entry:
 }
 )");
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
+  StatsSnapshot Stats = translate(*F);
   // Every pinned value is produced in its target register already:
   // a arrives in R0, r and s are defined there, b stays in R1.
   EXPECT_EQ(countMoves(*F), 0u);
-  EXPECT_GE(Stats.NumElidedCopies, 5u);
+  EXPECT_GE(Stats["translate.elided_copies"], 5u);
   expectEquivalent(*Before, *F, {11, 22});
 }
 
@@ -264,8 +264,8 @@ done:
 }
 )");
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_GE(Stats.NumRepairs, 1u);
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_GE(Stats["translate.repairs"], 1u);
   expectWellFormed(*F);
   expectEquivalent(*Before, *F, {4});
   expectEquivalent(*Before, *F, {1});
@@ -315,8 +315,7 @@ TEST(LeungGeorge, OutputHasNoPinsLeft) {
 TEST(LeungGeorge, Figure1EndToEnd) {
   auto F = makeFigure1();
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
-  (void)Stats;
+  translate(*F);
   expectWellFormed(*F);
   // Every ABI-pinned operand now names its physical register.
   for (const auto &BB : F->blocks())
@@ -335,30 +334,34 @@ TEST(LeungGeorge, Figure1EndToEnd) {
 
 namespace {
 
-/// "" when \p A and \p B agree, else the first field that differs.
-std::string statsDifference(const OutOfSSAStats &A, const OutOfSSAStats &B) {
+/// "" when the sparse call's translate.* counters \p Sparse equal the
+/// dense reference's tally \p Dense, else the first that differs.
+std::string statsDifference(StatsSnapshot Sparse,
+                            const DenseTranslateTally &Dense) {
   std::string D;
-  auto Field = [&](const char *Name, unsigned X, unsigned Y) {
-    if (D.empty() && X != Y)
-      D = formatStr("%s: sparse %u, dense %u", Name, X, Y);
+  auto Field = [&](const char *Name, unsigned X) {
+    uint64_t S = Sparse[std::string("translate.") + Name];
+    if (D.empty() && S != X)
+      D = formatStr("translate.%s: sparse %llu, dense %u", Name,
+                    static_cast<unsigned long long>(S), X);
   };
-  Field("NumRepairs", A.NumRepairs, B.NumRepairs);
-  Field("NumPhiCopies", A.NumPhiCopies, B.NumPhiCopies);
-  Field("NumPinCopies", A.NumPinCopies, B.NumPinCopies);
-  Field("NumElidedCopies", A.NumElidedCopies, B.NumElidedCopies);
-  Field("NumPhisRemoved", A.NumPhisRemoved, B.NumPhisRemoved);
-  Field("NumInserts", A.NumInserts, B.NumInserts);
+  Field("repairs", Dense.NumRepairs);
+  Field("phi_copies", Dense.NumPhiCopies);
+  Field("pin_copies", Dense.NumPinCopies);
+  Field("elided_copies", Dense.NumElidedCopies);
+  Field("phis_removed", Dense.NumPhisRemoved);
+  Field("inserts", Dense.NumInserts);
   return D;
 }
 
 /// Translates pinned SSA \p F under \p Ctx (built for F) with the sparse
 /// translator and a clone of F with the dense reference. Returns "" when
-/// both print the same IR and report the same stats.
+/// both print the same IR and count the same copies.
 std::string compareWithDense(Function &F, PinningContext &Ctx) {
   auto G = cloneFunction(F);
   CFG GCfg(*G);
-  OutOfSSAStats Dense = translateOutOfSSADense(*G, Ctx, GCfg);
-  OutOfSSAStats Sparse = translateOutOfSSA(F, Ctx);
+  DenseTranslateTally Dense = translateOutOfSSADense(*G, Ctx, GCfg);
+  StatsSnapshot Sparse = countersOf([&] { translateOutOfSSA(F, Ctx); });
   std::string SparseText = printFunction(F), DenseText = printFunction(*G);
   if (SparseText != DenseText)
     return "printed IR differs\n--- sparse ---\n" + SparseText +
@@ -488,9 +491,9 @@ done:
 )");
   auto Sparse = cloneFunction(*F);
   EXPECT_EQ(compareWithDense(*F), "");
-  OutOfSSAStats Stats = translate(*Sparse);
-  EXPECT_EQ(Stats.NumPinCopies, 1u);
-  EXPECT_EQ(Stats.NumElidedCopies, 0u);
+  StatsSnapshot Stats = translate(*Sparse);
+  EXPECT_EQ(Stats["translate.pin_copies"], 1u);
+  EXPECT_EQ(Stats["translate.elided_copies"], 0u);
 }
 
 TEST(LeungGeorge, IrreducibleLoopWithTwoEntries) {
@@ -551,8 +554,8 @@ j:
   auto Before = cloneFunction(*F);
   auto Sparse = cloneFunction(*F);
   EXPECT_EQ(compareWithDense(*F), "");
-  OutOfSSAStats Stats = translate(*Sparse);
-  EXPECT_EQ(Stats.NumPinCopies, 2u);
+  StatsSnapshot Stats = translate(*Sparse);
+  EXPECT_EQ(Stats["translate.pin_copies"], 2u);
   expectEquivalent(*Before, *Sparse, {1, 5});
   expectEquivalent(*Before, *Sparse, {0, 5});
 }
@@ -658,8 +661,8 @@ done:
   auto Before = cloneFunction(*F);
   auto Sparse = cloneFunction(*F);
   EXPECT_EQ(compareWithDense(*F), "");
-  OutOfSSAStats Stats = translate(*Sparse);
-  EXPECT_EQ(Stats.NumPinCopies, 0u);
+  StatsSnapshot Stats = translate(*Sparse);
+  EXPECT_EQ(Stats["translate.pin_copies"], 0u);
   expectEquivalent(*Before, *Sparse, {3});
   expectEquivalent(*Before, *Sparse, {0});
 }
@@ -681,8 +684,8 @@ TEST(LeungGeorge, LongStraightLineChainWalksIteratively) {
   Text += "}\n";
   auto F = parse(Text);
   ASSERT_EQ(F->numBlocks(), NumBlocks);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_EQ(Stats.NumPhisRemoved, 0u);
-  EXPECT_EQ(Stats.NumRepairs, 0u);
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_EQ(Stats["translate.phis_removed"], 0u);
+  EXPECT_EQ(Stats["translate.repairs"], 0u);
   expectWellFormed(*F);
 }

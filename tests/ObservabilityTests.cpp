@@ -236,7 +236,7 @@ TEST(SuiteRunner, ParallelTotalsBitIdenticalToSerial) {
     EXPECT_EQ(Serial.WeightedMoves, Parallel.WeightedMoves) << Preset;
     EXPECT_EQ(Serial.MovesBeforeCoalesce, Parallel.MovesBeforeCoalesce)
         << Preset;
-    EXPECT_EQ(Serial.CoalescerMerges, Parallel.CoalescerMerges) << Preset;
+    EXPECT_EQ(Serial.coalescerMerges(), Parallel.coalescerMerges()) << Preset;
     EXPECT_EQ(Serial.Counters, Parallel.Counters) << Preset;
     // Phase order of the folded timers is the pipeline's phase order in
     // both modes (the reduction is index-ordered).

@@ -74,8 +74,9 @@ GainPair measure(Function &F) {
     // block-local gain).
     PhiCoalescingOptions Opts;
     Opts.PhysMergeMinMult = 1;
-    PhiCoalescingStats Stats = coalescePhis(F, Ctx, Cfg, LI, Opts);
-    Result.Achieved = Stats.TotalGain - PreGain;
+    StatsSnapshot Stats =
+        countersOf([&] { coalescePhis(F, Ctx, Cfg, LI, Opts); });
+    Result.Achieved = Stats["phicoalesce.gain"] - PreGain;
   }
   return Result;
 }

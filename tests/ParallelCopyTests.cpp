@@ -75,7 +75,9 @@ TEST(ParallelCopy, SimpleShiftChain) {
   auto F = makeParCopyFunction({1, 2, 2});
   auto Before = interpret(*F, argsFor(3));
   size_t ValuesBefore = F->numValues();
-  unsigned Moves = sequentializeParallelCopies(*F);
+  uint64_t Moves = countersOf([&] {
+    sequentializeParallelCopies(*F);
+  })["sequentialize.moves_emitted"];
   EXPECT_EQ(Moves, 2u);
   EXPECT_EQ(F->numValues(), ValuesBefore) << "no temp needed";
   auto After = interpret(*F, argsFor(3));
@@ -86,7 +88,9 @@ TEST(ParallelCopy, SwapNeedsOneTemp) {
   auto F = makeParCopyFunction({1, 0});
   auto Before = interpret(*F, argsFor(2));
   size_t ValuesBefore = F->numValues();
-  unsigned Moves = sequentializeParallelCopies(*F);
+  uint64_t Moves = countersOf([&] {
+    sequentializeParallelCopies(*F);
+  })["sequentialize.moves_emitted"];
   EXPECT_EQ(Moves, 3u) << "a 2-cycle costs three moves";
   EXPECT_EQ(F->numValues(), ValuesBefore + 1) << "exactly one temp";
   auto After = interpret(*F, argsFor(2));
@@ -96,7 +100,9 @@ TEST(ParallelCopy, SwapNeedsOneTemp) {
 TEST(ParallelCopy, ThreeCycle) {
   auto F = makeParCopyFunction({1, 2, 0});
   auto Before = interpret(*F, argsFor(3));
-  unsigned Moves = sequentializeParallelCopies(*F);
+  uint64_t Moves = countersOf([&] {
+    sequentializeParallelCopies(*F);
+  })["sequentialize.moves_emitted"];
   EXPECT_EQ(Moves, 4u) << "a 3-cycle costs four moves";
   auto After = interpret(*F, argsFor(3));
   EXPECT_TRUE(Before.sameObservable(After));
@@ -104,7 +110,9 @@ TEST(ParallelCopy, ThreeCycle) {
 
 TEST(ParallelCopy, IdentitiesAreDropped) {
   auto F = makeParCopyFunction({0, 1, 2});
-  unsigned Moves = sequentializeParallelCopies(*F);
+  uint64_t Moves = countersOf([&] {
+    sequentializeParallelCopies(*F);
+  })["sequentialize.moves_emitted"];
   EXPECT_EQ(Moves, 0u);
   EXPECT_EQ(countMovs(*F), 0u);
 }
@@ -113,7 +121,9 @@ TEST(ParallelCopy, DuplicatedSourceFanOut) {
   // v0, v1, v2 all read v2: fan-out plus one chain.
   auto F = makeParCopyFunction({2, 2, 2});
   auto Before = interpret(*F, argsFor(3));
-  unsigned Moves = sequentializeParallelCopies(*F);
+  uint64_t Moves = countersOf([&] {
+    sequentializeParallelCopies(*F);
+  })["sequentialize.moves_emitted"];
   EXPECT_EQ(Moves, 2u);
   auto After = interpret(*F, argsFor(3));
   EXPECT_TRUE(Before.sameObservable(After));
@@ -147,7 +157,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParallelCopySweep,
 TEST(ParallelCopy, PureRotationOfFour) {
   auto F = makeParCopyFunction({3, 0, 1, 2});
   auto Before = interpret(*F, argsFor(4));
-  unsigned Moves = sequentializeParallelCopies(*F);
+  uint64_t Moves = countersOf([&] {
+    sequentializeParallelCopies(*F);
+  })["sequentialize.moves_emitted"];
   EXPECT_EQ(Moves, 5u) << "a 4-cycle costs five moves";
   auto After = interpret(*F, argsFor(4));
   EXPECT_TRUE(Before.sameObservable(After));

@@ -41,8 +41,9 @@ struct Analyses {
 };
 
 /// Split edges, pin SP+ABI, coalesce, translate, sequentialize; returns
-/// the final move count.
-unsigned fullTranslate(Function &F, PhiCoalescingStats *StatsOut = nullptr,
+/// the final move count. \p CountersOut, when set, receives the counters
+/// phi-coalescing bumped (phicoalesce.*).
+unsigned fullTranslate(Function &F, StatsSnapshot *CountersOut = nullptr,
                        const PhiCoalescingOptions &Opts = {},
                        bool PinABI = false) {
   splitCriticalEdges(F);
@@ -50,9 +51,10 @@ unsigned fullTranslate(Function &F, PhiCoalescingStats *StatsOut = nullptr,
   if (PinABI)
     collectABIConstraints(F);
   Analyses S(F);
-  PhiCoalescingStats Stats = coalescePhis(F, S.Ctx, S.Cfg, S.LI, Opts);
-  if (StatsOut)
-    *StatsOut = Stats;
+  StatsSnapshot Counters =
+      countersOf([&] { coalescePhis(F, S.Ctx, S.Cfg, S.LI, Opts); });
+  if (CountersOut)
+    *CountersOut = std::move(Counters);
   translateOutOfSSA(F, S.Ctx);
   sequentializeParallelCopies(F);
   return countMoves(F);
@@ -65,9 +67,9 @@ TEST(PhiCoalescing, Figure5OneMoveNotTwo) {
   // paper's solution (c) costs exactly one move.
   auto F = makeFigure5();
   auto Before = cloneFunction(*F);
-  PhiCoalescingStats Stats;
+  StatsSnapshot Stats;
   unsigned Moves = fullTranslate(*F, &Stats);
-  EXPECT_EQ(Stats.TotalGain, 1u) << "exactly one argument coalesced";
+  EXPECT_EQ(Stats["phicoalesce.gain"], 1u) << "exactly one argument coalesced";
   EXPECT_EQ(Moves, 1u);
   expectEquivalent(*Before, *F, {3, 8});
   expectEquivalent(*Before, *F, {8, 3});
@@ -92,9 +94,9 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  PhiCoalescingStats Stats;
+  StatsSnapshot Stats;
   unsigned Moves = fullTranslate(*F, &Stats);
-  EXPECT_EQ(Stats.TotalGain, 2u);
+  EXPECT_EQ(Stats["phicoalesce.gain"], 2u);
   EXPECT_EQ(Moves, 0u) << "both arguments coalesce with the result";
   expectEquivalent(*Before, *F, {1});
   expectEquivalent(*Before, *F, {0});
@@ -106,7 +108,8 @@ TEST(PhiCoalescing, Figure7TwoClassesEmerge) {
 
   splitCriticalEdges(*F);
   Analyses S(*F);
-  PhiCoalescingStats Stats = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+  StatsSnapshot Stats =
+      countersOf([&] { coalescePhis(*F, S.Ctx, S.Cfg, S.LI); });
 
   // X1 and X3 strongly interfere (same block) and must stay in distinct
   // classes; the shared argument x2 lands in exactly one of them.
@@ -118,7 +121,7 @@ TEST(PhiCoalescing, Figure7TwoClassesEmerge) {
   RegId X2Res = S.Ctx.resourceOf(X2v);
   EXPECT_TRUE(X2Res == S.Ctx.resourceOf(X1) ||
               X2Res == S.Ctx.resourceOf(X3));
-  EXPECT_GE(Stats.NumMerges, 2u);
+  EXPECT_GE(Stats["phicoalesce.merges"], 2u);
 
   translateOutOfSSA(*F, S.Ctx);
   sequentializeParallelCopies(*F);
@@ -200,7 +203,8 @@ TEST(PhiCoalescing, GainReportedMatchesClasses) {
   auto F = makeFigure5();
   splitCriticalEdges(*F);
   Analyses S(*F);
-  PhiCoalescingStats Stats = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+  StatsSnapshot Stats =
+      countersOf([&] { coalescePhis(*F, S.Ctx, S.Cfg, S.LI); });
   unsigned Gain = 0;
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions()) {
@@ -209,7 +213,7 @@ TEST(PhiCoalescing, GainReportedMatchesClasses) {
       for (unsigned K = 0; K < I.numUses(); ++K)
         Gain += S.Ctx.resourceOf(I.use(K)) == S.Ctx.resourceOf(I.def(0));
     }
-  EXPECT_EQ(Stats.TotalGain, Gain);
+  EXPECT_EQ(Stats["phicoalesce.gain"], Gain);
 }
 
 TEST(PhiCoalescing, CoalescedDefsArePinnedInIR) {

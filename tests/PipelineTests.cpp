@@ -206,16 +206,15 @@ TEST(Pipeline, CoalescerWorkloadShrinksUnderPinning) {
   // Point [CC3]: the more moves handled at the SSA level, the less work
   // (merges) remains for the repeated coalescer.
   auto Suite = makeValccSuite(2);
-  unsigned MergesPinned = 0, MergesNaive = 0;
-  for (const Workload &W : Suite) {
-    auto A = cloneFunction(*W.F);
-    MergesPinned += runPipeline(*A, pipelinePreset("Lphi,ABI+C"))
-                        .Coalescer.NumMerges;
-    auto B = cloneFunction(*W.F);
-    MergesNaive += runPipeline(*B, pipelinePreset("C,naiveABI+C"))
-                       .Coalescer.NumMerges;
-  }
-  EXPECT_LT(MergesPinned, MergesNaive);
+  auto Merges = [&](const char *Preset) {
+    return countersOf([&] {
+      for (const Workload &W : Suite) {
+        auto F = cloneFunction(*W.F);
+        runPipeline(*F, pipelinePreset(Preset));
+      }
+    })["coalesce.merges"];
+  };
+  EXPECT_LT(Merges("Lphi,ABI+C"), Merges("C,naiveABI+C"));
 }
 
 TEST(Pipeline, WeightedCountsAvailableForTable5) {

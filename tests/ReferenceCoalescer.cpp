@@ -14,11 +14,9 @@
 
 using namespace lao;
 
-CoalescerStats lao::test::coalesceRebuildingEveryRound(Function &F,
-                                                       MergeTrace *TraceOut) {
-  CoalescerStats Stats;
+void lao::test::coalesceRebuildingEveryRound(Function &F,
+                                             MergeTrace *TraceOut) {
   for (;;) {
-    ++Stats.NumRebuilds;
     CFG Cfg(F);
     Liveness LV(Cfg);
     ReferenceInterferenceGraph IG(F, LV);
@@ -31,7 +29,6 @@ CoalescerStats lao::test::coalesceRebuildingEveryRound(Function &F,
     };
 
     bool MergedOnThisGraph = false;
-    ++Stats.NumRounds;
     for (const auto &BB : F.blocks()) {
       for (Instruction &I : BB->instructions()) {
         if (!I.isCopy())
@@ -50,7 +47,6 @@ CoalescerStats lao::test::coalesceRebuildingEveryRound(Function &F,
         MergedInto[Victim] = Survivor;
         if (TraceOut)
           TraceOut->emplace_back(Survivor, Victim);
-        ++Stats.NumMerges;
         MergedOnThisGraph = true;
       }
     }
@@ -65,20 +61,21 @@ CoalescerStats lao::test::coalesceRebuildingEveryRound(Function &F,
           It->setDef(K, Resolve(It->def(K)));
         for (unsigned K = 0; K < It->numUses(); ++K)
           It->setUse(K, Resolve(It->use(K)));
-        if (It->isCopy() && It->def(0) == It->use(0)) {
+        if (It->isCopy() && It->def(0) == It->use(0))
           It = Insts.erase(It);
-          ++Stats.NumMovesRemoved;
-        } else {
+        else
           ++It;
-        }
       }
     }
   }
-  return Stats;
 }
 
-std::string lao::test::firstTraceDivergence(const MergeTrace &Worklist,
-                                            const MergeTrace &Reference) {
+std::string
+lao::test::firstTraceDivergence(const std::vector<MergeRound> &Rounds,
+                                const MergeTrace &Reference) {
+  MergeTrace Worklist;
+  for (const MergeRound &Round : Rounds)
+    Worklist.insert(Worklist.end(), Round.begin(), Round.end());
   size_t I = 0;
   while (I < Worklist.size() && I < Reference.size() &&
          Worklist[I] == Reference[I])

@@ -31,15 +31,14 @@ namespace lao::test {
 using MergeTrace = std::vector<std::pair<RegId, RegId>>;
 
 /// Coalesces non-SSA \p F by rebuilding every analysis before each sweep,
-/// appending each merge to \p TraceOut when set. Returns the schedule's
-/// counters (NumRebuilds = sweeps); adds nothing to the coalesce.*
-/// registry counters.
-CoalescerStats coalesceRebuildingEveryRound(Function &F,
-                                            MergeTrace *TraceOut = nullptr);
+/// appending each merge to \p TraceOut when set. Adds nothing to the
+/// coalesce.* registry counters.
+void coalesceRebuildingEveryRound(Function &F, MergeTrace *TraceOut = nullptr);
 
-/// "" when \p Worklist equals \p Reference, else the first divergent
-/// merge: its index and the pair each schedule merged there.
-std::string firstTraceDivergence(const MergeTrace &Worklist,
+/// "" when the merges of \p Worklist's rounds, in order, equal
+/// \p Reference, else the first divergent merge: its index and the pair
+/// each schedule merged there.
+std::string firstTraceDivergence(const std::vector<MergeRound> &Worklist,
                                  const MergeTrace &Reference);
 
 } // namespace lao::test

@@ -20,6 +20,7 @@
 #include <set>
 
 using namespace lao;
+using lao::test::DenseTranslateTally;
 
 namespace {
 
@@ -41,7 +42,7 @@ public:
   Translator(Function &F, const PinningContext &Ctx, const CFG &Cfg)
       : F(F), Ctx(Ctx), Cfg(Cfg), NumOrigValues(F.numValues()) {}
 
-  OutOfSSAStats run() {
+  DenseTranslateTally run() {
     solve();
     replay(/*Rewrite=*/false);
     for (RegId V : RepairNeeded) {
@@ -57,7 +58,7 @@ private:
   const PinningContext &Ctx;
   const CFG &Cfg;
   size_t NumOrigValues;
-  OutOfSSAStats Stats;
+  DenseTranslateTally Stats;
 
   /// Compact renumbering of written resource slots: SlotOf[Res] is the
   /// dense state index of resource representative Res, or NoSlot if no
@@ -426,8 +427,8 @@ private:
 
 } // namespace
 
-OutOfSSAStats lao::test::translateOutOfSSADense(Function &F,
-                                                const PinningContext &Ctx,
-                                                const CFG &Cfg) {
+DenseTranslateTally lao::test::translateOutOfSSADense(Function &F,
+                                                      const PinningContext &Ctx,
+                                                      const CFG &Cfg) {
   return Translator(F, Ctx, Cfg).run();
 }

@@ -10,7 +10,8 @@
 /// for every block, iterated over a worklist to the optimistic fixpoint,
 /// and a copy of In per replayed block. Test-only; LeungGeorgeTests.cpp
 /// requires the sparse production translator (outofssa/LeungGeorge.h) to
-/// print byte-identical IR and report equal OutOfSSAStats.
+/// print byte-identical IR and to count, in its translate.* counters,
+/// what this translator tallies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +22,25 @@
 
 namespace lao::test {
 
+/// What the dense translator inserted and elided; each field matches the
+/// translate.* counter named in its comment.
+struct DenseTranslateTally {
+  unsigned NumRepairs = 0;      ///< translate.repairs
+  unsigned NumPhiCopies = 0;    ///< translate.phi_copies
+  unsigned NumPinCopies = 0;    ///< translate.pin_copies
+  unsigned NumElidedCopies = 0; ///< translate.elided_copies
+  unsigned NumPhisRemoved = 0;  ///< translate.phis_removed
+  unsigned NumInserts = 0;      ///< translate.inserts
+};
+
 /// Translates \p F out of SSA under the pinning in \p Ctx like
 /// translateOutOfSSA, with the dense solver over \p Cfg (a CFG of F;
 /// \p Ctx is only asked for resources, so it may have been built for a
-/// clone with the same value ids). Adds nothing to the translate.*
-/// registry counters.
-OutOfSSAStats translateOutOfSSADense(Function &F, const PinningContext &Ctx,
-                                     const CFG &Cfg);
+/// clone with the same value ids), and returns its tally. Adds nothing
+/// to the translate.* registry counters.
+DenseTranslateTally translateOutOfSSADense(Function &F,
+                                           const PinningContext &Ctx,
+                                           const CFG &Cfg);
 
 } // namespace lao::test
 

@@ -56,8 +56,8 @@ j:
   ret %v
 }
 )");
-  SSAStats Stats = buildSSA(*F);
-  EXPECT_EQ(Stats.NumPhisInserted, 1u);
+  StatsSnapshot C = countersOf([&] { EXPECT_TRUE(buildSSA(*F)); });
+  EXPECT_EQ(C["ssa.phis_inserted"], 1u);
   expectWellFormed(*F);
   for (const auto &D : verifySSA(*F))
     FAIL() << D;
@@ -84,8 +84,8 @@ j:
   ret %a
 }
 )");
-  SSAStats Stats = buildSSA(*F);
-  EXPECT_EQ(Stats.NumPhisInserted, 0u);
+  StatsSnapshot C = countersOf([&] { EXPECT_TRUE(buildSSA(*F)); });
+  EXPECT_EQ(C["ssa.phis_inserted"], 0u);
 }
 
 TEST(SSAConstruction, LoopVariableGetsHeaderPhi) {
@@ -159,9 +159,12 @@ join:
     auto F = parse(Text);
     std::string Before = printFunction(*F);
     std::string Error;
-    SSAStats Stats = buildSSA(*F, &Error);
+    StatsSnapshot C =
+        countersOf([&] { EXPECT_FALSE(buildSSA(*F, &Error)); });
     EXPECT_FALSE(Error.empty()) << Before;
-    EXPECT_EQ(Stats.NumPhisInserted, 0u);
+    // A rejected input counts nothing.
+    EXPECT_EQ(C["ssa.phis_inserted"], 0u);
+    EXPECT_EQ(C["ssa.vars_renamed"], 0u);
     EXPECT_EQ(printFunction(*F), Before);
   }
   std::string Error;

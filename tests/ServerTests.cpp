@@ -1587,6 +1587,45 @@ TEST(Server, ExecVmRequestReportsDynCounters) {
   EXPECT_EQ(Rec.Counters.at("exec.dyn_instrs"), Rec.DynInstrs);
 }
 
+TEST(Server, SsaRequestRecordCountsSSAConstruction) {
+  // SSA construction's counts are registry counters, so an "ssa: 1"
+  // request's record carries them: one phi at the join for %v.
+  Request R;
+  R.Id = 5;
+  R.Text = R"(func @f {
+entry:
+  input %a, %b
+  %v = make 1
+  %c = cmplt %a, %b
+  branch %c, t, j
+t:
+  %v = addi %a, 1
+  jump j
+j:
+  ret %v
+}
+)";
+  R.BuildSSA = true;
+  R.Pipeline = "Lphi,ABI+C";
+  ServerOptions Opts;
+  Opts.NumWorkers = 1;
+  Opts.CollectRecords = true;
+  Server S(Opts);
+  std::vector<Response> Responses;
+  EXPECT_EQ(serveFrames(Opts, encodeRequest(R), Responses, &S), 0);
+  ASSERT_EQ(Responses.size(), 1u);
+  EXPECT_TRUE(Responses[0].Ok) << Responses[0].RecordJson;
+  ASSERT_EQ(S.records().size(), 1u);
+  const StatsSnapshot &C = S.records()[0].Counters;
+  ASSERT_EQ(C.count("ssa.phis_inserted"), 1u) << Responses[0].RecordJson;
+  EXPECT_EQ(C.at("ssa.phis_inserted"), 1u);
+  ASSERT_EQ(C.count("ssa.vars_renamed"), 1u) << Responses[0].RecordJson;
+  EXPECT_GT(C.at("ssa.vars_renamed"), 0u);
+  EXPECT_NE(Responses[0].RecordJson.find("\"ssa.phis_inserted\":1"),
+            std::string::npos)
+      << Responses[0].RecordJson;
+}
+
 TEST(Server, ExecBothRunsTheInProcessDifferential) {
   Request R;
   R.Id = 7;

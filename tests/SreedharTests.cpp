@@ -40,9 +40,9 @@ j:
 )");
   splitCriticalEdges(*F);
   AnalysisManager AM(*F);
-  SreedharStats Stats = convertToCSSA(*F, AM);
-  EXPECT_EQ(Stats.NumPhisProcessed, 1u);
-  EXPECT_EQ(Stats.NumCopiesInserted, 0u);
+  StatsSnapshot Stats = countersOf([&] { convertToCSSA(*F, AM); });
+  EXPECT_EQ(Stats["sreedhar.phis_processed"], 1u);
+  EXPECT_EQ(Stats["sreedhar.copies_inserted"], 0u);
 }
 
 TEST(Sreedhar, InsertsCopyForInterferingArg) {
@@ -51,8 +51,8 @@ TEST(Sreedhar, InsertsCopyForInterferingArg) {
   auto Before = cloneFunction(*F);
   splitCriticalEdges(*F);
   AnalysisManager AM(*F);
-  SreedharStats Stats = convertToCSSA(*F, AM);
-  EXPECT_GE(Stats.NumCopiesInserted, 1u);
+  StatsSnapshot Stats = countersOf([&] { convertToCSSA(*F, AM); });
+  EXPECT_GE(Stats["sreedhar.copies_inserted"], 1u);
   EXPECT_TRUE(verifySSA(*F).empty()) << "conversion preserves SSA";
   expectEquivalent(*Before, *F, {2, 5});
 }
@@ -81,8 +81,8 @@ done:
   auto Before = cloneFunction(*F);
   splitCriticalEdges(*F);
   AnalysisManager AM(*F);
-  SreedharStats Stats = convertToCSSA(*F, AM);
-  EXPECT_GE(Stats.NumCopiesInserted, 1u);
+  StatsSnapshot Stats = countersOf([&] { convertToCSSA(*F, AM); });
+  EXPECT_GE(Stats["sreedhar.copies_inserted"], 1u);
   pinCSSAWebs(*F);
 
   auto Translated = cloneFunction(*Before);

@@ -13,6 +13,7 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "support/Stats.h"
 #include "support/StringUtils.h"
 #include "workloads/Generator.h"
 #include "workloads/Suites.h"
@@ -28,6 +29,16 @@ inline std::unique_ptr<Function> parse(const std::string &Text) {
   auto F = parseFunction(Text, &Error);
   EXPECT_TRUE(F != nullptr) << "parse error: " << Error;
   return F;
+}
+
+/// Runs \p Body under a StatsScope and returns the registry counters it
+/// bumped on the calling thread, keyed "pass.name". A counter that did
+/// not move is absent, so `countersOf(...)["x.y"]` reads it as 0. Safe on
+/// pool threads: a scope records only its own thread's bumps.
+template <typename BodyFn> StatsSnapshot countersOf(BodyFn &&Body) {
+  StatsScope Scope;
+  Body();
+  return Scope.snapshot();
 }
 
 /// Expects \p F to be structurally well-formed.

@@ -2,10 +2,13 @@
 """Command-line test of lao-opt: its --stats report and its exit codes.
 
 Runs the lao-opt binary on tests/lao_opt_input.lai and checks that
-  * text --stats prints every report section on stderr;
+  * text --stats prints every report section on stderr, and every
+    count of a pass (SSA construction, if-conversion, the pinning
+    class-size histogram, the coalescer) as a registry counter, not in
+    a section of its own;
   * --stats=<file> writes one JSON object with the keys the report has
     always had (input, pipeline, moves, weighted_moves, seconds,
-    per_pass_seconds, counters) plus the new sections;
+    per_pass_seconds, counters) plus the regalloc section;
   * a --regalloc run without --pipeline still writes a report;
   * the removed reporting flags and malformed numbers exit 2;
   * register allocation of code that still has phis exits 1;
@@ -52,8 +55,13 @@ INPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 FULL_RUN = ["--ssa", "--ifconvert", "--pipeline=Lphi,ABI+C", "--regalloc"]
 OLD_KEYS = ["input", "pipeline", "moves", "weighted_moves", "seconds",
             "per_pass_seconds", "counters"]
-SECTIONS = ["per_pass_seconds", "ifconvert", "interference", "coalesce",
-            "regalloc"]
+SECTIONS = ["per_pass_seconds", "regalloc"]
+# Sections whose numbers are now registry counters (ifconvert.*,
+# pinning.*, coalesce.*); the coalescer's peak worklist depth and its
+# per-round merges are not reported any more.
+REMOVED_SECTIONS = ["ifconvert", "interference", "coalesce"]
+CLASS_SIZES = ["pinning.class_size_" + b
+               for b in ["1", "2", "3_4", "5_8", "9_16", "ge17"]]
 
 
 def run(binary, *args):
@@ -126,39 +134,47 @@ class LaoOptCli(unittest.TestCase):
         self.assertIn("(matches input program: yes)", proc.stdout)
         for section in ["run"] + SECTIONS + ["counters"]:
             self.assertIn("=== %s ===" % section, proc.stderr)
+        for section in REMOVED_SECTIONS:
+            self.assertNotIn("=== %s ===" % section, proc.stderr)
         # Numbers that are registry counters appear only as counters.
         for line in ["moves", "weighted_moves", "seconds", "coalesce",
-                     "size_1", "size_3_4", "round_1_merges",
-                     "peak_worklist_depth", "diamonds", "regs_used",
-                     "classinterf.cache_hits", "classinterf.probes",
-                     "coalesce.rounds", "coalesce.worklist_pushes",
+                     "regs_used", "ssa.phis_inserted", "ssa.vars_renamed",
+                     "ifconvert.diamonds", "ifconvert.psis",
+                     "pinning.classes", "pinning.class_size_1",
+                     "pinning.class_size_3_4", "classinterf.cache_hits",
+                     "classinterf.probes", "coalesce.rounds",
+                     "coalesce.merges", "coalesce.worklist_pushes",
                      "regalloc.rounds", "translate.phi_copies",
                      "translate.pin_copies"]:
             self.assertRegex(proc.stderr, r"\n +\S+  %s\n" % line)
+        for gone in ["peak_worklist_depth", "round_1_merges"]:
+            self.assertNotIn(gone, proc.stderr)
 
     def test_json_report_keeps_old_keys_and_adds_sections(self):
         doc = self.run_json(*FULL_RUN)
         for key in OLD_KEYS + SECTIONS:
             self.assertIn(key, doc)
+        for key in REMOVED_SECTIONS:
+            self.assertNotIn(key, doc)
         self.assertEqual(doc["input"], INPUT)
         self.assertEqual(doc["pipeline"], "Lphi,ABI+C")
         self.assertIn("coalesce", doc["per_pass_seconds"])
         self.assertAlmostEqual(doc["seconds"],
                                sum(doc["per_pass_seconds"].values()))
-        interference = doc["interference"]
-        self.assertEqual(interference["classes"],
-                         sum(v for k, v in interference.items()
-                             if k.startswith("size_")))
         counters = doc["counters"]
-        rounds = [v for k, v in doc["coalesce"].items()
-                  if k.startswith("round_")]
-        self.assertEqual(len(rounds), counters["coalesce.rounds"])
-        self.assertEqual(sum(rounds), counters["coalesce.merges"])
-        self.assertGreater(doc["coalesce"]["peak_worklist_depth"], 0)
-        self.assertEqual(doc["ifconvert"]["diamonds"], 1)
+        # The pinning class-size histogram, taken once per pipeline run:
+        # every class falls in one bucket.
+        self.assertGreater(counters["pinning.classes"], 0)
+        self.assertEqual(counters["pinning.classes"],
+                         sum(counters.get(k, 0) for k in CLASS_SIZES))
+        self.assertGreater(counters["coalesce.rounds"], 0)
+        self.assertGreater(counters["coalesce.merges"], 0)
+        self.assertEqual(counters["ifconvert.diamonds"], 1)
+        self.assertEqual(counters["ifconvert.psis"], 1)
         self.assertEqual(doc["regalloc"]["num_regs"], 12)
         for key in ["translate.phi_copies", "classinterf.queries",
-                    "regalloc.runs"]:
+                    "regalloc.runs", "ssa.phis_inserted",
+                    "ssa.vars_renamed"]:
             self.assertIn(key, counters)
 
     def test_regalloc_without_pipeline_writes_report(self):
@@ -170,7 +186,9 @@ class LaoOptCli(unittest.TestCase):
         self.assertEqual(doc["regalloc"]["allocator"], "chordal")
         self.assertEqual(doc["regalloc"]["num_regs"], 8)
         self.assertIn("regalloc", doc["per_pass_seconds"])
-        self.assertNotIn("interference", doc)
+        # No pipeline, so no pinning classes were counted.
+        self.assertFalse([k for k in doc["counters"]
+                          if k.startswith("pinning.")])
 
     def test_out_of_range_regalloc_regs_exits_1(self):
         # The pool holds 2..12 registers: a count outside that range is

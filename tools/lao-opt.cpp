@@ -36,10 +36,9 @@
 //     --dot               print the CFG as Graphviz instead of text
 //     --verify            print structural/pinning/SSA diagnostics
 //     --stats[=<file>]    report the run (moves, weighted moves, seconds,
-//                         per-phase seconds, class-size histogram,
-//                         coalescer rounds, regalloc and if-conversion
-//                         summaries, counter delta) as aligned text on
-//                         stderr, or as JSON in <file>
+//                         per-phase seconds, regalloc summary, and the
+//                         counter delta, which holds every pass's counts)
+//                         as aligned text on stderr, or as JSON in <file>
 //                         (docs/OBSERVABILITY.md)
 //
 // A malformed option, a number included, exits 2 with the usage line.
@@ -289,32 +288,6 @@ int main(int Argc, char **Argv) {
         {"weighted_moves", Out.WeightedMoves},
         {"seconds", Out.Timings.total()}}},
       {"per_pass_seconds", std::move(Phases)}};
-  if (const auto &S = Out.IfConversion)
-    Rep.Sections.push_back({"ifconvert",
-                            {{"diamonds", uint64_t{S->NumDiamondsConverted}},
-                             {"triangles", uint64_t{S->NumTrianglesConverted}},
-                             {"psis", uint64_t{S->NumPsisCreated}}}});
-  if (!Opts.Job.Pipeline.empty()) {
-    // The cache and probe numbers are classinterf.* counters.
-    const uint64_t *Hist = Out.Interference.SizeHist;
-    Rep.Sections.push_back({"interference",
-                            {{"classes", Out.Interference.NumClasses},
-                             {"size_1", Hist[0]},
-                             {"size_2", Hist[1]},
-                             {"size_3_4", Hist[2]},
-                             {"size_5_8", Hist[3]},
-                             {"size_9_16", Hist[4]},
-                             {"size_ge17", Hist[5]}}});
-  }
-  // Rounds, merges and worklist traffic are coalesce.* counters.
-  if (const auto &C = Out.Coalescer) {
-    ReportFields &F = Rep.Sections.emplace_back("coalesce", ReportFields())
-                          .second;
-    F.emplace_back("peak_worklist_depth", uint64_t{C->MaxWorklistDepth});
-    for (size_t K = 0; K < C->RoundMerges.size(); ++K)
-      F.emplace_back(formatStr("round_%zu_merges", K + 1),
-                     uint64_t{C->RoundMerges[K]});
-  }
   // Rounds, spills and spill code are regalloc.* counters.
   if (Out.HasRegAlloc)
     Rep.Sections.push_back({"regalloc",
