@@ -7,7 +7,8 @@
 // Walks the paper's Figure 1 — the motivating example of renaming
 // constraints — through every phase, printing the pinned SSA, the
 // reconstruction, and the pinning legality diagnostics for Figure 2's
-// illegal SP pinning.
+// illegal SP pinning. Exits 1 when the translation changes Figure 1's
+// behaviour.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +57,9 @@ int main() {
 
   ExecResult RB = interpret(*Before, {10, 0x2000});
   ExecResult RA = interpret(*F, {10, 0x2000});
+  bool Preserved = RB.sameObservable(RA);
   std::printf("behaviour preserved: %s (ret %llu)\n\n",
-              RB.sameObservable(RA) ? "yes" : "NO",
+              Preserved ? "yes" : "NO",
               static_cast<unsigned long long>(RA.RetValue));
 
   // ---- Figure 2: the SP over-pinning the paper calls incorrect. ----
@@ -67,5 +69,5 @@ int main() {
   std::printf("pinning legality diagnostics:\n");
   for (const std::string &D : verifyPinning(*Fig2))
     std::printf("  %s\n", D.c_str());
-  return 0;
+  return Preserved ? 0 : 1;
 }
