@@ -95,8 +95,7 @@ AffinityGraph createAffinityGraph(const BasicBlock &BB, PinningContext &Ctx,
 }
 
 /// Graph_InitialPruning: delete edges whose resources interfere.
-void initialPruning(AffinityGraph &G, PinningContext &Ctx,
-                    Tally &Stats) {
+void initialPruning(AffinityGraph &G, PinningContext &Ctx, Tally &Stats) {
   for (Edge &E : G.Edges) {
     if (E.Deleted)
       continue;
@@ -145,8 +144,7 @@ void addTieBonuses(AffinityGraph &G, PinningContext &Ctx,
 /// BipartiteGraph_pruning: weight, then greedily delete heaviest edges.
 void bipartitePruning(AffinityGraph &G, PinningContext &Ctx,
                       const std::vector<UsePin> &UsePins,
-                      PruneHeuristic Heuristic,
-                      Tally &Stats) {
+                      PruneHeuristic Heuristic, Tally &Stats) {
   // Weight each edge: for every pair of live edges sharing a vertex whose
   // far endpoints interfere, each edge gains the other's multiplicity.
   for (size_t A = 0; A < G.Edges.size(); ++A) {

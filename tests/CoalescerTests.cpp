@@ -333,7 +333,8 @@ std::unique_ptr<Function> makeSplicedRequeueProgram(uint64_t Seed) {
 /// the worklist schedule and a clone of it under the rebuild-every-round
 /// reference. Returns "" when both perform the same merges in the same
 /// order and leave byte-identical IR, with at most one graph build and one
-/// confirm scan on the worklist side; else what differs. The worklist
+/// confirm scan on the worklist side, whose coalesce.rounds and
+/// coalesce.merges match its trace; else what differs. The worklist
 /// side's counters go to \p Fast.
 std::string compareSchedules(const Function &Input,
                              const PipelineConfig &Config,
@@ -357,6 +358,11 @@ std::string compareSchedules(const Function &Input,
     return "zero-rebuild means at most the initial graph build";
   if (Fast["coalesce.confirm_scans"] != 1)
     return "the confirm scan is a one-time gate";
+  // The trace hook cuts the merges into the counted rounds.
+  if (Fast["coalesce.rounds"] != FastTrace.size())
+    return "one trace round per coalesce.rounds";
+  if (Fast["coalesce.merges"] != RefTrace.size())
+    return "one traced merge per coalesce.merges";
   return "";
 }
 
