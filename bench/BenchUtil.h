@@ -139,16 +139,26 @@ struct SuiteTotals {
   }
 };
 
+/// The functions `Sphi` is known to miscompile (VALcc1/valcc1_21 and
+/// SPECint-like/spec_13; workload names are unique across suites). The
+/// paper calls the Sreedhar-based translation an optimistic approximation
+/// that is not dedicated-register safe; `Sphi+C` and `Sphi+LABI+C` change
+/// no suite function's behaviour and get no exemption.
+inline bool isKnownSphiMiscompile(const Workload &W,
+                                  const PipelineConfig &Config) {
+  return Config.Name == "Sphi" &&
+         (W.Name == "valcc1_21" || W.Name == "spec_13");
+}
+
 /// Runs \p Config on a fresh clone of one workload and checks the result
 /// against the interpreter on every recorded input, aborting loudly on a
-/// miscompile so no bench number comes from wrong code. Sreedhar-based
-/// configurations are exempt: the paper itself calls them an optimistic
-/// approximation (they are not dedicated-register safe).
+/// miscompile so no bench number comes from wrong code. Only the known
+/// `Sphi` miscompiles above are exempt.
 inline PipelineResult runOnWorkload(const Workload &W,
                                     const PipelineConfig &Config) {
   auto F = cloneFunction(*W.F);
   PipelineResult R = runPipeline(*F, Config);
-  if (!Config.Sreedhar)
+  if (!isKnownSphiMiscompile(W, Config))
     for (const auto &Args : W.Inputs)
       if (!interpret(*W.F, Args).sameObservable(interpret(*F, Args))) {
         std::fprintf(stderr,

@@ -14,8 +14,8 @@
 #include "outofssa/Pipeline.h"
 #include "ssa/IfConversion.h"
 #include "ssa/SSAVerifier.h"
+#include "ssa/Transforms.h"
 #include "support/StringUtils.h"
-#include "workloads/Suites.h"
 
 #include <optional>
 

@@ -48,7 +48,7 @@ constexpr InstrRef InvalidInstrRef = ~0u;
 
 /// Returns true if \p Op ends a basic block.
 inline bool isTerminatorOpcode(Opcode Op) {
-  return Op == Opcode::Jump || Op == Opcode::Branch || Op == Opcode::Ret;
+  return effectClass(Op) == EffectClass::Terminator;
 }
 
 /// Lightweight read-only view of an instruction's def or use ids.
@@ -147,12 +147,6 @@ public:
   bool isPhi() const { return Op == Opcode::Phi; }
   bool isCopy() const { return Op == Opcode::Mov; }
   bool isParCopy() const { return Op == Opcode::ParCopy; }
-
-  /// Returns true for 2-operand-constrained opcodes (def tied to use 0).
-  bool isTwoOperand() const {
-    return Op == Opcode::More || Op == Opcode::AutoAdd ||
-           Op == Opcode::SpAdjust;
-  }
 
   unsigned numDefs() const { return NDefs; }
   unsigned numUses() const { return NUses; }
@@ -307,6 +301,41 @@ private:
   uint16_t DefCap, UseCap;
   uint16_t IncCap = 0;
 };
+
+/// One renaming constraint: operand Index of I's defs (IsDef) or uses
+/// must sit in Res.
+struct RenamingConstraint {
+  bool IsDef;
+  unsigned Index;
+  RegId Res;      ///< A physical register, or for a tie I.def(0).
+  RenameRes Kind; ///< The table rule that produced Res.
+};
+
+/// Calls \p Fn with each renaming constraint OpcodeTable gives \p I: its
+/// defs in order, then its uses in order. Operands past the argument
+/// registers (argReg(K) is none) have no constraint. Fn may rewrite I's
+/// operands; a tie reads def 0 when it is reported.
+template <typename FnT>
+void forEachRenamingConstraint(const Instruction &I, FnT &&Fn) {
+  const OpcodeInfo &Info = opcodeInfo(I.op());
+  auto Resource = [](RenameRes Kind, unsigned K) -> RegId {
+    if (Kind == RenameRes::ArgReg)
+      return Target::argReg(K);
+    if (Kind == RenameRes::RetReg)
+      return Target::retReg();
+    return Kind == RenameRes::SP ? RegId(Target::SP) : InvalidReg;
+  };
+  if (Info.DefRes != RenameRes::None)
+    for (unsigned K = 0; K < I.numDefs(); ++K)
+      if (RegId Res = Resource(Info.DefRes, K); Res != InvalidReg)
+        Fn(RenamingConstraint{true, K, Res, Info.DefRes});
+  if (Info.UseRes != RenameRes::None)
+    for (unsigned K = 0; K < I.numUses(); ++K)
+      if (RegId Res = Resource(Info.UseRes, K); Res != InvalidReg)
+        Fn(RenamingConstraint{false, K, Res, Info.UseRes});
+  if (Info.TiedUse != NoTie)
+    Fn(RenamingConstraint{false, Info.TiedUse, I.def(0), RenameRes::TiedDef});
+}
 
 } // namespace lao
 

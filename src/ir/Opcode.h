@@ -5,11 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The mini-LAI opcodes and the one table that describes their text:
-/// mnemonic, def/use arity and syntax form. The parser, the printer and
-/// the verifier's arity check read the table; no other code spells a
-/// mnemonic. What an opcode *means* (evaluation, constraints, value
-/// numbering) stays with the pass that needs it.
+/// The mini-LAI opcodes and the one table that describes them: mnemonic,
+/// def/use arity and syntax form (read by the parser, the printer and the
+/// verifier's arity check), the effect class (read by value numbering,
+/// dead-code elimination, if-conversion and the terminator test) and the
+/// renaming constraints (read through forEachRenamingConstraint by the
+/// constraint collectors and the naive ABI lowering). No other code
+/// spells a mnemonic or restates these properties; only evaluation stays
+/// with the interpreter and the bytecode compiler.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,6 +95,33 @@ enum class OpForm : uint8_t {
 /// Arity of a def or use list that takes any length.
 constexpr uint8_t VarArity = 0xff;
 
+/// What executing an opcode may do besides writing its defs. Each class
+/// allows what the ones before it allow.
+enum class EffectClass : uint8_t {
+  Pure,         ///< A function of its uses and immediate: value numbering
+                ///< may merge two equal ones.
+  Speculatable, ///< Safe on a path that did not ask for it: if-conversion
+                ///< may hoist it.
+  Plain,        ///< Neither, but dead once its defs are unused.
+  SideEffect,   ///< Observable beyond its defs: never dead.
+  Terminator,   ///< Ends a block.
+};
+
+/// The resource a constrained operand must sit in (the paper's renaming
+/// constraints, Section 2.1). A row's DefRes applies to each of its defs
+/// and its UseRes to each of its uses.
+enum class RenameRes : uint8_t {
+  None,    ///< Unconstrained.
+  ArgReg,  ///< Operand K in Target::argReg(K); none for K >= NumArgRegs.
+  RetReg,  ///< Target::retReg().
+  SP,      ///< Target::SP.
+  TiedDef, ///< The resource of def 0 (2-operand and psi ties); used only
+           ///< by TiedUse, never as a row's DefRes or UseRes.
+};
+
+/// TiedUse of a row whose uses are not tied to def 0.
+constexpr uint8_t NoTie = 0xff;
+
 /// One opcode's row.
 struct OpcodeInfo {
   Opcode Op;
@@ -99,37 +129,51 @@ struct OpcodeInfo {
   uint8_t Defs;     ///< 0, 1 or VarArity.
   uint8_t Uses;     ///< Fixed count or VarArity.
   OpForm Form;
+  EffectClass Effect;
+  RenameRes DefRes = RenameRes::None;
+  RenameRes UseRes = RenameRes::None;
+  uint8_t TiedUse = NoTie; ///< The use that shares def 0's resource.
 };
 
-/// The opcode table, in enum order.
+/// The opcode table, in enum order. Load and autoadd are Plain: value
+/// numbering and if-conversion leave them where they are, as they always
+/// have, so no suite function changes shape.
 inline constexpr OpcodeInfo OpcodeTable[] = {
-    {Opcode::Mov, "mov", 1, 1, OpForm::Uses},
-    {Opcode::Make, "make", 1, 0, OpForm::Imm},
-    {Opcode::ParCopy, "parcopy", VarArity, VarArity, OpForm::ParCopy},
-    {Opcode::Add, "add", 1, 2, OpForm::Uses},
-    {Opcode::Sub, "sub", 1, 2, OpForm::Uses},
-    {Opcode::Mul, "mul", 1, 2, OpForm::Uses},
-    {Opcode::And, "and", 1, 2, OpForm::Uses},
-    {Opcode::Or, "or", 1, 2, OpForm::Uses},
-    {Opcode::Xor, "xor", 1, 2, OpForm::Uses},
-    {Opcode::Shl, "shl", 1, 2, OpForm::Uses},
-    {Opcode::Shr, "shr", 1, 2, OpForm::Uses},
-    {Opcode::AddI, "addi", 1, 1, OpForm::UseImm},
-    {Opcode::CmpLT, "cmplt", 1, 2, OpForm::Uses},
-    {Opcode::CmpEQ, "cmpeq", 1, 2, OpForm::Uses},
-    {Opcode::More, "more", 1, 1, OpForm::UseImm},
-    {Opcode::AutoAdd, "autoadd", 1, 1, OpForm::UseImm},
-    {Opcode::SpAdjust, "spadjust", 1, 1, OpForm::UseImm},
-    {Opcode::Load, "load", 1, 1, OpForm::Uses},
-    {Opcode::Store, "store", 0, 2, OpForm::Uses},
-    {Opcode::Call, "call", 1, VarArity, OpForm::Call},
-    {Opcode::Input, "input", VarArity, 0, OpForm::Input},
-    {Opcode::Output, "output", 0, 1, OpForm::Uses},
-    {Opcode::Ret, "ret", 0, 1, OpForm::Uses},
-    {Opcode::Jump, "jump", 0, 0, OpForm::Jump},
-    {Opcode::Branch, "branch", 0, 1, OpForm::Branch},
-    {Opcode::Phi, "phi", 1, VarArity, OpForm::Phi},
-    {Opcode::Psi, "psi", 1, 3, OpForm::Uses},
+    {Opcode::Mov, "mov", 1, 1, OpForm::Uses, EffectClass::Speculatable},
+    {Opcode::Make, "make", 1, 0, OpForm::Imm, EffectClass::Pure},
+    {Opcode::ParCopy, "parcopy", VarArity, VarArity, OpForm::ParCopy,
+     EffectClass::Plain},
+    {Opcode::Add, "add", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::Sub, "sub", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::Mul, "mul", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::And, "and", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::Or, "or", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::Xor, "xor", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::Shl, "shl", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::Shr, "shr", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::AddI, "addi", 1, 1, OpForm::UseImm, EffectClass::Pure},
+    {Opcode::CmpLT, "cmplt", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::CmpEQ, "cmpeq", 1, 2, OpForm::Uses, EffectClass::Pure},
+    {Opcode::More, "more", 1, 1, OpForm::UseImm, EffectClass::Pure,
+     RenameRes::None, RenameRes::None, 0},
+    {Opcode::AutoAdd, "autoadd", 1, 1, OpForm::UseImm, EffectClass::Plain,
+     RenameRes::None, RenameRes::None, 0},
+    {Opcode::SpAdjust, "spadjust", 1, 1, OpForm::UseImm, EffectClass::Plain,
+     RenameRes::SP, RenameRes::SP},
+    {Opcode::Load, "load", 1, 1, OpForm::Uses, EffectClass::Plain},
+    {Opcode::Store, "store", 0, 2, OpForm::Uses, EffectClass::SideEffect},
+    {Opcode::Call, "call", 1, VarArity, OpForm::Call, EffectClass::SideEffect,
+     RenameRes::RetReg, RenameRes::ArgReg},
+    {Opcode::Input, "input", VarArity, 0, OpForm::Input,
+     EffectClass::SideEffect, RenameRes::ArgReg},
+    {Opcode::Output, "output", 0, 1, OpForm::Uses, EffectClass::SideEffect},
+    {Opcode::Ret, "ret", 0, 1, OpForm::Uses, EffectClass::Terminator,
+     RenameRes::None, RenameRes::RetReg},
+    {Opcode::Jump, "jump", 0, 0, OpForm::Jump, EffectClass::Terminator},
+    {Opcode::Branch, "branch", 0, 1, OpForm::Branch, EffectClass::Terminator},
+    {Opcode::Phi, "phi", 1, VarArity, OpForm::Phi, EffectClass::Plain},
+    {Opcode::Psi, "psi", 1, 3, OpForm::Uses, EffectClass::Speculatable,
+     RenameRes::None, RenameRes::None, 2},
 };
 
 constexpr bool opcodeTableIsComplete() {
@@ -148,6 +192,9 @@ inline const OpcodeInfo &opcodeInfo(Opcode Op) {
 
 /// Returns a stable lower-case mnemonic for \p Op.
 inline const char *opcodeName(Opcode Op) { return opcodeInfo(Op).Name; }
+
+/// Returns \p Op's effect class.
+inline EffectClass effectClass(Opcode Op) { return opcodeInfo(Op).Effect; }
 
 } // namespace lao
 

@@ -10,7 +10,10 @@
 /// the paper's discussion of Figure 2) and pinningABI (argument/result
 /// registers, 2-operand ISA constraints, psi predication constraints).
 /// Both phases only *record* pins on operands; classes are formed later
-/// by PinningContext.
+/// by PinningContext, and an operand the input already pinned keeps its
+/// pin. The constraints themselves are OpcodeTable's constraint column
+/// (ir/Opcode.h), walked through forEachRenamingConstraint; the naive ABI
+/// lowering reads the same walk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +25,8 @@
 namespace lao {
 
 /// Pins SP-derived variables (SpAdjust defs and uses) to the physical SP.
-/// The operands pinned are counted by the constraints.sp_pins counter.
+/// A def is pinned even when it is physical; a physical use is not. The
+/// operands pinned are counted by the constraints.sp_pins counter.
 void collectSPConstraints(Function &F);
 
 /// Pins ABI-constrained operands:
@@ -34,7 +38,8 @@ void collectSPConstraints(Function &F);
 ///  * `psi`: the else-operand pinned to the destination (the
 ///    psi-conventional conversion; predicated code overwrites its else
 ///    value in place)
-/// The operands pinned are counted by the constraints.abi_pins counter.
+/// Physical operands are not pinned. The operands pinned are counted by
+/// the constraints.abi_pins counter.
 void collectABIConstraints(Function &F);
 
 } // namespace lao

@@ -8,8 +8,6 @@
 
 #include "support/Stats.h"
 
-#include <cassert>
-
 using namespace lao;
 
 void lao::lowerABINaively(Function &F) {
@@ -26,82 +24,35 @@ void lao::lowerABINaively(Function &F) {
     auto &Insts = BB->instructions();
     for (auto It = Insts.begin(); It != Insts.end(); ++It) {
       Instruction &I = *It;
-      switch (I.op()) {
-      case Opcode::Input: {
-        // Parameters arrive in R0..R3; copy them into the variables the
-        // body uses. Register-passed parameters only.
-        auto After = std::next(It);
-        for (unsigned K = 0; K < I.numDefs(); ++K) {
-          RegId Arg = Target::argReg(K);
-          if (Arg == InvalidReg)
-            continue;
-          RegId V = I.def(K);
-          if (V == Arg)
-            continue;
-          Insts.insert(After, MovInst(V, Arg));
-          ++NumMoves;
-          I.setDef(K, Arg);
+      auto After = std::next(It);
+      // Argument registers are written by one parallel copy: a source
+      // may itself be an argument register of the same call.
+      Instruction Par(Opcode::ParCopy);
+      forEachRenamingConstraint(I, [&](const RenamingConstraint &C) {
+        if (C.IsDef) {
+          // The def lands in its register and is copied out after I.
+          RegId V = I.def(C.Index);
+          if (V == C.Res)
+            return;
+          Insts.insert(After, MovInst(V, C.Res));
+          I.setDef(C.Index, C.Res);
+        } else {
+          // The use is copied into its register before I.
+          RegId V = I.use(C.Index);
+          if (V == C.Res)
+            return;
+          if (C.Kind == RenameRes::ArgReg) {
+            Par.addDef(C.Res);
+            Par.addUse(V);
+          } else {
+            Insts.insert(It, MovInst(C.Res, V));
+          }
+          I.setUse(C.Index, C.Res);
         }
-        break;
-      }
-      case Opcode::Call: {
-        // Arguments into R0..R3 (a parallel copy: sources may themselves
-        // be argument registers of an enclosing sequence).
-        Instruction Par(Opcode::ParCopy);
-        for (unsigned K = 0; K < I.numUses(); ++K) {
-          RegId Arg = Target::argReg(K);
-          if (Arg == InvalidReg)
-            continue;
-          if (I.use(K) == Arg)
-            continue;
-          Par.addDef(Arg);
-          Par.addUse(I.use(K));
-          I.setUse(K, Arg);
-        }
-        if (Par.numDefs() != 0) {
-          NumMoves += Par.numDefs();
-          Insts.insert(It, std::move(Par));
-        }
-        // Result out of R0.
-        RegId D = I.def(0);
-        if (D != Target::retReg()) {
-          I.setDef(0, Target::retReg());
-          Insts.insert(std::next(It), MovInst(D, Target::retReg()));
-          ++NumMoves;
-        }
-        break;
-      }
-      case Opcode::Ret: {
-        if (I.use(0) != Target::retReg()) {
-          Insts.insert(It, MovInst(Target::retReg(), I.use(0)));
-          ++NumMoves;
-          I.setUse(0, Target::retReg());
-        }
-        break;
-      }
-      case Opcode::More:
-      case Opcode::AutoAdd:
-      case Opcode::SpAdjust: {
-        // 2-operand tie: destination and source must be one register.
-        if (I.def(0) != I.use(0)) {
-          Insts.insert(It, MovInst(I.def(0), I.use(0)));
-          ++NumMoves;
-          I.setUse(0, I.def(0));
-        }
-        break;
-      }
-      case Opcode::Psi: {
-        // Predicated else-value overwritten in place.
-        if (I.def(0) != I.use(2)) {
-          Insts.insert(It, MovInst(I.def(0), I.use(2)));
-          ++NumMoves;
-          I.setUse(2, I.def(0));
-        }
-        break;
-      }
-      default:
-        break;
-      }
+        ++NumMoves;
+      });
+      if (Par.numDefs() != 0)
+        Insts.insert(It, std::move(Par));
     }
   }
   LAO_STAT(naiveabi, moves_inserted) += NumMoves;

@@ -8,12 +8,16 @@
 /// The paper's [NaiveABI] baseline: when renaming constraints were NOT
 /// handled during the out-of-SSA translation (pinningABI off), this pass
 /// makes the non-SSA code ABI-correct by inserting move instructions
-/// locally around every constrained instruction — parameters copied out
-/// of R0..R3 after `input`, arguments copied into R0..R3 before `call`
-/// (and the result out of R0 after it), the return value copied into R0,
-/// and a destination-tying copy before each 2-operand instruction. A
-/// subsequent aggressive coalescing pass is then expected to clean most
-/// of these up (Tables 3 and 4).
+/// locally around every constrained instruction. It lowers the same
+/// constraints the pinning path pins, read from OpcodeTable through
+/// forEachRenamingConstraint: a constrained def is copied out of its
+/// register after the instruction (parameters out of R0..R3 after
+/// `input`, in order; the call result out of R0), a constrained use is
+/// copied in before it (call arguments into R0..R3 as one parallel copy;
+/// the return value into R0; the 2-operand and psi ties as a copy into
+/// the destination; SP for `spadjust`). A subsequent aggressive
+/// coalescing pass is then expected to clean most of these up (Tables 3
+/// and 4).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,29 +15,6 @@ using namespace lao;
 
 namespace {
 
-bool isSpeculationSafe(const Instruction &I) {
-  switch (I.op()) {
-  case Opcode::Mov:
-  case Opcode::Make:
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::AddI:
-  case Opcode::CmpLT:
-  case Opcode::CmpEQ:
-  case Opcode::More:
-  case Opcode::Psi:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// True if \p Arm is convertible: only safe instructions (at most
 /// \p MaxArmInsts) followed by a jump.
 bool armConvertible(const BasicBlock *Arm, unsigned MaxArmInsts) {
@@ -45,7 +22,8 @@ bool armConvertible(const BasicBlock *Arm, unsigned MaxArmInsts) {
   for (const Instruction &I : Arm->instructions()) {
     if (I.isTerminator())
       return I.op() == Opcode::Jump;
-    if (I.isPhi() || !isSpeculationSafe(I) || ++Count > MaxArmInsts)
+    if (effectClass(I.op()) > EffectClass::Speculatable ||
+        ++Count > MaxArmInsts)
       return false;
   }
   return false; // No terminator: malformed.

@@ -8,6 +8,7 @@
 
 #include "analysis/Dominators.h"
 #include "ir/CFG.h"
+#include "ssa/SSAConstruction.h"
 
 #include <cassert>
 #include <map>
@@ -87,27 +88,6 @@ unsigned lao::valueNumber(Function &F) {
   std::vector<std::map<Key, RegId>::iterator> Added;
   std::vector<RegId> Replacement(F.numValues(), InvalidReg);
 
-  auto IsPure = [](Opcode Op) {
-    switch (Op) {
-    case Opcode::Make:
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::AddI:
-    case Opcode::CmpLT:
-    case Opcode::CmpEQ:
-    case Opcode::More:
-      return true;
-    default:
-      return false;
-    }
-  };
-
   auto Resolve = [&](RegId V) {
     while (Replacement[V] != InvalidReg)
       V = Replacement[V];
@@ -123,7 +103,7 @@ unsigned lao::valueNumber(Function &F) {
           Instruction &I = *It;
           for (unsigned K = 0; K < I.numUses(); ++K)
             I.setUse(K, Resolve(I.use(K)));
-          if (!IsPure(I.op()) || I.numDefs() != 1 ||
+          if (effectClass(I.op()) != EffectClass::Pure || I.numDefs() != 1 ||
               I.defPin(0) != InvalidReg) {
             ++It;
             continue;
@@ -155,20 +135,6 @@ unsigned lao::valueNumber(Function &F) {
 unsigned lao::eliminateDeadCode(Function &F) {
   unsigned NumRemoved = 0;
   bool Changed = true;
-  auto HasSideEffects = [](const Instruction &I) {
-    switch (I.op()) {
-    case Opcode::Store:
-    case Opcode::Call:
-    case Opcode::Output:
-    case Opcode::Ret:
-    case Opcode::Jump:
-    case Opcode::Branch:
-    case Opcode::Input:
-      return true;
-    default:
-      return false;
-    }
-  };
   while (Changed) {
     Changed = false;
     std::vector<unsigned> NumUses(F.numValues(), 0);
@@ -179,7 +145,8 @@ unsigned lao::eliminateDeadCode(Function &F) {
     for (const auto &BB : F.blocks()) {
       auto &Insts = BB->instructions();
       for (auto It = Insts.begin(); It != Insts.end();) {
-        bool Dead = !HasSideEffects(*It) && It->numDefs() > 0;
+        bool Dead = effectClass(It->op()) < EffectClass::SideEffect &&
+                    It->numDefs() > 0;
         for (RegId D : It->defs())
           Dead &= NumUses[D] == 0 && !F.isPhysical(D);
         for (unsigned K = 0; Dead && K < It->numDefs(); ++K)
@@ -195,4 +162,14 @@ unsigned lao::eliminateDeadCode(Function &F) {
     }
   }
   return NumRemoved;
+}
+
+bool lao::normalizeToOptimizedSSA(Function &F, std::string *Error) {
+  if (!buildSSA(F, Error))
+    return false;
+  propagateCopies(F);
+  valueNumber(F);
+  propagateCopies(F);
+  eliminateDeadCode(F);
+  return true;
 }

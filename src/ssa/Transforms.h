@@ -11,7 +11,9 @@
 /// out-of-SSA coalescing problem non-trivial: they rewrite phi webs so
 /// that a naive phi replacement would introduce many move instructions.
 ///
-/// All passes run on unpinned SSA code (before constraint collection).
+/// All passes run on unpinned SSA code (before constraint collection);
+/// normalizeToOptimizedSSA builds that SSA from non-SSA code and chains
+/// them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,8 @@
 #define LAO_SSA_TRANSFORMS_H
 
 #include "ir/Function.h"
+
+#include <string>
 
 namespace lao {
 
@@ -28,15 +32,23 @@ namespace lao {
 /// copies/phis removed.
 unsigned propagateCopies(Function &F);
 
-/// Dominator-scoped value numbering over the pure opcodes (arithmetic,
-/// make, more, autoadd). Redundant instructions are replaced by the
+/// Dominator-scoped value numbering over OpcodeTable's Pure opcodes
+/// (arithmetic, make, more). Redundant instructions are replaced by the
 /// dominating equivalent and removed. Returns the number of instructions
 /// removed.
 unsigned valueNumber(Function &F);
 
-/// Removes side-effect-free instructions whose results are unused,
-/// including dead phis, to a fixpoint. Returns the number removed.
+/// Removes instructions below EffectClass::SideEffect whose results are
+/// unused, including dead phis, to a fixpoint. Returns the number removed.
 unsigned eliminateDeadCode(Function &F);
+
+/// Converts a non-SSA function into the optimized pruned SSA form the
+/// out-of-SSA pipeline expects and the suites ship (buildSSA + copy
+/// propagation + value numbering + DCE). Returns false, with \p F
+/// unchanged and \p Error (when given) set, when \p F is not a valid
+/// buildSSA input — lao-opt --ssa and the server's "ssa: 1" rely on this
+/// to refuse such text instead of asserting.
+bool normalizeToOptimizedSSA(Function &F, std::string *Error = nullptr);
 
 } // namespace lao
 

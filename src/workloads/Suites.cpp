@@ -7,23 +7,11 @@
 #include "workloads/Suites.h"
 
 #include "ir/IRBuilder.h"
-#include "ssa/SSAConstruction.h"
-#include "ssa/Transforms.h"
 #include "support/Rng.h"
 #include "workloads/Generator.h"
 #include "workloads/PaperExamples.h"
 
 using namespace lao;
-
-bool lao::normalizeToOptimizedSSA(Function &F, std::string *Error) {
-  if (!buildSSA(F, Error))
-    return false;
-  propagateCopies(F);
-  valueNumber(F);
-  propagateCopies(F);
-  eliminateDeadCode(F);
-  return true;
-}
 
 namespace {
 

@@ -30,6 +30,7 @@
 #define LAO_WORKLOADS_SUITES_H
 
 #include "ir/Function.h"
+#include "ssa/Transforms.h" // normalizeToOptimizedSSA, which the suites apply
 
 #include <cstdint>
 #include <memory>
@@ -58,14 +59,6 @@ struct SuiteSpec {
   std::vector<Workload> (*Make)();
 };
 const std::vector<SuiteSpec> &allSuites();
-
-/// Converts a freshly generated non-SSA function into the optimized SSA
-/// form the suites ship (buildSSA + copy propagation + value numbering +
-/// DCE). Returns false, with \p F unchanged and \p Error (when given)
-/// set, when \p F is not a valid buildSSA input — lao-opt --ssa and the
-/// server's "ssa: 1" rely on this to refuse such text instead of
-/// asserting.
-bool normalizeToOptimizedSSA(Function &F, std::string *Error = nullptr);
 
 } // namespace lao
 

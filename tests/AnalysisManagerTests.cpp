@@ -314,13 +314,16 @@ TEST(AnalysisManager, PipelineLeavesExactAnalysesOnEverySuite) {
   // CFG, dominators and loop info; after coalescing the liveness and,
   // when it merged, its repaired interference graph) equals a fresh
   // build, the graph row for row. allocateRegisters' first round colors
-  // that graph, so this is what makes the reuse exact.
+  // that graph, so this is what makes the reuse exact. The same runs check
+  // that every renaming constraint the preset handles holds in the output.
   std::atomic<unsigned> WithGraph = 0;
   forEachSuiteRun([&](Function &F, const char *Preset) {
+    auto In = cloneFunction(F);
+    PipelineConfig Config = pipelinePreset(Preset);
     AnalysisManager AM(F);
-    runPipeline(F, pipelinePreset(Preset), AM);
+    runPipeline(F, Config, AM);
     WithGraph += AM.isCached(AnalysisKind::Interference);
-    return AM.verify();
+    return AM.verify() + renamingConstraintViolations(*In, F, Config);
   });
   EXPECT_GT(WithGraph, 0u) << "no run left a graph to check";
 }

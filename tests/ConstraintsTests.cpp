@@ -98,7 +98,7 @@ entry:
   collectABIConstraints(*F);
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions())
-      if (I.isTwoOperand() && I.op() != Opcode::SpAdjust) {
+      if (opcodeInfo(I.op()).TiedUse == 0) {
         EXPECT_EQ(I.usePin(0), I.def(0))
             << "2-operand source pinned to its destination's resource";
       }

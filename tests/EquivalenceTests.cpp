@@ -70,12 +70,14 @@ TEST_P(PipelineEquivalence, PreservesObservableBehaviour) {
   runPipeline(*Translated, Config);
   expectWellFormed(*Translated);
 
-  // No phis (and no parallel copies) may survive the pipeline.
+  // No phis (and no parallel copies) may survive the pipeline, and every
+  // renaming constraint the preset handles holds.
   for (const auto &BB : Translated->blocks())
     for (const Instruction &I : BB->instructions()) {
       EXPECT_FALSE(I.isPhi()) << "phi survived out-of-SSA";
       EXPECT_FALSE(I.isParCopy()) << "parcopy survived sequentialization";
     }
+  EXPECT_EQ(renamingConstraintViolations(*F, *Translated, Config), "");
 
   for (uint64_t Set = 0; Set < 3; ++Set) {
     std::vector<uint64_t> Args;

@@ -13,6 +13,7 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "outofssa/Pipeline.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
 #include "workloads/Generator.h"
@@ -63,6 +64,65 @@ inline void expectEquivalent(const Function &Before, const Function &After,
   EXPECT_EQ(RB.Outputs, RA.Outputs)
       << "output traces differ\n--- before ---\n"
       << printFunction(Before) << "--- after ---\n" << printFunction(After);
+}
+
+/// Returns "" if every renaming constraint (OpcodeTable's constraint
+/// column, read through forEachRenamingConstraint) holds in \p Out, the
+/// output of the pipeline \p Config on \p In, else the violations, one a
+/// line. The interpreter ignores register names, so no equivalence check
+/// sees a call argument that left R0..R3; this one does. SP constraints
+/// hold under every preset; argument, result and tie constraints under
+/// the presets that pin or lower the ABI. An operand that names or is
+/// pinned to a physical register in \p In may sit there instead: the
+/// input's pin wins (figure 1's `input %C^R0, %P^P0` keeps P0 under
+/// pinning). The constrained instructions of \p In and \p Out pair up in
+/// block order: the pipeline adds only copies and jumps.
+inline std::string renamingConstraintViolations(const Function &In,
+                                                const Function &Out,
+                                                const PipelineConfig &Config) {
+  auto Constrained = [](const Function &F) {
+    std::vector<const Instruction *> List;
+    for (const auto &BB : F.blocks())
+      for (const Instruction &I : BB->instructions()) {
+        bool Any = false;
+        forEachRenamingConstraint(I, [&](const RenamingConstraint &) {
+          Any = true;
+        });
+        if (Any)
+          List.push_back(&I);
+      }
+    return List;
+  };
+  std::vector<const Instruction *> InList = Constrained(In);
+  std::vector<const Instruction *> OutList = Constrained(Out);
+  if (InList.size() != OutList.size())
+    return formatStr("%zu constrained instructions in, %zu out\n",
+                     InList.size(), OutList.size());
+  bool CheckABI = Config.PinABI || Config.NaiveABI;
+  std::string Violations;
+  for (size_t N = 0; N < OutList.size(); ++N) {
+    const Instruction &I = *OutList[N], &Orig = *InList[N];
+    if (I.op() != Orig.op())
+      return formatStr("constrained instruction %zu: %s in, %s out\n", N,
+                       opcodeName(Orig.op()), opcodeName(I.op()));
+    forEachRenamingConstraint(I, [&](const RenamingConstraint &C) {
+      if (C.Kind != RenameRes::SP && !CheckABI)
+        return;
+      unsigned K = C.Index;
+      RegId V = C.IsDef ? I.def(K) : I.use(K);
+      RegId Pin = C.IsDef ? Orig.defPin(K) : Orig.usePin(K);
+      if (Pin == InvalidReg)
+        Pin = C.IsDef ? Orig.def(K) : Orig.use(K);
+      if (V == C.Res || (In.isPhysical(Pin) && V == Pin))
+        return;
+      Violations += formatStr("`%s`: %s %u in %s, wants %s\n",
+                              printInstruction(Out, I).c_str(),
+                              C.IsDef ? "def" : "use", K,
+                              Out.valueName(V).c_str(),
+                              Out.valueName(C.Res).c_str());
+    });
+  }
+  return Violations;
 }
 
 /// A size-ladder point: one generated function of about \p Target
