@@ -12,24 +12,22 @@ using namespace lao;
 
 namespace {
 
-/// Pins every constrained operand that \p Wanted selects to its resource
-/// (OpcodeTable's constraint column). An operand the input already pinned
-/// keeps its pin; a physical operand already names a register and stays
-/// unpinned, except a def when \p PinPhysicalDefs. Returns the number of
-/// operands pinned.
-template <typename PredT>
-unsigned pinConstrainedOperands(Function &F, PredT Wanted,
-                                bool PinPhysicalDefs) {
+/// Pins every constrained operand of one side to its resource (OpcodeTable's
+/// constraint column): the SP operands when \p SP, the ABI registers and
+/// ties otherwise. An operand the input already pinned keeps its pin; a
+/// physical operand already names a register and stays unpinned, except an
+/// SP def. Returns the number of operands pinned.
+unsigned pinConstrainedOperands(Function &F, bool SP) {
   unsigned NumPinned = 0;
   for (const auto &BB : F.blocks())
     for (Instruction &I : BB->instructions())
       forEachRenamingConstraint(I, [&](const RenamingConstraint &C) {
-        if (!Wanted(C.Kind))
+        bool IsSP = C.Kind == RenameRes::SP;
+        if (IsSP != SP)
           return;
         unsigned K = C.Index;
         if (C.IsDef) {
-          if (I.defPin(K) == InvalidReg &&
-              (PinPhysicalDefs || !F.isPhysical(I.def(K)))) {
+          if (I.defPin(K) == InvalidReg && (IsSP || !F.isPhysical(I.def(K)))) {
             I.pinDef(K, C.Res);
             ++NumPinned;
           }
@@ -44,13 +42,9 @@ unsigned pinConstrainedOperands(Function &F, PredT Wanted,
 } // namespace
 
 void lao::collectSPConstraints(Function &F) {
-  LAO_STAT(constraints, sp_pins) += pinConstrainedOperands(
-      F, [](RenameRes Kind) { return Kind == RenameRes::SP; },
-      /*PinPhysicalDefs=*/true);
+  LAO_STAT(constraints, sp_pins) += pinConstrainedOperands(F, /*SP=*/true);
 }
 
 void lao::collectABIConstraints(Function &F) {
-  LAO_STAT(constraints, abi_pins) += pinConstrainedOperands(
-      F, [](RenameRes Kind) { return Kind != RenameRes::SP; },
-      /*PinPhysicalDefs=*/false);
+  LAO_STAT(constraints, abi_pins) += pinConstrainedOperands(F, /*SP=*/false);
 }

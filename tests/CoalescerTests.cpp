@@ -834,18 +834,22 @@ func @f {
 entry:
   input %a
   %k = more %a, 7
-  %r = add %k, %a
+  %q = autoadd %k, 4
+  %r = add %q, %a
   ret %r
 }
 )");
   auto Before = cloneFunction(*F);
   lowerABINaively(*F);
   sequentializeParallelCopies(*F);
+  unsigned Checked = 0;
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions())
-      if (I.op() == Opcode::More) {
+      if (I.op() == Opcode::More || I.op() == Opcode::AutoAdd) {
         EXPECT_EQ(I.def(0), I.use(0));
+        ++Checked;
       }
+  EXPECT_EQ(Checked, 2u);
   expectEquivalent(*Before, *F, {5});
 }
 

@@ -96,12 +96,15 @@ entry:
 }
 )");
   collectABIConstraints(*F);
+  unsigned Checked = 0;
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions())
-      if (opcodeInfo(I.op()).TiedUse == 0) {
+      if (I.op() == Opcode::More || I.op() == Opcode::AutoAdd) {
         EXPECT_EQ(I.usePin(0), I.def(0))
             << "2-operand source pinned to its destination's resource";
+        ++Checked;
       }
+  EXPECT_EQ(Checked, 2u);
 }
 
 TEST(Constraints, PsiElseOperandTied) {
